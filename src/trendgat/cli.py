@@ -50,12 +50,13 @@ KEY_TYPES = {
     "out.dir": "path",
 }
 
+# sweep axis (a ModelConfig field) -> configuration key
 SWEEP_AXES = {
-    "tau": ("model.tau", "int"),
-    "k": ("graph.k", "float"),
-    "s": ("graph.s", "float"),
-    "heads": ("model.heads", "int"),
-    "layers": ("model.layers", "int"),
+    "tau": "model.tau",
+    "k": "graph.k",
+    "s": "graph.s",
+    "heads": "model.heads",
+    "layers": "model.layers",
 }
 
 
@@ -167,32 +168,24 @@ def write_resolved_spec(spec: ExperimentSpec, out_dir: Path) -> None:
         json.dumps(spec.resolved(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_datasets(spec: ExperimentSpec, graph_source: str = "energy"):
-    """Panel pipeline shared by all data-driven commands; graph_source is
-    'energy' (dynamic) or 'sector' (static, for ablations)."""
+def _load_panel(spec: ExperimentSpec) -> md.IndicatorPanel:
+    """The spec's manifest, aligned and restricted to its indicators."""
     if spec.manifest is None:
         raise ConfigError(f"mode {spec.mode!r} requires a dataset manifest (data.manifest / --manifest)")
     panel = md.load_panel(spec.manifest, min_days=spec.config.tau + spec.config.phi)
-    panel = md.select_indicators(panel, spec.indicators)
+    return md.select_indicators(panel, spec.indicators)
+
+
+def load_datasets(spec: ExperimentSpec, graph_source: str = "energy"):
+    """Panel pipeline shared by all data-driven commands; graph_source is
+    'energy' (dynamic) or 'sector' (static, for ablations)."""
+    panel = _load_panel(spec)
+    adjacency = None
     if graph_source == "sector":
         if not panel.sectors or any(t not in panel.sectors for t in panel.tickers):
             raise ConfigError("sector graph requested but the manifest lacks sector entries")
-        splits = md.split_periods(panel, spec.ratios, spec.config.tau, spec.config.phi)
-        norm = md.normalize(panel, splits)
         adjacency = eg.sector_adjacency(panel.sectors, panel.tickers)
-        out = {}
-        for name, ts in (("train", splits.train), ("validation", splits.validation),
-                         ("test", splits.test)):
-            samples = []
-            for t in ts:
-                ws = md.build_sample(norm, t, spec.config.tau, spec.config.phi, spec.config.alpha)
-                snap = eg.GraphSnapshot(t=t, features=ws.features, adjacency=adjacency,
-                                        k=spec.config.k, tau=spec.config.tau,
-                                        threshold=spec.config.s)
-                samples.append(mdl.Sample(snapshot=snap, labels=ws.labels))
-            out[name] = samples
-        return panel, out
-    return panel, mdl.build_datasets(panel, spec.config, spec.ratios)
+    return panel, mdl.build_datasets(panel, spec.config, spec.ratios, adjacency)
 
 
 def _write_history(history: list[dict], path: Path) -> None:
@@ -316,7 +309,7 @@ def cmd_ablate(spec: ExperimentSpec) -> int:
 def cmd_sweep(spec: ExperimentSpec, axis: str, grid_raw: str) -> int:
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
-    key, kind = SWEEP_AXES[axis]
+    key = SWEEP_AXES[axis]
     grid = [
         _parse_value(key, part.strip())
         for part in grid_raw.split(",") if part.strip()
@@ -328,7 +321,7 @@ def cmd_sweep(spec: ExperimentSpec, axis: str, grid_raw: str) -> int:
     rows = []
     for value in grid:
         value_spec = dataclasses.replace(
-            spec, config=dataclasses.replace(spec.config, **{_axis_field(axis): value}))
+            spec, config=dataclasses.replace(spec.config, **{axis: value}))
         value_spec.config.validate(strict_ranges=spec.range_check)
         _, datasets = load_datasets(value_spec)
         for seed in spec.seeds:
@@ -347,10 +340,6 @@ def cmd_sweep(spec: ExperimentSpec, axis: str, grid_raw: str) -> int:
     for value, stats in summary.items():
         print(f"{axis}={value}: acc {stats['acc']['mean']:.4f} +- {stats['acc']['std']:.4f}")
     return 0
-
-
-def _axis_field(axis: str) -> str:
-    return {"tau": "tau", "k": "k", "s": "s", "heads": "heads", "layers": "layers"}[axis]
 
 
 def sweep_summary(rows) -> dict:
@@ -389,16 +378,16 @@ def _maybe_number(raw: str):
 def cmd_graphgen(spec: ExperimentSpec, t: int | None) -> int:
     out_dir = Path(spec.out_dir)
     write_resolved_spec(spec, out_dir)
-    if spec.manifest is None:
-        raise ConfigError("graphgen requires a dataset manifest")
-    panel = md.load_panel(spec.manifest, min_days=spec.config.tau + spec.config.phi)
-    panel = md.select_indicators(panel, spec.indicators)
-    splits = md.split_periods(panel, spec.ratios, spec.config.tau, spec.config.phi)
-    norm = md.normalize(panel, splits)
+    panel = _load_panel(spec)
+    cfg = spec.config
+    splits = md.split_periods(panel, spec.ratios, cfg.tau, cfg.phi)
+    usable = md.usable_range(panel.n_days, cfg.tau, cfg.phi)
     if t is None:
         t = splits.train[-1]
-    ws = md.build_sample(norm, t, spec.config.tau, spec.config.phi, spec.config.alpha)
-    snap = eg.snapshot(t, ws.features, spec.config.k, spec.config.tau, spec.config.s)
+    elif t not in usable:
+        raise ConfigError(f"--t {t} outside the usable range [{usable.start}, {usable.stop - 1}] "
+                          f"for tau={cfg.tau}, phi={cfg.phi} and {panel.n_days} days")
+    snap = mdl.samples_from_panel(md.normalize(panel, splits), [t], cfg)[0].snapshot
     edges = eg.export_edges(snap.adjacency, panel.tickers, out_dir / f"edges_t{t}.tsv")
     eg.export_dense(snap.adjacency, panel.tickers, out_dir / f"adjacency_t{t}.csv")
     print(f"t={t} ({panel.dates[t]}): {edges} edges -> {out_dir / f'edges_t{t}.tsv'}")

@@ -1,7 +1,7 @@
 """OHLCV ingestion, calendar alignment, normalization and sample windowing.
 
 Input is one CSV per stock with the fixed header
-``date,open,high,low,adj_close,volume`` (ISO-8601 dates), plus a manifest
+``date,open,high,low,adj_close,volume`` (``YYYY-MM-DD`` dates), plus a manifest
 CSV mapping ticker to file path with an optional sector column.  The
 panel is restricted to the intersection of all stocks' trading days; no
 values are imputed.
@@ -10,6 +10,8 @@ values are imputed.
 from __future__ import annotations
 
 import csv
+import datetime
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,10 +115,16 @@ def _read_stock_csv(ticker: str, csv_path: Path) -> dict[str, list[float]]:
                 raise ParseError(f"{csv_path}:{lineno}: expected 6 columns, got {len(row)}")
             date = row[0].strip()
             try:
+                canonical = datetime.date.fromisoformat(date).isoformat() == date
+            except ValueError:
+                canonical = False
+            if not canonical:
+                raise ParseError(f"{csv_path}:{lineno}: date {date!r} is not YYYY-MM-DD")
+            try:
                 vals = [float(x) for x in row[1:]]
             except ValueError as exc:
                 raise ParseError(f"{csv_path}:{lineno}: {exc}") from None
-            if not all(np.isfinite(vals)):
+            if not all(map(math.isfinite, vals)):
                 raise ParseError(f"{csv_path}:{lineno}: non-finite value")
             if date in by_date:
                 raise ParseError(f"{csv_path}:{lineno}: duplicate date {date}")
@@ -243,13 +251,3 @@ def split_periods(panel: IndicatorPanel, ratios: tuple[int, int, int],
             f"{usable} usable days cannot fill three non-empty blocks with ratios {ratios}")
     a, b = sizes[0], sizes[0] + sizes[1]
     return DatasetSplits(train=ts[:a], validation=ts[a:b], test=ts[b:])
-
-
-def dump_normalized(panel: IndicatorPanel, out) -> None:
-    """Debug dump of the normalized panel, one CSV row per (ticker, date)."""
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("ticker,date," + ",".join(panel.indicators) + "\n")
-        for i, t in enumerate(panel.tickers):
-            for j, d in enumerate(panel.dates):
-                row = ",".join(f"{v:.10g}" for v in panel.values[i, j])
-                fh.write(f"{t},{d},{row}\n")

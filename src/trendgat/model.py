@@ -86,11 +86,31 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
+    """Every learnable lives in one contiguous float64 vector ``flat`` (and
+    its gradient in ``grad``); each ``Value`` below is a 2-D view into them,
+    laid out in ``named()`` order."""
+
     config: ModelConfig
     w_in: ad.Value                    # (tau*f) x d
     prelu_in: ad.Value                # 1 x d learnable rectifier slopes
     blocks: list[gb.BlockParams]
     w_out: ad.Value                   # d x (phi*alpha)
+    flat: np.ndarray = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        values = [value for _, value in self.named()]
+        size = sum(value.data.size for value in values)
+        self.flat = np.empty(size)
+        self.grad = np.zeros(size)
+        start = 0
+        for value in values:
+            stop = start + value.data.size
+            view = self.flat[start:stop].reshape(value.data.shape)
+            view[...] = value.data
+            value.data = view
+            value._grad = self.grad[start:stop].reshape(view.shape)
+            start = stop
 
     def named(self) -> list[tuple[str, ad.Value]]:
         out = [("w_in", self.w_in), ("prelu_in", self.prelu_in)]
@@ -100,32 +120,7 @@ class ModelParams:
         return out
 
     def parameter_count(self) -> int:
-        return sum(v.data.size for _, v in self.named())
-
-    def clone(self) -> "ModelParams":
-        cloned = copy.copy(self)
-        cloned.config = copy.copy(self.config)
-        cloned.w_in = ad.Value(self.w_in.data.copy())
-        cloned.prelu_in = ad.Value(self.prelu_in.data.copy())
-        cloned.w_out = ad.Value(self.w_out.data.copy())
-        cloned.blocks = []
-        for block in self.blocks:
-            heads = None
-            if block.heads is not None:
-                heads = [tuple(ad.Value(w.data.copy()) for w in head) for head in block.heads]
-            cloned.blocks.append(gb.BlockParams(
-                gat=gb.GatLayerParams(
-                    w_left=ad.Value(block.gat.w_left.data.copy()),
-                    w_right=ad.Value(block.gat.w_right.data.copy()),
-                    attn=ad.Value(block.gat.attn.data.copy()),
-                    edge_bias=ad.Value(block.gat.edge_bias.data.copy()),
-                    leaky_slope=block.gat.leaky_slope,
-                ),
-                w_skip=ad.Value(block.w_skip.data.copy()),
-                heads=heads,
-                w_merge=ad.Value(block.w_merge.data.copy()) if block.w_merge is not None else None,
-            ))
-        return cloned
+        return self.flat.size
 
 
 @dataclass
@@ -138,13 +133,14 @@ class Sample:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter first/second moment accumulators for AdamW."""
+    """AdamW first/second moment accumulators, laid out like ``ModelParams.flat``."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    moments: dict = field(default_factory=dict)   # name -> (m, v)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def init_model(config: ModelConfig) -> ModelParams:
@@ -199,23 +195,21 @@ def loss(logits: ad.Value, labels: np.ndarray, alpha: int = 2) -> ad.Value:
 def adamw_step(params: ModelParams, opt: OptimizerState, lr: float, wd: float,
                named: list[tuple[str, ad.Value]] | None = None) -> None:
     """Bias-corrected Adam update with decoupled weight decay (decay acts on
-    the pre-update parameter).  ``named`` lets callers reuse the parameter
-    listing across steps."""
+    the pre-update parameter), applied elementwise to the whole flat vector.
+    ``named`` is the parameter listing used to name a non-finite gradient."""
+    g = params.grad
+    if not np.isfinite(g).all():
+        bad = next((name for name, value in (params.named() if named is None else named)
+                    if not np.isfinite(value.grad).all()), "?")
+        raise NumericError(f"non-finite gradient in parameter {bad}")
     opt.step += 1
     c1 = 1.0 - opt.beta1 ** opt.step
     c2 = 1.0 - opt.beta2 ** opt.step
-    for name, value in (params.named() if named is None else named):
-        g = value.grad
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in parameter {name}")
-        state = opt.moments.get(name)
-        if state is None:
-            state = (np.zeros_like(g), np.zeros_like(g))
-        m, v = state
-        m = opt.beta1 * m + (1.0 - opt.beta1) * g
-        v = opt.beta2 * v + (1.0 - opt.beta2) * (g * g)
-        opt.moments[name] = (m, v)
-        value.data -= lr * ((m / c1) / (np.sqrt(v / c2) + opt.eps) + wd * value.data)
+    if opt.m is None:
+        opt.m, opt.v = np.zeros_like(g), np.zeros_like(g)
+    opt.m = opt.beta1 * opt.m + (1.0 - opt.beta1) * g
+    opt.v = opt.beta2 * opt.v + (1.0 - opt.beta2) * (g * g)
+    params.flat -= lr * ((opt.m / c1) / (np.sqrt(opt.v / c2) + opt.eps) + wd * params.flat)
 
 
 @dataclass
@@ -227,27 +221,35 @@ class TrainResult:
     best_val_acc: float
 
 
-def samples_from_panel(panel: md.IndicatorPanel, ts, config: ModelConfig) -> list[Sample]:
+def samples_from_panel(panel: md.IndicatorPanel, ts, config: ModelConfig,
+                       adjacency: np.ndarray | None = None) -> list[Sample]:
     """Window, label and graph every time step in ts (adjacency depends only
-    on the inputs, so it is built once and reused across epochs)."""
+    on the inputs, so it is built once and reused across epochs).  A fixed
+    ``adjacency`` (e.g. the sector graph) replaces the per-window energy
+    graph."""
     out = []
     for t in ts:
         ws = md.build_sample(panel, t, config.tau, config.phi, config.alpha)
-        snap = eg.snapshot(t, ws.features, config.k, config.tau, config.s)
+        if adjacency is None:
+            snap = eg.snapshot(t, ws.features, config.k, config.tau, config.s)
+        else:
+            snap = eg.GraphSnapshot(t=t, features=ws.features, adjacency=adjacency,
+                                    k=config.k, tau=config.tau, threshold=config.s)
         out.append(Sample(snapshot=snap, labels=ws.labels))
     return out
 
 
 def build_datasets(panel: md.IndicatorPanel, config: ModelConfig,
-                   ratios: tuple[int, int, int] = (457, 63, 261)) -> dict[str, list[Sample]]:
+                   ratios: tuple[int, int, int] = (457, 63, 261),
+                   adjacency: np.ndarray | None = None) -> dict[str, list[Sample]]:
     """Split chronologically, normalize with train-only statistics, and
     materialize samples for all three splits."""
     splits = md.split_periods(panel, ratios, config.tau, config.phi)
     normalized = md.normalize(panel, splits)
     return {
-        "train": samples_from_panel(normalized, splits.train, config),
-        "validation": samples_from_panel(normalized, splits.validation, config),
-        "test": samples_from_panel(normalized, splits.test, config),
+        "train": samples_from_panel(normalized, splits.train, config, adjacency),
+        "validation": samples_from_panel(normalized, splits.validation, config, adjacency),
+        "test": samples_from_panel(normalized, splits.test, config, adjacency),
     }
 
 
@@ -267,15 +269,13 @@ def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelC
     history: list[dict] = []
     best = -1.0
     best_epoch = -1
-    best_params = params.clone()
+    best_flat = params.flat.copy()
     scale = 1.0 / len(train_samples)
 
-    named = params.named()
     for epoch in range(1, config.epochs + 1):
         total = 0.0
         for sample in train_samples:
-            for _, value in named:
-                value.zero_grad()
+            params.grad.fill(0.0)
             with ad.Tape() as tape:
                 out = forward(params, sample.snapshot)
                 sample_loss = loss(out, sample.labels, config.alpha)
@@ -285,9 +285,8 @@ def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelC
                 raise TrainingDivergedError(
                     f"training loss became non-finite at epoch {epoch}", history=history)
             if config.grad_clip is not None:
-                for _, value in named:
-                    np.clip(value.grad, -config.grad_clip, config.grad_clip, out=value.grad)
-            adamw_step(params, opt, config.lr, config.wd, named=named)
+                np.clip(params.grad, -config.grad_clip, config.grad_clip, out=params.grad)
+            adamw_step(params, opt, config.lr, config.wd)
         train_loss = total * scale
 
         record: dict = {"epoch": epoch, "train_loss": train_loss}
@@ -297,13 +296,15 @@ def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelC
             if val["acc"] > best:
                 best = val["acc"]
                 best_epoch = epoch
-                best_params = params.clone()
+                best_flat[...] = params.flat
         history.append(record)
         if stop_at_val_acc is not None and best >= stop_at_val_acc:
             break
 
     if not val_samples:
-        best_params, best_epoch, best = params.clone(), config.epochs, float("nan")
+        best_flat, best_epoch, best = params.flat, config.epochs, float("nan")
+    best_params = init_model(config)
+    best_params.flat[...] = best_flat
     return TrainResult(params=best_params, final_params=params, history=history,
                        best_epoch=best_epoch, best_val_acc=best)
 

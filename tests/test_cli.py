@@ -255,6 +255,13 @@ def test_graphgen_writes_edge_list(small_dataset, tmp_path):
     assert edges[0].read_text().startswith("src\tdst\tweight\n")
 
 
+@pytest.mark.parametrize("t", ["99999", "-1", "5"])
+def test_graphgen_index_outside_usable_range_exits_one(small_dataset, tmp_path, capsys, t):
+    assert run_cli("graphgen", "--manifest", str(small_dataset), "--out", str(tmp_path / "gg"),
+                   "--tau", "7", "--t", t) == 1
+    assert "usable range [6, 78]" in capsys.readouterr().err
+
+
 def test_usage_error_exits_one():
     assert run_cli("train", "--tau", "30", "--manifest", "x.csv", "--out", "/tmp/x") == 1
     assert run_cli("nonsense") == 1

@@ -49,6 +49,24 @@ def test_unparsable_row_reports_file_and_line(tmp_path):
         md.load_panel(tmp_path / "m.csv")
 
 
+@pytest.mark.parametrize("bad_row", [
+    "2023-1-9,1,2,3,4,5",          # dates must be canonical YYYY-MM-DD
+    "20230109,1,2,3,4,5",
+    "2023-01-03T00:00,1,2,3,4,5",
+    "2023-02-30,1,2,3,4,5",
+    "2023-01-03,1,nan,3,4,5",
+    "2023-01-03,1,2,3,-inf,5",
+])
+def test_malformed_row_reports_file_and_line(tmp_path, bad_row):
+    dates = trading_dates(3)
+    write_stock_csv(tmp_path / "A.csv", dates, [flat_values(1.0)("A", j) for j in range(3)])
+    (tmp_path / "B.csv").write_text("date,open,high,low,adj_close,volume\n"
+                                    f"2023-01-02,1,2,3,4,5\n{bad_row}\n")
+    write_manifest(tmp_path / "m.csv", [("A", "A.csv"), ("B", "B.csv")])
+    with pytest.raises(ParseError, match=r"B\.csv:3"):
+        md.load_panel(tmp_path / "m.csv")
+
+
 def test_values_match_fixture_cell_for_cell(tmp_path):
     dates = trading_dates(4)
     fixture = {

@@ -147,49 +147,95 @@ def test_malformed_labels_rejected():
 # adamw
 # ---------------------------------------------------------------------------
 
-class _FakeParams:
-    def __init__(self, arrays):
-        self.values = {name: ad.Value(a) for name, a in arrays.items()}
+def flat_params(pattern):
+    """A real parameter store with every scalar set from a repeating pattern."""
+    params = mdl.init_model(small_config())
+    params.flat[...] = np.resize(pattern, params.flat.size)
+    return params
 
-    def named(self):
-        return sorted(self.values.items())
+
+def reference_adamw_step(named, moments, step, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-tensor AdamW, one parameter at a time."""
+    c1 = 1.0 - beta1 ** step
+    c2 = 1.0 - beta2 ** step
+    for name, value in named:
+        g = value.grad
+        m, v = moments.get(name, (np.zeros_like(g), np.zeros_like(g)))
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        moments[name] = (m, v)
+        value.data -= lr * ((m / c1) / (np.sqrt(v / c2) + eps) + wd * value.data)
 
 
 def test_zero_gradient_without_decay_is_noop():
-    params = _FakeParams({"w": np.array([[1.0, -2.0]])})
+    params = flat_params([1.0, -2.0])
     opt = mdl.OptimizerState()
-    before = params.values["w"].data.copy()
+    before = params.flat.copy()
     mdl.adamw_step(params, opt, lr=1e-3, wd=0.0)
-    np.testing.assert_array_equal(params.values["w"].data, before)
+    np.testing.assert_array_equal(params.flat, before)
 
 
 def test_zero_gradient_with_decay_scales_exactly():
-    params = _FakeParams({"w": np.array([[4.0, -8.0]])})
+    params = flat_params([4.0, -8.0])
     opt = mdl.OptimizerState()
-    before = params.values["w"].data.copy()
+    before = params.flat.copy()
     mdl.adamw_step(params, opt, lr=1e-3, wd=0.5)
-    np.testing.assert_array_equal(params.values["w"].data, before * (1.0 - 1e-3 * 0.5))
+    np.testing.assert_array_equal(params.flat, before * (1.0 - 1e-3 * 0.5))
 
 
 def test_constant_gradient_reaches_signed_lr_steady_state():
-    params = _FakeParams({"w": np.zeros((1, 2))})
+    params = flat_params([0.0])
     opt = mdl.OptimizerState()
-    g = np.array([[0.37, -1.9]])
+    g = np.resize([0.37, -1.9], params.grad.size)
     lr = 1e-3
-    prev = params.values["w"].data.copy()
+    prev = params.flat.copy()
     for _ in range(3000):
-        params.values["w"]._grad = g.copy()
-        prev = params.values["w"].data.copy()
+        params.grad[...] = g
+        prev = params.flat.copy()
         mdl.adamw_step(params, opt, lr=lr, wd=0.0)
-    delta = params.values["w"].data - prev
+    delta = params.flat - prev
     np.testing.assert_allclose(delta, -lr * np.sign(g), rtol=1e-6)
 
 
 def test_non_finite_gradient_names_parameter():
-    params = _FakeParams({"w_bad": np.zeros((1, 1))})
-    params.values["w_bad"]._grad = np.array([[np.nan]])
-    with pytest.raises(NumericError, match="w_bad"):
+    params = mdl.init_model(small_config())
+    params.blocks[1].heads[0][1].grad[0, 0] = np.nan
+    with pytest.raises(NumericError, match=r"block1\.head0\.w_k"):
         mdl.adamw_step(params, mdl.OptimizerState(), lr=1e-3, wd=0.0)
+
+
+def test_non_finite_gradient_updates_no_parameter():
+    params = mdl.init_model(small_config())
+    params.grad[-1] = np.inf
+    before = params.flat.copy()
+    with pytest.raises(NumericError, match="w_out"):
+        mdl.adamw_step(params, mdl.OptimizerState(), lr=1e-3, wd=0.5)
+    np.testing.assert_array_equal(params.flat, before)
+
+
+def test_vectorized_adamw_matches_per_tensor_reference_bitwise():
+    rng = np.random.default_rng(13)
+    params, ref = mdl.init_model(small_config()), mdl.init_model(small_config())
+    opt, moments = mdl.OptimizerState(), {}
+    for step in range(1, 6):
+        params.grad[...] = ref.grad[...] = rng.standard_normal(params.grad.size)
+        mdl.adamw_step(params, opt, lr=1e-3, wd=5e-4)
+        reference_adamw_step(ref.named(), moments, step, lr=1e-3, wd=5e-4)
+        np.testing.assert_array_equal(params.flat, ref.flat)
+
+
+def test_named_values_are_views_of_the_flat_store():
+    params = mdl.init_model(small_config())
+    named = params.named()
+    assert params.parameter_count() == sum(v.data.size for _, v in named)
+    np.testing.assert_array_equal(
+        np.concatenate([v.data.ravel() for _, v in named]), params.flat)
+    params.flat[...] = np.arange(params.flat.size)
+    params.grad[...] = -np.arange(params.grad.size)
+    np.testing.assert_array_equal(
+        np.concatenate([v.data.ravel() for _, v in named]), params.flat)
+    np.testing.assert_array_equal(
+        np.concatenate([v.grad.ravel() for _, v in named]), params.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +271,20 @@ def test_training_is_deterministic():
     assert a.history == b.history
     for (_, va), (_, vb) in zip(a.final_params.named(), b.final_params.named()):
         np.testing.assert_array_equal(va.data, vb.data)
+
+
+@pytest.mark.parametrize("with_validation", [True, False])
+def test_best_params_are_independent_of_final_params(with_validation):
+    rng = np.random.default_rng(14)
+    cfg = small_config(epochs=3)
+    samples = [random_sample(rng, 4, cfg) for _ in range(2)]
+    val = [random_sample(rng, 4, cfg)] if with_validation else []
+    result = mdl.train(samples, val, cfg)
+    best = [v.data.copy() for _, v in result.params.named()]
+    for _, value in result.final_params.named():
+        value.data += 1.0
+    for kept, (_, value) in zip(best, result.params.named()):
+        np.testing.assert_array_equal(value.data, kept)
 
 
 def test_best_checkpoint_tracks_validation_accuracy():
