@@ -68,7 +68,7 @@ class Value:
 
 
 def const(data) -> Value:
-    """Leaf Value that never receives a gradient (inputs, masks, selectors)."""
+    """Leaf Value that never receives a gradient (inputs, masks)."""
     return Value(data, requires_grad=False)
 
 
@@ -279,6 +279,66 @@ def masked_row_softmax(a: Value, mask: np.ndarray) -> Value:
             g = out.grad
             # s is zero at masked positions, so their gradient vanishes too
             a._acc(s * (g - (g * s).sum(axis=1, keepdims=True)))
+        t._record(bwd)
+    return out
+
+
+def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
+                  weights: np.ndarray, mask: np.ndarray, slope: float) -> Value:
+    """GATv2 attention evaluated on the edges of ``mask`` only.
+
+    Row i of the result is sum_j a_ij * right[j] over the True positions j
+    of mask row i, where a_i. is the softmax over those positions of
+    attn . leaky_relu(left[i] + right[j]) + edge_bias * weights[i, j].
+    Edges come from ``np.nonzero(mask)`` in row-major order, so each row's
+    edges are contiguous and every per-row reduction is one ``reduceat``;
+    time and memory are O(E * d).  A row with no True position is an error.
+    """
+    n, d = left.data.shape
+    mask = np.asarray(mask, dtype=bool)
+    weights = np.asarray(weights, dtype=np.float64)
+    if right.data.shape != (n, d) or attn.data.shape != (d, 1) or edge_bias.data.shape != (1, 1):
+        raise ShapeError(
+            f"gat_attention: left {left.data.shape}, right {right.data.shape}, "
+            f"attn {attn.data.shape}, edge_bias {edge_bias.data.shape} "
+            f"(want N x d, N x d, d x 1, 1 x 1)")
+    if mask.shape != (n, n) or weights.shape != (n, n):
+        raise ShapeError(
+            f"gat_attention: mask {mask.shape} and weights {weights.shape} for {n} nodes")
+    counts = mask.sum(axis=1)
+    if (counts == 0).any():
+        row = int(np.argmin(counts))
+        raise DegenerateRowError(f"gat_attention: row {row} has no edge")
+    dst, src = np.nonzero(mask)
+    starts = np.cumsum(counts) - counts                             # first edge of each row
+    slope = float(slope)
+
+    nbr = right.data[src]                                           # E x d
+    pre = left.data[dst] + nbr
+    pos = pre > 0
+    act = np.where(pos, pre, slope * pre)
+    edge_w = weights[dst, src]
+    logits = (act @ attn.data)[:, 0] + edge_w * edge_bias.data[0, 0]
+    e = np.exp(logits - np.maximum.reduceat(logits, starts)[dst])
+    alpha = e / np.add.reduceat(e, starts)[dst]                     # E
+    out, t = _make(np.add.reduceat(alpha[:, None] * nbr, starts, axis=0),
+                   left, right, attn, edge_bias)
+    if t is not None:
+        def bwd():
+            g = out.grad[dst]                                       # E x d
+            g_alpha = (g * nbr).sum(axis=1)
+            g_logit = alpha * (g_alpha - np.add.reduceat(alpha * g_alpha, starts)[dst])
+            if attn.requires_grad:
+                attn._acc(act.T @ g_logit[:, None])
+            if edge_bias.requires_grad:
+                edge_bias._acc(np.array([[g_logit @ edge_w]]))
+            g_pre = g_logit[:, None] * attn.data[:, 0] * np.where(pos, 1.0, slope)
+            if left.requires_grad:
+                left._acc(np.add.reduceat(g_pre, starts, axis=0))
+            if right.requires_grad:
+                g_right = np.zeros_like(right.data)
+                np.add.at(g_right, src, alpha[:, None] * g + g_pre)
+                right._acc(g_right)
         t._record(bwd)
     return out
 

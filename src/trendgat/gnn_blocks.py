@@ -6,6 +6,10 @@ that concatenates its previous state with the propagated-plus-skip
 representation and re-compresses the result to the hidden width through
 multi-head attention.  The propagation stream never reads the parallel
 stream, so per-depth representations survive later propagation.
+
+The attention layer touches only the graph's edges plus the self-loops:
+with E of them and width d it costs O(E * d) time and memory, so a
+thresholded snapshot (at most 1/s entries per row) costs O(N * d).
 """
 
 from __future__ import annotations
@@ -65,21 +69,6 @@ def xavier(seed: int, name: str, rows: int, cols: int) -> ad.Value:
     return ad.Value(seeded_rng(seed, name).uniform(-limit, limit, (rows, cols)))
 
 
-_SELECTORS: dict[int, tuple[ad.Value, ad.Value]] = {}
-
-
-def _pair_selectors(n: int) -> tuple[ad.Value, ad.Value]:
-    """Constant 0/1 matrices mapping node features to all ordered pairs:
-    (sel_src @ X)[i*n + j] = X[i] and (sel_dst @ X)[i*n + j] = X[j]."""
-    cached = _SELECTORS.get(n)
-    if cached is None:
-        eye = np.eye(n)
-        ones = np.ones((n, 1))
-        cached = (ad.const(np.kron(eye, ones)), ad.const(np.kron(ones, eye)))
-        _SELECTORS[n] = cached
-    return cached
-
-
 def neighborhood_mask(adjacency: np.ndarray) -> np.ndarray:
     """Positive entries define the neighborhoods; the self-loop is always
     restored so no attention row is empty."""
@@ -106,13 +95,8 @@ def gatv2_layer(h: ad.Value, adjacency: np.ndarray, params: GatLayerParams) -> a
 
     left = ad.matmul(h, params.w_left)     # N x d_out
     right = ad.matmul(h, params.w_right)   # N x d_out
-    sel_src, sel_dst = _pair_selectors(n)
-    pair_sum = ad.add(ad.matmul(sel_src, left), ad.matmul(sel_dst, right))  # N^2 x d_out
-    scores = ad.matmul(ad.leaky_relu(pair_sum, params.leaky_slope), params.attn)  # N^2 x 1
-    logits = ad.reshape(scores, n, n)
-    logits = ad.add(logits, ad.mul(ad.const(adjacency), params.edge_bias))
-    weights = ad.masked_row_softmax(logits, neighborhood_mask(adjacency))
-    return ad.matmul(weights, right)
+    return ad.gat_attention(left, right, params.attn, params.edge_bias, adjacency,
+                            neighborhood_mask(adjacency), params.leaky_slope)
 
 
 def multi_head_attention(m: ad.Value, params: BlockParams) -> ad.Value:

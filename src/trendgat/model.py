@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -349,10 +350,38 @@ def save_model(params: ModelParams, path) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
+    # a declared length is checked against the bytes left in the file before
+    # reading, so a corrupt length never asks for more memory than the file holds
+    offset = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - offset
+    data = fh.read(n) if n <= left else b""
     if len(data) != n:
-        raise FormatError(f"truncated model file reading {what} at offset {fh.tell() - len(data)}")
+        raise FormatError(f"truncated model file reading {what} ({n} bytes, {left} left) "
+                          f"at offset {offset}")
     return data
+
+
+def _utf8(raw: bytes, what: str, offset: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} at offset {offset} is not UTF-8: {exc.reason}") from None
+
+
+def _read_config(fh) -> ModelConfig:
+    cfg_len = struct.unpack("<I", _read_exact(fh, 4, "config length"))[0]
+    offset = fh.tell()
+    text = _utf8(_read_exact(fh, cfg_len, "config"), "config", offset)
+    try:
+        values = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"config at offset {offset} is not JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise FormatError(f"config at offset {offset} is not a JSON object")
+    unknown = set(values) - {f.name for f in fields(ModelConfig)}
+    if unknown:
+        raise FormatError(f"config at offset {offset} has unknown keys {sorted(unknown)}")
+    return ModelConfig(**values)
 
 
 def load_model(path) -> ModelParams:
@@ -363,13 +392,12 @@ def load_model(path) -> ModelParams:
         version = struct.unpack("<I", _read_exact(fh, 4, "version"))[0]
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported format version {version} at offset 4")
-        cfg_len = struct.unpack("<I", _read_exact(fh, 4, "config length"))[0]
-        cfg = ModelConfig(**json.loads(_read_exact(fh, cfg_len, "config")))
+        cfg = _read_config(fh)
         count = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))[0]
         loaded: dict[str, np.ndarray] = {}
         for _ in range(count):
             name_len = struct.unpack("<I", _read_exact(fh, 4, "name length"))[0]
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            name = _utf8(_read_exact(fh, name_len, "name"), "name", fh.tell() - name_len)
             rows, cols = struct.unpack("<II", _read_exact(fh, 8, "shape"))
             raw = _read_exact(fh, rows * cols * 8, f"matrix {name}")
             loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()

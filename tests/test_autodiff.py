@@ -59,6 +59,30 @@ def test_masked_softmax_empty_row_raises():
         ad.masked_row_softmax(x, mask)
 
 
+def test_gat_attention_rejects_bad_shapes():
+    v = lambda r, c: ad.Value(np.zeros((r, c)))
+    mask, weights = np.eye(3, dtype=bool), np.zeros((3, 3))
+    bad = [
+        (v(3, 4), v(3, 5), v(4, 1), v(1, 1), weights, mask),   # right width
+        (v(3, 4), v(2, 4), v(4, 1), v(1, 1), weights, mask),   # right rows
+        (v(3, 4), v(3, 4), v(5, 1), v(1, 1), weights, mask),   # attn
+        (v(3, 4), v(3, 4), v(4, 1), v(1, 2), weights, mask),   # edge_bias
+        (v(3, 4), v(3, 4), v(4, 1), v(1, 1), weights, np.eye(2, dtype=bool)),
+        (v(3, 4), v(3, 4), v(4, 1), v(1, 1), np.zeros((3, 2)), mask),
+    ]
+    for args in bad:
+        with pytest.raises(ShapeError, match="gat_attention"):
+            ad.gat_attention(*args, 0.2)
+
+
+def test_gat_attention_empty_mask_row_raises():
+    v = lambda r, c: ad.Value(np.ones((r, c)))
+    mask = np.eye(3, dtype=bool)
+    mask[1, 1] = False
+    with pytest.raises(DegenerateRowError, match="row 1"):
+        ad.gat_attention(v(3, 2), v(3, 2), v(2, 1), v(1, 1), np.ones((3, 3)), mask, 0.2)
+
+
 def test_cross_entropy_uniform_binary_is_ln2():
     logits = ad.Value(np.zeros((1, 2)))
     target = np.array([[1.0, 0.0]])
@@ -186,6 +210,15 @@ def _check(f, params, seed, tol=1e-4):
     assert report.passed, f"seed={seed}: {report}"
 
 
+def _off_kink_pair(rng, n, d):
+    # redraw until every left[i] + right[j] is away from 0, so the
+    # leaky_relu kink inside gat_attention is not sampled
+    while True:
+        left, right = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        if np.abs(left[:, None, :] + right[None, :, :]).min() > 1e-3:
+            return ad.Value(left), ad.Value(right)
+
+
 def _smooth(rng, r, c):
     # keep entries away from 0 so leaky_relu / prelu kinks are not sampled
     x = rng.standard_normal((r, c))
@@ -197,7 +230,7 @@ PRIMITIVE_CASES = 100  # shapes/seed combinations per primitive
 PRIMITIVES = [
     "matmul", "add", "smul", "mul", "mul_scalar_broadcast", "concat_cols",
     "slice_cols", "transpose", "reshape", "row_softmax", "masked_row_softmax",
-    "leaky_relu", "prelu", "reduce_sum", "log", "cross_entropy_with_logits",
+    "leaky_relu", "prelu", "reduce_sum", "log", "cross_entropy_with_logits", "gat_attention",
 ]
 
 
@@ -257,6 +290,17 @@ def test_primitive_gradients_against_finite_differences(name):
             mask[:, 0] = True
             f = lambda: ad.reduce_sum(ad.mul(ad.masked_row_softmax(a, mask), a))
             params = [a]
+        elif name == "gat_attention":
+            left, right = _off_kink_pair(rng, r, c)
+            attn, edge_bias = rand(rng, c, 1), ad.Value(rng.uniform(0.5, 2.0, (1, 1)))
+            weights = rng.random((r, r))
+            mask = rng.random((r, r)) < 0.6
+            mask[rng.random(r) < 0.3] = False   # some rows keep only their self-loop
+            np.fill_diagonal(mask, True)
+            w = ad.const(rng.standard_normal((r, c)))
+            f = lambda: ad.reduce_sum(ad.mul(
+                ad.gat_attention(left, right, attn, edge_bias, weights, mask, 0.2), w))
+            params = [left, right, attn, edge_bias]
         elif name == "leaky_relu":
             a = _smooth(rng, r, c)
             f = lambda: ad.reduce_sum(ad.mul(ad.leaky_relu(a, 0.2), a))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,37 @@ def test_gat_matches_per_edge_oracle():
         adj = random_adjacency(rng, 4)
         out = gb.gatv2_layer(h, adj, params.gat)
         np.testing.assert_allclose(out.data, gat_oracle(h.data, adj, params.gat), atol=1e-12)
+
+
+def test_gat_matches_per_edge_oracle_on_larger_denser_graph():
+    rng = np.random.default_rng(15)
+    params = gb.init_block(d=8, h=2, seed=17)
+    params.gat.edge_bias.data[...] = 1.6
+    h = ad.Value(rng.standard_normal((40, 8)))
+    adj = random_adjacency(rng, 40, density=0.3)
+    out = gb.gatv2_layer(h, adj, params.gat)
+    np.testing.assert_allclose(out.data, gat_oracle(h.data, adj, params.gat), atol=1e-12)
+
+
+def test_gat_forward_backward_memory_scales_with_edges():
+    # N=500 with about 2.5k graph edges: a single N^2 x d intermediate
+    # would take 32 MB, so the bound leaves no room for pair-sized arrays
+    rng = np.random.default_rng(16)
+    n, d = 500, 16
+    params = gb.init_block(d=d, h=2, seed=18)
+    h = ad.Value(rng.standard_normal((n, d)))
+    adj = random_adjacency(rng, n, density=0.01)
+    cotangent = ad.const(rng.standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            out = gb.gatv2_layer(h, adj, params.gat)
+            tape.backward(ad.reduce_sum(ad.mul(out, cotangent)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(h.grad).all() and (params.gat.attn.grad != 0).any()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_gat_width_mismatch_is_shape_error():

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -369,6 +371,53 @@ def test_bad_magic_is_format_error(tmp_path):
     path = tmp_path / "model.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(FormatError, match="magic"):
+        mdl.load_model(path)
+
+
+def _with_config_block(blob: bytes, cfg_blob: bytes) -> bytes:
+    """Checkpoint bytes with the config block (after magic, version and
+    its length field) replaced by cfg_blob."""
+    old_len = struct.unpack_from("<I", blob, 8)[0]
+    return blob[:8] + struct.pack("<I", len(cfg_blob)) + cfg_blob + blob[12 + old_len:]
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda cfg: b"\xff" + cfg[1:], "not UTF-8"),
+    (lambda cfg: b"x" + cfg[1:], "not JSON"),
+    (lambda cfg: b"[1, 2]", "not a JSON object"),
+    (lambda cfg: json.dumps({**json.loads(cfg), "bogus": 1}).encode(), r"unknown keys \['bogus'\]"),
+], ids=["not_utf8", "not_json", "not_object", "unknown_key"])
+def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
+    path = tmp_path / "model.bin"
+    mdl.save_model(mdl.init_model(small_config()), path)
+    blob = path.read_bytes()
+    cfg_len = struct.unpack_from("<I", blob, 8)[0]
+    path.write_bytes(_with_config_block(blob, edit(blob[12:12 + cfg_len])))
+    with pytest.raises(FormatError, match=match):
+        mdl.load_model(path)
+
+
+def test_non_utf8_parameter_name_is_format_error(tmp_path):
+    path = tmp_path / "model.bin"
+    mdl.save_model(mdl.init_model(small_config()), path)
+    blob = bytearray(path.read_bytes())
+    name_at = 12 + struct.unpack_from("<I", blob, 8)[0] + 8   # count, name length
+    assert blob[name_at:name_at + 4] == b"w_in"
+    blob[name_at] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="name at offset"):
+        mdl.load_model(path)
+
+
+def test_declared_matrix_larger_than_file_is_format_error(tmp_path):
+    path = tmp_path / "model.bin"
+    mdl.save_model(mdl.init_model(small_config()), path)
+    blob = bytearray(path.read_bytes())
+    shape_at = 12 + struct.unpack_from("<I", blob, 8)[0] + 8 + len(b"w_in")
+    assert struct.unpack_from("<II", blob, shape_at) == (small_config().input_width, 6)
+    struct.pack_into("<II", blob, shape_at, 2**31, 2**31)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=r"matrix w_in \(36893488147419103232 bytes"):
         mdl.load_model(path)
 
 
