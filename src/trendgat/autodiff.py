@@ -53,10 +53,12 @@ class Value:
             self._grad.fill(0.0)
 
     def _acc(self, g: np.ndarray) -> None:
-        # accumulate; allocate on first touch so dead branches stay cheap
+        # the first touch stores a copy of g, so dead branches stay cheap and
+        # a live one skips the zero fill
         if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        self._grad += g
+            self._grad = np.array(g, dtype=np.float64)
+        else:
+            self._grad += g
 
     def item(self) -> float:
         if self.data.shape != (1, 1):
@@ -240,14 +242,17 @@ def reshape(a: Value, rows: int, cols: int) -> Value:
     return out
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    # over the last axis, so a stack of matrices is softmaxed row by row;
+    # overwrites and returns z, so an N x N score buffer is not copied
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def row_softmax(a: Value) -> Value:
-    s = _softmax_rows(a.data)
+    s = _softmax_rows(a.data.copy())
     out, t = _make(s, a)
     if t is not None:
         def bwd():
@@ -305,11 +310,11 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
     if mask.shape != (n, n) or weights.shape != (n, n):
         raise ShapeError(
             f"gat_attention: mask {mask.shape} and weights {weights.shape} for {n} nodes")
-    counts = mask.sum(axis=1)
+    dst, src = np.divmod(np.flatnonzero(mask), n)                   # row-major edge order
+    counts = np.bincount(dst, minlength=n)
     if (counts == 0).any():
         row = int(np.argmin(counts))
         raise DegenerateRowError(f"gat_attention: row {row} has no edge")
-    dst, src = np.nonzero(mask)
     starts = np.cumsum(counts) - counts                             # first edge of each row
     slope = float(slope)
 
@@ -336,9 +341,74 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
             if left.requires_grad:
                 left._acc(np.add.reduceat(g_pre, starts, axis=0))
             if right.requires_grad:
+                # sum per source over the edges sorted by source; a node that
+                # is no edge's source keeps a zero row
+                by_src = np.argsort(src, kind="stable")
+                src_counts = np.bincount(src, minlength=n)
+                present = src_counts > 0
+                src_starts = (np.cumsum(src_counts) - src_counts)[present]
                 g_right = np.zeros_like(right.data)
-                np.add.at(g_right, src, alpha[:, None] * g + g_pre)
+                g_right[present] = np.add.reduceat((alpha[:, None] * g + g_pre)[by_src],
+                                                   src_starts, axis=0)
                 right._acc(g_right)
+        t._record(bwd)
+    return out
+
+
+def multi_head_attention(m: Value, heads, w_merge: Value) -> Value:
+    """Scaled dot-product attention over the rows of ``m``, all heads at once.
+
+    ``heads`` holds one (w_q, w_k, w_v) triple per head, each d_in x d_head.
+    Head h returns softmax(Q_h K_h^T / sqrt(d_head)) V_h with Q_h = m w_q and
+    so on; the heads are concatenated column-wise and multiplied by
+    ``w_merge`` ((H * d_head) x d_out).  The projections are one GEMM, the
+    scores and the weighted sums one batched matmul each, and the backward
+    reuses the forward softmax, so time and memory are O(H * N^2).
+    """
+    n, d_in = m.data.shape
+    if not heads or any(len(triple) != 3 for triple in heads):
+        raise ShapeError(f"multi_head_attention: want one (w_q, w_k, w_v) per head, "
+                         f"got {[len(triple) for triple in heads]} matrices per head")
+    weights = [w for triple in heads for w in triple]               # q0, k0, v0, q1, ...
+    d_head = weights[0].data.shape[1]
+    n_heads = len(heads)
+    shapes = [w.data.shape for w in weights]
+    if any(shape != (d_in, d_head) for shape in shapes) or w_merge.data.shape[0] != n_heads * d_head:
+        raise ShapeError(
+            f"multi_head_attention: input {m.data.shape}, head projections {shapes}, "
+            f"merge {w_merge.data.shape} (want {d_in} x d_head each and "
+            f"{n_heads} * d_head merge rows)")
+    scale = 1.0 / np.sqrt(d_head)
+
+    w_all = np.concatenate([w.data for w in weights], axis=1)      # d_in x 3H*d_head
+    q, k, v = (m.data @ w_all).reshape(n, n_heads, 3, d_head).transpose(2, 1, 0, 3)
+    q_scaled = q * scale                                            # scale N x d, not N x N
+    p = _softmax_rows(q_scaled @ k.transpose(0, 2, 1))              # H x N x N
+    o = p @ v
+    merged = o.transpose(1, 0, 2).reshape(n, n_heads * d_head)
+    out, t = _make(merged @ w_merge.data, m, *weights, w_merge)
+    if t is not None:
+        def bwd():
+            g = out.grad
+            if w_merge.requires_grad:
+                w_merge._acc(merged.T @ g)
+            g_o = (g @ w_merge.data.T).reshape(n, n_heads, d_head).transpose(1, 0, 2)
+            g_v = p.transpose(0, 2, 1) @ g_o
+            # softmax JVP in place: row i of sum_j p_ij * g_p_ij is g_o_i . o_i,
+            # an O(N * d) product instead of an N x N one
+            g_s = g_o @ v.transpose(0, 2, 1)
+            g_s -= (g_o * o).sum(axis=-1, keepdims=True)
+            g_s *= p
+            g_q = (g_s @ k) * scale
+            g_k = g_s.transpose(0, 2, 1) @ q_scaled
+            g_qkv = np.stack([g_q, g_k, g_v]).transpose(2, 1, 0, 3).reshape(n, -1)
+            if any(w.requires_grad for w in weights):
+                g_w = m.data.T @ g_qkv
+                for i, w in enumerate(weights):
+                    if w.requires_grad:
+                        w._acc(g_w[:, i * d_head:(i + 1) * d_head])
+            if m.requires_grad:
+                m._acc(g_qkv @ w_all.T)
         t._record(bwd)
     return out
 
@@ -407,7 +477,7 @@ def cross_entropy_with_logits(logits: Value, targets: np.ndarray) -> Value:
     total = float((lse[:, 0] - (targets * x).sum(axis=1)).sum())
     out, t = _make(np.array([[total]]), logits)
     if t is not None:
-        soft = _softmax_rows(x)
+        soft = _softmax_rows(x.copy())
         def bwd():
             logits._acc((soft - targets) * out.grad[0, 0])
         t._record(bwd)

@@ -9,7 +9,9 @@ stream, so per-depth representations survive later propagation.
 
 The attention layer touches only the graph's edges plus the self-loops:
 with E of them and width d it costs O(E * d) time and memory, so a
-thresholded snapshot (at most 1/s entries per row) costs O(N * d).
+thresholded snapshot (at most 1/s entries per row) costs O(N * d).  The
+multi-head attention is dense over the N nodes: one primitive computes
+all H heads in batched products and costs O(H * N^2) time and memory.
 """
 
 from __future__ import annotations
@@ -105,19 +107,11 @@ def multi_head_attention(m: ad.Value, params: BlockParams) -> ad.Value:
     if params.heads is None or params.w_merge is None:
         raise ConfigError("multi_head_attention: block has no attention parameters")
     d_cat = m.data.shape[1]
-    outputs = []
-    for w_q, w_k, w_v in params.heads:
+    for w_q, _, _ in params.heads:
         if w_q.data.shape[0] != d_cat:
             raise ShapeError(
                 f"multi_head_attention: input width {d_cat} vs head projection {w_q.data.shape}")
-        q = ad.matmul(m, w_q)
-        k = ad.matmul(m, w_k)
-        v = ad.matmul(m, w_v)
-        d_head = q.data.shape[1]
-        scores = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_head))
-        outputs.append(ad.matmul(ad.row_softmax(scores), v))
-    merged = ad.concat_cols(*outputs) if len(outputs) > 1 else outputs[0]
-    return ad.matmul(merged, params.w_merge)
+    return ad.multi_head_attention(m, params.heads, params.w_merge)
 
 
 def parallel_block(state: BlockState, adjacency: np.ndarray, params: BlockParams,

@@ -378,10 +378,45 @@ def _read_config(fh) -> ModelConfig:
         raise FormatError(f"config at offset {offset} is not JSON: {exc}") from None
     if not isinstance(values, dict):
         raise FormatError(f"config at offset {offset} is not a JSON object")
-    unknown = set(values) - {f.name for f in fields(ModelConfig)}
+    kinds = {f.name: f.type for f in fields(ModelConfig)}
+    unknown = set(values) - set(kinds)
     if unknown:
         raise FormatError(f"config at offset {offset} has unknown keys {sorted(unknown)}")
+    for key, value in values.items():
+        if not _has_kind(value, kinds[key]):
+            raise FormatError(f"config at offset {offset}: {key}={value!r} is not {kinds[key]}")
     return ModelConfig(**values)
+
+
+def _has_kind(value, kind: str) -> bool:
+    # kind is a ModelConfig field annotation: "int", "float", "bool" or
+    # "float | None"; bool is a subclass of int but never a number here
+    if kind == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if kind == "int":
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) or (kind == "float | None" and value is None)
+
+
+def _check_sizes(cfg: ModelConfig, loaded: dict[str, np.ndarray]) -> None:
+    """Reject a config whose sizes disagree with the stored matrices before
+    ``init_model`` allocates anything from it."""
+    if "w_in" not in loaded or "w_out" not in loaded:
+        raise FormatError("model file lacks w_in or w_out")
+    stored = {
+        "(tau*f, hidden)": (loaded["w_in"].shape, (cfg.input_width, cfg.hidden)),
+        "(hidden, phi*alpha)": (loaded["w_out"].shape, (cfg.hidden, cfg.output_width)),
+        "layers": (sum(name.endswith(".w_skip") for name in loaded), cfg.layers),
+    }
+    if cfg.parallel_attention:
+        stored["layers * heads"] = (sum(name.endswith(".w_q") for name in loaded),
+                                    cfg.layers * cfg.heads)
+    for what, (found, configured) in stored.items():
+        if found != configured:
+            raise FormatError(f"config {what} = {configured} does not match the stored "
+                              f"matrices, which give {found}")
 
 
 def load_model(path) -> ModelParams:
@@ -404,7 +439,11 @@ def load_model(path) -> ModelParams:
         if fh.read(1):
             raise FormatError(f"trailing bytes at offset {fh.tell() - 1}")
 
-    params = init_model(cfg)
+    _check_sizes(cfg, loaded)
+    try:
+        params = init_model(cfg)
+    except ConfigError as exc:
+        raise FormatError(f"stored configuration is invalid: {exc}") from None
     expected = dict(params.named())
     if set(expected) != set(loaded):
         raise FormatError("model file parameters do not match the stored configuration")

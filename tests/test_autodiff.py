@@ -83,6 +83,53 @@ def test_gat_attention_empty_mask_row_raises():
         ad.gat_attention(v(3, 2), v(3, 2), v(2, 1), v(1, 1), np.ones((3, 3)), mask, 0.2)
 
 
+def test_gat_attention_node_that_is_no_source_gets_zero_right_gradient():
+    # column 2 of the mask is empty: node 2 is attended by no row
+    rng = np.random.default_rng(11)
+    left, right = (ad.Value(rng.standard_normal((4, 3))) for _ in range(2))
+    attn, edge_bias = ad.Value(rng.standard_normal((3, 1))), ad.Value(np.ones((1, 1)))
+    mask = np.array([[1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 0, 1]], dtype=bool)
+    weights, w = rng.random((4, 4)), ad.const(rng.standard_normal((4, 3)))
+    f = lambda: ad.reduce_sum(ad.mul(
+        ad.gat_attention(left, right, attn, edge_bias, weights, mask, 0.2), w))
+    report = ad.grad_check(f, [left, right, attn, edge_bias], step=1e-5, tol=1e-4)
+    assert report.passed, report
+    assert (right.grad[2] == 0.0).all() and (right.grad[[0, 1, 3]] != 0.0).any()
+
+
+def _mha_operands(rng, n, d_in, d_head, n_heads, d_out):
+    heads = [tuple(rand(rng, d_in, d_head) for _ in range(3)) for _ in range(n_heads)]
+    return rand(rng, n, d_in), heads, rand(rng, n_heads * d_head, d_out)
+
+
+def test_multi_head_attention_rejects_mismatched_shapes():
+    rng = np.random.default_rng(12)
+    m, heads, w_merge = _mha_operands(rng, 4, 6, 3, 2, 5)
+    narrow = (heads[1][0], rand(rng, 6, 2), heads[1][2])          # one w_k is 6 x 2
+    bad = [
+        (m, [heads[0], narrow], w_merge),                          # head widths differ
+        (rand(rng, 4, 5), heads, w_merge),                         # input width
+        (m, heads, rand(rng, 5, 5)),                               # merge rows
+        (m, [heads[0][:2]], w_merge),                              # missing w_v
+        (m, [heads[0][:2], (*heads[1], heads[1][0])], w_merge),    # 2 + 4 matrices
+        (m, [], w_merge),                                          # no head
+    ]
+    for args in bad:
+        with pytest.raises(ShapeError, match="multi_head_attention"):
+            ad.multi_head_attention(*args)
+
+
+def test_multi_head_attention_skips_frozen_operands():
+    rng = np.random.default_rng(13)
+    m, heads, w_merge = _mha_operands(rng, 5, 4, 2, 2, 3)
+    frozen = heads[1][1]
+    frozen.requires_grad = False
+    with ad.Tape() as t:
+        t.backward(ad.reduce_sum(ad.multi_head_attention(m, heads, w_merge)))
+    assert frozen._grad is None
+    assert all((w.grad != 0).any() for w in (m, heads[0][0], heads[1][2], w_merge))
+
+
 def test_cross_entropy_uniform_binary_is_ln2():
     logits = ad.Value(np.zeros((1, 2)))
     target = np.array([[1.0, 0.0]])
@@ -231,6 +278,7 @@ PRIMITIVES = [
     "matmul", "add", "smul", "mul", "mul_scalar_broadcast", "concat_cols",
     "slice_cols", "transpose", "reshape", "row_softmax", "masked_row_softmax",
     "leaky_relu", "prelu", "reduce_sum", "log", "cross_entropy_with_logits", "gat_attention",
+    "multi_head_attention",
 ]
 
 
@@ -301,6 +349,18 @@ def test_primitive_gradients_against_finite_differences(name):
             f = lambda: ad.reduce_sum(ad.mul(
                 ad.gat_attention(left, right, attn, edge_bias, weights, mask, 0.2), w))
             params = [left, right, attn, edge_bias]
+        elif name == "multi_head_attention":
+            n, n_heads, d_head = (int(x) for x in rng.integers(1, [7, 4, 4]))
+            m = rand(rng, n, c)
+            heads = [tuple(rand(rng, c, d_head) for _ in range(3)) for _ in range(n_heads)]
+            w_merge = rand(rng, n_heads * d_head, r)
+            operands = [m, *(w for triple in heads for w in triple), w_merge]
+            for v in operands:
+                v.requires_grad = bool(rng.random() < 0.7)
+            operands[int(rng.integers(len(operands)))].requires_grad = True
+            w = ad.const(rng.standard_normal((n, r)))
+            f = lambda: ad.reduce_sum(ad.mul(ad.multi_head_attention(m, heads, w_merge), w))
+            params = [v for v in operands if v.requires_grad]
         elif name == "leaky_relu":
             a = _smooth(rng, r, c)
             f = lambda: ad.reduce_sum(ad.mul(ad.leaky_relu(a, 0.2), a))

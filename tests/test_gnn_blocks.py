@@ -177,6 +177,23 @@ def test_attention_matches_per_head_oracle():
     np.testing.assert_allclose(out.data, mha_oracle(m, params), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [60, 1])
+def test_attention_matches_per_head_oracle_at_width_16(n):
+    rng = np.random.default_rng(20 + n)
+    params = gb.init_block(d=16, h=2, seed=21)
+    m = rng.standard_normal((n, 32))
+    out = gb.multi_head_attention(ad.Value(m), params)
+    np.testing.assert_allclose(out.data, mha_oracle(m, params), atol=1e-12)
+
+
+def test_attention_records_one_tape_op():
+    params = gb.init_block(d=4, h=2, seed=22)
+    m = ad.Value(np.random.default_rng(23).standard_normal((6, 8)))
+    with ad.Tape() as tape:
+        gb.multi_head_attention(m, params)
+    assert len(tape) == 1
+
+
 def test_head_count_must_divide_fused_width():
     with pytest.raises(ConfigError):
         gb.init_block(d=4, h=3, seed=10)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -137,6 +138,15 @@ def test_loss_multi_step_blocks():
         labels[np.arange(3), 2 * j + rng.integers(0, 2, 3)] = 1
     ours = mdl.loss(ad.Value(logits), labels).item()
     assert ours == pytest.approx(loss_oracle(logits, labels), abs=1e-12)
+
+
+def test_training_step_records_twenty_tape_ops():
+    # per block: two projections, gat_attention, skip, add, concat, attention
+    cfg = small_config(hidden=16, layers=2, heads=2)
+    sample = random_sample(np.random.default_rng(6), 8, cfg)
+    with ad.Tape() as tape:
+        mdl.loss(mdl.forward(mdl.init_model(cfg), sample.snapshot), sample.labels)
+    assert len(tape) <= 20
 
 
 def test_malformed_labels_rejected():
@@ -395,6 +405,40 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     path.write_bytes(_with_config_block(blob, edit(blob[12:12 + cfg_len])))
     with pytest.raises(FormatError, match=match):
         mdl.load_model(path)
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("hidden", "x", "hidden='x' is not int"),
+    ("layers", None, "layers=None is not int"),
+    ("tau", "14", "tau='14' is not int"),
+    ("hidden", 10**12, r"\(tau\*f, hidden\) = \(6, 1000000000000\)"),
+    ("grad_clip", "a", "grad_clip='a' is not float | None"),
+    ("parallel_attention", "no", "parallel_attention='no' is not bool"),
+    ("heads", 3, r"layers \* heads = 6 does not match the stored matrices, which give 4"),
+    ("epochs", 0, "stored configuration is invalid"),
+], ids=["hidden_str", "layers_null", "tau_str", "hidden_huge", "grad_clip_str",
+        "parallel_str", "heads_missized", "epochs_zero"])
+def test_mistyped_or_missized_config_is_format_error(tmp_path, capsys, key, value, match):
+    from trendgat import cli
+
+    path = tmp_path / "model.bin"
+    mdl.save_model(mdl.init_model(small_config()), path)
+    blob = path.read_bytes()
+    cfg = json.loads(blob[12:12 + struct.unpack_from("<I", blob, 8)[0]])
+    path.write_bytes(_with_config_block(blob, json.dumps({**cfg, key: value}).encode()))
+    with pytest.raises(FormatError, match=match):
+        mdl.load_model(path)
+    assert cli.main(["eval", "--manifest", str(tmp_path / "unused.csv"),
+                     "--out", str(tmp_path / "eval"), "--model", str(path)]) == 2
+    assert re.search(match, capsys.readouterr().err)
+
+
+def test_config_field_kinds_accept_what_save_writes(tmp_path):
+    # an int where a float is declared, and a set grad_clip, still load
+    path = tmp_path / "model.bin"
+    mdl.save_model(mdl.init_model(small_config(k=1, grad_clip=0.5)), path)
+    loaded = mdl.load_model(path)
+    assert loaded.config.k == 1 and loaded.config.grad_clip == 0.5
 
 
 def test_non_utf8_parameter_name_is_format_error(tmp_path):
