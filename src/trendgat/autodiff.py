@@ -292,26 +292,35 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
                   weights: np.ndarray, mask: np.ndarray, slope: float) -> Value:
     """GATv2 attention evaluated on the edges of ``mask`` only.
 
-    Row i of the result is sum_j a_ij * right[j] over the True positions j
-    of mask row i, where a_i. is the softmax over those positions of
-    attn . leaky_relu(left[i] + right[j]) + edge_bias * weights[i, j].
-    Edges come from ``np.nonzero(mask)`` in row-major order, so each row's
-    edges are contiguous and every per-row reduction is one ``reduceat``;
-    time and memory are O(E * d).  A row with no True position is an error.
+    ``left`` and ``right`` hold B graphs of N nodes stacked row-wise
+    (B * N rows); ``mask`` and ``weights`` are (B * N) x N, row b * N + i
+    being row i of graph b over that graph's N nodes (B = 1 is a plain
+    N x N graph).  So the True position (r, j) is an edge from node
+    r - r mod N + j to node r.  Row r of the result is
+    sum_j a_rj * right[src] over those edges, where a_r. is the softmax
+    over them of attn . leaky_relu(left[r] + right[src]) +
+    edge_bias * weights[r, j].  Edges come from ``np.flatnonzero(mask)``
+    in row-major order, so each row's edges are contiguous and every
+    per-row reduction is one ``reduceat``; time and memory are O(E * d).
+    A row with no True position is an error.
     """
-    n, d = left.data.shape
+    rows, d = left.data.shape
     mask = np.asarray(mask, dtype=bool)
     weights = np.asarray(weights, dtype=np.float64)
-    if right.data.shape != (n, d) or attn.data.shape != (d, 1) or edge_bias.data.shape != (1, 1):
+    if right.data.shape != (rows, d) or attn.data.shape != (d, 1) or edge_bias.data.shape != (1, 1):
         raise ShapeError(
             f"gat_attention: left {left.data.shape}, right {right.data.shape}, "
             f"attn {attn.data.shape}, edge_bias {edge_bias.data.shape} "
-            f"(want N x d, N x d, d x 1, 1 x 1)")
-    if mask.shape != (n, n) or weights.shape != (n, n):
+            f"(want R x d, R x d, d x 1, 1 x 1)")
+    if (mask.ndim != 2 or weights.shape != mask.shape or mask.shape[0] != rows
+            or not mask.shape[1] or rows % mask.shape[1]):
         raise ShapeError(
-            f"gat_attention: mask {mask.shape} and weights {weights.shape} for {n} nodes")
-    dst, src = np.divmod(np.flatnonzero(mask), n)                   # row-major edge order
-    counts = np.bincount(dst, minlength=n)
+            f"gat_attention: mask {mask.shape} and weights {weights.shape} for {rows} rows "
+            f"(want R x N with N dividing R)")
+    n = mask.shape[1]
+    dst, col = np.divmod(np.flatnonzero(mask), n)                   # row-major edge order
+    src = dst - dst % n + col                                       # the same graph's node
+    counts = np.bincount(dst, minlength=rows)
     if (counts == 0).any():
         row = int(np.argmin(counts))
         raise DegenerateRowError(f"gat_attention: row {row} has no edge")
@@ -322,7 +331,7 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
     pre = left.data[dst] + nbr
     pos = pre > 0
     act = np.where(pos, pre, slope * pre)
-    edge_w = weights[dst, src]
+    edge_w = weights[dst, col]
     logits = (act @ attn.data)[:, 0] + edge_w * edge_bias.data[0, 0]
     e = np.exp(logits - np.maximum.reduceat(logits, starts)[dst])
     alpha = e / np.add.reduceat(e, starts)[dst]                     # E
@@ -344,7 +353,7 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
                 # sum per source over the edges sorted by source; a node that
                 # is no edge's source keeps a zero row
                 by_src = np.argsort(src, kind="stable")
-                src_counts = np.bincount(src, minlength=n)
+                src_counts = np.bincount(src, minlength=rows)
                 present = src_counts > 0
                 src_starts = (np.cumsum(src_counts) - src_counts)[present]
                 g_right = np.zeros_like(right.data)
@@ -355,20 +364,26 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
     return out
 
 
-def multi_head_attention(m: Value, heads, w_merge: Value) -> Value:
+def multi_head_attention(m: Value, heads, w_merge: Value, groups: int = 1) -> Value:
     """Scaled dot-product attention over the rows of ``m``, all heads at once.
 
     ``heads`` holds one (w_q, w_k, w_v) triple per head, each d_in x d_head.
     Head h returns softmax(Q_h K_h^T / sqrt(d_head)) V_h with Q_h = m w_q and
     so on; the heads are concatenated column-wise and multiplied by
-    ``w_merge`` ((H * d_head) x d_out).  The projections are one GEMM, the
-    scores and the weighted sums one batched matmul each, and the backward
-    reuses the forward softmax, so time and memory are O(H * N^2).
+    ``w_merge`` ((H * d_head) x d_out).  The rows of ``m`` form ``groups``
+    equal consecutive blocks of N rows (B stacked graphs), and a row attends
+    only to the rows of its own block.  The projections are one GEMM, the
+    groups x H x N x N scores and the weighted sums one batched matmul each,
+    and the backward reuses the forward softmax, so time and memory are
+    O(groups * H * N^2).
     """
-    n, d_in = m.data.shape
+    rows, d_in = m.data.shape
     if not heads or any(len(triple) != 3 for triple in heads):
         raise ShapeError(f"multi_head_attention: want one (w_q, w_k, w_v) per head, "
                          f"got {[len(triple) for triple in heads]} matrices per head")
+    if groups < 1 or rows % groups != 0:
+        raise ShapeError(f"multi_head_attention: {rows} input rows do not split into "
+                         f"{groups} equal groups")
     weights = [w for triple in heads for w in triple]               # q0, k0, v0, q1, ...
     d_head = weights[0].data.shape[1]
     n_heads = len(heads)
@@ -378,30 +393,31 @@ def multi_head_attention(m: Value, heads, w_merge: Value) -> Value:
             f"multi_head_attention: input {m.data.shape}, head projections {shapes}, "
             f"merge {w_merge.data.shape} (want {d_in} x d_head each and "
             f"{n_heads} * d_head merge rows)")
+    n = rows // groups
     scale = 1.0 / np.sqrt(d_head)
 
     w_all = np.concatenate([w.data for w in weights], axis=1)      # d_in x 3H*d_head
-    q, k, v = (m.data @ w_all).reshape(n, n_heads, 3, d_head).transpose(2, 1, 0, 3)
+    q, k, v = (m.data @ w_all).reshape(groups, n, n_heads, 3, d_head).transpose(3, 0, 2, 1, 4)
     q_scaled = q * scale                                            # scale N x d, not N x N
-    p = _softmax_rows(q_scaled @ k.transpose(0, 2, 1))              # H x N x N
+    p = _softmax_rows(q_scaled @ k.swapaxes(-1, -2))                # groups x H x N x N
     o = p @ v
-    merged = o.transpose(1, 0, 2).reshape(n, n_heads * d_head)
+    merged = o.transpose(0, 2, 1, 3).reshape(rows, n_heads * d_head)
     out, t = _make(merged @ w_merge.data, m, *weights, w_merge)
     if t is not None:
         def bwd():
             g = out.grad
             if w_merge.requires_grad:
                 w_merge._acc(merged.T @ g)
-            g_o = (g @ w_merge.data.T).reshape(n, n_heads, d_head).transpose(1, 0, 2)
-            g_v = p.transpose(0, 2, 1) @ g_o
+            g_o = (g @ w_merge.data.T).reshape(groups, n, n_heads, d_head).transpose(0, 2, 1, 3)
+            g_v = p.swapaxes(-1, -2) @ g_o
             # softmax JVP in place: row i of sum_j p_ij * g_p_ij is g_o_i . o_i,
             # an O(N * d) product instead of an N x N one
-            g_s = g_o @ v.transpose(0, 2, 1)
+            g_s = g_o @ v.swapaxes(-1, -2)
             g_s -= (g_o * o).sum(axis=-1, keepdims=True)
             g_s *= p
             g_q = (g_s @ k) * scale
-            g_k = g_s.transpose(0, 2, 1) @ q_scaled
-            g_qkv = np.stack([g_q, g_k, g_v]).transpose(2, 1, 0, 3).reshape(n, -1)
+            g_k = g_s.swapaxes(-1, -2) @ q_scaled
+            g_qkv = np.stack([g_q, g_k, g_v]).transpose(1, 3, 2, 0, 4).reshape(rows, -1)
             if any(w.requires_grad for w in weights):
                 g_w = m.data.T @ g_qkv
                 for i, w in enumerate(weights):
@@ -469,7 +485,7 @@ def cross_entropy_with_logits(logits: Value, targets: np.ndarray) -> Value:
     if targets.shape != logits.data.shape:
         raise ShapeError(
             f"cross_entropy_with_logits: targets {targets.shape} vs logits {logits.data.shape}")
-    if not (np.isin(targets, (0.0, 1.0)).all() and (targets.sum(axis=1) == 1.0).all()):
+    if not (((targets == 0.0) | (targets == 1.0)).all() and (targets.sum(axis=1) == 1.0).all()):
         raise LabelError("cross_entropy_with_logits: each target row must be one-hot")
     x = logits.data
     m = x.max(axis=1, keepdims=True)

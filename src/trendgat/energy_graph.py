@@ -27,11 +27,13 @@ class ThresholdRangeWarning(UserWarning):
 @dataclass
 class GraphSnapshot:
     """One time step's model input: lag-window features plus the adjacency
-    built from them."""
+    built from them.  ``metrics.evaluate`` also builds one from B snapshots
+    stacked row-wise: features (B * N) x (tau*F) and adjacency (B * N) x N,
+    row b * N + i holding row i of snapshot b."""
 
     t: int
-    features: np.ndarray   # N x (tau*F)
-    adjacency: np.ndarray  # N x N, sparsified
+    features: np.ndarray   # N x (tau*F), or (B * N) x (tau*F) stacked
+    adjacency: np.ndarray  # N x N sparsified, or (B * N) x N stacked
     k: float
     tau: int
     threshold: float

@@ -12,6 +12,12 @@ with E of them and width d it costs O(E * d) time and memory, so a
 thresholded snapshot (at most 1/s entries per row) costs O(N * d).  The
 multi-head attention is dense over the N nodes: one primitive computes
 all H heads in batched products and costs O(H * N^2) time and memory.
+
+Every function here also takes B snapshots of N nodes at once, stacked
+row-wise: node states (B * N) x d and adjacency (B * N) x N.  Each
+snapshot attends only within itself, so one call over the stack gives
+the rows of B separate calls; inference uses this to score many
+snapshots in one pass.
 """
 
 from __future__ import annotations
@@ -73,9 +79,12 @@ def xavier(seed: int, name: str, rows: int, cols: int) -> ad.Value:
 
 def neighborhood_mask(adjacency: np.ndarray) -> np.ndarray:
     """Positive entries define the neighborhoods; the self-loop is always
-    restored so no attention row is empty."""
+    restored so no attention row is empty.  ``adjacency`` is N x N or B
+    snapshots stacked row-wise to (B * N) x N, where row r's self-loop
+    sits in column r mod N."""
     mask = np.asarray(adjacency) > 0
-    np.fill_diagonal(mask, True)
+    n = mask.shape[1]
+    mask.reshape(-1, n * n)[:, ::n + 1] = True    # every snapshot's diagonal
     return mask
 
 
@@ -86,24 +95,33 @@ def gatv2_layer(h: ad.Value, adjacency: np.ndarray, params: GatLayerParams) -> a
     attn . leaky_relu(W_left h_i + W_right h_j) + edge_bias * w_ij, the
     attention row is a masked softmax over N(i) plus the self-loop, and the
     output row is the attention-weighted sum of W_right h_j.
+
+    ``h`` may hold B snapshots of N nodes stacked row-wise ((B * N) x d)
+    with ``adjacency`` stacked the same way ((B * N) x N, row b * N + i
+    being row i of snapshot b); each snapshot then attends only within
+    itself, exactly as if it were run alone.
     """
-    n, d_in = h.data.shape
+    rows, d_in = h.data.shape
     if params.w_left.data.shape[0] != d_in or params.w_right.data.shape[0] != d_in:
         raise ShapeError(
             f"gatv2_layer: input width {d_in} does not match projections "
             f"{params.w_left.data.shape} / {params.w_right.data.shape}")
-    if adjacency.shape != (n, n):
-        raise ShapeError(f"gatv2_layer: adjacency {adjacency.shape} for {n} nodes")
+    if (adjacency.ndim != 2 or adjacency.shape[0] != rows or not adjacency.shape[1]
+            or rows % adjacency.shape[1]):
+        raise ShapeError(f"gatv2_layer: adjacency {adjacency.shape} for {rows} rows "
+                         f"(want R x N with N dividing R)")
 
-    left = ad.matmul(h, params.w_left)     # N x d_out
-    right = ad.matmul(h, params.w_right)   # N x d_out
+    left = ad.matmul(h, params.w_left)     # R x d_out
+    right = ad.matmul(h, params.w_right)   # R x d_out
     return ad.gat_attention(left, right, params.attn, params.edge_bias, adjacency,
                             neighborhood_mask(adjacency), params.leaky_slope)
 
 
-def multi_head_attention(m: ad.Value, params: BlockParams) -> ad.Value:
+def multi_head_attention(m: ad.Value, params: BlockParams, groups: int = 1) -> ad.Value:
     """Scaled dot-product attention over the node dimension, one projection
-    triple per head, heads concatenated and merged back to width d."""
+    triple per head, heads concatenated and merged back to width d.  The
+    rows of ``m`` are ``groups`` stacked snapshots, each attending only
+    within itself."""
     if params.heads is None or params.w_merge is None:
         raise ConfigError("multi_head_attention: block has no attention parameters")
     d_cat = m.data.shape[1]
@@ -111,7 +129,7 @@ def multi_head_attention(m: ad.Value, params: BlockParams) -> ad.Value:
         if w_q.data.shape[0] != d_cat:
             raise ShapeError(
                 f"multi_head_attention: input width {d_cat} vs head projection {w_q.data.shape}")
-    return ad.multi_head_attention(m, params.heads, params.w_merge)
+    return ad.multi_head_attention(m, params.heads, params.w_merge, groups)
 
 
 def parallel_block(state: BlockState, adjacency: np.ndarray, params: BlockParams,
@@ -120,16 +138,18 @@ def parallel_block(state: BlockState, adjacency: np.ndarray, params: BlockParams
 
     Propagation stream: h <- gat(h).  Parallel stream: hp <- attention over
     concat_cols(hp, gat(h) + h @ W_skip).  ``gamma_fn`` replaces the
-    attention for probing in tests.
+    attention for probing in tests.  A (B * N) x N ``adjacency`` runs B
+    row-stacked snapshots at once (see ``gatv2_layer``).
     """
-    d = state.h.data.shape[1]
+    rows, d = state.h.data.shape
     propagated = gatv2_layer(state.h, adjacency, params.gat)
     if propagated.data.shape[1] != d:
         raise ShapeError(
             f"parallel_block: propagated width {propagated.data.shape[1]} != {d}")
     skip = ad.matmul(state.h, params.w_skip)
     fused = ad.concat_cols(state.hp, ad.add(propagated, skip))
-    gamma = gamma_fn if gamma_fn is not None else lambda m: multi_head_attention(m, params)
+    groups = rows // adjacency.shape[1]
+    gamma = gamma_fn if gamma_fn is not None else lambda m: multi_head_attention(m, params, groups)
     return BlockState(h=propagated, hp=gamma(fused))
 
 

@@ -8,10 +8,16 @@ all-negative F1 yields 0.0 with a flag in the record.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+# rows (stocks x snapshots) that evaluate stacks into one forward pass; at
+# N = 100 that is 4 snapshots, and larger chunks gain little speed while the
+# stacked inputs and B x H x N x N attention scores raise peak memory
+CHUNK_ROWS = 400
 
 
 @dataclass
@@ -96,17 +102,43 @@ def metrics_record(c: ConfusionCounts) -> dict:
 
 def evaluate(params, samples) -> dict:
     """Pool predictions of every sample into one confusion matrix and score
-    it; samples are (GraphSnapshot, labels) pairs."""
+    it; samples are (GraphSnapshot, labels) pairs.
+
+    Consecutive samples of the same shape are stacked row-wise (features
+    (B * N) x tau*f, adjacency (B * N) x N; see ``gnn_blocks``) into chunks
+    of at most ``CHUNK_ROWS`` rows, or one sample if it is larger, and each
+    chunk is scored by one ``predict`` call.  Every snapshot still attends
+    only within itself, so the predictions are those of one call per
+    sample, but each primitive runs once per chunk instead of once per
+    snapshot.  The dense attention keeps B x H x N x N scores per chunk.
+    """
     from .model import predict  # deferred: model depends on this module too
     if not samples:
         raise ValueError("evaluate: no samples")
     trues, preds = [], []
-    for sample in samples:
-        classes, _ = predict(params, sample.snapshot)
+    for chunk in _chunks(samples):
+        snapshot = replace(
+            chunk[0].snapshot,
+            features=np.concatenate([sample.snapshot.features for sample in chunk]),
+            adjacency=np.concatenate([sample.snapshot.adjacency for sample in chunk]))
+        classes, _ = predict(params, snapshot)
+        labels = np.concatenate([sample.labels for sample in chunk])
         alpha = 2
         phi = classes.shape[1]
-        blocks = sample.labels.reshape(sample.labels.shape[0], phi, alpha)
+        blocks = labels.reshape(labels.shape[0], phi, alpha)
         trues.append(blocks.argmax(axis=2).ravel())
         preds.append(classes.ravel())
     c = confusion(np.concatenate(trues), np.concatenate(preds))
     return metrics_record(c)
+
+
+def _chunks(samples):
+    """Runs of consecutive samples with equal feature and adjacency shapes,
+    cut into chunks of at most ``CHUNK_ROWS`` rows (a larger sample stands
+    alone)."""
+    shapes = lambda sample: (sample.snapshot.features.shape, sample.snapshot.adjacency.shape)
+    for (features_shape, _), run in itertools.groupby(samples, key=shapes):
+        run = list(run)
+        size = max(1, CHUNK_ROWS // max(1, features_shape[0]))
+        for start in range(0, len(run), size):
+            yield run[start:start + size]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field, fields, asdict
@@ -383,6 +384,9 @@ def _read_config(fh) -> ModelConfig:
     if unknown:
         raise FormatError(f"config at offset {offset} has unknown keys {sorted(unknown)}")
     for key, value in values.items():
+        # json reads NaN and +-Infinity, which no config field may hold
+        if isinstance(value, float) and not math.isfinite(value):
+            raise FormatError(f"config at offset {offset}: {key}={value!r} is not finite")
         if not _has_kind(value, kinds[key]):
             raise FormatError(f"config at offset {offset}: {key}={value!r} is not {kinds[key]}")
     return ModelConfig(**values)

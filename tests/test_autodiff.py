@@ -119,6 +119,22 @@ def test_multi_head_attention_rejects_mismatched_shapes():
             ad.multi_head_attention(*args)
 
 
+def test_multi_head_attention_rejects_rows_that_do_not_split_into_groups():
+    rng = np.random.default_rng(14)
+    m, heads, w_merge = _mha_operands(rng, 6, 4, 2, 2, 3)
+    for groups in (4, 0, -2):
+        with pytest.raises(ShapeError, match="6 input rows do not split"):
+            ad.multi_head_attention(m, heads, w_merge, groups)
+
+
+def test_gat_attention_rejects_stacked_mask_of_wrong_height():
+    v = lambda r, c: ad.Value(np.zeros((r, c)))
+    for mask_rows in (4, 5):                  # 4 rows != 5, 5 rows not a multiple of 3
+        mask, weights = np.ones((mask_rows, 3), dtype=bool), np.zeros((mask_rows, 3))
+        with pytest.raises(ShapeError, match="N dividing R"):
+            ad.gat_attention(v(5, 2), v(5, 2), v(2, 1), v(1, 1), weights, mask, 0.2)
+
+
 def test_multi_head_attention_skips_frozen_operands():
     rng = np.random.default_rng(13)
     m, heads, w_merge = _mha_operands(rng, 5, 4, 2, 2, 3)
@@ -141,6 +157,14 @@ def test_cross_entropy_rejects_malformed_target():
     logits = ad.Value(np.zeros((2, 2)))
     with pytest.raises(LabelError):
         ad.cross_entropy_with_logits(logits, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("row", [[0.5, 0.5], [2.0, -1.0], [math.nan, 1.0], [1.0, math.nan]],
+                         ids=["halves", "two_minus_one", "nan_first", "nan_second"])
+def test_cross_entropy_rejects_non_binary_targets(row):
+    logits = ad.Value(np.zeros((2, 2)))
+    with pytest.raises(LabelError, match="one-hot"):
+        ad.cross_entropy_with_logits(logits, np.array([[0.0, 1.0], row]))
 
 
 def test_leaky_relu_slope_one_is_identity():
@@ -278,7 +302,7 @@ PRIMITIVES = [
     "matmul", "add", "smul", "mul", "mul_scalar_broadcast", "concat_cols",
     "slice_cols", "transpose", "reshape", "row_softmax", "masked_row_softmax",
     "leaky_relu", "prelu", "reduce_sum", "log", "cross_entropy_with_logits", "gat_attention",
-    "multi_head_attention",
+    "multi_head_attention", "gat_attention_stacked", "multi_head_attention_groups",
 ]
 
 
@@ -361,6 +385,26 @@ def test_primitive_gradients_against_finite_differences(name):
             w = ad.const(rng.standard_normal((n, r)))
             f = lambda: ad.reduce_sum(ad.mul(ad.multi_head_attention(m, heads, w_merge), w))
             params = [v for v in operands if v.requires_grad]
+        elif name == "gat_attention_stacked":
+            # r graphs of c nodes stacked row-wise: mask and weights are (r*c) x c
+            left, right = _off_kink_pair(rng, r * c, 2)
+            attn, edge_bias = rand(rng, 2, 1), ad.Value(rng.uniform(0.5, 2.0, (1, 1)))
+            weights = rng.random((r * c, c))
+            mask = rng.random((r * c, c)) < 0.5
+            mask[np.arange(r * c), np.arange(r * c) % c] = True
+            w = ad.const(rng.standard_normal((r * c, 2)))
+            f = lambda: ad.reduce_sum(ad.mul(
+                ad.gat_attention(left, right, attn, edge_bias, weights, mask, 0.2), w))
+            params = [left, right, attn, edge_bias]
+        elif name == "multi_head_attention_groups":
+            groups, n, n_heads, d_head = (int(x) for x in rng.integers([2, 1, 1, 1], [5, 5, 4, 4]))
+            m = rand(rng, groups * n, c)
+            heads = [tuple(rand(rng, c, d_head) for _ in range(3)) for _ in range(n_heads)]
+            w_merge = rand(rng, n_heads * d_head, r)
+            w = ad.const(rng.standard_normal((groups * n, r)))
+            f = lambda: ad.reduce_sum(ad.mul(
+                ad.multi_head_attention(m, heads, w_merge, groups), w))
+            params = [m, *(w for triple in heads for w in triple), w_merge]
         elif name == "leaky_relu":
             a = _smooth(rng, r, c)
             f = lambda: ad.reduce_sum(ad.mul(ad.leaky_relu(a, 0.2), a))

@@ -148,6 +148,53 @@ def test_gat_attention_rows_are_convex_combinations():
     np.testing.assert_allclose(out.data, np.tile(expected_row, (5, 1)), atol=1e-12)
 
 
+def _stacked_snapshots(rng, n, densities):
+    """Per-snapshot node states and adjacencies, one per density."""
+    hs = [rng.standard_normal((n, 4)) for _ in densities]
+    adjs = [random_adjacency(rng, n, density) for density in densities]
+    return hs, adjs
+
+
+def test_gat_on_row_stacked_snapshots_matches_separate_calls():
+    rng = np.random.default_rng(24)
+    params = gb.init_block(d=4, h=2, seed=25)
+    hs, adjs = _stacked_snapshots(rng, 6, (0.0, 0.3, 0.9))
+    adjs[2][4] = 0.0                         # a row left with only its self-loop
+    out = gb.gatv2_layer(ad.Value(np.concatenate(hs)), np.concatenate(adjs), params.gat)
+    separate = [gb.gatv2_layer(ad.Value(h), adj, params.gat).data for h, adj in zip(hs, adjs)]
+    np.testing.assert_allclose(out.data, np.concatenate(separate), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data[2 * 6 + 4], hs[2][4] @ params.gat.w_right.data,
+                               atol=1e-12)
+
+
+def test_stacked_neighborhood_mask_restores_each_snapshots_self_loops():
+    mask = gb.neighborhood_mask(np.zeros((6, 3)))
+    np.testing.assert_array_equal(mask, np.concatenate([np.eye(3, dtype=bool)] * 2))
+
+
+def test_parallel_block_on_row_stacked_snapshots_matches_separate_calls():
+    rng = np.random.default_rng(26)
+    params = gb.init_block(d=4, h=2, seed=27)
+    hs, adjs = _stacked_snapshots(rng, 5, (0.2, 0.6, 1.0))
+    hps = [rng.standard_normal((5, 4)) for _ in hs]
+    out = gb.parallel_block(gb.BlockState(h=ad.Value(np.concatenate(hs)),
+                                          hp=ad.Value(np.concatenate(hps))),
+                            np.concatenate(adjs), params)
+    separate = [gb.parallel_block(gb.BlockState(h=ad.Value(h), hp=ad.Value(hp)), adj, params)
+                for h, hp, adj in zip(hs, hps, adjs)]
+    for got, want in ((out.h, [s.h for s in separate]), (out.hp, [s.hp for s in separate])):
+        np.testing.assert_allclose(got.data, np.concatenate([v.data for v in want]),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h_rows,adj_shape", [(6, (4, 3)), (7, (7, 3)), (6, (6, 0))],
+                         ids=["rows_differ", "rows_not_multiple_of_width", "empty_width"])
+def test_gat_stacked_adjacency_shape_mismatch_is_shape_error(h_rows, adj_shape):
+    params = gb.init_block(d=4, h=2, seed=28)
+    with pytest.raises(ShapeError, match="gatv2_layer: adjacency"):
+        gb.gatv2_layer(ad.Value(np.zeros((h_rows, 4))), np.zeros(adj_shape), params.gat)
+
+
 # ---------------------------------------------------------------------------
 # multi_head_attention
 # ---------------------------------------------------------------------------
@@ -184,6 +231,22 @@ def test_attention_matches_per_head_oracle_at_width_16(n):
     m = rng.standard_normal((n, 32))
     out = gb.multi_head_attention(ad.Value(m), params)
     np.testing.assert_allclose(out.data, mha_oracle(m, params), atol=1e-12)
+
+
+def test_grouped_attention_matches_per_group_oracle():
+    rng = np.random.default_rng(29)
+    params = gb.init_block(d=4, h=2, seed=30)
+    ms = [rng.standard_normal((6, 8)) for _ in range(3)]
+    out = gb.multi_head_attention(ad.Value(np.concatenate(ms)), params, groups=3)
+    np.testing.assert_allclose(out.data, np.concatenate([mha_oracle(m, params) for m in ms]),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows,groups", [(7, 2), (6, 4), (6, 0)])
+def test_attention_rows_must_split_into_groups(rows, groups):
+    params = gb.init_block(d=4, h=2, seed=31)
+    with pytest.raises(ShapeError, match="equal groups"):
+        gb.multi_head_attention(ad.Value(np.zeros((rows, 8))), params, groups)
 
 
 def test_attention_records_one_tape_op():

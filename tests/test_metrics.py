@@ -135,3 +135,59 @@ def test_pooling_equals_concatenated_confusion():
     concat = mt.confusion(np.concatenate([yt for yt, _ in days]),
                           np.concatenate([yp for _, yp in days]))
     assert pooled == concat
+
+
+# ---------------------------------------------------------------------------
+# evaluate: chunked inference against one predict call per sample
+# ---------------------------------------------------------------------------
+
+def _samples(rng, cfg, counts_by_n):
+    from trendgat import energy_graph as eg
+    from trendgat import model as mdl
+    out = []
+    for n, count in counts_by_n:
+        for _ in range(count):
+            feats = rng.standard_normal((n, cfg.input_width))
+            labels = np.zeros((n, cfg.output_width), dtype=np.int64)
+            for j in range(cfg.phi):
+                labels[np.arange(n), j * cfg.alpha + rng.integers(0, 2, n)] = 1
+            out.append(mdl.Sample(snapshot=eg.snapshot(0, feats, cfg.k, cfg.tau, 0.25),
+                                  labels=labels))
+    return out
+
+
+def test_chunked_evaluate_equals_per_sample_predictions(monkeypatch):
+    from trendgat import model as mdl
+    rng = np.random.default_rng(5)
+    cfg = mdl.ModelConfig(tau=3, k=0.5, s=0.25, f=2, phi=2, hidden=6, heads=2, layers=2, seed=1)
+    params = mdl.init_model(cfg)
+    # 30 rows: 13 samples per chunk, 40 = 3 * 13 + 1; 7 rows: 57 per chunk
+    runs = [(30, 40), (7, 60), (30, 2)]
+    samples = _samples(rng, cfg, runs)
+
+    trues, preds = [], []
+    for sample in samples:
+        classes, _ = mdl.predict(params, sample.snapshot)
+        trues.append(sample.labels.reshape(-1, cfg.phi, cfg.alpha).argmax(axis=2).ravel())
+        preds.append(classes.ravel())
+    reference = mt.metrics_record(mt.confusion(np.concatenate(trues), np.concatenate(preds)))
+
+    calls = []
+    predict = mdl.predict
+    monkeypatch.setattr(mdl, "predict", lambda p, snap: calls.append(snap) or predict(p, snap))
+    assert mt.evaluate(params, samples) == reference
+    assert [snap.features.shape[0] for snap in calls] == [390, 390, 390, 30, 399, 21, 60]
+    assert all(rows <= mt.CHUNK_ROWS for rows in (snap.adjacency.shape[0] for snap in calls))
+
+
+def test_evaluate_scores_a_sample_larger_than_a_chunk_alone(monkeypatch):
+    from trendgat import model as mdl
+    rng = np.random.default_rng(6)
+    cfg = mdl.ModelConfig(tau=3, k=0.5, s=0.25, f=2, hidden=4, heads=2, layers=2, seed=2)
+    params = mdl.init_model(cfg)
+    samples = _samples(rng, cfg, [(mt.CHUNK_ROWS + 1, 2)])
+    calls = []
+    predict = mdl.predict
+    monkeypatch.setattr(mdl, "predict", lambda p, snap: calls.append(snap) or predict(p, snap))
+    assert mt.evaluate(params, samples)["n"] == 2 * (mt.CHUNK_ROWS + 1)
+    assert [snap.adjacency.shape for snap in calls] == [(mt.CHUNK_ROWS + 1,) * 2] * 2

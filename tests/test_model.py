@@ -9,7 +9,7 @@ import pytest
 from trendgat import autodiff as ad
 from trendgat import energy_graph as eg
 from trendgat import model as mdl
-from trendgat.errors import ConfigError, FormatError, LabelError, NumericError
+from trendgat.errors import ConfigError, FormatError, LabelError, NumericError, TrendgatError
 
 from test_gnn_blocks import gat_oracle, mha_oracle
 
@@ -416,8 +416,11 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("parallel_attention", "no", "parallel_attention='no' is not bool"),
     ("heads", 3, r"layers \* heads = 6 does not match the stored matrices, which give 4"),
     ("epochs", 0, "stored configuration is invalid"),
+    ("k", math.nan, "k=nan is not finite"),
+    ("s", math.inf, "s=inf is not finite"),
+    ("grad_clip", -math.inf, "grad_clip=-inf is not finite"),
 ], ids=["hidden_str", "layers_null", "tau_str", "hidden_huge", "grad_clip_str",
-        "parallel_str", "heads_missized", "epochs_zero"])
+        "parallel_str", "heads_missized", "epochs_zero", "k_nan", "s_inf", "grad_clip_neg_inf"])
 def test_mistyped_or_missized_config_is_format_error(tmp_path, capsys, key, value, match):
     from trendgat import cli
 
@@ -463,6 +466,37 @@ def test_declared_matrix_larger_than_file_is_format_error(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match=r"matrix w_in \(36893488147419103232 bytes"):
         mdl.load_model(path)
+
+
+FUZZ_CASES = 1000
+
+
+def test_corrupted_or_truncated_checkpoint_is_trendgat_error_or_loads(tmp_path):
+    # each case flips 1-4 bytes, truncates the file, or both; there is no
+    # checksum, so a flip inside a weight still loads
+    path = tmp_path / "model.bin"
+    mdl.save_model(mdl.init_model(small_config(grad_clip=0.5)), path)
+    blob = path.read_bytes()
+    rng = np.random.default_rng(2024)
+    outcomes = {"loaded": 0, "error": 0}
+    for case in range(FUZZ_CASES):
+        data = bytearray(blob)
+        mode = int(rng.integers(3))            # 0 corrupt, 1 truncate, 2 both
+        if mode != 1:
+            for at in rng.integers(0, len(data), int(rng.integers(1, 5))):
+                data[at] = int(rng.integers(256))
+        if mode != 0:
+            data = data[:int(rng.integers(0, len(data)))]
+        path.write_bytes(bytes(data))
+        try:
+            mdl.load_model(path)
+        except TrendgatError:
+            outcomes["error"] += 1
+        except Exception as exc:               # noqa: BLE001 - the failure under test
+            pytest.fail(f"case {case} (mode {mode}) escaped as {type(exc).__name__}: {exc}")
+        else:
+            outcomes["loaded"] += 1
+    assert outcomes["error"] > FUZZ_CASES // 2 and outcomes["loaded"] > 0, outcomes
 
 
 def test_loaded_model_reproduces_logits(tmp_path):
