@@ -414,9 +414,19 @@ def cmd_report(run_dir: str) -> int:
     files = sorted(run_dir.rglob("metrics_*seed*.json"))
     records = []
     for path in files:
-        blob = json.loads(path.read_text(encoding="utf-8"))
-        if blob.get("test"):
-            records.append(blob)
+        try:
+            blob = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: metrics file is not JSON: {exc}") from None
+        if not isinstance(blob, dict):
+            raise DataError(f"{path}: metrics file is not a JSON object")
+        test = blob.get("test")
+        if not test:
+            continue
+        if not (isinstance(test, dict) and all(
+                isinstance(test.get(name), (int, float)) for name in ("acc", "mcc", "f1"))):
+            raise DataError(f"{path}: 'test' lacks a numeric acc, mcc or f1")
+        records.append(blob)
     if not records:
         raise DataError(f"no per-seed metrics files under {run_dir}")
     by_label: dict[str, list[dict]] = {}

@@ -99,13 +99,10 @@ def sector_adjacency(membership: dict[str, str], tickers: list[str]) -> np.ndarr
     missing = [t for t in tickers if t not in membership or not membership[t]]
     if missing:
         raise ConfigError(f"sector_adjacency: no sector for ticker(s) {missing}")
-    sectors = [membership[t] for t in tickers]
-    n = len(tickers)
-    adj = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if sectors[i] == sectors[j]:
-                adj[i, j] = 1.0
+    # integer codes: exact string equality, and faster to compare than a numpy string array
+    codes: dict[str, int] = {}
+    sectors = np.array([codes.setdefault(membership[t], len(codes)) for t in tickers])
+    adj = (sectors[:, None] == sectors[None, :]).astype(np.float64)
     return adj / adj.sum(axis=1, keepdims=True)
 
 

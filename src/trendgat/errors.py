@@ -26,7 +26,9 @@ class InsufficientDataError(DataError):
 
 
 class FormatError(DataError):
-    """Corrupt or truncated model checkpoint; message includes byte offset."""
+    """Corrupt, truncated or unsupported model checkpoint: bad magic, a format
+    version other than 2, a CRC32 mismatch, or a header that is not UTF-8
+    JSON or disagrees with the payload; the message includes a byte offset."""
 
 
 class NumericError(TrendgatError):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import copy
 import json
 import math
-import os
 import struct
+import zlib
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
 )
 
 MAGIC = b"EPGT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # documented hyperparameter search ranges; parse-time validation cites these
 RANGES = {
@@ -329,54 +329,27 @@ def predict(params: ModelParams, snapshot: eg.GraphSnapshot) -> tuple[np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# persistence: magic, version, config JSON, then (rows, cols, float64 LE) blocks
+# persistence, format 2: a 16-byte prefix (magic, version, header length and
+# the CRC32 of every byte after the prefix), a UTF-8 JSON header
+# {"config": ..., "params": [[name, rows, cols], ...]} in named() order, then
+# ModelParams.flat as little-endian float64
 # ---------------------------------------------------------------------------
 
+_PREFIX = struct.Struct("<4sIII")
+
+
 def save_model(params: ModelParams, path) -> None:
-    cfg_blob = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
-    named = params.named()
+    header = json.dumps({
+        "config": asdict(params.config),
+        "params": [[name, *value.data.shape] for name, value in params.named()],
+    }, sort_keys=True).encode("utf-8")
+    body = header + params.flat.astype("<f8").tobytes()
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(cfg_blob)))
-        fh.write(cfg_blob)
-        fh.write(struct.pack("<I", len(named)))
-        for name, value in named:
-            blob = name.encode("utf-8")
-            rows, cols = value.data.shape
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<II", rows, cols))
-            fh.write(value.data.astype("<f8").tobytes(order="C"))
+        fh.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header), zlib.crc32(body)))
+        fh.write(body)
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    # a declared length is checked against the bytes left in the file before
-    # reading, so a corrupt length never asks for more memory than the file holds
-    offset = fh.tell()
-    left = os.fstat(fh.fileno()).st_size - offset
-    data = fh.read(n) if n <= left else b""
-    if len(data) != n:
-        raise FormatError(f"truncated model file reading {what} ({n} bytes, {left} left) "
-                          f"at offset {offset}")
-    return data
-
-
-def _utf8(raw: bytes, what: str, offset: int) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{what} at offset {offset} is not UTF-8: {exc.reason}") from None
-
-
-def _read_config(fh) -> ModelConfig:
-    cfg_len = struct.unpack("<I", _read_exact(fh, 4, "config length"))[0]
-    offset = fh.tell()
-    text = _utf8(_read_exact(fh, cfg_len, "config"), "config", offset)
-    try:
-        values = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"config at offset {offset} is not JSON: {exc}") from None
+def _read_config(values, offset: int) -> ModelConfig:
     if not isinstance(values, dict):
         raise FormatError(f"config at offset {offset} is not a JSON object")
     kinds = {f.name: f.type for f in fields(ModelConfig)}
@@ -404,18 +377,18 @@ def _has_kind(value, kind: str) -> bool:
     return isinstance(value, (int, float)) or (kind == "float | None" and value is None)
 
 
-def _check_sizes(cfg: ModelConfig, loaded: dict[str, np.ndarray]) -> None:
-    """Reject a config whose sizes disagree with the stored matrices before
-    ``init_model`` allocates anything from it."""
-    if "w_in" not in loaded or "w_out" not in loaded:
+def _check_sizes(cfg: ModelConfig, shapes: dict[str, tuple[int, int]]) -> None:
+    """Reject a config whose sizes disagree with the header's matrix shapes
+    before ``init_model`` allocates anything from it."""
+    if "w_in" not in shapes or "w_out" not in shapes:
         raise FormatError("model file lacks w_in or w_out")
     stored = {
-        "(tau*f, hidden)": (loaded["w_in"].shape, (cfg.input_width, cfg.hidden)),
-        "(hidden, phi*alpha)": (loaded["w_out"].shape, (cfg.hidden, cfg.output_width)),
-        "layers": (sum(name.endswith(".w_skip") for name in loaded), cfg.layers),
+        "(tau*f, hidden)": (shapes["w_in"], (cfg.input_width, cfg.hidden)),
+        "(hidden, phi*alpha)": (shapes["w_out"], (cfg.hidden, cfg.output_width)),
+        "layers": (sum(name.endswith(".w_skip") for name in shapes), cfg.layers),
     }
     if cfg.parallel_attention:
-        stored["layers * heads"] = (sum(name.endswith(".w_q") for name in loaded),
+        stored["layers * heads"] = (sum(name.endswith(".w_q") for name in shapes),
                                     cfg.layers * cfg.heads)
     for what, (found, configured) in stored.items():
         if found != configured:
@@ -425,35 +398,51 @@ def _check_sizes(cfg: ModelConfig, loaded: dict[str, np.ndarray]) -> None:
 
 def load_model(path) -> ModelParams:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r} at offset 0")
-        version = struct.unpack("<I", _read_exact(fh, 4, "version"))[0]
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported format version {version} at offset 4")
-        cfg = _read_config(fh)
-        count = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))[0]
-        loaded: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            name_len = struct.unpack("<I", _read_exact(fh, 4, "name length"))[0]
-            name = _utf8(_read_exact(fh, name_len, "name"), "name", fh.tell() - name_len)
-            rows, cols = struct.unpack("<II", _read_exact(fh, 8, "shape"))
-            raw = _read_exact(fh, rows * cols * 8, f"matrix {name}")
-            loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-        if fh.read(1):
-            raise FormatError(f"trailing bytes at offset {fh.tell() - 1}")
+        blob = fh.read()
+    if len(blob) < _PREFIX.size:
+        raise FormatError(f"truncated model file: {len(blob)} bytes from offset 0, "
+                          f"shorter than the {_PREFIX.size}-byte prefix")
+    magic, version, header_len, crc = _PREFIX.unpack_from(blob)
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r} at offset 0")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format version {version} at offset 4 "
+                          f"(this build reads version {FORMAT_VERSION} only)")
+    if zlib.crc32(memoryview(blob)[_PREFIX.size:]) != crc:
+        raise FormatError(f"CRC32 of offsets {_PREFIX.size}..{len(blob)} does not match the "
+                          f"stored {crc:#010x} at offset 12: the file is corrupt or truncated")
 
-    _check_sizes(cfg, loaded)
+    at, end = _PREFIX.size, _PREFIX.size + header_len
+    if end > len(blob):
+        raise FormatError(f"header length {header_len} at offset 8 exceeds the "
+                          f"{len(blob) - at} bytes after the prefix")
+    try:
+        header = json.loads(blob[at:end].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"header at offset {at} is not UTF-8: {exc.reason}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"header at offset {at} is not JSON: {exc}") from None
+    if not isinstance(header, dict) or set(header) != {"config", "params"}:
+        raise FormatError(f"header at offset {at} is not a JSON object with exactly "
+                          f"the keys config and params")
+    cfg = _read_config(header["config"], at)
+    listing = header["params"]
+    if not isinstance(listing, list) or not all(
+            isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+            and all(type(size) is int and size >= 0 for size in entry[1:]) for entry in listing):
+        raise FormatError(f"header at offset {at}: params is not a list of [name, rows, cols]")
+    declared = 8 * sum(rows * cols for _, rows, cols in listing)
+    if len(blob) - end != declared:
+        raise FormatError(f"payload at offset {end} holds {len(blob) - end} bytes, but the "
+                          f"header declares {declared} bytes")
+
+    _check_sizes(cfg, {name: (rows, cols) for name, rows, cols in listing})
     try:
         params = init_model(cfg)
     except ConfigError as exc:
         raise FormatError(f"stored configuration is invalid: {exc}") from None
-    expected = dict(params.named())
-    if set(expected) != set(loaded):
-        raise FormatError("model file parameters do not match the stored configuration")
-    for name, value in params.named():
-        if value.data.shape != loaded[name].shape:
-            raise FormatError(f"matrix {name} has shape {loaded[name].shape}, "
-                              f"expected {value.data.shape}")
-        value.data[...] = loaded[name]
+    if [[name, *value.data.shape] for name, value in params.named()] != listing:
+        raise FormatError(f"parameter listing in the header at offset {at} does not match "
+                          f"the stored configuration")
+    params.flat[...] = np.frombuffer(blob, dtype="<f8", offset=end)
     return params

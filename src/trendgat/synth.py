@@ -41,11 +41,9 @@ class RuleSpec:
     own_weight: float = 1.0    # contrarian: enters the score negatively
     n1_weight: float = 0.85
     n2_weight: float = 0.1
-    hysteresis: float = 0.0    # |score| below this copies yesterday's direction
     group_size: int = 2        # co-moving stocks per volatility rung
     base_vol: float = 0.6      # price-unit step scale of the lowest-vol group
     vol_growth: float = 2.5    # geometric ladder between groups
-    growth_alt: float = 0.0    # if > 0, ladder gaps alternate growth/growth_alt
     idio_frac: float = 0.4     # idiosyncratic step fraction inside a group
     mag_base: float = 0.5      # |close step| = vol * (mag_base + mag_swing*|xi|)
     mag_swing: float = 0.8
@@ -65,13 +63,8 @@ def group_of(n_stocks: int, spec: RuleSpec) -> np.ndarray:
 
 
 def group_volatilities(n_groups: int, spec: RuleSpec) -> np.ndarray:
-    """Volatility ladder; with growth_alt set, rung gaps alternate so each
-    group's nearer neighbor on the ladder is unambiguous."""
-    if spec.growth_alt <= 0.0:
-        return spec.base_vol * spec.vol_growth ** np.arange(n_groups)
-    gaps = np.where(np.arange(n_groups) % 2 == 1, spec.vol_growth, spec.growth_alt)
-    gaps[0] = 1.0
-    return spec.base_vol * np.cumprod(gaps)
+    """Geometric volatility ladder: base_vol * vol_growth ** group."""
+    return spec.base_vol * spec.vol_growth ** np.arange(n_groups)
 
 
 def stock_scales(n_stocks: int, spec: RuleSpec) -> np.ndarray:
@@ -91,9 +84,7 @@ def rule_directions(closes: np.ndarray, scales: np.ndarray, spec: RuleSpec,
     the last energy_window days; neighbors are the two stocks with the
     nearest log-energy (ties to the lower index); the score is
     -own_weight * mu_i + n1_weight * mu_n1 + n2_weight * mu_n2
-    and the direction is +1 when the score is >= 0.  When |score| is
-    below the hysteresis threshold the previous day's direction repeats
-    instead (also a window observable: the sign of the last close step).
+    and the direction is +1 when the score is >= 0.
     """
     if t < spec.warmup:
         raise ConfigError(f"rule needs {spec.warmup} past returns, got t={t}")
@@ -110,12 +101,7 @@ def rule_directions(closes: np.ndarray, scales: np.ndarray, spec: RuleSpec,
         scores[i] = (-spec.own_weight * momentum[i]
                      + spec.n1_weight * momentum[n1]
                      + spec.n2_weight * momentum[n2])
-    dirs = np.where(scores >= 0.0, 1.0, -1.0)
-    if spec.hysteresis > 0.0:
-        repeat = np.abs(scores) < spec.hysteresis
-        last = np.where(closes[:, t] - closes[:, t - 1] >= 0.0, 1.0, -1.0)
-        dirs = np.where(repeat, last, dirs)
-    return dirs
+    return np.where(scores >= 0.0, 1.0, -1.0)
 
 
 def generate(n_stocks: int, n_days: int, seed: int,
@@ -225,14 +211,13 @@ def write_dataset(out_dir, n_stocks: int, n_days: int, seed: int,
         fh.write(f"# rule_id={spec.rule_id} momentum_window={spec.momentum_window}"
                  f" energy_window={spec.energy_window}\n")
         fh.write(f"# score = -{spec.own_weight}*mu_own + {spec.n1_weight}*mu_n1"
-                 f" + {spec.n2_weight}*mu_n2; direction = sign(score), ties up;"
-                 f" |score| < {spec.hysteresis} repeats the last direction\n")
+                 f" + {spec.n2_weight}*mu_n2; direction = sign(score), ties up\n")
         fh.write("# mu_x = (close_x(t) - close_x(t-momentum_window)) / scale_x;"
                  " neighbors n1, n2 minimize the |log close-return energy gap| over"
                  " the energy window, ties to the lower stock index\n")
         fh.write(f"# seed={seed} n_stocks={n_stocks} n_days={n_days}"
                  f" group_size={spec.group_size} base_vol={spec.base_vol}"
-                 f" vol_growth={spec.vol_growth} growth_alt={spec.growth_alt}"
+                 f" vol_growth={spec.vol_growth}"
                  f" idio_frac={spec.idio_frac} mag_base={spec.mag_base}"
                  f" mag_swing={spec.mag_swing} revert={spec.revert}"
                  f" drift_frac={spec.drift_frac}\n")

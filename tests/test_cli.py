@@ -242,6 +242,17 @@ def test_report_on_empty_directory_is_data_error(tmp_path):
     assert run_cli("report", "--dir", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"seed": 0, "test": {"acc": 0.5',
+    '[{"seed": 0}]',
+    '{"seed": 0, "test": {"acc": 0.5, "f1": 0.5}}',
+], ids=["truncated", "json_list", "test_lacks_mcc"])
+def test_report_on_malformed_metrics_file_is_data_error(tmp_path, capsys, text):
+    (tmp_path / "metrics_seed0.json").write_text(text)
+    assert run_cli("report", "--dir", str(tmp_path)) == 2
+    assert "metrics_seed0.json" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # graphgen and exit codes
 # ---------------------------------------------------------------------------

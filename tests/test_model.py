@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -384,11 +385,30 @@ def test_bad_magic_is_format_error(tmp_path):
         mdl.load_model(path)
 
 
+def _sealed(header: bytes, payload: bytes) -> bytes:
+    """Format-2 checkpoint bytes for a header and payload, with a valid CRC32
+    over both."""
+    body = header + payload
+    return struct.pack("<4sIII", b"EPGT", 2, len(header), zlib.crc32(body)) + body
+
+
+def _split(blob: bytes) -> tuple[bytes, bytes]:
+    """The JSON header and the float64 payload of a checkpoint."""
+    header_len = struct.unpack_from("<I", blob, 8)[0]
+    return blob[16:16 + header_len], blob[16 + header_len:]
+
+
+def _config_block(blob: bytes) -> bytes:
+    return json.dumps(json.loads(_split(blob)[0])["config"], sort_keys=True).encode()
+
+
 def _with_config_block(blob: bytes, cfg_blob: bytes) -> bytes:
-    """Checkpoint bytes with the config block (after magic, version and
-    its length field) replaced by cfg_blob."""
-    old_len = struct.unpack_from("<I", blob, 8)[0]
-    return blob[:8] + struct.pack("<I", len(cfg_blob)) + cfg_blob + blob[12 + old_len:]
+    """Checkpoint bytes with the config block inside the header replaced by
+    cfg_blob, re-sealed with a valid CRC32."""
+    header, payload = _split(blob)
+    old = _config_block(blob)
+    assert header.count(old) == 1
+    return _sealed(header.replace(old, cfg_blob), payload)
 
 
 @pytest.mark.parametrize("edit,match", [
@@ -401,8 +421,7 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     path = tmp_path / "model.bin"
     mdl.save_model(mdl.init_model(small_config()), path)
     blob = path.read_bytes()
-    cfg_len = struct.unpack_from("<I", blob, 8)[0]
-    path.write_bytes(_with_config_block(blob, edit(blob[12:12 + cfg_len])))
+    path.write_bytes(_with_config_block(blob, edit(_config_block(blob))))
     with pytest.raises(FormatError, match=match):
         mdl.load_model(path)
 
@@ -427,7 +446,7 @@ def test_mistyped_or_missized_config_is_format_error(tmp_path, capsys, key, valu
     path = tmp_path / "model.bin"
     mdl.save_model(mdl.init_model(small_config()), path)
     blob = path.read_bytes()
-    cfg = json.loads(blob[12:12 + struct.unpack_from("<I", blob, 8)[0]])
+    cfg = json.loads(_config_block(blob))
     path.write_bytes(_with_config_block(blob, json.dumps({**cfg, key: value}).encode()))
     with pytest.raises(FormatError, match=match):
         mdl.load_model(path)
@@ -447,38 +466,78 @@ def test_config_field_kinds_accept_what_save_writes(tmp_path):
 def test_non_utf8_parameter_name_is_format_error(tmp_path):
     path = tmp_path / "model.bin"
     mdl.save_model(mdl.init_model(small_config()), path)
-    blob = bytearray(path.read_bytes())
-    name_at = 12 + struct.unpack_from("<I", blob, 8)[0] + 8   # count, name length
-    assert blob[name_at:name_at + 4] == b"w_in"
-    blob[name_at] = 0xFF
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="name at offset"):
+    header, payload = _split(path.read_bytes())
+    path.write_bytes(_sealed(header.replace(b'"w_in"', b'"\xffin"'), payload))
+    with pytest.raises(FormatError, match="header at offset 16 is not UTF-8"):
         mdl.load_model(path)
 
 
 def test_declared_matrix_larger_than_file_is_format_error(tmp_path):
     path = tmp_path / "model.bin"
-    mdl.save_model(mdl.init_model(small_config()), path)
-    blob = bytearray(path.read_bytes())
-    shape_at = 12 + struct.unpack_from("<I", blob, 8)[0] + 8 + len(b"w_in")
-    assert struct.unpack_from("<II", blob, shape_at) == (small_config().input_width, 6)
-    struct.pack_into("<II", blob, shape_at, 2**31, 2**31)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match=r"matrix w_in \(36893488147419103232 bytes"):
+    params = mdl.init_model(small_config())
+    mdl.save_model(params, path)
+    header, payload = _split(path.read_bytes())
+    shape = json.dumps(["w_in", small_config().input_width, 6]).encode()
+    assert header.count(shape) == 1
+    huge = json.dumps(["w_in", 2**31, 2**31]).encode()
+    path.write_bytes(_sealed(header.replace(shape, huge), payload))
+    declared = 8 * (2**62 + params.flat.size - params.w_in.data.size)
+    with pytest.raises(FormatError, match=rf"header declares {declared} bytes"):
         mdl.load_model(path)
+
+
+def _swap_first_two_params(header: bytes) -> bytes:
+    blob = json.loads(header)
+    blob["params"][:2] = blob["params"][1::-1]
+    return json.dumps(blob, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda blob: blob[:4] + struct.pack("<I", 1) + blob[8:],
+     r"unsupported format version 1 at offset 4"),
+    (lambda blob: blob.replace(b'"lr": 0.001', b'"lr": 0.007'), "CRC32 .* at offset 12"),
+    (lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]), "CRC32 .* at offset 12"),
+    (lambda blob: blob[:8] + struct.pack("<I", 2**32 - 1) + blob[12:],
+     "header length 4294967295 at offset 8 exceeds"),
+    (lambda blob: _sealed(b"[" * 100_000, _split(blob)[1]), "header at offset 16 is not JSON"),
+    (lambda blob: _sealed(b"[]", _split(blob)[1]), "header at offset 16 is not a JSON object"),
+    (lambda blob: _sealed(_split(blob)[0].replace(b'"w_in", 6', b'"w_in", -6'), _split(blob)[1]),
+     r"header at offset 16: params is not a list of \[name, rows, cols\]"),
+    (lambda blob: _sealed(_split(blob)[0], _split(blob)[1][:-8]),
+     r"payload at offset \d+ holds \d+ bytes, but the header declares"),
+    (lambda blob: _sealed(_swap_first_two_params(_split(blob)[0]), _split(blob)[1]),
+     "parameter listing in the header at offset 16 does not match"),
+], ids=["version_1", "config_digit_unsealed", "payload_bit_unsealed", "header_length_huge",
+        "header_nested_too_deep", "header_not_object", "negative_rows", "payload_short",
+        "listing_out_of_order"])
+def test_rejected_checkpoint_is_format_error_and_exits_two(tmp_path, capsys, make, match):
+    from trendgat import cli
+
+    path = tmp_path / "model.bin"
+    mdl.save_model(mdl.init_model(small_config()), path)
+    blob = path.read_bytes()
+    edited = make(blob)
+    assert edited != blob
+    path.write_bytes(edited)
+    with pytest.raises(FormatError, match=match):
+        mdl.load_model(path)
+    assert cli.main(["eval", "--manifest", str(tmp_path / "unused.csv"),
+                     "--out", str(tmp_path / "eval"), "--model", str(path)]) == 2
+    assert re.search(match, capsys.readouterr().err)
 
 
 FUZZ_CASES = 1000
 
 
 def test_corrupted_or_truncated_checkpoint_is_trendgat_error_or_loads(tmp_path):
-    # each case flips 1-4 bytes, truncates the file, or both; there is no
-    # checksum, so a flip inside a weight still loads
-    path = tmp_path / "model.bin"
+    # each case flips 1-4 bytes, truncates the file, or both; the CRC32 covers
+    # every byte after the prefix, so a checkpoint that loads must save back
+    # to the original bytes
+    path, resaved = tmp_path / "model.bin", tmp_path / "resaved.bin"
     mdl.save_model(mdl.init_model(small_config(grad_clip=0.5)), path)
     blob = path.read_bytes()
     rng = np.random.default_rng(2024)
-    outcomes = {"loaded": 0, "error": 0}
+    outcomes = {"identical": 0, "error": 0}
     for case in range(FUZZ_CASES):
         data = bytearray(blob)
         mode = int(rng.integers(3))            # 0 corrupt, 1 truncate, 2 both
@@ -489,14 +548,17 @@ def test_corrupted_or_truncated_checkpoint_is_trendgat_error_or_loads(tmp_path):
             data = data[:int(rng.integers(0, len(data)))]
         path.write_bytes(bytes(data))
         try:
-            mdl.load_model(path)
+            loaded = mdl.load_model(path)
         except TrendgatError:
             outcomes["error"] += 1
+            continue
         except Exception as exc:               # noqa: BLE001 - the failure under test
             pytest.fail(f"case {case} (mode {mode}) escaped as {type(exc).__name__}: {exc}")
-        else:
-            outcomes["loaded"] += 1
-    assert outcomes["error"] > FUZZ_CASES // 2 and outcomes["loaded"] > 0, outcomes
+        mdl.save_model(loaded, resaved)
+        if resaved.read_bytes() != blob:
+            pytest.fail(f"case {case} (mode {mode}) loaded a model that differs from the saved one")
+        outcomes["identical"] += 1
+    assert outcomes["error"] > FUZZ_CASES // 2, outcomes
 
 
 def test_loaded_model_reproduces_logits(tmp_path):
