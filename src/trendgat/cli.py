@@ -40,7 +40,6 @@ KEY_TYPES = {
     "model.heads": "int",
     "model.layers": "int",
     "model.phi": "int",
-    "model.alpha": "int",
     "train.lr": "float",
     "train.wd": "float",
     "train.epochs": "int",
@@ -133,7 +132,6 @@ def parse_spec(config_path, overrides: dict, mode: str, range_check: bool = True
         k=values.get("graph.k", mdl.ModelConfig.k),
         s=values.get("graph.s", mdl.ModelConfig.s),
         phi=values.get("model.phi", mdl.ModelConfig.phi),
-        alpha=values.get("model.alpha", mdl.ModelConfig.alpha),
         hidden=values.get("model.hidden", mdl.ModelConfig.hidden),
         heads=values.get("model.heads", mdl.ModelConfig.heads),
         layers=values.get("model.layers", mdl.ModelConfig.layers),
@@ -394,15 +392,12 @@ def cmd_graphgen(spec: ExperimentSpec, t: int | None) -> int:
     return 0
 
 
-def cmd_synth(out: str, n: int, days: int, f: int, seed: int, rule: str) -> int:
-    if f != len(md.DEFAULT_INDICATORS):
-        raise ConfigError(
-            f"synthetic datasets carry the full CSV schema; F is fixed at "
-            f"{len(md.DEFAULT_INDICATORS)} by the default selection, got {f}")
-    rule_spec = synth.RuleSpec(rule_id=rule)
+def cmd_synth(out: str, n: int, days: int, seed: int) -> int:
+    rule_spec = synth.RuleSpec()
     manifest = synth.write_dataset(out, n, days, seed, rule_spec)
-    resolved = {"mode": "synth", "out": str(out), "n": n, "days": days, "f": f,
-                "seed": seed, "rule": dataclasses.asdict(rule_spec)}
+    resolved = {"mode": "synth", "out": str(out), "n": n, "days": days,
+                "f": len(md.DEFAULT_INDICATORS), "seed": seed,
+                "rule": dataclasses.asdict(rule_spec)}
     (Path(out) / "spec_resolved.json").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(manifest)
@@ -516,9 +511,7 @@ def build_parser() -> _Parser:
     synthp.add_argument("--out", required=True)
     synthp.add_argument("--n", type=int, default=20)
     synthp.add_argument("--days", type=int, default=600)
-    synthp.add_argument("--f", type=int, default=4)
     synthp.add_argument("--seed", type=int, default=0)
-    synthp.add_argument("--rule", default="momentum-v1")
     reportp = subs.add_parser("report")
     reportp.add_argument("--dir", required=True, help="run directory to aggregate")
     return parser
@@ -538,7 +531,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.mode == "synth":
-            return cmd_synth(args.out, args.n, args.days, args.f, args.seed, args.rule)
+            return cmd_synth(args.out, args.n, args.days, args.seed)
         if args.mode == "report":
             return cmd_report(args.dir)
         spec = spec_from_args(args)

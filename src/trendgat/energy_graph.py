@@ -39,14 +39,6 @@ class GraphSnapshot:
     threshold: float
 
 
-def stock_energy(row: np.ndarray) -> float:
-    """Sum of squared window entries for one stock."""
-    row = np.asarray(row, dtype=np.float64)
-    if not np.isfinite(row).all():
-        raise NumericError("stock_energy: input has non-finite entries")
-    return float((row * row).sum())
-
-
 def boltzmann_adjacency(features: np.ndarray, k: float, tau: int) -> np.ndarray:
     """Row-stochastic similarity matrix from pairwise energy differences.
 

@@ -23,6 +23,7 @@ snapshots in one pass.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,10 @@ from . import autodiff as ad
 from .errors import ConfigError, ShapeError
 
 LEAKY_SLOPE = 0.2          # fixed rectifier slope inside the graph layer
-PRELU_INIT = 0.25
-EDGE_BIAS_INIT = 1.0
+EDGE_BIAS = "edge_bias"    # 1 x 1 scale on a graph layer's edge weights
+PRELU_IN = "prelu_in"      # 1 x d slopes of the model's input rectifier
+# learnables that start at a constant instead of a Xavier draw
+CONSTANT_INIT = {PRELU_IN: 0.25, EDGE_BIAS: 1.0}
 
 
 @dataclass
@@ -72,9 +75,9 @@ def seeded_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed & 0xFFFFFFFF, *words]))
 
 
-def xavier(seed: int, name: str, rows: int, cols: int) -> ad.Value:
+def xavier(seed: int, name: str, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
-    return ad.Value(seeded_rng(seed, name).uniform(-limit, limit, (rows, cols)))
+    return seeded_rng(seed, name).uniform(-limit, limit, (rows, cols))
 
 
 def neighborhood_mask(adjacency: np.ndarray) -> np.ndarray:
@@ -161,51 +164,56 @@ def plain_block(state: BlockState, adjacency: np.ndarray, params: BlockParams) -
     return BlockState(h=merged, hp=merged)
 
 
-def init_block(d: int, h: int, seed: int, name: str = "block0",
-               parallel: bool = True) -> BlockParams:
-    """Uniform Xavier initialization from per-parameter seeded generators;
-    the edge-bias scale starts at 1."""
+def block_layout(d: int, h: int, name: str = "block0",
+                 parallel: bool = True) -> Iterator[tuple[str, int, int]]:
+    """(name, rows, cols) of one block's learnables, in store order: the
+    graph layer's w_left, w_right, attn and edge_bias, then w_skip, then
+    (parallel stream only) each head's w_q, w_k, w_v and the merge.  Lazy,
+    so a caller comparing against it stops at the first difference."""
     if d < 1:
-        raise ConfigError(f"init_block: width must be >= 1, got {d}")
-    gat = GatLayerParams(
-        w_left=xavier(seed, f"{name}.gat.w_left", d, d),
-        w_right=xavier(seed, f"{name}.gat.w_right", d, d),
-        attn=xavier(seed, f"{name}.gat.attn", d, 1),
-        edge_bias=ad.Value(np.full((1, 1), EDGE_BIAS_INIT)),
-    )
-    w_skip = xavier(seed, f"{name}.w_skip", d, d)
+        raise ConfigError(f"block_layout: width must be >= 1, got {d}")
+    yield f"{name}.gat.w_left", d, d
+    yield f"{name}.gat.w_right", d, d
+    yield f"{name}.gat.attn", d, 1
+    yield f"{name}.gat.{EDGE_BIAS}", 1, 1
+    yield f"{name}.w_skip", d, d
     if not parallel:
-        return BlockParams(gat=gat, w_skip=w_skip, heads=None, w_merge=None)
-
+        return
     d_cat = 2 * d
     if h < 1 or h > d_cat:
-        raise ConfigError(f"init_block: heads must be in [1, {d_cat}], got {h}")
+        raise ConfigError(f"block_layout: heads must be in [1, {d_cat}], got {h}")
     if d_cat % h != 0:
-        raise ConfigError(f"init_block: heads {h} must divide the fused width {d_cat}")
-    d_head = d_cat // h
-    heads = [
-        (xavier(seed, f"{name}.head{i}.w_q", d_cat, d_head),
-         xavier(seed, f"{name}.head{i}.w_k", d_cat, d_head),
-         xavier(seed, f"{name}.head{i}.w_v", d_cat, d_head))
-        for i in range(h)
-    ]
-    w_merge = xavier(seed, f"{name}.w_merge", d_cat, d)
-    return BlockParams(gat=gat, w_skip=w_skip, heads=heads, w_merge=w_merge)
+        raise ConfigError(f"block_layout: heads {h} must divide the fused width {d_cat}")
+    for i in range(h):
+        for proj in ("w_q", "w_k", "w_v"):
+            yield f"{name}.head{i}.{proj}", d_cat, d_cat // h
+    yield f"{name}.w_merge", d_cat, d
 
 
-def block_parameters(params: BlockParams, name: str = "block0") -> list[tuple[str, ad.Value]]:
-    """Stable (name, Value) listing used by the optimizer and checkpoints."""
-    out = [
-        (f"{name}.gat.w_left", params.gat.w_left),
-        (f"{name}.gat.w_right", params.gat.w_right),
-        (f"{name}.gat.attn", params.gat.attn),
-        (f"{name}.gat.edge_bias", params.gat.edge_bias),
-        (f"{name}.w_skip", params.w_skip),
-    ]
-    if params.heads is not None:
-        for i, (w_q, w_k, w_v) in enumerate(params.heads):
-            out += [(f"{name}.head{i}.w_q", w_q),
-                    (f"{name}.head{i}.w_k", w_k),
-                    (f"{name}.head{i}.w_v", w_v)]
-        out.append((f"{name}.w_merge", params.w_merge))
-    return out
+def initial_value(seed: int, name: str, rows: int, cols: int) -> np.ndarray:
+    """Uniform Xavier draw keyed by (seed, name), except the learnables of
+    ``CONSTANT_INIT`` (matched on the last name component)."""
+    constant = CONSTANT_INIT.get(name.rpartition(".")[2])
+    if constant is not None:
+        return np.full((rows, cols), constant)
+    return xavier(seed, name, rows, cols)
+
+
+def assemble_block(values: Iterator[ad.Value], h: int, parallel: bool = True) -> BlockParams:
+    """One block from the next Values of ``values``, taken in ``block_layout``
+    order."""
+    gat = GatLayerParams(w_left=next(values), w_right=next(values), attn=next(values),
+                         edge_bias=next(values))
+    w_skip = next(values)
+    if not parallel:
+        return BlockParams(gat=gat, w_skip=w_skip, heads=None, w_merge=None)
+    heads = [(next(values), next(values), next(values)) for _ in range(h)]
+    return BlockParams(gat=gat, w_skip=w_skip, heads=heads, w_merge=next(values))
+
+
+def init_block(d: int, h: int, seed: int, name: str = "block0",
+               parallel: bool = True) -> BlockParams:
+    """A standalone block with fresh initial values."""
+    values = (ad.Value(initial_value(seed, *entry))
+              for entry in block_layout(d, h, name, parallel))
+    return assemble_block(values, h, parallel)

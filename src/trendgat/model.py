@@ -11,11 +11,13 @@ time steps in chronological order.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field, fields, asdict
+from collections.abc import Iterator
+from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import (
     FormatError,
     LabelError,
     NumericError,
+    ShapeError,
     TrainingDivergedError,
 )
 
@@ -86,40 +89,49 @@ class ModelConfig:
         return self.phi * self.alpha
 
 
-@dataclass
+def layout(config: ModelConfig) -> Iterator[tuple[str, int, int]]:
+    """(name, rows, cols) of every learnable, in ``ModelParams.flat`` order:
+    the input projection and rectifier, each block's ``gb.block_layout``,
+    then the output projection.  Lazy, like ``gb.block_layout``."""
+    d = config.hidden
+    yield "w_in", config.input_width, d
+    yield gb.PRELU_IN, 1, d
+    for i in range(config.layers):
+        yield from gb.block_layout(d, config.heads, f"block{i}", config.parallel_attention)
+    yield "w_out", d, config.output_width
+
+
 class ModelParams:
     """Every learnable lives in one contiguous float64 vector ``flat`` (and
-    its gradient in ``grad``); each ``Value`` below is a 2-D view into them,
-    laid out in ``named()`` order."""
+    its gradient in ``grad``); each ``Value`` is a 2-D view into them, laid
+    out in ``layout(config)`` order.  Wraps ``flat`` without copying it."""
 
-    config: ModelConfig
-    w_in: ad.Value                    # (tau*f) x d
-    prelu_in: ad.Value                # 1 x d learnable rectifier slopes
-    blocks: list[gb.BlockParams]
-    w_out: ad.Value                   # d x (phi*alpha)
-    flat: np.ndarray = field(init=False, repr=False)
-    grad: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        values = [value for _, value in self.named()]
-        size = sum(value.data.size for value in values)
-        self.flat = np.empty(size)
-        self.grad = np.zeros(size)
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        entries = list(layout(config))
+        size = sum(rows * cols for _, rows, cols in entries)
+        if flat.shape != (size,):
+            raise ShapeError(f"ModelParams: flat has shape {flat.shape}, "
+                             f"the layout needs ({size},)")
+        self.config = config
+        self.flat = flat
+        self.grad = np.zeros_like(flat)
+        self._named: list[tuple[str, ad.Value]] = []
         start = 0
-        for value in values:
-            stop = start + value.data.size
-            view = self.flat[start:stop].reshape(value.data.shape)
-            view[...] = value.data
-            value.data = view
-            value._grad = self.grad[start:stop].reshape(view.shape)
+        for name, rows, cols in entries:
+            stop = start + rows * cols
+            value = ad.Value(flat[start:stop].reshape(rows, cols))
+            value._grad = self.grad[start:stop].reshape(rows, cols)
+            self._named.append((name, value))
             start = stop
+        values = (value for _, value in self._named)
+        self.w_in: ad.Value = next(values)        # (tau*f) x d
+        self.prelu_in: ad.Value = next(values)    # 1 x d learnable rectifier slopes
+        self.blocks = [gb.assemble_block(values, config.heads, config.parallel_attention)
+                       for _ in range(config.layers)]
+        self.w_out: ad.Value = next(values)       # d x (phi*alpha)
 
     def named(self) -> list[tuple[str, ad.Value]]:
-        out = [("w_in", self.w_in), ("prelu_in", self.prelu_in)]
-        for i, block in enumerate(self.blocks):
-            out += gb.block_parameters(block, f"block{i}")
-        out.append(("w_out", self.w_out))
-        return out
+        return self._named
 
     def parameter_count(self) -> int:
         return self.flat.size
@@ -147,17 +159,9 @@ class OptimizerState:
 
 def init_model(config: ModelConfig) -> ModelParams:
     config.validate(strict_ranges=False)
-    d, seed = config.hidden, config.seed
-    blocks = [gb.init_block(d, config.heads, seed, name=f"block{i}",
-                            parallel=config.parallel_attention)
-              for i in range(config.layers)]
-    return ModelParams(
-        config=copy.copy(config),
-        w_in=gb.xavier(seed, "w_in", config.input_width, d),
-        prelu_in=ad.Value(np.full((1, d), gb.PRELU_INIT)),
-        blocks=blocks,
-        w_out=gb.xavier(seed, "w_out", d, config.output_width),
-    )
+    flat = np.concatenate([gb.initial_value(config.seed, *entry).ravel()
+                           for entry in layout(config)])
+    return ModelParams(copy.copy(config), flat)
 
 
 def forward(params: ModelParams, snapshot: eg.GraphSnapshot) -> ad.Value:
@@ -305,10 +309,8 @@ def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelC
 
     if not val_samples:
         best_flat, best_epoch, best = params.flat, config.epochs, float("nan")
-    best_params = init_model(config)
-    best_params.flat[...] = best_flat
-    return TrainResult(params=best_params, final_params=params, history=history,
-                       best_epoch=best_epoch, best_val_acc=best)
+    return TrainResult(params=ModelParams(params.config, best_flat.copy()), final_params=params,
+                       history=history, best_epoch=best_epoch, best_val_acc=best)
 
 
 def predict(params: ModelParams, snapshot: eg.GraphSnapshot) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +333,7 @@ def predict(params: ModelParams, snapshot: eg.GraphSnapshot) -> tuple[np.ndarray
 # ---------------------------------------------------------------------------
 # persistence, format 2: a 16-byte prefix (magic, version, header length and
 # the CRC32 of every byte after the prefix), a UTF-8 JSON header
-# {"config": ..., "params": [[name, rows, cols], ...]} in named() order, then
+# {"config": ..., "params": [[name, rows, cols], ...]} in layout() order, then
 # ModelParams.flat as little-endian float64
 # ---------------------------------------------------------------------------
 
@@ -341,7 +343,7 @@ _PREFIX = struct.Struct("<4sIII")
 def save_model(params: ModelParams, path) -> None:
     header = json.dumps({
         "config": asdict(params.config),
-        "params": [[name, *value.data.shape] for name, value in params.named()],
+        "params": list(layout(params.config)),
     }, sort_keys=True).encode("utf-8")
     body = header + params.flat.astype("<f8").tobytes()
     with open(path, "wb") as fh:
@@ -375,25 +377,6 @@ def _has_kind(value, kind: str) -> bool:
     if kind == "int":
         return isinstance(value, int)
     return isinstance(value, (int, float)) or (kind == "float | None" and value is None)
-
-
-def _check_sizes(cfg: ModelConfig, shapes: dict[str, tuple[int, int]]) -> None:
-    """Reject a config whose sizes disagree with the header's matrix shapes
-    before ``init_model`` allocates anything from it."""
-    if "w_in" not in shapes or "w_out" not in shapes:
-        raise FormatError("model file lacks w_in or w_out")
-    stored = {
-        "(tau*f, hidden)": (shapes["w_in"], (cfg.input_width, cfg.hidden)),
-        "(hidden, phi*alpha)": (shapes["w_out"], (cfg.hidden, cfg.output_width)),
-        "layers": (sum(name.endswith(".w_skip") for name in shapes), cfg.layers),
-    }
-    if cfg.parallel_attention:
-        stored["layers * heads"] = (sum(name.endswith(".w_q") for name in shapes),
-                                    cfg.layers * cfg.heads)
-    for what, (found, configured) in stored.items():
-        if found != configured:
-            raise FormatError(f"config {what} = {configured} does not match the stored "
-                              f"matrices, which give {found}")
 
 
 def load_model(path) -> ModelParams:
@@ -436,13 +419,18 @@ def load_model(path) -> ModelParams:
         raise FormatError(f"payload at offset {end} holds {len(blob) - end} bytes, but the "
                           f"header declares {declared} bytes")
 
-    _check_sizes(cfg, {name: (rows, cols) for name, rows, cols in listing})
+    # the layout is lazy, so a huge stored layers or heads stops at the first
+    # entry that differs from the finite listing, before anything is allocated
     try:
-        params = init_model(cfg)
+        cfg.validate(strict_ranges=False)
+        for i, (stored, entry) in enumerate(itertools.zip_longest(listing, layout(cfg))):
+            expected = None if entry is None else list(entry)
+            if stored != expected:
+                raise FormatError(f"parameter listing in the header at offset {at} does not "
+                                  f"match the stored configuration at entry {i}: the header "
+                                  f"has {stored or 'nothing'}, the configuration lays out "
+                                  f"{expected or 'nothing'}")
     except ConfigError as exc:
         raise FormatError(f"stored configuration is invalid: {exc}") from None
-    if [[name, *value.data.shape] for name, value in params.named()] != listing:
-        raise FormatError(f"parameter listing in the header at offset {at} does not match "
-                          f"the stored configuration")
-    params.flat[...] = np.frombuffer(blob, dtype="<f8", offset=end)
-    return params
+    # astype copies the read-only buffer into a writable native-order vector
+    return ModelParams(cfg, np.frombuffer(blob, dtype="<f8", offset=end).astype(np.float64))

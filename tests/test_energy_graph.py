@@ -27,29 +27,6 @@ def brute_force_adjacency(features, k, tau):
 
 
 # ---------------------------------------------------------------------------
-# stock_energy
-# ---------------------------------------------------------------------------
-
-def test_energy_of_zero_vector_is_zero():
-    assert eg.stock_energy(np.zeros(12)) == 0.0
-
-
-def test_energy_hand_case():
-    assert eg.stock_energy(np.array([1.0, 2.0, 2.0])) == 9.0
-
-
-def test_energy_quadratic_homogeneity():
-    rng = np.random.default_rng(0)
-    row = rng.standard_normal(9)
-    assert eg.stock_energy(3.0 * row) == pytest.approx(9.0 * eg.stock_energy(row), rel=1e-12)
-
-
-def test_energy_rejects_non_finite():
-    with pytest.raises(NumericError):
-        eg.stock_energy(np.array([1.0, np.nan]))
-
-
-# ---------------------------------------------------------------------------
 # boltzmann_adjacency
 # ---------------------------------------------------------------------------
 
@@ -84,6 +61,14 @@ def test_invalid_scaling_or_temperature_rejected():
         eg.boltzmann_adjacency(feats, k=0.5, tau=0)
     with pytest.raises(ConfigError):
         eg.boltzmann_adjacency(np.ones((1, 3)), k=0.5, tau=5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_features_rejected(bad):
+    feats = np.ones((3, 4))
+    feats[1, 2] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        eg.boltzmann_adjacency(feats, k=0.5, tau=5)
 
 
 def test_rows_sum_to_one_on_random_instances():

@@ -53,6 +53,12 @@ def random_adjacency(rng, n, density=0.5):
     return adj
 
 
+def layout_values(d, h, seed, name="block0", parallel=True):
+    """Fresh (name, Value) pairs of one block, in block_layout order."""
+    return [(entry[0], ad.Value(gb.initial_value(seed, *entry)))
+            for entry in gb.block_layout(d, h, name, parallel)]
+
+
 # ---------------------------------------------------------------------------
 # gatv2_layer
 # ---------------------------------------------------------------------------
@@ -328,7 +334,8 @@ def test_propagation_stream_ignores_parallel_stream():
 
 def test_two_stacked_blocks_pass_gradient_check():
     rng = np.random.default_rng(13)
-    blocks = [gb.init_block(d=4, h=2, seed=15, name=f"block{i}") for i in range(2)]
+    listings = [layout_values(4, 2, seed=15, name=f"block{i}") for i in range(2)]
+    blocks = [gb.assemble_block(iter(v for _, v in listing), h=2) for listing in listings]
     x = ad.Value(rng.standard_normal((5, 4)))
     adj = random_adjacency(rng, 5)
     weight = ad.const(rng.standard_normal((5, 4)))
@@ -339,9 +346,7 @@ def test_two_stacked_blocks_pass_gradient_check():
             state = gb.parallel_block(state, adj, b)
         return ad.reduce_sum(ad.mul(state.hp, weight))
 
-    params = [x]
-    for i, b in enumerate(blocks):
-        params += [v for _, v in gb.block_parameters(b, f"block{i}")]
+    params = [x] + [v for listing in listings for _, v in listing]
     report = ad.grad_check(f, params, step=1e-5, tol=1e-4)
     assert report.passed, report
 
@@ -363,11 +368,17 @@ def test_plain_block_collapses_streams():
 # ---------------------------------------------------------------------------
 
 def test_same_seed_is_bit_identical():
-    a = gb.init_block(d=8, h=2, seed=42)
-    b = gb.init_block(d=8, h=2, seed=42)
-    for (na, va), (nb, vb) in zip(gb.block_parameters(a), gb.block_parameters(b)):
+    a = layout_values(8, 2, seed=42)
+    b = layout_values(8, 2, seed=42)
+    for (na, va), (nb, vb) in zip(a, b):
         assert na == nb
         np.testing.assert_array_equal(va.data, vb.data)
+    # init_block assembles the same draws into the matching fields
+    block = gb.init_block(d=8, h=2, seed=42)
+    values = dict(a)
+    np.testing.assert_array_equal(block.gat.attn.data, values["block0.gat.attn"].data)
+    np.testing.assert_array_equal(block.heads[1][2].data, values["block0.head1.w_v"].data)
+    np.testing.assert_array_equal(block.w_merge.data, values["block0.w_merge"].data)
 
 
 def test_different_seeds_differ():
@@ -380,7 +391,7 @@ def test_xavier_bounds_hold_empirically():
     # 10^4 draws of an 8x2-shaped parameter stay inside +-sqrt(6/(8+2))
     limit = np.sqrt(6.0 / 10.0)
     draws = np.concatenate([
-        gb.xavier(seed, "probe", 8, 2).data.ravel() for seed in range(625)
+        gb.xavier(seed, "probe", 8, 2).ravel() for seed in range(625)
     ])
     assert draws.size == 10_000
     assert np.abs(draws).max() <= limit
@@ -395,10 +406,9 @@ def test_shared_shape_parameters_identical_across_variants():
 
 
 def test_parallel_off_drops_exactly_the_attention_matrices():
-    full = gb.init_block(d=8, h=2, seed=4, parallel=True)
-    plain = gb.init_block(d=8, h=2, seed=4, parallel=False)
-    count = lambda p: sum(v.data.size for _, v in gb.block_parameters(p))
     d, h = 8, 2
+    count = lambda parallel: sum(rows * cols for _, rows, cols
+                                 in gb.block_layout(d, h, parallel=parallel))
     d_cat, d_head = 2 * d, 2 * d // h
     gamma_size = h * 3 * d_cat * d_head + d_cat * d
-    assert count(full) - count(plain) == gamma_size
+    assert count(True) - count(False) == gamma_size

@@ -9,8 +9,10 @@ import pytest
 
 from trendgat import autodiff as ad
 from trendgat import energy_graph as eg
+from trendgat import gnn_blocks as gb
 from trendgat import model as mdl
-from trendgat.errors import ConfigError, FormatError, LabelError, NumericError, TrendgatError
+from trendgat.errors import (ConfigError, FormatError, LabelError, NumericError, ShapeError,
+                             TrendgatError)
 
 from test_gnn_blocks import gat_oracle, mha_oracle
 
@@ -237,9 +239,12 @@ def test_vectorized_adamw_matches_per_tensor_reference_bitwise():
         np.testing.assert_array_equal(params.flat, ref.flat)
 
 
-def test_named_values_are_views_of_the_flat_store():
-    params = mdl.init_model(small_config())
+@pytest.mark.parametrize("parallel", [False, True], ids=["plain", "parallel"])
+def test_named_values_are_views_of_the_flat_store(parallel):
+    cfg = small_config(parallel_attention=parallel)
+    params = mdl.init_model(cfg)
     named = params.named()
+    assert [(name, *v.data.shape) for name, v in named] == list(mdl.layout(cfg))
     assert params.parameter_count() == sum(v.data.size for _, v in named)
     np.testing.assert_array_equal(
         np.concatenate([v.data.ravel() for _, v in named]), params.flat)
@@ -249,6 +254,14 @@ def test_named_values_are_views_of_the_flat_store():
         np.concatenate([v.data.ravel() for _, v in named]), params.flat)
     np.testing.assert_array_equal(
         np.concatenate([v.grad.ravel() for _, v in named]), params.grad)
+
+
+def test_flat_vector_of_the_wrong_size_is_shape_error():
+    cfg = small_config()
+    size = mdl.init_model(cfg).flat.size
+    for wrong in (size - 1, size + 1):
+        with pytest.raises(ShapeError, match=rf"the layout needs \({size},\)"):
+            mdl.ModelParams(cfg, np.zeros(wrong))
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +371,16 @@ def test_predict_shapes_and_probabilities():
 # persistence
 # ---------------------------------------------------------------------------
 
-def test_save_load_round_trip_is_bit_identical(tmp_path):
+def test_save_load_round_trip_is_bit_identical(tmp_path, monkeypatch):
     cfg = small_config()
     params = mdl.init_model(cfg)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     mdl.save_model(params, p1)
+
+    def no_draws(*args):
+        raise AssertionError("load_model drew a Xavier initialisation")
+
+    monkeypatch.setattr(gb, "xavier", no_draws)    # loading wraps the payload, draws nothing
     mdl.save_model(mdl.load_model(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -430,16 +448,22 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("hidden", "x", "hidden='x' is not int"),
     ("layers", None, "layers=None is not int"),
     ("tau", "14", "tau='14' is not int"),
-    ("hidden", 10**12, r"\(tau\*f, hidden\) = \(6, 1000000000000\)"),
+    ("hidden", 10**12, r"entry 0: the header has \['w_in', 6, 6\], "
+                       r"the configuration lays out \['w_in', 6, 1000000000000\]"),
     ("grad_clip", "a", "grad_clip='a' is not float | None"),
     ("parallel_attention", "no", "parallel_attention='no' is not bool"),
-    ("heads", 3, r"layers \* heads = 6 does not match the stored matrices, which give 4"),
+    ("heads", 3, r"entry 7: the header has \['block0.head0.w_q', 12, 6\], "
+                 r"the configuration lays out \['block0.head0.w_q', 12, 4\]"),
+    ("layers", 10**9, r"entry 26: the header has \['w_out', 6, 2\], "
+                      r"the configuration lays out \['block2.gat.w_left', 6, 6\]"),
+    ("heads", 10**9, r"stored configuration is invalid: .*heads must be in \[1, 12\]"),
     ("epochs", 0, "stored configuration is invalid"),
     ("k", math.nan, "k=nan is not finite"),
     ("s", math.inf, "s=inf is not finite"),
     ("grad_clip", -math.inf, "grad_clip=-inf is not finite"),
 ], ids=["hidden_str", "layers_null", "tau_str", "hidden_huge", "grad_clip_str",
-        "parallel_str", "heads_missized", "epochs_zero", "k_nan", "s_inf", "grad_clip_neg_inf"])
+        "parallel_str", "heads_missized", "layers_huge", "heads_huge", "epochs_zero", "k_nan",
+        "s_inf", "grad_clip_neg_inf"])
 def test_mistyped_or_missized_config_is_format_error(tmp_path, capsys, key, value, match):
     from trendgat import cli
 
