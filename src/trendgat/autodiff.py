@@ -289,50 +289,55 @@ def masked_row_softmax(a: Value, mask: np.ndarray) -> Value:
 
 
 def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
-                  weights: np.ndarray, mask: np.ndarray, slope: float) -> Value:
-    """GATv2 attention evaluated on the edges of ``mask`` only.
+                  indptr: np.ndarray, src: np.ndarray, weight: np.ndarray,
+                  slope: float) -> Value:
+    """GATv2 attention evaluated on the edges of a CSR graph only.
 
-    ``left`` and ``right`` hold B graphs of N nodes stacked row-wise
-    (B * N rows); ``mask`` and ``weights`` are (B * N) x N, row b * N + i
-    being row i of graph b over that graph's N nodes (B = 1 is a plain
-    N x N graph).  So the True position (r, j) is an edge from node
-    r - r mod N + j to node r.  Row r of the result is
-    sum_j a_rj * right[src] over those edges, where a_r. is the softmax
-    over them of attn . leaky_relu(left[r] + right[src]) +
-    edge_bias * weights[r, j].  Edges come from ``np.flatnonzero(mask)``
-    in row-major order, so each row's edges are contiguous and every
-    per-row reduction is one ``reduceat``; time and memory are O(E * d).
-    A row with no True position is an error.
+    ``left`` and ``right`` have one row per node (R rows, B stacked graphs
+    of N nodes being one graph of R = B * N nodes).  Row r's edges are
+    ``indptr[r]:indptr[r + 1]``: ``src`` holds their source nodes and
+    ``weight`` their adjacency entries.  Row r of the result is
+    sum_e a_e * right[src[e]] over row r's edges, where a is the softmax
+    over them of attn . leaky_relu(left[r] + right[src[e]]) +
+    edge_bias * weight[e].  Each row's edges are contiguous, so every
+    per-row reduction is one ``reduceat`` and time and memory are
+    O(E * d).  A malformed graph (``indptr`` not R + 1 non-decreasing
+    offsets from 0 to E, a source outside [0, R), ``weight`` not E long)
+    is a ``ShapeError``; a row without edges a ``DegenerateRowError``.
     """
     rows, d = left.data.shape
-    mask = np.asarray(mask, dtype=bool)
-    weights = np.asarray(weights, dtype=np.float64)
+    indptr, src = np.asarray(indptr), np.asarray(src)
+    weight = np.asarray(weight, dtype=np.float64)
     if right.data.shape != (rows, d) or attn.data.shape != (d, 1) or edge_bias.data.shape != (1, 1):
         raise ShapeError(
             f"gat_attention: left {left.data.shape}, right {right.data.shape}, "
             f"attn {attn.data.shape}, edge_bias {edge_bias.data.shape} "
             f"(want R x d, R x d, d x 1, 1 x 1)")
-    if (mask.ndim != 2 or weights.shape != mask.shape or mask.shape[0] != rows
-            or not mask.shape[1] or rows % mask.shape[1]):
+    if (indptr.shape != (rows + 1,) or src.ndim != 1 or weight.shape != src.shape
+            or indptr.dtype.kind not in "iu" or src.dtype.kind not in "iu"
+            or indptr[0] != 0 or indptr[-1] != src.size):
         raise ShapeError(
-            f"gat_attention: mask {mask.shape} and weights {weights.shape} for {rows} rows "
-            f"(want R x N with N dividing R)")
-    n = mask.shape[1]
-    dst, col = np.divmod(np.flatnonzero(mask), n)                   # row-major edge order
-    src = dst - dst % n + col                                       # the same graph's node
-    counts = np.bincount(dst, minlength=rows)
-    if (counts == 0).any():
+            f"gat_attention: indptr {indptr.shape}, src {src.shape}, weight {weight.shape} "
+            f"for {rows} rows (want R + 1 integer offsets from 0 to E, E integer sources "
+            f"and E weights)")
+    counts = indptr[1:] - indptr[:-1]
+    if rows and counts.min() <= 0:
         row = int(np.argmin(counts))
+        if counts[row] < 0:
+            raise ShapeError(f"gat_attention: indptr decreases at row {row}")
         raise DegenerateRowError(f"gat_attention: row {row} has no edge")
-    starts = np.cumsum(counts) - counts                             # first edge of each row
+    if src.size and (src.min() < 0 or src.max() >= rows):
+        raise ShapeError(f"gat_attention: sources span [{src.min()}, {src.max()}], "
+                         f"outside [0, {rows})")
+    starts = indptr[:-1]                                            # first edge of each row
+    dst = np.repeat(np.arange(rows), counts)
     slope = float(slope)
 
     nbr = right.data[src]                                           # E x d
     pre = left.data[dst] + nbr
     pos = pre > 0
     act = np.where(pos, pre, slope * pre)
-    edge_w = weights[dst, col]
-    logits = (act @ attn.data)[:, 0] + edge_w * edge_bias.data[0, 0]
+    logits = (act @ attn.data)[:, 0] + weight * edge_bias.data[0, 0]
     e = np.exp(logits - np.maximum.reduceat(logits, starts)[dst])
     alpha = e / np.add.reduceat(e, starts)[dst]                     # E
     out, t = _make(np.add.reduceat(alpha[:, None] * nbr, starts, axis=0),
@@ -345,7 +350,7 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
             if attn.requires_grad:
                 attn._acc(act.T @ g_logit[:, None])
             if edge_bias.requires_grad:
-                edge_bias._acc(np.array([[g_logit @ edge_w]]))
+                edge_bias._acc(np.array([[g_logit @ weight]]))
             g_pre = g_logit[:, None] * attn.data[:, 0] * np.where(pos, 1.0, slope)
             if left.requires_grad:
                 left._acc(np.add.reduceat(g_pre, starts, axis=0))

@@ -6,6 +6,12 @@ Boltzmann kernel exp(-|dE|/(k*tau)) and row-normalized, the lag window
 size doubling as the system temperature.  Entries below the threshold s
 are then zeroed.  A static same-sector graph is provided for ablation
 runs.
+
+Every graph the model reads is a ``CsrGraph``: per node, the sources of
+its incoming edges and their weights.  A thresholded row keeps at most
+1/s entries, so a snapshot takes O(N / s) memory, and ``boltzmann_graph``
+builds it in O(N log N) without an N x N intermediate.  The dense
+``boltzmann_adjacency`` and ``sparsify`` stay as its reference.
 """
 
 from __future__ import annotations
@@ -15,28 +21,106 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 
 THRESHOLD_RANGE = (0.25, 0.85)
+
+# each row's candidate window is widened by _WINDOW_MARGIN * (1 + max x),
+# x = E / (k * tau): far above the rounding of x and of log Z, far below
+# any gap that changes which entries reach s
+_WINDOW_MARGIN = 1e-9
 
 
 class ThresholdRangeWarning(UserWarning):
     """Threshold outside the usual search range; permitted but suspicious."""
 
 
+@dataclass(frozen=True, eq=False)
+class CsrGraph:
+    """Sparse graph over R nodes: B graphs of ``n`` nodes each, stacked by
+    node offset (R = B * n; B = 1 is one snapshot).
+
+    Row r holds the edges into node r: ``src[indptr[r]:indptr[r + 1]]``
+    are their source nodes (indices into all R nodes, ascending) and
+    ``weight`` the matching adjacency entries.  Every row holds its
+    self-loop, with the thresholded diagonal weight (0.0 when that entry
+    fell below the threshold), so no attention row is empty.
+    ``np.asarray(graph)`` is the dense R x R matrix, block-diagonal for a
+    stack; ``shape`` is its shape.
+    """
+
+    indptr: np.ndarray   # R + 1 edge offsets, indptr[0] = 0
+    src: np.ndarray      # E source nodes
+    weight: np.ndarray   # E entries
+    n: int               # nodes per graph
+
+    @property
+    def rows(self) -> int:
+        return self.indptr.size - 1
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.rows)
+
+    @property
+    def dst(self) -> np.ndarray:
+        """The row (destination node) of each edge."""
+        return np.repeat(np.arange(self.rows), np.diff(self.indptr))
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("CsrGraph: the dense matrix is always a new array")
+        dense = np.zeros(self.shape, dtype=np.float64 if dtype is None else dtype)
+        dense[self.dst, self.src] = self.weight
+        return dense
+
+
 @dataclass
 class GraphSnapshot:
-    """One time step's model input: lag-window features plus the adjacency
-    built from them.  ``metrics.evaluate`` also builds one from B snapshots
-    stacked row-wise: features (B * N) x (tau*F) and adjacency (B * N) x N,
-    row b * N + i holding row i of snapshot b."""
+    """One time step's model input: lag-window features plus the graph
+    built from them.  ``metrics.evaluate`` also builds one from B
+    snapshots: features stacked row-wise to (B * N) x (tau*F) and their
+    graphs joined by ``stack``, so row b * N + i is stock i of snapshot b."""
 
     t: int
     features: np.ndarray   # N x (tau*F), or (B * N) x (tau*F) stacked
-    adjacency: np.ndarray  # N x N sparsified, or (B * N) x N stacked
+    adjacency: CsrGraph    # the sparsified graph, or B of them stacked
     k: float
     tau: int
     threshold: float
+
+
+def _energies(features, k: float, tau: int, caller: str) -> np.ndarray:
+    """Per-stock window energies, after the checks every builder shares."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] < 2:
+        raise ConfigError(f"{caller}: need a 2-D matrix with N >= 2 rows, got {features.shape}")
+    if k <= 0:
+        raise ConfigError(f"{caller}: k must be positive, got {k}")
+    if tau < 1:
+        raise ConfigError(f"{caller}: tau must be >= 1, got {tau}")
+    energies = (features * features).sum(axis=1)
+    # squares cannot cancel, so a non-finite feature makes its energy non-finite
+    if not np.isfinite(energies).all():
+        raise NumericError(f"{caller}: features have non-finite entries or energies that overflow")
+    return energies
+
+
+def _check_threshold(s: float) -> None:
+    lo, hi = THRESHOLD_RANGE
+    if not lo <= s <= hi:
+        warnings.warn(
+            f"threshold {s} outside the usual range [{lo}, {hi}]", ThresholdRangeWarning,
+            stacklevel=3)
+
+
+def _windows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, p) for every position p of every window [lo[r], hi[r]), window
+    by window and ascending within each."""
+    counts = hi - lo
+    row = np.repeat(np.arange(lo.size), counts)
+    first = counts.cumsum() - counts
+    return row, np.arange(row.size) + (lo - first)[row]
 
 
 def boltzmann_adjacency(features: np.ndarray, k: float, tau: int) -> np.ndarray:
@@ -45,19 +129,10 @@ def boltzmann_adjacency(features: np.ndarray, k: float, tau: int) -> np.ndarray:
     Entry (i, j) is exp(-|E_i - E_j|/(k*tau)) normalized over j.  The
     exponent is shifted by the row maximum before exponentiation; the
     shift is zero here (the self term always attains it) but keeps the
-    evaluation explicitly underflow-safe for extreme energies.
+    evaluation explicitly underflow-safe for extreme energies.  Dense
+    N x N: the reference for ``boltzmann_graph``.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 2:
-        raise ConfigError(f"boltzmann_adjacency: need a 2-D matrix with N >= 2 rows, got {features.shape}")
-    if k <= 0:
-        raise ConfigError(f"boltzmann_adjacency: k must be positive, got {k}")
-    if tau < 1:
-        raise ConfigError(f"boltzmann_adjacency: tau must be >= 1, got {tau}")
-    if not np.isfinite(features).all():
-        raise NumericError("boltzmann_adjacency: features have non-finite entries")
-
-    energies = (features * features).sum(axis=1)
+    energies = _energies(features, k, tau, "boltzmann_adjacency")
     gaps = np.abs(energies[:, None] - energies[None, :])
     logits = -gaps / (k * tau)
     logits -= logits.max(axis=1, keepdims=True)
@@ -69,51 +144,128 @@ def boltzmann_adjacency(features: np.ndarray, k: float, tau: int) -> np.ndarray:
 def sparsify(adjacency: np.ndarray, s: float) -> np.ndarray:
     """Zero every entry below s, leaving the rest untouched (no renormalization)."""
     adjacency = np.asarray(adjacency, dtype=np.float64)
-    lo, hi = THRESHOLD_RANGE
-    if not lo <= s <= hi:
-        warnings.warn(
-            f"threshold {s} outside the usual range [{lo}, {hi}]", ThresholdRangeWarning,
-            stacklevel=2)
+    _check_threshold(s)
     out = adjacency.copy()
     out[out < s] = 0.0
     return out
 
 
-def edge_list(adjacency: np.ndarray) -> list[tuple[int, int, float]]:
-    """Nonzero entries as (src, dst, weight) triples in row-major order."""
-    adjacency = np.asarray(adjacency)
-    src, dst = np.nonzero(adjacency)
-    return [(int(i), int(j), float(adjacency[i, j])) for i, j in zip(src, dst)]
+def boltzmann_graph(features: np.ndarray, k: float, tau: int, s: float) -> CsrGraph:
+    """The graph of ``sparsify(boltzmann_adjacency(features, k, tau), s)``
+    plus every self-loop, in O(N log N) time and O(N / s) memory.
+
+    With the energies sorted and x = E / (k * tau), row i's normalizer
+    sum_j exp(-|x_i - x_j|) is Z_i = L_i + R_i - 1, where
+    L_i = sum_{j <= i} exp(x_j - x_i) comes from one
+    ``np.logaddexp.accumulate`` and R_i mirrors it from the right.  Entry
+    (i, j) reaches s exactly when |x_i - x_j| <= -ln(s * Z_i): a window of
+    the sorted energies, found with ``searchsorted`` and widened by a
+    rounding margin.  Each candidate's weight exp(-|E_i - E_j| / (k * tau))
+    / Z_i is then kept when it is at least s (positive, for s <= 0), the
+    rule of ``sparsify``.
+    """
+    energies = _energies(features, k, tau, "boltzmann_graph")
+    _check_threshold(s)
+    n = energies.size
+    scale = k * tau
+    order = energies.argsort(kind="stable")
+    e = energies[order]
+    x = e / scale
+    log_left = np.logaddexp.accumulate(x) - x
+    log_right = np.logaddexp.accumulate(-x[::-1])[::-1] + x
+    z = np.exp(log_left) + np.exp(log_right) - 1.0
+    margin = _WINDOW_MARGIN * (1.0 + x[-1])          # energies are >= 0
+    reach = margin - np.log(s * z) if s > 0 else np.full(n, np.inf)
+    bounds = x.searchsorted(np.concatenate((x - reach, x + reach)))
+    # every window holds its own row: one whose own entry misses s keeps
+    # only its self-loop
+    at = np.arange(n)
+    lo, hi = np.minimum(bounds[:n], at), np.maximum(bounds[n:], at + 1)
+    if (hi - lo == 1).all():
+        # no row has a candidate neighbour, as in most snapshots at the
+        # default k and s: the graph is the self-loops, weight 1 / Z_i
+        self_weight = 1.0 / z
+        weight = np.empty(n)
+        weight[order] = self_weight * (self_weight >= s)
+        return CsrGraph(indptr=np.arange(n + 1), src=at, weight=weight, n=n)
+    row, col = _windows(lo, hi)
+    w = np.exp(np.abs(e[row] - e[col]) / -scale) / z[row]
+    kept = w >= s if s > 0 else w > 0
+    edge = kept | (row == col)
+    w *= kept
+    dst, src = order[row[edge]], order[col[edge]]
+    by_node = (dst * n + src).argsort()              # row-major, sources ascending
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.bincount(dst, minlength=n).cumsum(out=indptr[1:])
+    return CsrGraph(indptr=indptr, src=src[by_node], weight=w[edge][by_node], n=n)
 
 
-def sector_adjacency(membership: dict[str, str], tickers: list[str]) -> np.ndarray:
-    """Row-normalized same-sector graph (self-loops included)."""
+def from_dense(adjacency: np.ndarray) -> CsrGraph:
+    """The graph of a square matrix: its positive entries plus every
+    self-loop (weight ``adjacency[i, i]``, whatever its sign), row-major."""
+    adjacency = np.asarray(adjacency, dtype=np.float64)
+    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1] or not adjacency.size:
+        raise ShapeError(f"from_dense: want a non-empty square matrix, got {adjacency.shape}")
+    mask = adjacency > 0
+    np.fill_diagonal(mask, True)
+    dst, src = np.nonzero(mask)
+    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+    return CsrGraph(indptr=indptr, src=src, weight=adjacency[dst, src], n=adjacency.shape[0])
+
+
+def stack(graphs) -> CsrGraph:
+    """One graph holding ``graphs`` side by side: the nodes of each are
+    offset by the node count of those before it, so no edge crosses
+    between them.  All must have the same nodes per graph ``n``."""
+    graphs = list(graphs)
+    if not graphs or any(g.n != graphs[0].n for g in graphs):
+        raise ShapeError(f"stack: want one or more graphs of equal n, got "
+                         f"n = {[g.n for g in graphs]}")
+    indptr, src, nodes, edges = [np.zeros(1, dtype=np.int64)], [], 0, 0
+    for g in graphs:
+        indptr.append(g.indptr[1:] + edges)
+        src.append(g.src + nodes)
+        nodes += g.rows
+        edges += g.src.size
+    return CsrGraph(indptr=np.concatenate(indptr), src=np.concatenate(src),
+                    weight=np.concatenate([g.weight for g in graphs]), n=graphs[0].n)
+
+
+def sector_adjacency(membership: dict[str, str], tickers: list[str]) -> CsrGraph:
+    """Row-normalized same-sector graph: each stock links to every member
+    of its sector, itself included, with weight 1 / sector size."""
     missing = [t for t in tickers if t not in membership or not membership[t]]
     if missing:
         raise ConfigError(f"sector_adjacency: no sector for ticker(s) {missing}")
     # integer codes: exact string equality, and faster to compare than a numpy string array
     codes: dict[str, int] = {}
     sectors = np.array([codes.setdefault(membership[t], len(codes)) for t in tickers])
-    adj = (sectors[:, None] == sectors[None, :]).astype(np.float64)
-    return adj / adj.sum(axis=1, keepdims=True)
+    members = np.argsort(sectors, kind="stable")      # by sector, ascending within one
+    size = np.bincount(sectors)[sectors]              # each stock's sector size
+    first = np.searchsorted(sectors[members], sectors)
+    row, pos = _windows(first, first + size)
+    return CsrGraph(indptr=np.concatenate(([0], np.cumsum(size))), src=members[pos],
+                    weight=1.0 / size[row], n=len(tickers))
 
 
-def export_edges(adjacency: np.ndarray, tickers: list[str], out) -> int:
-    """Write nonzero entries as TSV `src dst weight` lines; returns the count."""
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    if not np.isfinite(adjacency).all():
+def export_edges(graph: CsrGraph, tickers: list[str], out) -> int:
+    """Write the nonzero entries as TSV `src dst weight` lines, row-major,
+    `src` naming the row's stock and `dst` the entry's column; returns the
+    count.  A self-loop of weight 0.0 is no entry."""
+    if not np.isfinite(graph.weight).all():
         raise NumericError("export_edges: adjacency has non-finite entries")
-    edges = edge_list(adjacency)
+    rows = graph.dst
+    nonzero = np.flatnonzero(graph.weight)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("src\tdst\tweight\n")
-        for i, j, w in edges:
-            fh.write(f"{tickers[i]}\t{tickers[j]}\t{w:.17g}\n")
-    return len(edges)
+        for e in nonzero:
+            fh.write(f"{tickers[rows[e]]}\t{tickers[graph.src[e]]}\t{graph.weight[e]:.17g}\n")
+    return int(nonzero.size)
 
 
-def export_dense(adjacency: np.ndarray, tickers: list[str], out) -> None:
+def export_dense(graph: CsrGraph, tickers: list[str], out) -> None:
     """Dense adjacency dump as CSV with a ticker header row and column."""
-    adjacency = np.asarray(adjacency, dtype=np.float64)
+    adjacency = np.asarray(graph, dtype=np.float64)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("," + ",".join(tickers) + "\n")
         for ticker, row in zip(tickers, adjacency):
@@ -121,12 +273,13 @@ def export_dense(adjacency: np.ndarray, tickers: list[str], out) -> None:
 
 
 def snapshot(t: int, features: np.ndarray, k: float, tau: int, threshold: float) -> GraphSnapshot:
-    """Build the sparsified adjacency for one window and bundle it up."""
-    dense = boltzmann_adjacency(features, k, tau)
+    """Bundle one window's features with its thresholded energy graph
+    (``boltzmann_graph``)."""
+    features = np.asarray(features, dtype=np.float64)
     return GraphSnapshot(
         t=t,
-        features=np.asarray(features, dtype=np.float64),
-        adjacency=sparsify(dense, threshold),
+        features=features,
+        adjacency=boltzmann_graph(features, k, tau, threshold),
         k=k,
         tau=tau,
         threshold=threshold,

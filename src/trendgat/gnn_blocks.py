@@ -7,17 +7,18 @@ representation and re-compresses the result to the hidden width through
 multi-head attention.  The propagation stream never reads the parallel
 stream, so per-depth representations survive later propagation.
 
-The attention layer touches only the graph's edges plus the self-loops:
+The attention layer touches only the graph's edges, self-loops included:
 with E of them and width d it costs O(E * d) time and memory, so a
-thresholded snapshot (at most 1/s entries per row) costs O(N * d).  The
+thresholded snapshot (at most 1/s entries per row) costs O(N * d).  It
+reads the ``energy_graph.CsrGraph`` edges as they are stored.  The
 multi-head attention is dense over the N nodes: one primitive computes
 all H heads in batched products and costs O(H * N^2) time and memory.
 
-Every function here also takes B snapshots of N nodes at once, stacked
-row-wise: node states (B * N) x d and adjacency (B * N) x N.  Each
-snapshot attends only within itself, so one call over the stack gives
-the rows of B separate calls; inference uses this to score many
-snapshots in one pass.
+Every function here also takes B snapshots of N nodes at once: node
+states stacked row-wise to (B * N) x d and the graphs joined by
+``energy_graph.stack``.  Each snapshot attends only within itself, so
+one call over the stack gives the rows of B separate calls; inference
+uses this to score many snapshots in one pass.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .energy_graph import CsrGraph
 from .errors import ConfigError, ShapeError
 
 LEAKY_SLOPE = 0.2          # fixed rectifier slope inside the graph layer
@@ -80,44 +82,35 @@ def xavier(seed: int, name: str, rows: int, cols: int) -> np.ndarray:
     return seeded_rng(seed, name).uniform(-limit, limit, (rows, cols))
 
 
-def neighborhood_mask(adjacency: np.ndarray) -> np.ndarray:
-    """Positive entries define the neighborhoods; the self-loop is always
-    restored so no attention row is empty.  ``adjacency`` is N x N or B
-    snapshots stacked row-wise to (B * N) x N, where row r's self-loop
-    sits in column r mod N."""
-    mask = np.asarray(adjacency) > 0
-    n = mask.shape[1]
-    mask.reshape(-1, n * n)[:, ::n + 1] = True    # every snapshot's diagonal
-    return mask
-
-
-def gatv2_layer(h: ad.Value, adjacency: np.ndarray, params: GatLayerParams) -> ad.Value:
+def gatv2_layer(h: ad.Value, adjacency: CsrGraph, params: GatLayerParams) -> ad.Value:
     """Attention over graph neighborhoods.
 
-    For each pair (i, j) the logit is
+    For each edge j -> i of ``adjacency`` (a ``CsrGraph``, self-loops
+    included) the logit is
     attn . leaky_relu(W_left h_i + W_right h_j) + edge_bias * w_ij, the
-    attention row is a masked softmax over N(i) plus the self-loop, and the
-    output row is the attention-weighted sum of W_right h_j.
+    attention row is the softmax over node i's edges, and the output row
+    is the attention-weighted sum of W_right h_j.
 
-    ``h`` may hold B snapshots of N nodes stacked row-wise ((B * N) x d)
-    with ``adjacency`` stacked the same way ((B * N) x N, row b * N + i
-    being row i of snapshot b); each snapshot then attends only within
-    itself, exactly as if it were run alone.
+    ``h`` has one row per graph node, so B snapshots stacked row-wise
+    ((B * N) x d) pair with their ``energy_graph.stack``; each snapshot
+    then attends only within itself, exactly as if it were run alone.
     """
     rows, d_in = h.data.shape
     if params.w_left.data.shape[0] != d_in or params.w_right.data.shape[0] != d_in:
         raise ShapeError(
             f"gatv2_layer: input width {d_in} does not match projections "
             f"{params.w_left.data.shape} / {params.w_right.data.shape}")
-    if (adjacency.ndim != 2 or adjacency.shape[0] != rows or not adjacency.shape[1]
-            or rows % adjacency.shape[1]):
-        raise ShapeError(f"gatv2_layer: adjacency {adjacency.shape} for {rows} rows "
-                         f"(want R x N with N dividing R)")
+    if not isinstance(adjacency, CsrGraph):
+        raise ShapeError(f"gatv2_layer: adjacency must be a CsrGraph, got "
+                         f"{type(adjacency).__name__} {np.shape(adjacency)}")
+    if adjacency.rows != rows or adjacency.n < 1 or rows % adjacency.n:
+        raise ShapeError(f"gatv2_layer: adjacency of {adjacency.rows} nodes, {adjacency.n} "
+                         f"per graph, for {rows} rows (want {rows} nodes, n dividing them)")
 
     left = ad.matmul(h, params.w_left)     # R x d_out
     right = ad.matmul(h, params.w_right)   # R x d_out
-    return ad.gat_attention(left, right, params.attn, params.edge_bias, adjacency,
-                            neighborhood_mask(adjacency), params.leaky_slope)
+    return ad.gat_attention(left, right, params.attn, params.edge_bias, adjacency.indptr,
+                            adjacency.src, adjacency.weight, params.leaky_slope)
 
 
 def multi_head_attention(m: ad.Value, params: BlockParams, groups: int = 1) -> ad.Value:
@@ -135,28 +128,29 @@ def multi_head_attention(m: ad.Value, params: BlockParams, groups: int = 1) -> a
     return ad.multi_head_attention(m, params.heads, params.w_merge, groups)
 
 
-def parallel_block(state: BlockState, adjacency: np.ndarray, params: BlockParams,
+def parallel_block(state: BlockState, adjacency: CsrGraph, params: BlockParams,
                    gamma_fn=None) -> BlockState:
     """One dual-stream update.
 
     Propagation stream: h <- gat(h).  Parallel stream: hp <- attention over
     concat_cols(hp, gat(h) + h @ W_skip).  ``gamma_fn`` replaces the
-    attention for probing in tests.  A (B * N) x N ``adjacency`` runs B
-    row-stacked snapshots at once (see ``gatv2_layer``).
+    attention for probing in tests.  A stack of B graphs runs B row-stacked
+    snapshots at once (see ``gatv2_layer``); the attention then takes each
+    block of ``adjacency.n`` rows as its own group.
     """
-    rows, d = state.h.data.shape
+    d = state.h.data.shape[1]
     propagated = gatv2_layer(state.h, adjacency, params.gat)
     if propagated.data.shape[1] != d:
         raise ShapeError(
             f"parallel_block: propagated width {propagated.data.shape[1]} != {d}")
     skip = ad.matmul(state.h, params.w_skip)
     fused = ad.concat_cols(state.hp, ad.add(propagated, skip))
-    groups = rows // adjacency.shape[1]
+    groups = adjacency.rows // adjacency.n
     gamma = gamma_fn if gamma_fn is not None else lambda m: multi_head_attention(m, params, groups)
     return BlockState(h=propagated, hp=gamma(fused))
 
 
-def plain_block(state: BlockState, adjacency: np.ndarray, params: BlockParams) -> BlockState:
+def plain_block(state: BlockState, adjacency: CsrGraph, params: BlockParams) -> BlockState:
     """Ablation variant without the parallel stream: both streams collapse
     to gat(h) + h @ W_skip."""
     merged = ad.add(gatv2_layer(state.h, adjacency, params.gat),

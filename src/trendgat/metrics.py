@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import energy_graph as eg
+
 # rows (stocks x snapshots) that evaluate stacks into one forward pass; at
 # N = 100 that is 4 snapshots, and larger chunks gain little speed while the
 # stacked inputs and B x H x N x N attention scores raise peak memory
@@ -104,13 +106,14 @@ def evaluate(params, samples) -> dict:
     """Pool predictions of every sample into one confusion matrix and score
     it; samples are (GraphSnapshot, labels) pairs.
 
-    Consecutive samples of the same shape are stacked row-wise (features
-    (B * N) x tau*f, adjacency (B * N) x N; see ``gnn_blocks``) into chunks
-    of at most ``CHUNK_ROWS`` rows, or one sample if it is larger, and each
-    chunk is scored by one ``predict`` call.  Every snapshot still attends
-    only within itself, so the predictions are those of one call per
-    sample, but each primitive runs once per chunk instead of once per
-    snapshot.  The dense attention keeps B x H x N x N scores per chunk.
+    Consecutive samples of the same shape are joined into chunks of at
+    most ``CHUNK_ROWS`` rows, or one sample if it is larger: features
+    stacked row-wise to (B * N) x tau*f and graphs by ``energy_graph.stack``
+    (see ``gnn_blocks``).  Each chunk is scored by one ``predict`` call.
+    Every snapshot still attends only within itself, so the predictions
+    are those of one call per sample, but each primitive runs once per
+    chunk instead of once per snapshot.  The dense attention keeps
+    B x H x N x N scores per chunk.
     """
     from .model import predict  # deferred: model depends on this module too
     if not samples:
@@ -120,7 +123,7 @@ def evaluate(params, samples) -> dict:
         snapshot = replace(
             chunk[0].snapshot,
             features=np.concatenate([sample.snapshot.features for sample in chunk]),
-            adjacency=np.concatenate([sample.snapshot.adjacency for sample in chunk]))
+            adjacency=eg.stack(sample.snapshot.adjacency for sample in chunk))
         classes, _ = predict(params, snapshot)
         labels = np.concatenate([sample.labels for sample in chunk])
         alpha = 2

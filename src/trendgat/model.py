@@ -228,7 +228,7 @@ class TrainResult:
 
 
 def samples_from_panel(panel: md.IndicatorPanel, ts, config: ModelConfig,
-                       adjacency: np.ndarray | None = None) -> list[Sample]:
+                       adjacency: eg.CsrGraph | None = None) -> list[Sample]:
     """Window, label and graph every time step in ts (adjacency depends only
     on the inputs, so it is built once and reused across epochs).  A fixed
     ``adjacency`` (e.g. the sector graph) replaces the per-window energy
@@ -247,7 +247,7 @@ def samples_from_panel(panel: md.IndicatorPanel, ts, config: ModelConfig,
 
 def build_datasets(panel: md.IndicatorPanel, config: ModelConfig,
                    ratios: tuple[int, int, int] = (457, 63, 261),
-                   adjacency: np.ndarray | None = None) -> dict[str, list[Sample]]:
+                   adjacency: eg.CsrGraph | None = None) -> dict[str, list[Sample]]:
     """Split chronologically, normalize with train-only statistics, and
     materialize samples for all three splits."""
     splits = md.split_periods(panel, ratios, config.tau, config.phi)

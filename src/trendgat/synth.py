@@ -28,14 +28,10 @@ import numpy as np
 
 from .errors import ConfigError
 
-RULE_IDS = ("momentum-v1",)
-
-
 @dataclass
 class RuleSpec:
     """Constants of the planted rule; defaults are the tuned values."""
 
-    rule_id: str = "momentum-v1"
     momentum_window: int = 4   # close-difference span entering the score
     energy_window: int = 10    # close-return span defining neighbor energies
     own_weight: float = 1.0    # contrarian: enters the score negatively
@@ -109,8 +105,6 @@ def generate(n_stocks: int, n_days: int, seed: int,
     """Simulate all indicator paths; returns arrays keyed by column name,
     each N x n_days."""
     spec = spec or RuleSpec()
-    if spec.rule_id not in RULE_IDS:
-        raise ConfigError(f"unknown rule id {spec.rule_id!r}; known: {RULE_IDS}")
     if n_stocks < 2:
         raise ConfigError(f"need at least 2 stocks, got {n_stocks}")
     if n_days < spec.warmup + 12:
@@ -208,7 +202,7 @@ def write_dataset(out_dir, n_stocks: int, n_days: int, seed: int,
     manifest = out_dir / "manifest.csv"
     with open(manifest, "w", encoding="utf-8") as fh:
         fh.write("# synthetic planted-rule dataset\n")
-        fh.write(f"# rule_id={spec.rule_id} momentum_window={spec.momentum_window}"
+        fh.write(f"# momentum_window={spec.momentum_window}"
                  f" energy_window={spec.energy_window}\n")
         fh.write(f"# score = -{spec.own_weight}*mu_own + {spec.n1_weight}*mu_n1"
                  f" + {spec.n2_weight}*mu_n2; direction = sign(score), ties up\n")

@@ -16,7 +16,7 @@ from trendgat import metrics as mt
 from trendgat import model as mdl
 from trendgat import synth
 
-from test_energy_graph import brute_force_adjacency
+from test_energy_graph import assert_matches_dense_oracle, brute_force_adjacency
 from test_metrics import oracle_metrics
 
 
@@ -63,6 +63,16 @@ def test_graph_oracle_equivalence():
     report("graph oracle equivalence (200 instances, 1e-12)",
            worst <= 1e-12 and elapsed < 5.0,
            f"max dev {worst:.2e}, {elapsed:.2f}s")
+
+
+def test_graph_builder_matches_dense_oracle_on_acceptance_set(synthetic_dataset):
+    _, panel = synthetic_dataset
+    cfg = acceptance_config()
+    samples = [sample for split in mdl.build_datasets(panel, cfg).values() for sample in split]
+    edges = sum(assert_matches_dense_oracle(sample.snapshot.features, cfg.k, cfg.tau, cfg.s).src.size
+                for sample in samples)
+    report("sparse graph builder equals the dense oracle on every snapshot (edges exact, 1e-12)",
+           True, f"{len(samples)} snapshots, {edges} edges with self-loops")
 
 
 def test_row_stochasticity():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trendgat import autodiff as ad
+from trendgat import energy_graph as eg
 from trendgat.errors import (
     DegenerateRowError,
     LabelError,
@@ -61,14 +62,13 @@ def test_masked_softmax_empty_row_raises():
 
 def test_gat_attention_rejects_bad_shapes():
     v = lambda r, c: ad.Value(np.zeros((r, c)))
-    mask, weights = np.eye(3, dtype=bool), np.zeros((3, 3))
+    graph = eg.from_dense(np.zeros((3, 3)))
+    edges = (graph.indptr, graph.src, graph.weight)
     bad = [
-        (v(3, 4), v(3, 5), v(4, 1), v(1, 1), weights, mask),   # right width
-        (v(3, 4), v(2, 4), v(4, 1), v(1, 1), weights, mask),   # right rows
-        (v(3, 4), v(3, 4), v(5, 1), v(1, 1), weights, mask),   # attn
-        (v(3, 4), v(3, 4), v(4, 1), v(1, 2), weights, mask),   # edge_bias
-        (v(3, 4), v(3, 4), v(4, 1), v(1, 1), weights, np.eye(2, dtype=bool)),
-        (v(3, 4), v(3, 4), v(4, 1), v(1, 1), np.zeros((3, 2)), mask),
+        (v(3, 4), v(3, 5), v(4, 1), v(1, 1), *edges),   # right width
+        (v(3, 4), v(2, 4), v(4, 1), v(1, 1), *edges),   # right rows
+        (v(3, 4), v(3, 4), v(5, 1), v(1, 1), *edges),   # attn
+        (v(3, 4), v(3, 4), v(4, 1), v(1, 2), *edges),   # edge_bias
     ]
     for args in bad:
         with pytest.raises(ShapeError, match="gat_attention"):
@@ -77,10 +77,9 @@ def test_gat_attention_rejects_bad_shapes():
 
 def test_gat_attention_empty_mask_row_raises():
     v = lambda r, c: ad.Value(np.ones((r, c)))
-    mask = np.eye(3, dtype=bool)
-    mask[1, 1] = False
+    indptr, src = np.array([0, 1, 1, 2]), np.array([0, 2])     # row 1 has no edge
     with pytest.raises(DegenerateRowError, match="row 1"):
-        ad.gat_attention(v(3, 2), v(3, 2), v(2, 1), v(1, 1), np.ones((3, 3)), mask, 0.2)
+        ad.gat_attention(v(3, 2), v(3, 2), v(2, 1), v(1, 1), indptr, src, np.ones(2), 0.2)
 
 
 def test_gat_attention_node_that_is_no_source_gets_zero_right_gradient():
@@ -90,8 +89,10 @@ def test_gat_attention_node_that_is_no_source_gets_zero_right_gradient():
     attn, edge_bias = ad.Value(rng.standard_normal((3, 1))), ad.Value(np.ones((1, 1)))
     mask = np.array([[1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 0, 1]], dtype=bool)
     weights, w = rng.random((4, 4)), ad.const(rng.standard_normal((4, 3)))
+    dst, src = np.nonzero(mask)
+    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
     f = lambda: ad.reduce_sum(ad.mul(
-        ad.gat_attention(left, right, attn, edge_bias, weights, mask, 0.2), w))
+        ad.gat_attention(left, right, attn, edge_bias, indptr, src, weights[dst, src], 0.2), w))
     report = ad.grad_check(f, [left, right, attn, edge_bias], step=1e-5, tol=1e-4)
     assert report.passed, report
     assert (right.grad[2] == 0.0).all() and (right.grad[[0, 1, 3]] != 0.0).any()
@@ -129,10 +130,11 @@ def test_multi_head_attention_rejects_rows_that_do_not_split_into_groups():
 
 def test_gat_attention_rejects_stacked_mask_of_wrong_height():
     v = lambda r, c: ad.Value(np.zeros((r, c)))
-    for mask_rows in (4, 5):                  # 4 rows != 5, 5 rows not a multiple of 3
-        mask, weights = np.ones((mask_rows, 3), dtype=bool), np.zeros((mask_rows, 3))
-        with pytest.raises(ShapeError, match="N dividing R"):
-            ad.gat_attention(v(5, 2), v(5, 2), v(2, 1), v(1, 1), weights, mask, 0.2)
+    for copies in (2, 3):                     # 4 or 6 graph rows for 5 node rows
+        graph = eg.stack([eg.from_dense(np.ones((2, 2)))] * copies)
+        with pytest.raises(ShapeError, match="gat_attention: indptr"):
+            ad.gat_attention(v(5, 2), v(5, 2), v(2, 1), v(1, 1), graph.indptr, graph.src,
+                             graph.weight, 0.2)
 
 
 def test_multi_head_attention_skips_frozen_operands():
@@ -369,9 +371,10 @@ def test_primitive_gradients_against_finite_differences(name):
             mask = rng.random((r, r)) < 0.6
             mask[rng.random(r) < 0.3] = False   # some rows keep only their self-loop
             np.fill_diagonal(mask, True)
+            graph = eg.from_dense(np.where(mask, weights, 0.0))
             w = ad.const(rng.standard_normal((r, c)))
-            f = lambda: ad.reduce_sum(ad.mul(
-                ad.gat_attention(left, right, attn, edge_bias, weights, mask, 0.2), w))
+            f = lambda: ad.reduce_sum(ad.mul(ad.gat_attention(
+                left, right, attn, edge_bias, graph.indptr, graph.src, graph.weight, 0.2), w))
             params = [left, right, attn, edge_bias]
         elif name == "multi_head_attention":
             n, n_heads, d_head = (int(x) for x in rng.integers(1, [7, 4, 4]))
@@ -386,15 +389,18 @@ def test_primitive_gradients_against_finite_differences(name):
             f = lambda: ad.reduce_sum(ad.mul(ad.multi_head_attention(m, heads, w_merge), w))
             params = [v for v in operands if v.requires_grad]
         elif name == "gat_attention_stacked":
-            # r graphs of c nodes stacked row-wise: mask and weights are (r*c) x c
+            # r graphs of c nodes stacked: mask and weights are drawn (r*c) x c,
+            # row b*c + i being row i of graph b
             left, right = _off_kink_pair(rng, r * c, 2)
             attn, edge_bias = rand(rng, 2, 1), ad.Value(rng.uniform(0.5, 2.0, (1, 1)))
             weights = rng.random((r * c, c))
             mask = rng.random((r * c, c)) < 0.5
             mask[np.arange(r * c), np.arange(r * c) % c] = True
+            blocks = np.where(mask, weights, 0.0).reshape(r, c, c)
+            graph = eg.stack(eg.from_dense(block) for block in blocks)
             w = ad.const(rng.standard_normal((r * c, 2)))
-            f = lambda: ad.reduce_sum(ad.mul(
-                ad.gat_attention(left, right, attn, edge_bias, weights, mask, 0.2), w))
+            f = lambda: ad.reduce_sum(ad.mul(ad.gat_attention(
+                left, right, attn, edge_bias, graph.indptr, graph.src, graph.weight, 0.2), w))
             params = [left, right, attn, edge_bias]
         elif name == "multi_head_attention_groups":
             groups, n, n_heads, d_head = (int(x) for x in rng.integers([2, 1, 1, 1], [5, 5, 4, 4]))

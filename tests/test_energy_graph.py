@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trendgat import energy_graph as eg
-from trendgat.errors import ConfigError, NumericError
+from trendgat.errors import ConfigError, NumericError, ShapeError
 
 
 def brute_force_adjacency(features, k, tau):
@@ -63,11 +64,11 @@ def test_invalid_scaling_or_temperature_rejected():
         eg.boltzmann_adjacency(np.ones((1, 3)), k=0.5, tau=5)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])   # 1e200 squared overflows
 def test_non_finite_features_rejected(bad):
     feats = np.ones((3, 4))
     feats[1, 2] = bad
-    with pytest.raises(NumericError, match="non-finite"):
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
         eg.boltzmann_adjacency(feats, k=0.5, tau=5)
 
 
@@ -171,6 +172,132 @@ def test_surviving_entries_are_zero_or_at_least_s():
 
 
 # ---------------------------------------------------------------------------
+# boltzmann_graph: the O(N log N) builder against the dense oracle
+# ---------------------------------------------------------------------------
+
+def assert_matches_dense_oracle(features, k, tau, s):
+    """The builder's edges are the positive entries of
+    sparsify(boltzmann_adjacency(...)) plus every self-loop, row-major,
+    with weights within 1e-12 (a self-loop below s carries 0.0)."""
+    graph = eg.boltzmann_graph(features, k, tau, s)
+    dense = eg.sparsify(eg.boltzmann_adjacency(features, k, tau), s)
+    keep = dense > 0
+    np.fill_diagonal(keep, True)
+    rows, cols = np.nonzero(keep)
+    assert graph.n == graph.rows == dense.shape[0]
+    np.testing.assert_array_equal(np.diff(graph.indptr), keep.sum(axis=1))
+    np.testing.assert_array_equal(graph.src, cols)
+    np.testing.assert_allclose(graph.weight, dense[rows, cols], rtol=0, atol=1e-12)
+    return graph
+
+
+def test_builder_matches_dense_oracle_on_random_instances():
+    rng = np.random.default_rng(31)
+    offdiag = 0
+    for _ in range(300):
+        n, tau, f = int(rng.integers(2, 60)), int(rng.integers(7, 28)), int(rng.integers(1, 6))
+        feats = rng.standard_normal((n, tau * f)) * rng.uniform(0.2, 2.0, (n, 1))
+        graph = assert_matches_dense_oracle(feats, float(rng.uniform(0.02, 2.0)), tau,
+                                            float(rng.uniform(0.25, 0.85)))
+        offdiag += graph.src.size - n
+    # energies spaced on the kernel's own scale k * tau, where rows keep neighbours
+    for _ in range(100):
+        n, tau = int(rng.integers(2, 60)), int(rng.integers(7, 28))
+        k, s = float(rng.uniform(0.02, 2.0)), float(rng.uniform(0.25, 0.85))
+        energies = np.cumsum(rng.exponential(rng.uniform(0.1, 2.0), n) * k * tau)
+        graph = assert_matches_dense_oracle(np.sqrt(rng.permutation(energies))[:, None], k, tau, s)
+        offdiag += graph.src.size - n
+    assert offdiag > 150    # kept neighbours are exercised, not only self-loops
+
+
+def test_builder_on_tied_energies():
+    # rows 0 and 2 are permutations of each other, so their energies tie
+    feats = np.array([[1.0, 2.0], [0.5, 0.5], [2.0, 1.0], [3.0, 0.0]])
+    for k, s in ((0.5, 0.25), (2.0, 0.3), (0.05, 0.4)):
+        assert_matches_dense_oracle(feats, k, 1, s)
+
+
+def test_builder_on_two_stocks_hand_case():
+    # |E_0 - E_1| = k*tau*ln2: row 0 is [2/3, 1/3]
+    k, tau = 0.5, 10
+    feats = np.array([[0.0, 0.0], [math.sqrt(k * tau * math.log(2.0)), 0.0]])
+    graph = assert_matches_dense_oracle(feats, k, tau, 0.3)
+    np.testing.assert_allclose(np.asarray(graph), [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-12)
+    graph = assert_matches_dense_oracle(feats, k, tau, 0.5)
+    np.testing.assert_array_equal(graph.src, [0, 1])
+
+
+@pytest.mark.parametrize("n,s,weight", [(3, 0.25, 1.0 / 3.0), (5, 0.25, 0.0), (2, 0.4, 0.5)])
+def test_builder_on_equal_energies_keeps_uniform_rows_or_only_self_loops(n, s, weight):
+    feats = np.tile(np.array([1.0, -2.0, 0.5]), (n, 1))
+    graph = assert_matches_dense_oracle(feats, 0.7, 5, s)
+    expected = np.full((n, n), weight) if weight else np.zeros((n, n))
+    np.testing.assert_allclose(np.asarray(graph), expected, atol=1e-12)
+    assert graph.src.size == (n * n if weight else n)
+
+
+def test_builder_keeps_the_dense_checks_and_warning():
+    with pytest.raises(ConfigError):
+        eg.boltzmann_graph(np.ones((1, 3)), 0.5, 5, 0.4)
+    with pytest.raises(ConfigError):
+        eg.boltzmann_graph(np.ones((2, 3)), 0.0, 5, 0.4)
+    with pytest.raises(ConfigError):
+        eg.boltzmann_graph(np.ones((2, 3)), 0.5, 0, 0.4)
+    with pytest.raises(NumericError, match="non-finite"):
+        eg.boltzmann_graph(np.array([[1.0, np.nan], [0.0, 1.0]]), 0.5, 5, 0.4)
+    with pytest.warns(eg.ThresholdRangeWarning):
+        graph = eg.snapshot(0, np.eye(3), 0.5, 5, 0.9).adjacency
+    np.testing.assert_array_equal(graph.weight, 0.0)     # nothing reaches 0.9
+
+
+def test_snapshot_at_2000_stocks_needs_no_dense_matrix():
+    # a dense N x N float64 matrix alone is 30.5 MiB at N = 2000
+    rng = np.random.default_rng(40)
+    n = 2000
+    features = rng.standard_normal((n, 28)) * rng.uniform(0.2, 2.0, (n, 1))
+    tracemalloc.start()
+    try:
+        graph = eg.snapshot(0, features, 0.02, 7, 0.25).adjacency
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.rows == n and graph.src.size > n      # some kept neighbours
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# CsrGraph conversions
+# ---------------------------------------------------------------------------
+
+def test_from_dense_round_trips_through_the_dense_matrix():
+    rng = np.random.default_rng(41)
+    dense = rng.random((6, 6)) * (rng.random((6, 6)) < 0.4)
+    dense[2, 2] = 0.0
+    graph = eg.from_dense(dense)
+    assert set(zip(graph.dst, graph.src)) >= {(i, i) for i in range(6)}   # every self-loop
+    np.testing.assert_array_equal(np.asarray(graph), dense)
+    assert np.asarray(graph, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError):
+        np.array(graph, copy=False)
+    with pytest.raises(ShapeError, match="square"):
+        eg.from_dense(np.zeros((2, 3)))
+
+
+def test_stack_offsets_sources_and_keeps_each_snapshots_self_loops():
+    a = eg.from_dense(np.zeros((3, 3)))                                  # self-loops only
+    b = eg.from_dense(np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.2, 0.0, 0.9]]))
+    graph = eg.stack([a, b])
+    assert (graph.rows, graph.n, graph.shape) == (6, 3, (6, 6))
+    np.testing.assert_array_equal(graph.indptr, [0, 1, 2, 3, 5, 6, 8])
+    np.testing.assert_array_equal(graph.src, [0, 1, 2, 3, 4, 4, 3, 5])
+    expected = np.zeros((6, 6))
+    expected[3:, 3:] = np.asarray(b)
+    np.testing.assert_array_equal(np.asarray(graph), expected)           # block-diagonal
+    with pytest.raises(ShapeError, match="equal n"):
+        eg.stack([a, eg.from_dense(np.eye(2))])
+
+
+# ---------------------------------------------------------------------------
 # sector_adjacency
 # ---------------------------------------------------------------------------
 
@@ -207,14 +334,14 @@ def test_missing_sector_is_config_error():
 
 def test_export_zero_matrix(tmp_path):
     out = tmp_path / "edges.tsv"
-    n = eg.export_edges(np.zeros((3, 3)), ["A", "B", "C"], out)
+    n = eg.export_edges(eg.from_dense(np.zeros((3, 3))), ["A", "B", "C"], out)
     assert n == 0
     assert out.read_text() == "src\tdst\tweight\n"
 
 
 def test_export_identity_self_loops(tmp_path):
     out = tmp_path / "edges.tsv"
-    n = eg.export_edges(np.eye(3), ["A", "B", "C"], out)
+    n = eg.export_edges(eg.from_dense(np.eye(3)), ["A", "B", "C"], out)
     assert n == 3
     lines = out.read_text().strip().split("\n")
     assert lines[1:] == ["A\tA\t1", "B\tB\t1", "C\tC\t1"]
@@ -224,7 +351,7 @@ def test_export_count_matches_independent_nonzero_count(tmp_path):
     rng = np.random.default_rng(10)
     adj = eg.sparsify(eg.boltzmann_adjacency(rng.standard_normal((5, 4)), 0.5, 10), 0.3)
     expected = sum(1 for i in range(5) for j in range(5) if adj[i, j] != 0.0)
-    n = eg.export_edges(adj, list("ABCDE"), tmp_path / "e.tsv")
+    n = eg.export_edges(eg.from_dense(adj), list("ABCDE"), tmp_path / "e.tsv")
     assert n == expected
     assert len((tmp_path / "e.tsv").read_text().strip().split("\n")) == expected + 1
 
@@ -233,7 +360,7 @@ def test_dense_dump_round_trips(tmp_path):
     rng = np.random.default_rng(11)
     adj = eg.boltzmann_adjacency(rng.standard_normal((4, 3)), 0.5, 10)
     out = tmp_path / "adj.csv"
-    eg.export_dense(adj, list("ABCD"), out)
+    eg.export_dense(eg.from_dense(adj), list("ABCD"), out)
     lines = out.read_text().strip().split("\n")
     assert lines[0] == ",A,B,C,D"
     parsed = np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])

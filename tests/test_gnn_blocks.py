@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from trendgat import autodiff as ad
+from trendgat import energy_graph as eg
 from trendgat import gnn_blocks as gb
-from trendgat.errors import ConfigError, ShapeError
+from trendgat.errors import ConfigError, DegenerateRowError, ShapeError
 
 
 def gat_oracle(h, adj, params):
-    """Per-node, per-edge evaluation of the propagation layer formula."""
+    """Per-node, per-edge evaluation of the propagation layer formula on
+    the graph's dense matrix."""
+    adj = np.asarray(adj)
     w_left = params.w_left.data
     w_right = params.w_right.data
     a = params.attn.data[:, 0]
@@ -49,8 +52,7 @@ def mha_oracle(m, params):
 
 
 def random_adjacency(rng, n, density=0.5):
-    adj = rng.random((n, n)) * (rng.random((n, n)) < density)
-    return adj
+    return eg.from_dense(rng.random((n, n)) * (rng.random((n, n)) < density))
 
 
 def layout_values(d, h, seed, name="block0", parallel=True):
@@ -66,7 +68,7 @@ def layout_values(d, h, seed, name="block0", parallel=True):
 def test_isolated_node_with_self_loop_passes_right_projection():
     params = gb.init_block(d=4, h=2, seed=0)
     h = ad.Value(np.random.default_rng(0).standard_normal((3, 4)))
-    adj = np.zeros((3, 3))  # fully sparsified; self-loops restored by the mask
+    adj = eg.from_dense(np.zeros((3, 3)))  # fully sparsified: only the self-loops
     out = gb.gatv2_layer(h, adj, params.gat)
     expected = h.data @ params.gat.w_right.data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -76,7 +78,7 @@ def test_identical_positions_share_attention_equally():
     params = gb.init_block(d=3, h=2, seed=1)
     row = np.array([0.4, -1.2, 0.7])
     h = ad.Value(np.tile(row, (3, 1)))
-    adj = np.full((3, 3), 0.5)
+    adj = eg.from_dense(np.full((3, 3), 0.5))
     out = gb.gatv2_layer(h, adj, params.gat)
     # all three logits in each row are identical, so each weight is 1/3 and
     # the output equals the shared right-projection
@@ -128,7 +130,7 @@ def test_gat_forward_backward_memory_scales_with_edges():
 def test_gat_width_mismatch_is_shape_error():
     params = gb.init_block(d=4, h=2, seed=3)
     with pytest.raises(ShapeError):
-        gb.gatv2_layer(ad.Value(np.zeros((3, 5))), np.zeros((3, 3)), params.gat)
+        gb.gatv2_layer(ad.Value(np.zeros((3, 5))), eg.from_dense(np.zeros((3, 3))), params.gat)
 
 
 def test_gat_permutation_equivariance():
@@ -139,7 +141,8 @@ def test_gat_permutation_equivariance():
     perm = rng.permutation(6)
     p = np.eye(6)[perm]
     base = gb.gatv2_layer(ad.Value(h), adj, params.gat).data
-    permuted = gb.gatv2_layer(ad.Value(p @ h), p @ adj @ p.T, params.gat).data
+    permuted = gb.gatv2_layer(ad.Value(p @ h), eg.from_dense(p @ np.asarray(adj) @ p.T),
+                              params.gat).data
     np.testing.assert_allclose(permuted, p @ base, atol=1e-12)
 
 
@@ -165,17 +168,14 @@ def test_gat_on_row_stacked_snapshots_matches_separate_calls():
     rng = np.random.default_rng(24)
     params = gb.init_block(d=4, h=2, seed=25)
     hs, adjs = _stacked_snapshots(rng, 6, (0.0, 0.3, 0.9))
-    adjs[2][4] = 0.0                         # a row left with only its self-loop
-    out = gb.gatv2_layer(ad.Value(np.concatenate(hs)), np.concatenate(adjs), params.gat)
+    dense = np.asarray(adjs[2])
+    dense[4] = 0.0                           # a row left with only its self-loop
+    adjs[2] = eg.from_dense(dense)
+    out = gb.gatv2_layer(ad.Value(np.concatenate(hs)), eg.stack(adjs), params.gat)
     separate = [gb.gatv2_layer(ad.Value(h), adj, params.gat).data for h, adj in zip(hs, adjs)]
     np.testing.assert_allclose(out.data, np.concatenate(separate), rtol=0, atol=1e-12)
     np.testing.assert_allclose(out.data[2 * 6 + 4], hs[2][4] @ params.gat.w_right.data,
                                atol=1e-12)
-
-
-def test_stacked_neighborhood_mask_restores_each_snapshots_self_loops():
-    mask = gb.neighborhood_mask(np.zeros((6, 3)))
-    np.testing.assert_array_equal(mask, np.concatenate([np.eye(3, dtype=bool)] * 2))
 
 
 def test_parallel_block_on_row_stacked_snapshots_matches_separate_calls():
@@ -185,7 +185,7 @@ def test_parallel_block_on_row_stacked_snapshots_matches_separate_calls():
     hps = [rng.standard_normal((5, 4)) for _ in hs]
     out = gb.parallel_block(gb.BlockState(h=ad.Value(np.concatenate(hs)),
                                           hp=ad.Value(np.concatenate(hps))),
-                            np.concatenate(adjs), params)
+                            eg.stack(adjs), params)
     separate = [gb.parallel_block(gb.BlockState(h=ad.Value(h), hp=ad.Value(hp)), adj, params)
                 for h, hp, adj in zip(hs, hps, adjs)]
     for got, want in ((out.h, [s.h for s in separate]), (out.hp, [s.hp for s in separate])):
@@ -193,12 +193,61 @@ def test_parallel_block_on_row_stacked_snapshots_matches_separate_calls():
                                    rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("h_rows,adj_shape", [(6, (4, 3)), (7, (7, 3)), (6, (6, 0))],
+def _graph(rows, n):
+    """A CsrGraph of ``rows`` nodes, ``n`` per graph, each row's one edge
+    from node 0."""
+    return eg.CsrGraph(indptr=np.arange(rows + 1), src=np.zeros(rows, dtype=np.int64),
+                       weight=np.zeros(rows), n=n)
+
+
+@pytest.mark.parametrize("h_rows,graph", [(6, _graph(4, 4)), (7, _graph(7, 3)), (6, _graph(6, 0))],
                          ids=["rows_differ", "rows_not_multiple_of_width", "empty_width"])
-def test_gat_stacked_adjacency_shape_mismatch_is_shape_error(h_rows, adj_shape):
+def test_gat_stacked_adjacency_shape_mismatch_is_shape_error(h_rows, graph):
     params = gb.init_block(d=4, h=2, seed=28)
     with pytest.raises(ShapeError, match="gatv2_layer: adjacency"):
-        gb.gatv2_layer(ad.Value(np.zeros((h_rows, 4))), np.zeros(adj_shape), params.gat)
+        gb.gatv2_layer(ad.Value(np.zeros((h_rows, 4))), graph, params.gat)
+
+
+def _attention_on(**edges):
+    """gat_attention over 3 nodes on a well-formed graph (rows of 1, 2 and 1
+    edges) with the given arrays replaced."""
+    graph = {"indptr": [0, 1, 3, 4], "src": [0, 0, 1, 2], "weight": [0.5, 0.2, 0.7, 1.0]}
+    graph.update(edges)
+    v = lambda r, c: ad.Value(np.ones((r, c)))
+    return lambda: ad.gat_attention(v(3, 2), v(3, 2), v(2, 1), v(1, 1),
+                                    *(np.array(graph[key]) for key in ("indptr", "src", "weight")),
+                                    0.2)
+
+
+def _layer_on(adjacency):
+    """gatv2_layer over 3 node rows."""
+    return lambda: gb.gatv2_layer(ad.Value(np.ones((3, 2))), adjacency,
+                                  gb.init_block(d=2, h=2, seed=32).gat)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (_attention_on(), None, None),
+    (_attention_on(indptr=[0, 1, 4]), ShapeError, "gat_attention: indptr"),
+    (_attention_on(indptr=[0, 3, 1, 4]), ShapeError, "indptr decreases at row 1"),
+    (_attention_on(indptr=[0, 1, 3, 3]), ShapeError, "gat_attention: indptr"),
+    (_attention_on(indptr=[1, 1, 3, 4]), ShapeError, "gat_attention: indptr"),
+    (_attention_on(src=[0, -1, 1, 2]), ShapeError, r"outside \[0, 3\)"),
+    (_attention_on(src=[0, 0, 3, 2]), ShapeError, r"outside \[0, 3\)"),
+    (_attention_on(src=[0.0, 0.0, 1.0, 2.0]), ShapeError, "gat_attention: indptr"),
+    (_attention_on(weight=[0.5, 0.2, 0.7]), ShapeError, "gat_attention: indptr"),
+    (_attention_on(indptr=[0, 1, 1, 4], src=[0, 0, 1, 2]), DegenerateRowError, "row 1"),
+    (_layer_on(np.eye(3)), ShapeError, "must be a CsrGraph"),
+    (_layer_on(eg.from_dense(np.eye(4))), ShapeError, "gatv2_layer: adjacency of 4 nodes"),
+], ids=["well_formed", "indptr_length", "indptr_decreasing", "indptr_not_ending_at_edges",
+        "indptr_not_starting_at_zero", "source_negative", "source_past_last_row",
+        "source_not_integer", "weight_length", "row_without_edge", "layer_dense_matrix",
+        "layer_row_count"])
+def test_malformed_graph_is_a_documented_error(call, error, match):
+    if error is None:
+        assert call().data.shape == (3, 2)
+        return
+    with pytest.raises(error, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +345,7 @@ def test_zero_skip_makes_fused_right_half_pure_propagation():
     params.w_skip.data[:] = 0.0
     state = gb.BlockState(h=ad.Value(rng.standard_normal((3, 4))),
                           hp=ad.Value(rng.standard_normal((3, 4))))
-    adj = np.zeros((3, 3))  # only self-loop fallback
+    adj = eg.from_dense(np.zeros((3, 3)))  # only the self-loops
     captured = {}
 
     def probe(fused):

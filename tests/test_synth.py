@@ -66,9 +66,6 @@ def test_parameter_validation():
         synth.generate(1, 100, seed=0)
     with pytest.raises(ConfigError):
         synth.generate(4, 5, seed=0)
-    with pytest.raises(ConfigError):
-        synth.write_dataset("/tmp/never", 4, 100, seed=0,
-                            spec=synth.RuleSpec(rule_id="nope"))
 
 
 def test_sectors_are_round_robin_and_split_pairs(tmp_path):
