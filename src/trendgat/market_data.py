@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InsufficientDataError, ParseError
+from .errors import ConfigError, DataError, InsufficientDataError, NumericError, ParseError
 
 RAW_INDICATORS = ["open", "high", "low", "adj_close", "volume"]
 DEFAULT_INDICATORS = ["open", "high", "low", "adj_close"]
@@ -62,7 +62,7 @@ class WindowSample:
     following forecast steps."""
 
     t: int
-    features: np.ndarray  # N x (tau*F)
+    features: np.ndarray  # N x (tau*F), a read-only view of the panel
     labels: np.ndarray    # N x (phi*alpha) integer one-hot per alpha block
 
 
@@ -99,10 +99,14 @@ def read_manifest(path) -> list[tuple[str, Path, str]]:
     return rows
 
 
-def _read_stock_csv(ticker: str, csv_path: Path) -> dict[str, list[float]]:
+def _read_stock_csv(ticker: str, csv_path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """One stock's rows as (dates, values): sorted ``datetime64[D]`` dates
+    and the matching R x 5 float64 array in RAW_INDICATORS order."""
     if not csv_path.exists():
         raise DataError(f"missing data file for ticker {ticker}: {csv_path}")
-    by_date: dict[str, list[float]] = {}
+    dates: list[str] = []
+    values: list[list[float]] = []
+    seen: set[str] = set()
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -126,16 +130,23 @@ def _read_stock_csv(ticker: str, csv_path: Path) -> dict[str, list[float]]:
                 raise ParseError(f"{csv_path}:{lineno}: {exc}") from None
             if not all(map(math.isfinite, vals)):
                 raise ParseError(f"{csv_path}:{lineno}: non-finite value")
-            if date in by_date:
+            if date in seen:
                 raise ParseError(f"{csv_path}:{lineno}: duplicate date {date}")
-            by_date[date] = vals
-    if not by_date:
+            seen.add(date)
+            dates.append(date)
+            values.append(vals)
+    if not dates:
         raise DataError(f"data file for ticker {ticker} has no rows: {csv_path}")
-    return by_date
+    days = np.array(dates, dtype="datetime64[D]")
+    order = np.argsort(days)
+    return days[order], np.array(values)[order]
 
 
 def load_panel(manifest, min_days: int = 2) -> IndicatorPanel:
-    """Load every stock in the manifest and align on the common calendar."""
+    """Load every stock in the manifest and align on the common calendar.
+
+    Each file is parsed straight to arrays, so no per-row Python object
+    outlives its file and memory grows as N x T x F."""
     entries = read_manifest(manifest)
     if len(entries) < 2:
         raise DataError("manifest must list at least 2 stocks")
@@ -143,25 +154,22 @@ def load_panel(manifest, min_days: int = 2) -> IndicatorPanel:
     if len(set(tickers)) != len(tickers):
         raise DataError("manifest has duplicate tickers")
 
-    per_stock = {t: _read_stock_csv(t, p) for t, p, _ in entries}
-    common = set(per_stock[tickers[0]])
-    for t in tickers[1:]:
-        common &= set(per_stock[t])
-    dates = sorted(common)
-    if len(dates) < min_days:
+    per_stock = [_read_stock_csv(t, p) for t, p, _ in entries]
+    common = per_stock[0][0]
+    for days, _ in per_stock[1:]:
+        common = np.intersect1d(common, days, assume_unique=True)
+    if len(common) < min_days:
         raise InsufficientDataError(
-            f"only {len(dates)} shared trading days, need at least {min_days}")
+            f"only {len(common)} shared trading days, need at least {min_days}")
 
-    n, days, f = len(tickers), len(dates), len(RAW_INDICATORS)
-    values = np.empty((n, days, f))
-    for i, t in enumerate(tickers):
-        rows = per_stock[t]
-        for j, d in enumerate(dates):
-            values[i, j, :] = rows[d]
+    values = np.empty((len(tickers), len(common), len(RAW_INDICATORS)))
+    for i, (days, rows) in enumerate(per_stock):
+        values[i] = rows[np.searchsorted(days, common)]
     close = values[:, :, RAW_INDICATORS.index("adj_close")].copy()
     sectors = {t: s for t, _, s in entries if s}
-    return IndicatorPanel(tickers=tickers, dates=dates, values=values,
-                          indicators=list(RAW_INDICATORS), close=close, sectors=sectors)
+    return IndicatorPanel(tickers=tickers, dates=np.datetime_as_string(common).tolist(),
+                          values=values, indicators=list(RAW_INDICATORS), close=close,
+                          sectors=sectors)
 
 
 def select_indicators(panel: IndicatorPanel, names: list[str]) -> IndicatorPanel:
@@ -171,7 +179,7 @@ def select_indicators(panel: IndicatorPanel, names: list[str]) -> IndicatorPanel
         raise ConfigError(f"unknown indicator(s) {unknown}; available: {panel.indicators}")
     idx = [panel.indicators.index(n) for n in names]
     return IndicatorPanel(tickers=panel.tickers, dates=panel.dates,
-                          values=panel.values[:, :, idx].copy(),
+                          values=np.take(panel.values, idx, axis=2),
                           indicators=list(names), close=panel.close,
                           sectors=panel.sectors)
 
@@ -179,15 +187,24 @@ def select_indicators(panel: IndicatorPanel, names: list[str]) -> IndicatorPanel
 def normalize(panel: IndicatorPanel, splits: DatasetSplits) -> IndicatorPanel:
     """Z-score each (stock, channel) series with statistics from the days
     covered by the training block only (calendar days up to the last train
-    window end); zero-variance channels keep divisor 1 and are recorded."""
+    window end); zero-variance channels keep divisor 1 and are recorded.
+    A channel whose statistics overflow float64 is a NumericError."""
     if not splits.train:
         raise InsufficientDataError("empty training split")
     stat_days = max(splits.train) + 1
     if stat_days < 2:
         raise InsufficientDataError("training split must cover at least 2 days")
     train_slice = panel.values[:, :stat_days, :]
-    mean = train_slice.mean(axis=1)               # N x F
-    std = train_slice.std(axis=1)                 # population std
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train_slice.mean(axis=1)           # N x F
+        std = train_slice.std(axis=1)             # population std
+    overflowed = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflowed.any():
+        i, j = (int(x[0]) for x in np.nonzero(overflowed))
+        raise NumericError(
+            f"normalize: {panel.indicators[j]} of stock {panel.tickers[i]} has "
+            f"train mean {mean[i, j]} and std {std[i, j]}; its values are too large "
+            f"to z-score in float64")
     degenerate = std == 0.0
     zero_variance = [(panel.tickers[i], panel.indicators[j])
                      for i, j in zip(*np.nonzero(degenerate))]
@@ -205,7 +222,9 @@ def build_sample(panel: IndicatorPanel, t: int, tau: int, phi: int, alpha: int =
     days t+1 .. t+phi.
 
     Feature rows concatenate, day by day from t-tau+1 through t, the F
-    channels of that stock.  A step is class 1 when adjusted close rises,
+    channels of that stock.  The panel is day-major, so the features are a
+    read-only view of ``panel.values`` and consecutive windows share
+    memory; no window is copied.  A step is class 1 when adjusted close rises,
     class 0 otherwise (ties count as down).
     """
     if alpha != 2:
@@ -218,7 +237,8 @@ def build_sample(panel: IndicatorPanel, t: int, tau: int, phi: int, alpha: int =
     n = panel.n_stocks
     f = len(panel.indicators)
     window = panel.values[:, t - tau + 1:t + 1, :]        # N x tau x F, day-major
-    features = window.reshape(n, tau * f).copy()
+    features = window.reshape(n, tau * f)                 # a view of the panel
+    features.flags.writeable = False
     labels = np.zeros((n, phi * alpha), dtype=np.int64)
     for j in range(1, phi + 1):
         up = panel.close[:, t + j] > panel.close[:, t + j - 1]

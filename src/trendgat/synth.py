@@ -22,6 +22,7 @@ rule can be re-evaluated bit-exactly from the files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,21 @@ def group_of(n_stocks: int, spec: RuleSpec) -> np.ndarray:
 def group_volatilities(n_groups: int, spec: RuleSpec) -> np.ndarray:
     """Geometric volatility ladder: base_vol * vol_growth ** group."""
     return spec.base_vol * spec.vol_growth ** np.arange(n_groups)
+
+
+# The top rung's volatility stays this factor below sqrt(float max).  The
+# rule squares close returns, and z-scoring sums a close walk's squared
+# deviations, which came to 0.2-0.3 * days**2 squared rung volatilities
+# at 600 and 3000 days; the headroom keeps both finite up to about 10**5
+# days.  tests/test_synth.py checks both at 600 days.
+LADDER_HEADROOM = 2.0 ** 16
+
+
+def max_stocks(spec: RuleSpec) -> int:
+    """Largest stock count whose volatility ladder float64 can carry."""
+    top_vol = math.sqrt(np.finfo(np.float64).max) / LADDER_HEADROOM
+    rungs = int(math.log(top_vol / spec.base_vol, spec.vol_growth)) + 1
+    return spec.group_size * (rungs + 1) - 1
 
 
 def stock_scales(n_stocks: int, spec: RuleSpec) -> np.ndarray:
@@ -107,6 +123,12 @@ def generate(n_stocks: int, n_days: int, seed: int,
     spec = spec or RuleSpec()
     if n_stocks < 2:
         raise ConfigError(f"need at least 2 stocks, got {n_stocks}")
+    largest = max_stocks(spec)
+    if n_stocks > largest:
+        raise ConfigError(
+            f"at most {largest} stocks fit the volatility ladder "
+            f"(base_vol {spec.base_vol} * vol_growth {spec.vol_growth} ** group), "
+            f"got {n_stocks}")
     if n_days < spec.warmup + 12:
         raise ConfigError(f"need at least {spec.warmup + 12} days, got {n_days}")
 

@@ -283,6 +283,19 @@ def test_missing_data_exits_two(tmp_path):
                    "--out", str(tmp_path / "o"), "--tau", "7") == 2
 
 
+def test_overflowing_channel_exits_three(tmp_path, capsys):
+    # a close series of +-1e200 has squares that overflow its z-score std
+    manifest = synth.write_dataset(tmp_path / "ds", 6, 80, seed=5)
+    path = tmp_path / "ds" / "SYN03.csv"
+    header, *lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    for j, row in enumerate(rows):
+        row[4] = repr((-1.0) ** j * 1e200)
+    path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+    assert run_cli("train", *fast_flags(manifest, tmp_path / "o")) == 3
+    assert "adj_close of stock SYN03" in capsys.readouterr().err
+
+
 def test_numeric_failure_exits_three(small_dataset, tmp_path, monkeypatch):
     from trendgat.errors import TrainingDivergedError
 

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from trendgat import market_data as md
-from trendgat.errors import ConfigError, DataError, InsufficientDataError, ParseError
+from trendgat import model as mdl
+from trendgat import synth
+from trendgat.errors import ConfigError, DataError, InsufficientDataError, NumericError, ParseError
 
 from conftest import make_dataset, trading_dates, write_manifest, write_stock_csv
 
@@ -86,6 +90,44 @@ def test_values_match_fixture_cell_for_cell(tmp_path):
     np.testing.assert_array_equal(panel.close, panel.values[:, :, 3])
 
 
+def test_unsorted_rows_and_ragged_calendars_align_cell_for_cell(tmp_path):
+    # A lists its rows newest first, B misses two mid-series days and runs
+    # past A's last day, C starts a day late; the panel keeps the shared
+    # days in calendar order, each cell from its own stock's row
+    dates = trading_dates(10)
+    cell = {(t, d): (base + j, base + j + 0.5, base + j - 0.5, base + 2 * j, 100.0 * base + j)
+            for t, base in (("A", 1.0), ("B", 20.0), ("C", 300.0))
+            for j, d in enumerate(dates + trading_dates(12)[10:])}
+    calendars = {"A": dates[::-1],
+                 "B": [d for d in trading_dates(12) if d not in (dates[4], dates[6])],
+                 "C": dates[1:]}
+    for t, days in calendars.items():
+        write_stock_csv(tmp_path / f"{t}.csv", days, [cell[t, d] for d in days])
+    write_manifest(tmp_path / "m.csv", [(t, f"{t}.csv") for t in calendars])
+    panel = md.load_panel(tmp_path / "m.csv")
+    shared = [d for d in dates if d not in (dates[0], dates[4], dates[6])]
+    assert panel.dates == shared
+    expected = np.array([[cell[t, d] for d in shared] for t in calendars])
+    np.testing.assert_array_equal(panel.values, expected)
+    np.testing.assert_array_equal(panel.close, expected[:, :, 3])
+
+
+def test_setup_memory_is_a_small_multiple_of_the_panel(tmp_path):
+    # One panel in its raw, selected and normalized forms, the close
+    # series, labels and sparse graphs come to about 3.8 panels; per-row
+    # Python objects or copied lag windows (tau = 14 copies) would not fit
+    manifest = synth.write_dataset(tmp_path / "ds", 200, 300, seed=4)
+    tracemalloc.start()
+    try:
+        panel = md.select_indicators(md.load_panel(manifest), md.DEFAULT_INDICATORS)
+        datasets = mdl.build_datasets(panel, mdl.ModelConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(datasets["train"]) > 0
+    assert peak < 5 * panel.values.nbytes, f"peak {peak} B, panel {panel.values.nbytes} B"
+
+
 def test_min_days_enforced(tmp_path):
     manifest = make_dataset(tmp_path, ["A", "B"], trading_dates(4), flat_values(1.0))
     with pytest.raises(InsufficientDataError):
@@ -167,6 +209,19 @@ def test_constant_channel_becomes_zero_with_record(tmp_path):
     assert ("A", "volume") in out.norm_stats.zero_variance
 
 
+def test_overflowing_channel_is_a_numeric_error(tmp_path):
+    # squares of 1e200 overflow, so std would be inf and the channel zeros
+    def fn(t, j):
+        high = (-1.0) ** j * 1e200 if t == "B" else 2.0 + j
+        return (1.0 + j, high, 0.5 + j, 1.5 + j, 100.0 + j)
+
+    manifest = make_dataset(tmp_path, ["A", "B"], trading_dates(12), fn)
+    panel = md.load_panel(manifest)
+    splits = md.split_periods(panel, (1, 1, 1), tau=2, phi=1)
+    with pytest.raises(NumericError, match="high of stock B"):
+        md.normalize(panel, splits)
+
+
 def test_normalize_is_idempotent_on_statistics(tmp_path):
     panel = make_panel(tmp_path, n_days=30, seed=3)
     splits = md.split_periods(panel, (2, 1, 1), tau=3, phi=1)
@@ -232,6 +287,16 @@ def test_feature_layout_is_day_major(tmp_path):
     np.testing.assert_array_equal(sample.features[0, 5:10], panel.values[0, 3, :])
 
 
+def test_features_are_read_only_views_of_the_panel(tmp_path):
+    panel = rising_panel(tmp_path)
+    first = md.build_sample(panel, t=4, tau=3, phi=1)
+    second = md.build_sample(panel, t=5, tau=3, phi=1)
+    assert np.shares_memory(first.features, panel.values)
+    assert np.shares_memory(first.features, second.features)
+    with pytest.raises(ValueError):
+        first.features[0, 0] = 1.0
+
+
 def test_out_of_range_t_rejected(tmp_path):
     panel = rising_panel(tmp_path, n_days=10)
     with pytest.raises(IndexError):
@@ -252,10 +317,11 @@ def test_labels_are_one_hot_per_block(tmp_path):
 def test_no_lookahead_in_features(tmp_path):
     panel = make_panel(tmp_path, n_stocks=3, n_days=20, seed=6)
     t, tau, phi = 10, 4, 2
-    before = md.build_sample(panel, t, tau, phi)
+    # features are a view of the panel, so keep a copy of the window
+    before = md.build_sample(panel, t, tau, phi).features.copy()
     panel.values[:, t + 1:, :] += 123.0  # future days only
     after = md.build_sample(panel, t, tau, phi)
-    np.testing.assert_array_equal(before.features, after.features)
+    np.testing.assert_array_equal(before, after.features)
 
 
 def test_labels_only_depend_on_forecast_steps(tmp_path):

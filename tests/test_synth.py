@@ -81,3 +81,32 @@ def test_rule_needs_warmup():
     closes = np.cumsum(np.ones((4, 30)), axis=1)
     with pytest.raises(ConfigError):
         synth.rule_directions(closes, synth.stock_scales(4, spec), spec, t=spec.warmup - 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_ladder_generates_finite_paths():
+    # 600 days: the top rung's close walk must also z-score in float64
+    # (at 767 stocks the paths are finite but their std overflows)
+    largest = synth.max_stocks(synth.RuleSpec())
+    data = synth.generate(largest, 600, seed=7)
+    assert all(np.isfinite(v).all() for v in data.values())
+    for v in data.values():
+        assert np.isfinite(v.mean(axis=1)).all() and np.isfinite(v.std(axis=1)).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_stock_count_beyond_the_ladder_is_refused():
+    largest = synth.max_stocks(synth.RuleSpec())
+    with pytest.raises(ConfigError, match=f"at most {largest} stocks"):
+        synth.generate(largest + 1, 40, seed=7)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_synth_beyond_the_ladder_exits_one(tmp_path, capsys):
+    from trendgat import cli
+
+    largest = synth.max_stocks(synth.RuleSpec())
+    code = cli.main(["synth", "--out", str(tmp_path / "ds"), "--n", str(largest + 1)])
+    assert code == 1
+    assert f"at most {largest} stocks" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
