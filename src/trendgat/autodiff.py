@@ -17,7 +17,6 @@ from .errors import (
     DegenerateRowError,
     DeterminismError,
     LabelError,
-    NumericError,
     ShapeError,
     TapeError,
 )
@@ -222,26 +221,6 @@ def slice_cols(a: Value, start: int, stop: int) -> Value:
     return out
 
 
-def transpose(a: Value) -> Value:
-    out, t = _make(a.data.T.copy(), a)
-    if t is not None:
-        def bwd():
-            a._acc(out.grad.T)
-        t._record(bwd)
-    return out
-
-
-def reshape(a: Value, rows: int, cols: int) -> Value:
-    if rows * cols != a.data.size:
-        raise ShapeError(f"reshape: {a.data.shape} has {a.data.size} entries, not {rows}x{cols}")
-    out, t = _make(a.data.reshape(rows, cols).copy(), a)
-    if t is not None:
-        def bwd():
-            a._acc(out.grad.reshape(a.data.shape))
-        t._record(bwd)
-    return out
-
-
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     # over the last axis, so a stack of matrices is softmaxed row by row;
     # overwrites and returns z, so an N x N score buffer is not copied
@@ -249,43 +228,6 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
-
-
-def row_softmax(a: Value) -> Value:
-    s = _softmax_rows(a.data.copy())
-    out, t = _make(s, a)
-    if t is not None:
-        def bwd():
-            g = out.grad
-            a._acc(s * (g - (g * s).sum(axis=1, keepdims=True)))
-        t._record(bwd)
-    return out
-
-
-def masked_row_softmax(a: Value, mask: np.ndarray) -> Value:
-    """Softmax over the True positions of each row; masked entries get
-    probability zero and zero gradient.  A row with no valid position is
-    an error."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.data.shape:
-        raise ShapeError(
-            f"masked_row_softmax: mask {mask.shape} vs logits {a.data.shape}")
-    valid_counts = mask.sum(axis=1)
-    if (valid_counts == 0).any():
-        row = int(np.argmin(valid_counts))
-        raise DegenerateRowError(f"masked_row_softmax: row {row} has no valid position")
-    x = np.where(mask, a.data, -np.inf)
-    z = x - x.max(axis=1, keepdims=True)
-    e = np.where(mask, np.exp(np.where(mask, z, 0.0)), 0.0)
-    s = e / e.sum(axis=1, keepdims=True)
-    out, t = _make(s, a)
-    if t is not None:
-        def bwd():
-            g = out.grad
-            # s is zero at masked positions, so their gradient vanishes too
-            a._acc(s * (g - (g * s).sum(axis=1, keepdims=True)))
-        t._record(bwd)
-    return out
 
 
 def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
@@ -434,17 +376,6 @@ def multi_head_attention(m: Value, heads, w_merge: Value, groups: int = 1) -> Va
     return out
 
 
-def leaky_relu(a: Value, slope: float) -> Value:
-    slope = float(slope)
-    pos = a.data > 0
-    out, t = _make(np.where(pos, a.data, slope * a.data), a)
-    if t is not None:
-        def bwd():
-            a._acc(np.where(pos, 1.0, slope) * out.grad)
-        t._record(bwd)
-    return out
-
-
 def prelu(a: Value, slopes: Value) -> Value:
     """Leaky rectifier with one learned slope per column; slopes is 1 x cols."""
     if slopes.data.shape != (1, a.data.shape[1]):
@@ -468,17 +399,6 @@ def reduce_sum(a: Value) -> Value:
     if t is not None:
         def bwd():
             a._acc(np.full_like(a.data, out.grad[0, 0]))
-        t._record(bwd)
-    return out
-
-
-def log(a: Value) -> Value:
-    if (a.data <= 0).any():
-        raise NumericError("log: input has non-positive entries")
-    out, t = _make(np.log(a.data), a)
-    if t is not None:
-        def bwd():
-            a._acc(out.grad / a.data)
         t._record(bwd)
     return out
 

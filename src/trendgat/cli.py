@@ -1,10 +1,10 @@
 """Experiment command line: training runs, ablations, hyperparameter
 sweeps, graph export, synthetic data generation and report aggregation.
 
-Configuration is a flat key=value file with section prefixes (see
-KEY_TYPES); command-line flags override file values, file values override
-defaults, and unknown keys are errors.  Every run writes the fully
-resolved spec next to its outputs so it can be reproduced exactly.
+Configuration is a flat key=value file with section prefixes (see KEYS);
+command-line flags override file values, file values override defaults,
+and unknown keys are errors.  Every run writes the fully resolved spec
+next to its outputs so it can be reproduced exactly.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 3 numeric failure.
@@ -29,34 +29,43 @@ from .errors import ConfigError, DataError, NumericError
 
 DEFAULT_RATIOS = (457, 63, 261)
 
-KEY_TYPES = {
-    "data.manifest": "path",
-    "data.indicators": "namelist",
-    "data.ratios": "ratios",
-    "graph.k": "float",
-    "graph.s": "float",
-    "model.tau": "int",
-    "model.hidden": "int",
-    "model.heads": "int",
-    "model.layers": "int",
-    "model.phi": "int",
-    "train.lr": "float",
-    "train.wd": "float",
-    "train.epochs": "int",
-    "train.seed": "int",
-    "train.seeds": "intlist",
-    "train.grad_clip": "float",
-    "out.dir": "path",
+# every configuration key: (value kind, flag help), in --help order.  A
+# key's flag is --<name after the dot> with "_" written "-" (out.dir is
+# --out), and a graph./model./train. key named after a ModelConfig field
+# sets that field.
+KEYS = {
+    "data.manifest": ("path", None),
+    "out.dir": ("path", None),
+    "data.indicators": ("namelist", "comma-separated channel names"),
+    "data.ratios": ("ratios", "train:validation:test, e.g. 457:63:261"),
+    "model.tau": ("int", None),
+    "graph.k": ("float", None),
+    "graph.s": ("float", None),
+    "model.hidden": ("int", None),
+    "model.heads": ("int", None),
+    "model.layers": ("int", None),
+    "model.phi": ("int", None),
+    "train.lr": ("float", None),
+    "train.wd": ("float", None),
+    "train.epochs": ("int", None),
+    "train.seed": ("int", None),
+    "train.seeds": ("intlist", "comma-separated seed list"),
+    "train.grad_clip": ("float", None),
 }
 
-# sweep axis (a ModelConfig field) -> configuration key
-SWEEP_AXES = {
-    "tau": "model.tau",
-    "k": "graph.k",
-    "s": "graph.s",
-    "heads": "model.heads",
-    "layers": "model.layers",
+
+def _dest(key: str) -> str:
+    """The argparse dest of a key's flag: its name after the dot."""
+    return "out" if key == "out.dir" else key.split(".", 1)[1]
+
+
+# ModelConfig field -> the configuration key that sets it
+FIELD_KEYS = {
+    _dest(key): key for key in KEYS
+    if key.startswith(("graph.", "model.", "train."))
+    and _dest(key) in {field.name for field in dataclasses.fields(mdl.ModelConfig)}
 }
+SWEEP_AXES = ("tau", "k", "s", "heads", "layers")  # ModelConfig fields
 
 
 @dataclasses.dataclass
@@ -71,13 +80,11 @@ class ExperimentSpec:
     range_check: bool = True
 
     def resolved(self) -> dict:
-        blob = dataclasses.asdict(self)
-        blob["config"] = dataclasses.asdict(self.config)
-        return blob
+        return dataclasses.asdict(self)
 
 
 def _parse_value(key: str, raw: str):
-    kind = KEY_TYPES[key]
+    kind = KEYS[key][0]
     try:
         if kind == "int":
             return int(raw)
@@ -110,7 +117,7 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KEY_TYPES:
+        if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, value)
     return values
@@ -122,25 +129,13 @@ def parse_spec(config_path, overrides: dict, mode: str, range_check: bool = True
     if config_path is not None:
         values.update(read_config_file(config_path))
     for key, raw in overrides.items():
-        if key not in KEY_TYPES:
+        if key not in KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
         if raw is not None:
             values[key] = _parse_value(key, raw) if isinstance(raw, str) else raw
 
-    config = mdl.ModelConfig(
-        tau=values.get("model.tau", mdl.ModelConfig.tau),
-        k=values.get("graph.k", mdl.ModelConfig.k),
-        s=values.get("graph.s", mdl.ModelConfig.s),
-        phi=values.get("model.phi", mdl.ModelConfig.phi),
-        hidden=values.get("model.hidden", mdl.ModelConfig.hidden),
-        heads=values.get("model.heads", mdl.ModelConfig.heads),
-        layers=values.get("model.layers", mdl.ModelConfig.layers),
-        lr=values.get("train.lr", mdl.ModelConfig.lr),
-        wd=values.get("train.wd", mdl.ModelConfig.wd),
-        epochs=values.get("train.epochs", mdl.ModelConfig.epochs),
-        seed=values.get("train.seed", mdl.ModelConfig.seed),
-        grad_clip=values.get("train.grad_clip", None),
-    )
+    config = mdl.ModelConfig(**{name: values[key] for name, key in FIELD_KEYS.items()
+                                if key in values})
     indicators = values.get("data.indicators", list(md.DEFAULT_INDICATORS))
     config.f = len(indicators)
     config.validate(strict_ranges=range_check)
@@ -307,9 +302,8 @@ def cmd_ablate(spec: ExperimentSpec) -> int:
 def cmd_sweep(spec: ExperimentSpec, axis: str, grid_raw: str) -> int:
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
-    key = SWEEP_AXES[axis]
     grid = [
-        _parse_value(key, part.strip())
+        _parse_value(FIELD_KEYS[axis], part.strip())
         for part in grid_raw.split(",") if part.strip()
     ]
     if not grid:
@@ -449,46 +443,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-FLAG_TO_KEY = {
-    "manifest": "data.manifest",
-    "indicators": "data.indicators",
-    "ratios": "data.ratios",
-    "k": "graph.k",
-    "s": "graph.s",
-    "tau": "model.tau",
-    "hidden": "model.hidden",
-    "heads": "model.heads",
-    "layers": "model.layers",
-    "phi": "model.phi",
-    "lr": "train.lr",
-    "wd": "train.wd",
-    "epochs": "train.epochs",
-    "seed": "train.seed",
-    "seeds": "train.seeds",
-    "grad_clip": "train.grad_clip",
-    "out": "out.dir",
-}
-
-
 def _add_common_flags(sub):
     sub.add_argument("--config", default=None, help="key=value configuration file")
-    sub.add_argument("--manifest", default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--indicators", default=None, help="comma-separated channel names")
-    sub.add_argument("--ratios", default=None, help="train:validation:test, e.g. 457:63:261")
-    sub.add_argument("--tau", default=None)
-    sub.add_argument("--k", default=None)
-    sub.add_argument("--s", default=None)
-    sub.add_argument("--hidden", default=None)
-    sub.add_argument("--heads", default=None)
-    sub.add_argument("--layers", default=None)
-    sub.add_argument("--phi", default=None)
-    sub.add_argument("--lr", default=None)
-    sub.add_argument("--wd", default=None)
-    sub.add_argument("--epochs", default=None)
-    sub.add_argument("--seed", default=None)
-    sub.add_argument("--seeds", default=None, help="comma-separated seed list")
-    sub.add_argument("--grad-clip", dest="grad_clip", default=None)
+    for key, (_, help_text) in KEYS.items():
+        sub.add_argument("--" + _dest(key).replace("_", "-"), default=None, help=help_text)
     sub.add_argument("--no-range-check", action="store_true",
                      help="permit hyperparameters outside the documented ranges")
 
@@ -518,13 +476,8 @@ def build_parser() -> _Parser:
 
 
 def spec_from_args(args) -> ExperimentSpec:
-    overrides = {}
-    for flag, key in FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    return parse_spec(args.config, overrides, args.mode,
-                      range_check=not getattr(args, "no_range_check", False))
+    overrides = {key: getattr(args, _dest(key)) for key in KEYS}
+    return parse_spec(args.config, overrides, args.mode, range_check=not args.no_range_check)
 
 
 def main(argv=None) -> int:

@@ -85,9 +85,6 @@ class GraphSnapshot:
     t: int
     features: np.ndarray   # N x (tau*F), or (B * N) x (tau*F) stacked
     adjacency: CsrGraph    # the sparsified graph, or B of them stacked
-    k: float
-    tau: int
-    threshold: float
 
 
 def _energies(features, k: float, tau: int, caller: str) -> np.ndarray:
@@ -276,11 +273,4 @@ def snapshot(t: int, features: np.ndarray, k: float, tau: int, threshold: float)
     """Bundle one window's features with its thresholded energy graph
     (``boltzmann_graph``)."""
     features = np.asarray(features, dtype=np.float64)
-    return GraphSnapshot(
-        t=t,
-        features=features,
-        adjacency=boltzmann_graph(features, k, tau, threshold),
-        k=k,
-        tau=tau,
-        threshold=threshold,
-    )
+    return GraphSnapshot(t, features, boltzmann_graph(features, k, tau, threshold))

@@ -40,7 +40,7 @@ class ShapeError(TrendgatError):
 
 
 class DegenerateRowError(TrendgatError):
-    """Softmax row with no valid position."""
+    """A ``gat_attention`` row with no edge, so its softmax has no position."""
 
 
 class LabelError(TrendgatError):

@@ -73,6 +73,10 @@ class ModelConfig:
             raise ConfigError(f"alpha must be 2, got {self.alpha}")
         if self.phi < 1 or self.epochs < 1 or self.hidden < 1:
             raise ConfigError("phi, epochs and hidden must be positive")
+        if self.f < 1:
+            raise ConfigError(f"f must be positive (at least one indicator), got {self.f}")
+        if self.grad_clip is not None and not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
+            raise ConfigError(f"grad_clip must be a finite positive number, got {self.grad_clip}")
         if not strict_ranges:
             return
         for key, (lo, hi) in RANGES.items():
@@ -239,8 +243,7 @@ def samples_from_panel(panel: md.IndicatorPanel, ts, config: ModelConfig,
         if adjacency is None:
             snap = eg.snapshot(t, ws.features, config.k, config.tau, config.s)
         else:
-            snap = eg.GraphSnapshot(t=t, features=ws.features, adjacency=adjacency,
-                                    k=config.k, tau=config.tau, threshold=config.s)
+            snap = eg.GraphSnapshot(t, ws.features, adjacency)
         out.append(Sample(snapshot=snap, labels=ws.labels))
     return out
 

@@ -8,7 +8,6 @@ from trendgat import energy_graph as eg
 from trendgat.errors import (
     DegenerateRowError,
     LabelError,
-    NumericError,
     ShapeError,
     TapeError,
 )
@@ -21,44 +20,6 @@ def rand(rng, r, c):
 # ---------------------------------------------------------------------------
 # forward behaviour
 # ---------------------------------------------------------------------------
-
-def test_row_softmax_uniform_row():
-    v = ad.Value(np.full((1, 4), 3.7))
-    out = ad.row_softmax(v)
-    assert np.allclose(out.data, 0.25, atol=1e-15)
-
-
-def test_row_softmax_shift_invariance():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((5, 6))
-    a = ad.row_softmax(ad.Value(x))
-    b = ad.row_softmax(ad.Value(x + 11.3))
-    np.testing.assert_allclose(a.data, b.data, atol=1e-12)
-
-
-def test_row_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        s = ad.row_softmax(rand(rng, 7, 9))
-        np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_masked_softmax_valid_positions_sum_to_one():
-    rng = np.random.default_rng(2)
-    x = rand(rng, 6, 6)
-    mask = rng.random((6, 6)) < 0.5
-    mask[:, 0] = True  # keep every row alive
-    s = ad.masked_row_softmax(x, mask)
-    assert (s.data[~mask] == 0.0).all()
-    np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_masked_softmax_empty_row_raises():
-    x = ad.Value(np.zeros((2, 3)))
-    mask = np.array([[True, False, True], [False, False, False]])
-    with pytest.raises(DegenerateRowError):
-        ad.masked_row_softmax(x, mask)
-
 
 def test_gat_attention_rejects_bad_shapes():
     v = lambda r, c: ad.Value(np.zeros((r, c)))
@@ -169,23 +130,11 @@ def test_cross_entropy_rejects_non_binary_targets(row):
         ad.cross_entropy_with_logits(logits, np.array([[0.0, 1.0], row]))
 
 
-def test_leaky_relu_slope_one_is_identity():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((4, 5))
-    out = ad.leaky_relu(ad.Value(x), 1.0)
-    np.testing.assert_array_equal(out.data, x)
-
-
 def test_prelu_all_ones_is_identity():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 5))
     out = ad.prelu(ad.Value(x), ad.Value(np.ones((1, 5))))
     np.testing.assert_array_equal(out.data, x)
-
-
-def test_log_rejects_nonpositive():
-    with pytest.raises(NumericError):
-        ad.log(ad.Value(np.array([[1.0, 0.0]])))
 
 
 def test_shape_errors_name_operation_and_shapes():
@@ -244,7 +193,7 @@ def test_backward_determinism_bit_identical():
         a = ad.Value(data_a.copy())
         b = ad.Value(data_b.copy())
         with ad.Tape() as t:
-            out = ad.reduce_sum(ad.row_softmax(ad.matmul(a, b)))
+            out = ad.cross_entropy_with_logits(ad.matmul(a, b), np.eye(4))
             t.backward(out)
         return a.grad.copy(), b.grad.copy()
 
@@ -293,32 +242,34 @@ def _off_kink_pair(rng, n, d):
 
 
 def _smooth(rng, r, c):
-    # keep entries away from 0 so leaky_relu / prelu kinks are not sampled
+    # keep entries away from 0 so prelu kinks are not sampled
     x = rng.standard_normal((r, c))
     return ad.Value(np.where(np.abs(x) < 0.1, x + 0.3, x))
 
 
 PRIMITIVE_CASES = 100  # shapes/seed combinations per primitive
 
-PRIMITIVES = [
-    "matmul", "add", "smul", "mul", "mul_scalar_broadcast", "concat_cols",
-    "slice_cols", "transpose", "reshape", "row_softmax", "masked_row_softmax",
-    "leaky_relu", "prelu", "reduce_sum", "log", "cross_entropy_with_logits", "gat_attention",
-    "multi_head_attention", "gat_attention_stacked", "multi_head_attention_groups",
-]
+# primitive -> seed base of its cases, fixed so that a case's draws do not
+# depend on which other primitives are listed
+PRIMITIVES = {
+    "matmul": 0, "add": 1, "smul": 2, "mul": 3, "mul_scalar_broadcast": 4, "concat_cols": 5,
+    "slice_cols": 6, "prelu": 12, "reduce_sum": 13, "cross_entropy_with_logits": 15,
+    "gat_attention": 16, "multi_head_attention": 17, "gat_attention_stacked": 18,
+    "multi_head_attention_groups": 19,
+}
 
 
 @pytest.mark.parametrize("name", PRIMITIVES)
 def test_primitive_gradients_against_finite_differences(name):
     for case in range(PRIMITIVE_CASES):
-        rng = np.random.default_rng(1000 * PRIMITIVES.index(name) + case)
+        rng = np.random.default_rng(1000 * PRIMITIVES[name] + case)
         r = int(rng.integers(1, 6))
         c = int(rng.integers(1, 6))
         if name == "matmul":
             k = int(rng.integers(1, 6))
             a, b = rand(rng, r, k), rand(rng, k, c)
             w = ad.const(rng.standard_normal((r, c)))
-            f = lambda: ad.reduce_sum(ad.mul(ad.row_softmax(ad.matmul(a, b)), w))
+            f = lambda: ad.reduce_sum(ad.mul(ad.matmul(a, b), w))
             params = [a, b]
         elif name == "add":
             a, b = rand(rng, r, c), rand(rng, r, c)
@@ -343,26 +294,6 @@ def test_primitive_gradients_against_finite_differences(name):
         elif name == "slice_cols":
             a = rand(rng, r, c + 2)
             f = lambda: ad.reduce_sum(ad.mul(ad.slice_cols(a, 1, c + 1), ad.slice_cols(a, 1, c + 1)))
-            params = [a]
-        elif name == "transpose":
-            a = rand(rng, r, c)
-            w = ad.const(rng.standard_normal((c, r)))
-            f = lambda: ad.reduce_sum(ad.mul(ad.row_softmax(ad.transpose(a)), w))
-            params = [a]
-        elif name == "reshape":
-            a = rand(rng, r, 2 * c)
-            w = ad.const(rng.standard_normal((2 * c, r)))
-            f = lambda: ad.reduce_sum(ad.mul(ad.reshape(a, 2 * c, r), w))
-            params = [a]
-        elif name == "row_softmax":
-            a = rand(rng, r, c)
-            f = lambda: ad.reduce_sum(ad.mul(ad.row_softmax(a), a))
-            params = [a]
-        elif name == "masked_row_softmax":
-            a = rand(rng, r, c + 1)
-            mask = rng.random((r, c + 1)) < 0.6
-            mask[:, 0] = True
-            f = lambda: ad.reduce_sum(ad.mul(ad.masked_row_softmax(a, mask), a))
             params = [a]
         elif name == "gat_attention":
             left, right = _off_kink_pair(rng, r, c)
@@ -411,10 +342,6 @@ def test_primitive_gradients_against_finite_differences(name):
             f = lambda: ad.reduce_sum(ad.mul(
                 ad.multi_head_attention(m, heads, w_merge, groups), w))
             params = [m, *(w for triple in heads for w in triple), w_merge]
-        elif name == "leaky_relu":
-            a = _smooth(rng, r, c)
-            f = lambda: ad.reduce_sum(ad.mul(ad.leaky_relu(a, 0.2), a))
-            params = [a]
         elif name == "prelu":
             a = _smooth(rng, r, c)
             slopes = ad.Value(rng.uniform(0.1, 0.9, (1, c)))
@@ -424,10 +351,6 @@ def test_primitive_gradients_against_finite_differences(name):
             a = rand(rng, r, c)
             f = lambda: ad.reduce_sum(ad.mul(a, a))
             params = [a]
-        elif name == "log":
-            a = ad.Value(rng.uniform(0.5, 3.0, (r, c)))
-            f = lambda: ad.reduce_sum(ad.log(a))
-            params = [a]
         else:  # cross_entropy_with_logits
             a = rand(rng, r, c + 1)
             target = np.zeros((r, c + 1))
@@ -435,32 +358,6 @@ def test_primitive_gradients_against_finite_differences(name):
             f = lambda: ad.cross_entropy_with_logits(a, target)
             params = [a]
         _check(f, params, seed=case)
-
-
-def test_masked_softmax_masked_positions_get_zero_gradient():
-    rng = np.random.default_rng(7)
-    a = ad.Value(rng.standard_normal((3, 4)))
-    mask = np.ones((3, 4), dtype=bool)
-    mask[1, 2] = False
-    with ad.Tape() as t:
-        s = ad.masked_row_softmax(a, mask)
-        t.backward(ad.reduce_sum(ad.mul(s, s)))
-    assert a.grad[1, 2] == 0.0
-
-
-def test_masked_softmax_with_cross_entropy_composite():
-    rng = np.random.default_rng(8)
-    a = ad.Value(rng.standard_normal((3, 3)))
-    w = ad.Value(rng.standard_normal((3, 3)))
-    mask = np.array([[True, True, False], [True, True, True], [False, True, True]])
-
-    def f():
-        s = ad.masked_row_softmax(ad.matmul(a, w), mask)
-        return ad.reduce_sum(ad.mul(s, ad.const(rng_fixed)))
-
-    rng_fixed = np.random.default_rng(9).standard_normal((3, 3))
-    report = ad.grad_check(f, [a, w], step=1e-5, tol=1e-4)
-    assert report.passed, report
 
 
 def test_grad_check_passes_on_quadratic():

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -64,6 +65,73 @@ def test_range_check_can_be_disabled(tmp_path):
     cfg.write_text("model.tau = 5\n")
     spec = cli.parse_spec(cfg, {}, mode="train", range_check=False)
     assert spec.config.tau == 5
+
+
+# one value per configuration key, each different from its default
+KEY_SAMPLES = {
+    "data.manifest": "data/manifest.csv",
+    "out.dir": "runs/other",
+    "data.indicators": "open,adj_close",
+    "data.ratios": "400:60:200",
+    "model.tau": "9",
+    "graph.k": "0.3",
+    "graph.s": "0.5",
+    "model.hidden": "8",
+    "model.heads": "4",
+    "model.layers": "3",
+    "model.phi": "2",
+    "train.lr": "0.002",
+    "train.wd": "0.0002",
+    "train.epochs": "5",
+    "train.seed": "3",
+    "train.seeds": "1,2",
+    "train.grad_clip": "0.5",
+}
+
+
+def flag_of(key):
+    return "--out" if key == "out.dir" else "--" + key.split(".", 1)[1].replace("_", "-")
+
+
+def resolved_from(*argv):
+    return cli.spec_from_args(cli.build_parser().parse_args(["train", *argv])).resolved()
+
+
+@pytest.mark.parametrize("key", sorted(cli.KEYS))
+def test_file_line_and_flag_set_a_key_alike(tmp_path, key):
+    value = KEY_SAMPLES[key]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    from_file = resolved_from("--config", str(cfg))
+    assert from_file == resolved_from(flag_of(key), value)
+    assert from_file != resolved_from()
+
+
+COMMON_FLAGS = {
+    "--config", "--manifest", "--out", "--indicators", "--ratios", "--tau", "--k", "--s",
+    "--hidden", "--heads", "--layers", "--phi", "--lr", "--wd", "--epochs", "--seed",
+    "--seeds", "--grad-clip", "--no-range-check",
+}
+
+
+def test_each_subcommand_accepts_exactly_its_flags():
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    accepted = {
+        mode: {opt for action in sub._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for mode, sub in subparsers.choices.items()
+    }
+    assert len(COMMON_FLAGS) == 19
+    assert accepted == {
+        "train": COMMON_FLAGS,
+        "eval": COMMON_FLAGS | {"--model"},
+        "ablate": COMMON_FLAGS,
+        "graphgen": COMMON_FLAGS | {"--t"},
+        "sweep": COMMON_FLAGS | {"--axis", "--grid"},
+        "synth": {"--out", "--n", "--days", "--seed"},
+        "report": {"--dir"},
+    }
 
 
 def test_comments_and_sections_parse(tmp_path):
@@ -276,6 +344,22 @@ def test_graphgen_index_outside_usable_range_exits_one(small_dataset, tmp_path, 
 def test_usage_error_exits_one():
     assert run_cli("train", "--tau", "30", "--manifest", "x.csv", "--out", "/tmp/x") == 1
     assert run_cli("nonsense") == 1
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--grad-clip", "-1", "grad_clip must be a finite positive number"),
+    ("--grad-clip", "0", "grad_clip must be a finite positive number"),
+    ("--grad-clip", "nan", "grad_clip must be a finite positive number"),
+    ("--grad-clip", "inf", "grad_clip must be a finite positive number"),
+    ("--indicators", ",", "f must be positive"),
+], ids=["grad_clip_negative", "grad_clip_zero", "grad_clip_nan", "grad_clip_inf",
+        "no_indicators"])
+def test_setting_no_model_trains_with_exits_one(small_dataset, tmp_path, capsys, flag, value,
+                                                message):
+    out = tmp_path / "o"
+    assert run_cli("train", *fast_flags(small_dataset, out), flag, value) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_data_exits_two(tmp_path):

@@ -461,9 +461,10 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("k", math.nan, "k=nan is not finite"),
     ("s", math.inf, "s=inf is not finite"),
     ("grad_clip", -math.inf, "grad_clip=-inf is not finite"),
+    ("grad_clip", -1, "stored configuration is invalid: grad_clip must be a finite positive"),
 ], ids=["hidden_str", "layers_null", "tau_str", "hidden_huge", "grad_clip_str",
         "parallel_str", "heads_missized", "layers_huge", "heads_huge", "epochs_zero", "k_nan",
-        "s_inf", "grad_clip_neg_inf"])
+        "s_inf", "grad_clip_neg_inf", "grad_clip_negative"])
 def test_mistyped_or_missized_config_is_format_error(tmp_path, capsys, key, value, match):
     from trendgat import cli
 
