@@ -308,13 +308,16 @@ def cmd_sweep(spec: ExperimentSpec, axis: str, grid_raw: str) -> int:
     ]
     if not grid:
         raise ConfigError("sweep grid must not be empty")
+    value_specs = [
+        dataclasses.replace(spec, config=dataclasses.replace(spec.config, **{axis: value}))
+        for value in grid
+    ]
+    for value_spec in value_specs:   # the whole grid, before anything trains or writes
+        value_spec.config.validate(strict_ranges=spec.range_check)
     out_dir = Path(spec.out_dir)
     write_resolved_spec(spec, out_dir)
     rows = []
-    for value in grid:
-        value_spec = dataclasses.replace(
-            spec, config=dataclasses.replace(spec.config, **{axis: value}))
-        value_spec.config.validate(strict_ranges=spec.range_check)
+    for value, value_spec in zip(grid, value_specs):
         _, datasets = load_datasets(value_spec)
         for seed in spec.seeds:
             record = train_one(value_spec, seed, datasets, out_dir, label=f"{axis}{value}")

@@ -1,7 +1,8 @@
 """OHLCV ingestion, calendar alignment, normalization and sample windowing.
 
 Input is one CSV per stock with the fixed header
-``date,open,high,low,adj_close,volume`` (``YYYY-MM-DD`` dates), plus a manifest
+``date,open,high,low,adj_close,volume`` (``YYYY-MM-DD`` dates, plain
+unquoted fields), plus a manifest
 CSV mapping ticker to file path with an optional sector column.  The
 panel is restricted to the intersection of all stocks' trading days; no
 values are imputed.
@@ -9,11 +10,12 @@ values are imputed.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -75,78 +77,142 @@ class DatasetSplits:
     test: list[int]
 
 
+def _read_lines(path: Path) -> list[str]:
+    """A UTF-8 file's lines, split at ``\\n``, ``\\r\\n`` or ``\\r``.  A byte
+    sequence that is not UTF-8 is a ParseError naming the file and line."""
+    data = path.read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
+    return text.split("\n")
+
+
 def read_manifest(path) -> list[tuple[str, Path, str]]:
     """Parse a manifest CSV of `ticker,path[,sector]` rows.  Lines starting
     with '#' are comments; paths are resolved relative to the manifest."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
+    try:
+        lines = _read_lines(path)
+    except OSError as exc:
+        raise DataError(f"cannot read manifest {path}: {exc.strerror}") from None
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if parts[0] == "ticker":
-                continue
-            if len(parts) < 2:
-                raise ParseError(f"{path}:{lineno}: expected `ticker,path[,sector]`")
-            sector = parts[2] if len(parts) > 2 else ""
-            rows.append((parts[0], path.parent / parts[1], sector))
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if parts[0] == "ticker":
+            continue
+        if len(parts) < 2:
+            raise ParseError(f"{path}:{lineno}: expected `ticker,path[,sector]`")
+        sector = parts[2] if len(parts) > 2 else ""
+        rows.append((parts[0], path.parent / parts[1], sector))
     if not rows:
         raise DataError(f"manifest {path} lists no stocks")
     return rows
 
 
+# True at the dashes of YYYY-MM-DD, False at its digits
+_DATE_DASHES = np.array([c == "-" for c in "0000-00-00"])
+
+
 def _read_stock_csv(ticker: str, csv_path: Path) -> tuple[np.ndarray, np.ndarray]:
     """One stock's rows as (dates, values): sorted ``datetime64[D]`` dates
-    and the matching R x 5 float64 array in RAW_INDICATORS order."""
+    and the matching R x 5 float64 array in RAW_INDICATORS order.
+
+    The file is checked and converted in bulk: one read, one split into
+    fields, one ``float`` pass over the 5R value strings, and array checks
+    of the dates (canonical ``YYYY-MM-DD``, a real calendar day, year >= 1,
+    no repeats) and values (finite).  Fields are plain: a ``"`` is not
+    quoting, so a quoted field fails its date or number check.  Blank lines
+    are skipped.  Only when a bulk check fails are the lines walked one by
+    one, to name the first bad one in the ParseError."""
     if not csv_path.exists():
         raise DataError(f"missing data file for ticker {ticker}: {csv_path}")
-    dates: list[str] = []
-    values: list[list[float]] = []
-    seen: set[str] = set()
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != CSV_HEADER:
-            raise ParseError(f"{csv_path}:1: header must be {','.join(CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ParseError(f"{csv_path}:{lineno}: expected 6 columns, got {len(row)}")
-            date = row[0].strip()
-            try:
-                canonical = datetime.date.fromisoformat(date).isoformat() == date
-            except ValueError:
-                canonical = False
-            if not canonical:
-                raise ParseError(f"{csv_path}:{lineno}: date {date!r} is not YYYY-MM-DD")
-            try:
-                vals = [float(x) for x in row[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{csv_path}:{lineno}: {exc}") from None
-            if not all(map(math.isfinite, vals)):
-                raise ParseError(f"{csv_path}:{lineno}: non-finite value")
-            if date in seen:
-                raise ParseError(f"{csv_path}:{lineno}: duplicate date {date}")
-            seen.add(date)
-            dates.append(date)
-            values.append(vals)
-    if not dates:
+    try:
+        lines = _read_lines(csv_path)
+    except OSError as exc:
+        raise DataError(
+            f"cannot read data file for ticker {ticker}: {csv_path}: {exc.strerror}") from None
+    if [h.strip() for h in lines[0].split(",")] != CSV_HEADER:
+        raise ParseError(f"{csv_path}:1: header must be {','.join(CSV_HEADER)}")
+    rows = list(filter(None, lines[1:]))
+    if not rows:
         raise DataError(f"data file for ticker {ticker} has no rows: {csv_path}")
-    days = np.array(dates, dtype="datetime64[D]")
+    n = len(rows)
+    if not (np.fromiter(map(str.count, rows, repeat(",")), np.intp, n) == 5).all():
+        _raise_first_bad_line(csv_path, lines)
+    fields = ",".join(rows).split(",")
+    date_strings = list(map(str.strip, fields[0::6]))
+    del fields[0::6]
+    chars = np.array(date_strings)
+    if chars.dtype != np.dtype("U10"):
+        _raise_first_bad_line(csv_path, lines)
+    codes = chars.view(np.uint32).reshape(n, 10)
+    digits = (codes >= ord("0")) & (codes <= ord("9"))
+    if not np.where(_DATE_DASHES, codes == ord("-"), digits).all():
+        _raise_first_bad_line(csv_path, lines)
+    try:
+        days = np.array(date_strings, dtype="datetime64[D]")
+    except ValueError:
+        _raise_first_bad_line(csv_path, lines)
+    if days.min() < np.datetime64("0001-01-01"):
+        _raise_first_bad_line(csv_path, lines)
+    try:
+        values = np.fromiter(map(float, fields), np.float64, 5 * n).reshape(n, 5)
+    except ValueError:
+        _raise_first_bad_line(csv_path, lines)
+    if not np.isfinite(values).all():
+        _raise_first_bad_line(csv_path, lines)
     order = np.argsort(days)
-    return days[order], np.array(values)[order]
+    days = days[order]
+    if (days[1:] == days[:-1]).any():
+        _raise_first_bad_line(csv_path, lines)
+    return days, values[order]
+
+
+def _raise_first_bad_line(csv_path: Path, lines: list[str]) -> NoReturn:
+    """Raise the ParseError for the first data line that fails a row check,
+    in the order columns, date, numbers, finiteness, repeat.  Called only
+    after a bulk check has rejected the file."""
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        row = line.split(",")
+        if len(row) != 6:
+            raise ParseError(f"{csv_path}:{lineno}: expected 6 columns, got {len(row)}")
+        date = row[0].strip()
+        try:
+            canonical = datetime.date.fromisoformat(date).isoformat() == date
+        except ValueError:
+            canonical = False
+        if not canonical:
+            raise ParseError(f"{csv_path}:{lineno}: date {date!r} is not YYYY-MM-DD")
+        try:
+            vals = [float(x) for x in row[1:]]
+        except ValueError as exc:
+            raise ParseError(f"{csv_path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(f"{csv_path}:{lineno}: non-finite value")
+        if date in seen:
+            raise ParseError(f"{csv_path}:{lineno}: duplicate date {date}")
+        seen.add(date)
+    raise ParseError(f"{csv_path}: rejected by a bulk check that no single line fails")
 
 
 def load_panel(manifest, min_days: int = 2) -> IndicatorPanel:
     """Load every stock in the manifest and align on the common calendar.
 
-    Each file is parsed straight to arrays, so no per-row Python object
-    outlives its file and memory grows as N x T x F."""
+    Each file is checked and converted in bulk straight to arrays (see
+    ``_read_stock_csv``), so no per-row Python object outlives its file and
+    memory grows as N x T x F."""
     entries = read_manifest(manifest)
     if len(entries) < 2:
         raise DataError("manifest must list at least 2 stocks")

@@ -278,6 +278,14 @@ def test_empty_grid_rejected(small_dataset, tmp_path):
     assert code == 1
 
 
+def test_sweep_checks_the_whole_grid_before_training(small_dataset, tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert run_cli("sweep", "--manifest", str(small_dataset), "--out", str(out),
+                   "--epochs", "1", "--axis", "tau", "--grid", "7,30") == 1
+    assert "tau=30" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("model_*.bin"))
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -365,6 +373,32 @@ def test_setting_no_model_trains_with_exits_one(small_dataset, tmp_path, capsys,
 def test_missing_data_exits_two(tmp_path):
     assert run_cli("train", "--manifest", str(tmp_path / "ghost.csv"),
                    "--out", str(tmp_path / "o"), "--tau", "7") == 2
+
+
+@pytest.mark.parametrize("target", ["SYN02.csv", "manifest.csv"])
+def test_non_utf8_byte_exits_two_naming_file_and_line(tmp_path, capsys, target):
+    manifest = synth.write_dataset(tmp_path / "ds", 6, 80, seed=5)
+    path = tmp_path / "ds" / target
+    lines = path.read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    assert run_cli("train", *fast_flags(manifest, tmp_path / "o")) == 2
+    assert f"{path}:3: not UTF-8" in capsys.readouterr().err
+
+
+def test_directory_as_manifest_exits_two(tmp_path, capsys):
+    (tmp_path / "m").mkdir()
+    assert run_cli("train", *fast_flags(tmp_path / "m", tmp_path / "o")) == 2
+    assert f"cannot read manifest {tmp_path / 'm'}" in capsys.readouterr().err
+
+
+def test_manifest_row_naming_a_directory_exits_two(tmp_path, capsys):
+    manifest = synth.write_dataset(tmp_path / "ds", 6, 80, seed=5)
+    path = tmp_path / "ds" / "SYN02.csv"
+    path.unlink()
+    path.mkdir()
+    assert run_cli("train", *fast_flags(manifest, tmp_path / "o")) == 2
+    assert f"ticker SYN02: {path}" in capsys.readouterr().err
 
 
 def test_overflowing_channel_exits_three(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import csv
+import datetime
+import math
 import tracemalloc
 
 import numpy as np
@@ -53,14 +56,25 @@ def test_unparsable_row_reports_file_and_line(tmp_path):
         md.load_panel(tmp_path / "m.csv")
 
 
-@pytest.mark.parametrize("bad_row", [
+MALFORMED_ROWS = [
     "2023-1-9,1,2,3,4,5",          # dates must be canonical YYYY-MM-DD
     "20230109,1,2,3,4,5",
     "2023-01-03T00:00,1,2,3,4,5",
     "2023-02-30,1,2,3,4,5",
     "2023-01-03,1,nan,3,4,5",
     "2023-01-03,1,2,3,-inf,5",
-])
+    "2023-01-03,1,2,3,4",          # 5 fields
+    "2023-01-03,1,2,3,4,5,2023-01-04,1,2,3,4,5",   # two records on one line
+    "2023-01-03,1,2,3,4,5,2023-01-04\n1,2,3,4,5",   # 7 then 5 fields: 12 on two lines
+    '2023-01-03,"1,5",2,3,4,5',    # fields are plain: a quote is not quoting
+    '"2023-01-03",1,2,3,4,5',
+    "0000-01-01,1,2,3,4,5",        # year 0 is not a calendar year
+    "10000-01-01,1,2,3,4,5",
+    "2023-01-02,1,2,3,4,5",        # repeats the previous line's date
+]
+
+
+@pytest.mark.parametrize("bad_row", MALFORMED_ROWS)
 def test_malformed_row_reports_file_and_line(tmp_path, bad_row):
     dates = trading_dates(3)
     write_stock_csv(tmp_path / "A.csv", dates, [flat_values(1.0)("A", j) for j in range(3)])
@@ -69,6 +83,139 @@ def test_malformed_row_reports_file_and_line(tmp_path, bad_row):
     write_manifest(tmp_path / "m.csv", [("A", "A.csv"), ("B", "B.csv")])
     with pytest.raises(ParseError, match=r"B\.csv:3"):
         md.load_panel(tmp_path / "m.csv")
+
+
+# ---------------------------------------------------------------------------
+# the bulk reader against the per-row reader it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_read_stock_csv(ticker, csv_path):
+    """The per-row csv.reader parser that ``_read_stock_csv`` replaced."""
+    if not csv_path.exists():
+        raise DataError(f"missing data file for ticker {ticker}: {csv_path}")
+    dates, values, seen = [], [], set()
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != md.CSV_HEADER:
+            raise ParseError(f"{csv_path}:1: header must be {','.join(md.CSV_HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 6:
+                raise ParseError(f"{csv_path}:{lineno}: expected 6 columns, got {len(row)}")
+            date = row[0].strip()
+            try:
+                canonical = datetime.date.fromisoformat(date).isoformat() == date
+            except ValueError:
+                canonical = False
+            if not canonical:
+                raise ParseError(f"{csv_path}:{lineno}: date {date!r} is not YYYY-MM-DD")
+            try:
+                vals = [float(x) for x in row[1:]]
+            except ValueError as exc:
+                raise ParseError(f"{csv_path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(f"{csv_path}:{lineno}: non-finite value")
+            if date in seen:
+                raise ParseError(f"{csv_path}:{lineno}: duplicate date {date}")
+            seen.add(date)
+            dates.append(date)
+            values.append(vals)
+    if not dates:
+        raise DataError(f"data file for ticker {ticker} has no rows: {csv_path}")
+    days = np.array(dates, dtype="datetime64[D]")
+    order = np.argsort(days)
+    return days[order], np.array(values)[order]
+
+
+PADS = ["", " ", "\t", "  "]
+
+
+def pad(rng, text):
+    return PADS[rng.integers(4)] + text + PADS[rng.integers(4)]
+
+
+def spell(rng, x):
+    """One of the spellings ``float`` accepts for x, or a digit-grouped
+    integer such as ``3_045``."""
+    if rng.random() < 0.1:
+        return f"{rng.integers(1, 10)}_{rng.integers(0, 1000):03d}"
+    return [repr(x), f"{x:.6e}", f"{x:.17g}", f"{x:E}"][rng.integers(4)]
+
+
+def random_stock_file(path, rng):
+    """Shuffled rows with blank lines, mixed LF/CRLF/CR endings, padding,
+    exponents and digit-group underscores."""
+    n = int(rng.integers(1, 120))
+    first = int(rng.integers(-700000, 2900000))       # days since 1970: years 53 to 9909
+    days = rng.permutation(first + np.arange(n) * int(rng.integers(1, 4)))
+    endings = ["\n", "\r\n", "\r"]
+    ending = endings[rng.integers(3)]
+    parts = ["date,open,high,low,adj_close,volume" + ending]
+    for d in days:
+        date = str(np.datetime64(int(d), "D"))
+        values = rng.standard_normal(5) * 10.0 ** rng.integers(-5, 8, size=5)
+        parts.append(",".join([pad(rng, date)] + [pad(rng, spell(rng, float(v)))
+                                                  for v in values]))
+        parts.append(endings[rng.integers(3)] if rng.random() < 0.2 else ending)
+        if rng.random() < 0.1:
+            parts.append(ending * int(rng.integers(1, 3)))
+    path.write_bytes("".join(parts).encode("utf-8"))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bulk_reader_matches_per_row_oracle(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    for i in range(8):
+        path = tmp_path / f"S{i}.csv"
+        random_stock_file(path, rng)
+        days, values = md._read_stock_csv("S", path)
+        want_days, want_values = oracle_read_stock_csv("S", path)
+        assert days.dtype == want_days.dtype and values.dtype == want_values.dtype
+        assert np.array_equal(days, want_days) and np.array_equal(values, want_values)
+
+
+@pytest.mark.parametrize("n_stocks,n_days", [(20, 600), (100, 120), (100, 600)])
+def test_load_panel_is_bit_identical_to_per_row_oracle(tmp_path, monkeypatch, n_stocks, n_days):
+    manifest = synth.write_dataset(tmp_path, n_stocks, n_days, seed=n_stocks + n_days)
+    panel = md.load_panel(manifest)
+    monkeypatch.setattr(md, "_read_stock_csv", oracle_read_stock_csv)
+    want = md.load_panel(manifest)
+    assert np.array_equal(panel.values, want.values)
+    assert np.array_equal(panel.close, want.close)
+    assert panel.dates == want.dates
+
+
+def failure(read, path):
+    """The class and message of a reader's rejection of path."""
+    with pytest.raises(DataError) as info:
+        read("B", path)
+    return type(info.value), str(info.value)
+
+
+# the csv module strips the quotes of '"2023-01-03"' and accepts the row
+@pytest.mark.parametrize("bad_row", [r for r in MALFORMED_ROWS if not r.startswith('"')])
+def test_bulk_reader_rejects_like_per_row_oracle(tmp_path, bad_row):
+    path = tmp_path / "B.csv"
+    path.write_text("date,open,high,low,adj_close,volume\n"
+                    f"2023-01-02,1,2,3,4,5\n{bad_row}\n2023-01-05,1,2,3,4,5\n")
+    got, got_message = failure(md._read_stock_csv, path)
+    want, want_message = failure(oracle_read_stock_csv, path)
+    assert got is want is ParseError
+    assert got_message.startswith(f"{path}:3: ") and want_message.startswith(f"{path}:3: ")
+    if '"' not in bad_row:    # csv reads "1,5" as one field, the bulk reader as two
+        assert got_message == want_message
+
+
+def test_duplicate_date_far_from_its_first_line_names_the_repeat(tmp_path):
+    dates = trading_dates(80)
+    lines = [f"{d},1,2,3,4,{j}" for j, d in enumerate(dates)]
+    lines.insert(60, f"{dates[10]},9,9,9,9,9")     # 50 lines after dates[10]'s row
+    path = tmp_path / "B.csv"
+    path.write_text("date,open,high,low,adj_close,volume\n" + "\n".join(lines) + "\n")
+    want = (ParseError, f"{path}:62: duplicate date {dates[10]}")
+    assert failure(md._read_stock_csv, path) == failure(oracle_read_stock_csv, path) == want
 
 
 def test_values_match_fixture_cell_for_cell(tmp_path):
