@@ -98,15 +98,11 @@ class Tape:
         if loss.data.shape != (1, 1):
             raise TapeError(f"backward requires a 1x1 scalar loss, got {loss.data.shape}")
         if self._spent:
-            raise TapeError("backward already ran on this tape; reset() to reuse")
+            raise TapeError("backward already ran on this tape; record a new tape")
         loss._acc(np.ones((1, 1)))
         for fn in reversed(self._ops):
             fn()
         self._spent = True
-
-    def reset(self) -> None:
-        self._ops.clear()
-        self._spent = False
 
 
 def _tape() -> Tape | None:

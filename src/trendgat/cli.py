@@ -143,6 +143,8 @@ def parse_spec(config_path, overrides: dict, mode: str, range_check: bool = True
     seeds = values.get("train.seeds", [config.seed])
     if not seeds:
         raise ConfigError("seed list must not be empty")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seed list repeats a seed: {seeds}")
     return ExperimentSpec(
         mode=mode,
         manifest=values.get("data.manifest"),
@@ -161,24 +163,13 @@ def write_resolved_spec(spec: ExperimentSpec, out_dir: Path) -> None:
         json.dumps(spec.resolved(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_panel(spec: ExperimentSpec) -> md.IndicatorPanel:
-    """The spec's manifest, aligned and restricted to its indicators."""
+def _load_panel(spec: ExperimentSpec, configs) -> md.IndicatorPanel:
+    """The spec's manifest, aligned and restricted to its indicators, with
+    enough shared days for the longest window and horizon of any config."""
     if spec.manifest is None:
         raise ConfigError(f"mode {spec.mode!r} requires a dataset manifest (data.manifest / --manifest)")
-    panel = md.load_panel(spec.manifest, min_days=spec.config.tau + spec.config.phi)
+    panel = md.load_panel(spec.manifest, min_days=max(c.tau + c.phi for c in configs))
     return md.select_indicators(panel, spec.indicators)
-
-
-def load_datasets(spec: ExperimentSpec, graph_source: str = "energy"):
-    """Panel pipeline shared by all data-driven commands; graph_source is
-    'energy' (dynamic) or 'sector' (static, for ablations)."""
-    panel = _load_panel(spec)
-    adjacency = None
-    if graph_source == "sector":
-        if not panel.sectors or any(t not in panel.sectors for t in panel.tickers):
-            raise ConfigError("sector graph requested but the manifest lacks sector entries")
-        adjacency = eg.sector_adjacency(panel.sectors, panel.tickers)
-    return panel, mdl.build_datasets(panel, spec.config, spec.ratios, adjacency)
 
 
 def _write_history(history: list[dict], path: Path) -> None:
@@ -187,10 +178,10 @@ def _write_history(history: list[dict], path: Path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def train_one(spec: ExperimentSpec, seed: int, datasets, out_dir: Path,
+def train_one(config: mdl.ModelConfig, seed: int, datasets, out_dir: Path,
               label: str = "") -> dict:
     """One seeded training run; writes history, metrics and checkpoint."""
-    config = dataclasses.replace(spec.config, seed=seed)
+    config = dataclasses.replace(config, seed=seed)
     result = mdl.train(datasets["train"], datasets["validation"], config)
     test = mt.evaluate(result.params, datasets["test"]) if datasets["test"] else None
     suffix = f"{label}_seed{seed}" if label else f"seed{seed}"
@@ -209,6 +200,38 @@ def train_one(spec: ExperimentSpec, seed: int, datasets, out_dir: Path,
     return record
 
 
+def run_variants(spec: ExperimentSpec, variants) -> dict[str, list[dict]]:
+    """Train each (label, ModelConfig, graph source) for every seed of the
+    spec; returns {label: [per-seed record]}.  A graph source is "energy"
+    (one energy graph per window) or "sector" (the fixed same-sector graph).
+
+    Every config, graph source and data split is checked before the first
+    model trains.  The panel is loaded once, and consecutive variants that
+    share tau, phi, k, s and graph source share one set of datasets; at
+    most one set is alive at a time."""
+    configs = [config for _, config, _ in variants]
+    for config in configs:
+        config.validate(strict_ranges=spec.range_check)
+    panel = _load_panel(spec, configs)
+    graphs = {source: None if source == "energy" else eg.sector_adjacency(panel.sectors, panel.tickers)
+              for _, _, source in variants}
+    for config in configs:
+        md.split_periods(panel, spec.ratios, config.tau, config.phi)
+    out_dir = Path(spec.out_dir)
+    write_resolved_spec(spec, out_dir)
+    results: dict[str, list[dict]] = {}
+    built, datasets = None, None
+    for label, config, source in variants:
+        key = (config.tau, config.phi, config.k, config.s, source)
+        if key != built:
+            datasets = None           # free the previous set before building the next
+            datasets = mdl.build_datasets(panel, config, spec.ratios, graphs[source])
+            built = key
+        results[label] = [train_one(config, seed, datasets, out_dir, label)
+                          for seed in spec.seeds]
+    return results
+
+
 def summarize(records: list[dict], metric_path=("test", "acc")) -> dict:
     def get(rec):
         value = rec
@@ -221,17 +244,14 @@ def summarize(records: list[dict], metric_path=("test", "acc")) -> dict:
 
 
 def cmd_train(spec: ExperimentSpec) -> int:
-    out_dir = Path(spec.out_dir)
-    write_resolved_spec(spec, out_dir)
-    _, datasets = load_datasets(spec)
-    records = [train_one(spec, seed, datasets, out_dir) for seed in spec.seeds]
+    records = run_variants(spec, [("", spec.config, "energy")])[""]
     summary = {
         "acc": summarize(records, ("test", "acc")),
         "mcc": summarize(records, ("test", "mcc")),
         "f1": summarize(records, ("test", "f1")),
         "records": records,
     }
-    (out_dir / "run_summary.json").write_text(
+    (Path(spec.out_dir) / "run_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for name in ("acc", "mcc", "f1"):
         s = summary[name]
@@ -244,8 +264,8 @@ def cmd_eval(spec: ExperimentSpec, model_path: str) -> int:
     eval_spec = dataclasses.replace(spec, config=params.config)
     out_dir = Path(spec.out_dir)
     write_resolved_spec(eval_spec, out_dir)
-    _, datasets = load_datasets(eval_spec)
-    record = mt.evaluate(params, datasets["test"])
+    panel = _load_panel(eval_spec, [params.config])
+    record = mt.evaluate(params, mdl.build_datasets(panel, params.config, spec.ratios)["test"])
     (out_dir / "metrics_eval.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(json.dumps(record, sort_keys=True))
@@ -262,19 +282,9 @@ ABLATION_VARIANTS = [
 
 
 def cmd_ablate(spec: ExperimentSpec) -> int:
-    out_dir = Path(spec.out_dir)
-    write_resolved_spec(spec, out_dir)
-    by_source = {
-        "energy": load_datasets(spec, "energy")[1],
-        "sector": load_datasets(spec, "sector")[1],  # fails fast if sectors missing
-    }
-    table: dict[str, list[dict]] = {}
-    for label, source, parallel in ABLATION_VARIANTS:
-        variant_spec = dataclasses.replace(
-            spec, config=dataclasses.replace(spec.config, parallel_attention=parallel))
-        records = [train_one(variant_spec, seed, by_source[source], out_dir, label=label)
-                   for seed in spec.seeds]
-        table[label] = records
+    table = run_variants(spec, [
+        (label, dataclasses.replace(spec.config, parallel_attention=parallel), source)
+        for label, source, parallel in ABLATION_VARIANTS])
     report = {
         "seeds": spec.seeds,
         "variants": {
@@ -288,7 +298,7 @@ def cmd_ablate(spec: ExperimentSpec) -> int:
             for label, source, parallel in ABLATION_VARIANTS
         },
     }
-    (out_dir / "ablation.json").write_text(
+    (Path(spec.out_dir) / "ablation.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{'variant':>14} {'graph':>7} {'attn':>5} {'params':>8} {'val acc':>16} {'test acc':>16}")
     for label, source, parallel in ABLATION_VARIANTS:
@@ -308,21 +318,15 @@ def cmd_sweep(spec: ExperimentSpec, axis: str, grid_raw: str) -> int:
     ]
     if not grid:
         raise ConfigError("sweep grid must not be empty")
-    value_specs = [
-        dataclasses.replace(spec, config=dataclasses.replace(spec.config, **{axis: value}))
-        for value in grid
-    ]
-    for value_spec in value_specs:   # the whole grid, before anything trains or writes
-        value_spec.config.validate(strict_ranges=spec.range_check)
+    if len(set(grid)) < len(grid):
+        raise ConfigError(f"sweep grid repeats a value: {grid}")
+    results = run_variants(spec, [
+        (f"{axis}{value}", dataclasses.replace(spec.config, **{axis: value}), "energy")
+        for value in grid])
+    rows = [(value, record["seed"], record["test"]["acc"], record["test"]["mcc"],
+             record["test"]["f1"])
+            for value in grid for record in results[f"{axis}{value}"]]
     out_dir = Path(spec.out_dir)
-    write_resolved_spec(spec, out_dir)
-    rows = []
-    for value, value_spec in zip(grid, value_specs):
-        _, datasets = load_datasets(value_spec)
-        for seed in spec.seeds:
-            record = train_one(value_spec, seed, datasets, out_dir, label=f"{axis}{value}")
-            rows.append((value, seed, record["test"]["acc"], record["test"]["mcc"],
-                         record["test"]["f1"]))
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("axis_value,seed,acc,mcc,f1\n")
@@ -350,30 +354,10 @@ def sweep_summary(rows) -> dict:
     return summary
 
 
-def read_sweep_csv(path) -> list[tuple]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "axis_value,seed,acc,mcc,f1":
-            raise DataError(f"unexpected sweep CSV header in {path}")
-        for line in fh:
-            value, seed, acc, mcc, f1 = line.strip().split(",")
-            rows.append((_maybe_number(value), int(seed), float(acc), float(mcc), float(f1)))
-    return rows
-
-
-def _maybe_number(raw: str):
-    try:
-        f = float(raw)
-        return int(f) if f.is_integer() and "." not in raw else f
-    except ValueError:
-        return raw
-
-
 def cmd_graphgen(spec: ExperimentSpec, t: int | None) -> int:
     out_dir = Path(spec.out_dir)
     write_resolved_spec(spec, out_dir)
-    panel = _load_panel(spec)
+    panel = _load_panel(spec, [spec.config])
     cfg = spec.config
     splits = md.split_periods(panel, spec.ratios, cfg.tau, cfg.phi)
     usable = md.usable_range(panel.n_days, cfg.tau, cfg.phi)

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trendgat import cli, model as mdl, synth
+from trendgat import cli, energy_graph as eg, market_data as md, model as mdl, synth
 from trendgat.errors import ConfigError
 
 
@@ -23,6 +24,24 @@ def run_cli(*argv):
 def fast_flags(manifest, out, epochs="3"):
     return ["--manifest", str(manifest), "--out", str(out),
             "--tau", "7", "--epochs", epochs, "--seed", "0"]
+
+
+def read_sweep_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that every call appends to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +262,10 @@ def test_single_point_sweep_equals_train_run(small_dataset, tmp_path):
                    "--axis", "k", "--grid", "0.5") == 0
     out2 = tmp_path / "tr"
     run_cli("train", *fast_flags(small_dataset, out2), "--k", "0.5")
-    rows = cli.read_sweep_csv(out / "sweep.csv")
+    rows = read_sweep_rows(out / "sweep.csv")
     plain = json.loads((out2 / "metrics_seed0.json").read_text())
     assert len(rows) == 1
-    assert rows[0][2] == pytest.approx(plain["test"]["acc"], abs=1e-12)
+    assert float(rows[0]["acc"]) == pytest.approx(plain["test"]["acc"], abs=1e-12)
 
 
 def test_sweep_cardinality(small_dataset, tmp_path):
@@ -255,7 +274,7 @@ def test_sweep_cardinality(small_dataset, tmp_path):
                    "--epochs", "2", "--seeds", "0,1",
                    "--axis", "tau", "--grid", "7,17,27")
     assert code == 0
-    rows = cli.read_sweep_csv(out / "sweep.csv")
+    rows = read_sweep_rows(out / "sweep.csv")
     assert len(rows) == 6
 
 
@@ -265,7 +284,10 @@ def test_sweep_csv_round_trip_matches_summary(small_dataset, tmp_path):
             "--epochs", "2", "--seeds", "0,1", "--axis", "k", "--grid", "0.1,0.9",
             "--tau", "7")
     stored = json.loads((out / "sweep_summary.json").read_text())["values"]
-    recomputed = cli.sweep_summary(cli.read_sweep_csv(out / "sweep.csv"))
+    recomputed = cli.sweep_summary([
+        (row["axis_value"], int(row["seed"]), float(row["acc"]), float(row["mcc"]),
+         float(row["f1"]))
+        for row in read_sweep_rows(out / "sweep.csv")])
     for value, stats in recomputed.items():
         for metric in ("acc", "mcc", "f1"):
             assert stats[metric]["mean"] == pytest.approx(stored[value][metric]["mean"], abs=1e-12)
@@ -284,6 +306,50 @@ def test_sweep_checks_the_whole_grid_before_training(small_dataset, tmp_path, ca
                    "--epochs", "1", "--axis", "tau", "--grid", "7,30") == 1
     assert "tau=30" in capsys.readouterr().err
     assert not list(tmp_path.rglob("model_*.bin"))
+
+
+def test_sweep_checks_every_split_before_training(tmp_path, capsys):
+    manifest = synth.write_dataset(tmp_path / "ds", 6, 32, seed=5)
+    out = tmp_path / "sw"
+    assert run_cli("sweep", "--manifest", str(manifest), "--out", str(out), "--epochs", "1",
+                   "--no-range-check", "--axis", "tau", "--grid", "7,30") == 2
+    assert "cannot fill three non-empty blocks" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("model_*.bin"))
+
+
+@pytest.mark.parametrize("flags", [
+    ["train", "--seeds", "0,0"],
+    ["sweep", "--axis", "k", "--grid", "0.5,0.5"],
+    ["sweep", "--axis", "k", "--grid", "1,1.0"],
+    ["sweep", "--axis", "heads", "--grid", "2,4,2"],
+])
+def test_duplicate_seed_or_grid_value_exits_one(small_dataset, tmp_path, capsys, flags):
+    mode, *rest = flags
+    assert run_cli(mode, *fast_flags(small_dataset, tmp_path / "o", epochs="1"), *rest) == 1
+    assert "repeats" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("model_*.bin"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["ablate"],
+    ["sweep", "--axis", "k", "--grid", "0.5,1.0"],
+])
+def test_each_stock_csv_is_read_once(small_dataset, tmp_path, monkeypatch, argv):
+    reads = count_calls(monkeypatch, md, "_read_stock_csv")
+    assert run_cli(argv[0], *fast_flags(small_dataset, tmp_path / "o", epochs="1"),
+                   *argv[1:]) == 0
+    assert sorted(ticker for ticker, _ in reads) == [f"SYN{i:02d}" for i in range(6)]
+
+
+def test_sweep_over_heads_builds_each_energy_graph_once(small_dataset, tmp_path, monkeypatch):
+    builds = count_calls(monkeypatch, eg, "boltzmann_graph")
+    assert run_cli("train", *fast_flags(small_dataset, tmp_path / "tr", epochs="1")) == 0
+    per_train = len(builds)
+    builds.clear()
+    assert run_cli("sweep", *fast_flags(small_dataset, tmp_path / "sw", epochs="1"),
+                   "--axis", "heads", "--grid", "2,4") == 0
+    assert per_train > 0
+    assert len(builds) == per_train
 
 
 # ---------------------------------------------------------------------------
