@@ -11,15 +11,19 @@ gradients.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .errors import (
-    DegenerateRowError,
     DeterminismError,
     LabelError,
     ShapeError,
     TapeError,
 )
+
+if TYPE_CHECKING:
+    from .energy_graph import CsrGraph
 
 _ACTIVE_TAPES: list["Tape"] = []
 
@@ -227,81 +231,74 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
-                  indptr: np.ndarray, src: np.ndarray, weight: np.ndarray,
-                  slope: float) -> Value:
+                  graph: CsrGraph, slope: float) -> Value:
     """GATv2 attention evaluated on the edges of a CSR graph only.
 
-    ``left`` and ``right`` have one row per node (R rows, B stacked graphs
-    of N nodes being one graph of R = B * N nodes).  Row r's edges are
-    ``indptr[r]:indptr[r + 1]``: ``src`` holds their source nodes and
-    ``weight`` their adjacency entries.  Row r of the result is
-    sum_e a_e * right[src[e]] over row r's edges, where a is the softmax
-    over them of attn . leaky_relu(left[r] + right[src[e]]) +
-    edge_bias * weight[e].  Each row's edges are contiguous, so every
-    per-row reduction is one ``reduceat`` and time and memory are
-    O(E * d).  A malformed graph (``indptr`` not R + 1 non-decreasing
-    offsets from 0 to E, a source outside [0, R), ``weight`` not E long)
-    is a ``ShapeError``; a row without edges a ``DegenerateRowError``.
+    ``left`` and ``right`` have one row per node of ``graph`` (R rows, B
+    stacked graphs of N nodes being one graph of R = B * N nodes).  Row r
+    of the result is sum_e a_e * right[src[e]] over row r's edges, where a
+    is the softmax over them of attn . leaky_relu(left[r] + right[src[e]])
+    + edge_bias * weight[e].
+
+    A softmax over one position is 1, so a row with a single edge is
+    ``right`` at its source, and its gradient reaches ``right`` alone.
+    The logits, softmax and weighted sums run only over the E' edges of
+    rows with more than one edge, each row's edges contiguous so that
+    every per-row reduction is one ``reduceat``: time and memory are
+    O(R * d + E' * d).  The index arrays come from ``graph.structure``,
+    built once per graph, which also checks the graph (see
+    ``energy_graph.edge_structure``).
     """
     rows, d = left.data.shape
-    indptr, src = np.asarray(indptr), np.asarray(src)
-    weight = np.asarray(weight, dtype=np.float64)
     if right.data.shape != (rows, d) or attn.data.shape != (d, 1) or edge_bias.data.shape != (1, 1):
         raise ShapeError(
             f"gat_attention: left {left.data.shape}, right {right.data.shape}, "
             f"attn {attn.data.shape}, edge_bias {edge_bias.data.shape} "
             f"(want R x d, R x d, d x 1, 1 x 1)")
-    if (indptr.shape != (rows + 1,) or src.ndim != 1 or weight.shape != src.shape
-            or indptr.dtype.kind not in "iu" or src.dtype.kind not in "iu"
-            or indptr[0] != 0 or indptr[-1] != src.size):
-        raise ShapeError(
-            f"gat_attention: indptr {indptr.shape}, src {src.shape}, weight {weight.shape} "
-            f"for {rows} rows (want R + 1 integer offsets from 0 to E, E integer sources "
-            f"and E weights)")
-    counts = indptr[1:] - indptr[:-1]
-    if rows and counts.min() <= 0:
-        row = int(np.argmin(counts))
-        if counts[row] < 0:
-            raise ShapeError(f"gat_attention: indptr decreases at row {row}")
-        raise DegenerateRowError(f"gat_attention: row {row} has no edge")
-    if src.size and (src.min() < 0 or src.max() >= rows):
-        raise ShapeError(f"gat_attention: sources span [{src.min()}, {src.max()}], "
-                         f"outside [0, {rows})")
-    starts = indptr[:-1]                                            # first edge of each row
-    dst = np.repeat(np.arange(rows), counts)
+    if graph.rows != rows:
+        raise ShapeError(f"gat_attention: indptr {graph.indptr.shape} for {rows} node rows "
+                         f"(want R + 1 offsets)")
+    s = graph.structure
+    m = s.multi
     slope = float(slope)
 
-    nbr = right.data[src]                                           # E x d
-    pre = left.data[dst] + nbr
-    pos = pre > 0
-    act = np.where(pos, pre, slope * pre)
-    logits = (act @ attn.data)[:, 0] + weight * edge_bias.data[0, 0]
-    e = np.exp(logits - np.maximum.reduceat(logits, starts)[dst])
-    alpha = e / np.add.reduceat(e, starts)[dst]                     # E
-    out, t = _make(np.add.reduceat(alpha[:, None] * nbr, starts, axis=0),
-                   left, right, attn, edge_bias)
+    result = right.data[s.first_src]                                # R x d
+    if m is not None:
+        nbr = right.data[m.src]                                     # E' x d
+        pre = left.data[m.dst] + nbr
+        pos = pre > 0
+        act = np.where(pos, pre, slope * pre)
+        # row-wise, so that an edge's logit does not depend on its offset
+        logits = (act * attn.data[:, 0]).sum(axis=1) + m.weight * edge_bias.data[0, 0]
+        e = np.exp(logits - np.maximum.reduceat(logits, m.starts)[m.seg])
+        alpha = e / np.add.reduceat(e, m.starts)[m.seg]             # E'
+        result[m.rows] = np.add.reduceat(alpha[:, None] * nbr, m.starts, axis=0)
+    out, t = _make(result, left, right, attn, edge_bias)
     if t is not None:
         def bwd():
-            g = out.grad[dst]                                       # E x d
-            g_alpha = (g * nbr).sum(axis=1)
-            g_logit = alpha * (g_alpha - np.add.reduceat(alpha * g_alpha, starts)[dst])
-            if attn.requires_grad:
-                attn._acc(act.T @ g_logit[:, None])
-            if edge_bias.requires_grad:
-                edge_bias._acc(np.array([[g_logit @ weight]]))
-            g_pre = g_logit[:, None] * attn.data[:, 0] * np.where(pos, 1.0, slope)
-            if left.requires_grad:
-                left._acc(np.add.reduceat(g_pre, starts, axis=0))
+            g_out = out.grad
             if right.requires_grad:
-                # sum per source over the edges sorted by source; a node that
-                # is no edge's source keeps a zero row
-                by_src = np.argsort(src, kind="stable")
-                src_counts = np.bincount(src, minlength=rows)
-                present = src_counts > 0
-                src_starts = (np.cumsum(src_counts) - src_counts)[present]
+                g_edges = g_out[s.dst_by_src]                       # E x d, by source
+            if m is not None:
+                g = g_out[m.dst]                                    # E' x d
+                g_alpha = (g * nbr).sum(axis=1)
+                g_logit = alpha * (g_alpha - np.add.reduceat(alpha * g_alpha, m.starts)[m.seg])
+                if attn.requires_grad:
+                    attn._acc(act.T @ g_logit[:, None])
+                if edge_bias.requires_grad:
+                    edge_bias._acc(np.array([[g_logit @ m.weight]]))
+                g_pre = g_logit[:, None] * attn.data[:, 0] * np.where(pos, 1.0, slope)
+                if left.requires_grad:
+                    g_left = np.zeros_like(left.data)
+                    g_left[m.rows] = np.add.reduceat(g_pre, m.starts, axis=0)
+                    left._acc(g_left)
+                if right.requires_grad:
+                    g_edges[m.at] = alpha[:, None] * g + g_pre
+            if right.requires_grad:
+                # one sum per source over all its edges; a node that is no
+                # edge's source keeps a zero row
                 g_right = np.zeros_like(right.data)
-                g_right[present] = np.add.reduceat((alpha[:, None] * g + g_pre)[by_src],
-                                                   src_starts, axis=0)
+                g_right[s.src_nodes] = np.add.reduceat(g_edges, s.src_starts, axis=0)
                 right._acc(g_right)
         t._record(bwd)
     return out

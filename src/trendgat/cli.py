@@ -265,7 +265,8 @@ def cmd_eval(spec: ExperimentSpec, model_path: str) -> int:
     out_dir = Path(spec.out_dir)
     write_resolved_spec(eval_spec, out_dir)
     panel = _load_panel(eval_spec, [params.config])
-    record = mt.evaluate(params, mdl.build_datasets(panel, params.config, spec.ratios)["test"])
+    test = mdl.build_datasets(panel, params.config, spec.ratios, names=("test",))["test"]
+    record = mt.evaluate(params, test)
     (out_dir / "metrics_eval.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(json.dumps(record, sort_keys=True))

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DegenerateRowError, NumericError, ShapeError
 
 THRESHOLD_RANGE = (0.25, 0.85)
 
@@ -33,6 +34,13 @@ _WINDOW_MARGIN = 1e-9
 
 class ThresholdRangeWarning(UserWarning):
     """Threshold outside the usual search range; permitted but suspicious."""
+
+
+def _read_only(values, dtype=None) -> np.ndarray:
+    """A read-only view of ``values``; the array it views keeps its flags."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,12 +55,20 @@ class CsrGraph:
     fell below the threshold), so no attention row is empty.
     ``np.asarray(graph)`` is the dense R x R matrix, block-diagonal for a
     stack; ``shape`` is its shape.
+
+    The arrays are read-only views, so ``structure``, which is built from
+    them on first use and kept, cannot go stale.
     """
 
     indptr: np.ndarray   # R + 1 edge offsets, indptr[0] = 0
     src: np.ndarray      # E source nodes
     weight: np.ndarray   # E entries
     n: int               # nodes per graph
+
+    def __post_init__(self):
+        object.__setattr__(self, "indptr", _read_only(self.indptr))
+        object.__setattr__(self, "src", _read_only(self.src))
+        object.__setattr__(self, "weight", _read_only(self.weight, np.float64))
 
     @property
     def rows(self) -> int:
@@ -66,6 +82,11 @@ class CsrGraph:
     def dst(self) -> np.ndarray:
         """The row (destination node) of each edge."""
         return np.repeat(np.arange(self.rows), np.diff(self.indptr))
+
+    @cached_property
+    def structure(self) -> "EdgeStructure":
+        """The graph's ``edge_structure``, built on first use."""
+        return edge_structure(self)
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
@@ -118,6 +139,80 @@ def _windows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row = np.repeat(np.arange(lo.size), counts)
     first = counts.cumsum() - counts
     return row, np.arange(row.size) + (lo - first)[row]
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class NeighbourRows:
+    """The M rows that have more than one edge, and their E' edges row by
+    row: per row its index into all rows and its first edge; per edge its
+    row's position in 0..M-1, its source, row and weight, and its place in
+    the source order of ``EdgeStructure``."""
+
+    rows: np.ndarray      # M
+    starts: np.ndarray    # M
+    seg: np.ndarray       # E'
+    src: np.ndarray       # E'
+    dst: np.ndarray       # E'
+    weight: np.ndarray    # E'
+    at: np.ndarray        # E'
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class EdgeStructure:
+    """The index arrays ``autodiff.gat_attention`` reads from a graph.
+
+    A row with one edge has a softmax over one position, so it needs only
+    its source: ``first_src`` holds each row's first.  ``multi`` holds the
+    rows with more than one edge, or is None when there are none.  The
+    backward sums the right gradient over all E edges taken in stable
+    source order: ``dst_by_src`` is their rows, and ``src_nodes`` and
+    ``src_starts`` each source node and its first place in that order.
+    """
+
+    first_src: np.ndarray     # R
+    dst_by_src: np.ndarray    # E
+    src_nodes: np.ndarray     # nodes that are the source of some edge, ascending
+    src_starts: np.ndarray    # one per src_nodes
+    multi: NeighbourRows | None
+
+
+def edge_structure(graph: CsrGraph) -> EdgeStructure:
+    """Check ``graph`` and build its ``EdgeStructure``.  ``indptr`` not
+    R + 1 non-decreasing integer offsets from 0 to E, a source outside
+    [0, R) or ``weight`` not E long is a ``ShapeError``; a row without
+    edges a ``DegenerateRowError``."""
+    indptr, src, weight, rows = graph.indptr, graph.src, graph.weight, graph.rows
+    if (indptr.ndim != 1 or not indptr.size or src.ndim != 1 or weight.shape != src.shape
+            or indptr.dtype.kind not in "iu" or src.dtype.kind not in "iu"
+            or indptr[0] != 0 or indptr[-1] != src.size):
+        raise ShapeError(
+            f"CsrGraph: indptr {indptr.shape}, src {src.shape}, weight {weight.shape} "
+            f"(want R + 1 integer offsets from 0 to E, E integer sources and E weights)")
+    counts = np.diff(indptr)
+    if rows and counts.min() <= 0:
+        row = int(np.argmin(counts))
+        if counts[row] < 0:
+            raise ShapeError(f"CsrGraph: indptr decreases at row {row}")
+        raise DegenerateRowError(f"CsrGraph: row {row} has no edge")
+    if src.size and (src.min() < 0 or src.max() >= rows):
+        raise ShapeError(f"CsrGraph: sources span [{src.min()}, {src.max()}], "
+                         f"outside [0, {rows})")
+    by_src = np.argsort(src, kind="stable")
+    src_counts = np.bincount(src, minlength=rows)
+    src_nodes = np.flatnonzero(src_counts)
+    multi_rows = np.flatnonzero(counts > 1)
+    multi = None
+    if multi_rows.size:
+        multi_counts = counts[multi_rows]
+        seg, edges = _windows(indptr[multi_rows], indptr[multi_rows + 1])
+        place = np.empty_like(by_src)
+        place[by_src] = np.arange(by_src.size)
+        multi = NeighbourRows(rows=multi_rows, starts=multi_counts.cumsum() - multi_counts,
+                              seg=seg, src=src[edges], dst=multi_rows[seg],
+                              weight=weight[edges], at=place[edges])
+    return EdgeStructure(first_src=src[indptr[:-1]], dst_by_src=graph.dst[by_src],
+                         src_nodes=src_nodes,
+                         src_starts=(src_counts.cumsum() - src_counts)[src_nodes], multi=multi)
 
 
 def boltzmann_adjacency(features: np.ndarray, k: float, tau: int) -> np.ndarray:

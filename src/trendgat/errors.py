@@ -40,7 +40,7 @@ class ShapeError(TrendgatError):
 
 
 class DegenerateRowError(TrendgatError):
-    """A ``gat_attention`` row with no edge, so its softmax has no position."""
+    """A graph row with no edge, so its attention softmax has no position."""
 
 
 class LabelError(TrendgatError):

@@ -7,10 +7,13 @@ representation and re-compresses the result to the hidden width through
 multi-head attention.  The propagation stream never reads the parallel
 stream, so per-depth representations survive later propagation.
 
-The attention layer touches only the graph's edges, self-loops included:
-with E of them and width d it costs O(E * d) time and memory, so a
-thresholded snapshot (at most 1/s entries per row) costs O(N * d).  It
-reads the ``energy_graph.CsrGraph`` edges as they are stored.  The
+The attention layer reads only the graph's edges, self-loops included.
+A row whose one edge is its self-loop is the plain projection W_right h_i,
+and a thresholded row keeps at most 1/s entries, so for s > 0.5 every row
+is one.  The softmax runs over the E' edges of rows that have
+neighbours: with width d the layer costs O(N * d + E' * d) time and
+memory.  It reads the ``energy_graph.CsrGraph`` edges as they are stored,
+and each graph's index arrays are built once (``CsrGraph.structure``).  The
 multi-head attention is dense over the N nodes: one primitive computes
 all H heads in batched products and costs O(H * N^2) time and memory.
 
@@ -109,8 +112,8 @@ def gatv2_layer(h: ad.Value, adjacency: CsrGraph, params: GatLayerParams) -> ad.
 
     left = ad.matmul(h, params.w_left)     # R x d_out
     right = ad.matmul(h, params.w_right)   # R x d_out
-    return ad.gat_attention(left, right, params.attn, params.edge_bias, adjacency.indptr,
-                            adjacency.src, adjacency.weight, params.leaky_slope)
+    return ad.gat_attention(left, right, params.attn, params.edge_bias, adjacency,
+                            params.leaky_slope)
 
 
 def multi_head_attention(m: ad.Value, params: BlockParams, groups: int = 1) -> ad.Value:

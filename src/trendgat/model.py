@@ -151,7 +151,8 @@ class Sample:
 
 @dataclass
 class OptimizerState:
-    """AdamW first/second moment accumulators, laid out like ``ModelParams.flat``."""
+    """AdamW first/second moment accumulators, laid out like ``ModelParams.flat``,
+    and two vectors of that size that ``adamw_step`` computes in."""
 
     beta1: float = 0.9
     beta2: float = 0.999
@@ -159,6 +160,7 @@ class OptimizerState:
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    scratch: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def init_model(config: ModelConfig) -> ModelParams:
@@ -217,9 +219,27 @@ def adamw_step(params: ModelParams, opt: OptimizerState, lr: float, wd: float,
     c2 = 1.0 - opt.beta2 ** opt.step
     if opt.m is None:
         opt.m, opt.v = np.zeros_like(g), np.zeros_like(g)
-    opt.m = opt.beta1 * opt.m + (1.0 - opt.beta1) * g
-    opt.v = opt.beta2 * opt.v + (1.0 - opt.beta2) * (g * g)
-    params.flat -= lr * ((opt.m / c1) / (np.sqrt(opt.v / c2) + opt.eps) + wd * params.flat)
+        opt.scratch = (np.empty_like(g), np.empty_like(g))
+    m, v, flat = opt.m, opt.v, params.flat
+    a, b = opt.scratch
+    # in place, in the order of the expressions
+    #   m = beta1 * m + (1 - beta1) * g,  v = beta2 * v + (1 - beta2) * (g * g),
+    #   flat -= lr * ((m / c1) / (sqrt(v / c2) + eps) + wd * flat)
+    # so that every element rounds as they do
+    m *= opt.beta1
+    m += np.multiply(g, 1.0 - opt.beta1, out=a)
+    v *= opt.beta2
+    np.multiply(g, g, out=a)
+    a *= 1.0 - opt.beta2
+    v += a
+    np.divide(v, c2, out=a)
+    np.sqrt(a, out=a)
+    a += opt.eps
+    np.divide(m, c1, out=b)
+    b /= a
+    b += np.multiply(flat, wd, out=a)
+    b *= lr
+    flat -= b
 
 
 @dataclass
@@ -250,16 +270,15 @@ def samples_from_panel(panel: md.IndicatorPanel, ts, config: ModelConfig,
 
 def build_datasets(panel: md.IndicatorPanel, config: ModelConfig,
                    ratios: tuple[int, int, int] = (457, 63, 261),
-                   adjacency: eg.CsrGraph | None = None) -> dict[str, list[Sample]]:
+                   adjacency: eg.CsrGraph | None = None,
+                   names: tuple[str, ...] = ("train", "validation", "test"),
+                   ) -> dict[str, list[Sample]]:
     """Split chronologically, normalize with train-only statistics, and
-    materialize samples for all three splits."""
+    materialize samples for the splits in ``names`` (all three by default)."""
     splits = md.split_periods(panel, ratios, config.tau, config.phi)
     normalized = md.normalize(panel, splits)
-    return {
-        "train": samples_from_panel(normalized, splits.train, config, adjacency),
-        "validation": samples_from_panel(normalized, splits.validation, config, adjacency),
-        "test": samples_from_panel(normalized, splits.test, config, adjacency),
-    }
+    return {name: samples_from_panel(normalized, getattr(splits, name), config, adjacency)
+            for name in names}
 
 
 def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelConfig,

@@ -12,6 +12,8 @@ from trendgat.errors import (
     TapeError,
 )
 
+from test_gnn_blocks import mixed_graph
+
 
 def rand(rng, r, c):
     return ad.Value(rng.standard_normal((r, c)))
@@ -24,12 +26,11 @@ def rand(rng, r, c):
 def test_gat_attention_rejects_bad_shapes():
     v = lambda r, c: ad.Value(np.zeros((r, c)))
     graph = eg.from_dense(np.zeros((3, 3)))
-    edges = (graph.indptr, graph.src, graph.weight)
     bad = [
-        (v(3, 4), v(3, 5), v(4, 1), v(1, 1), *edges),   # right width
-        (v(3, 4), v(2, 4), v(4, 1), v(1, 1), *edges),   # right rows
-        (v(3, 4), v(3, 4), v(5, 1), v(1, 1), *edges),   # attn
-        (v(3, 4), v(3, 4), v(4, 1), v(1, 2), *edges),   # edge_bias
+        (v(3, 4), v(3, 5), v(4, 1), v(1, 1), graph),   # right width
+        (v(3, 4), v(2, 4), v(4, 1), v(1, 1), graph),   # right rows
+        (v(3, 4), v(3, 4), v(5, 1), v(1, 1), graph),   # attn
+        (v(3, 4), v(3, 4), v(4, 1), v(1, 2), graph),   # edge_bias
     ]
     for args in bad:
         with pytest.raises(ShapeError, match="gat_attention"):
@@ -40,7 +41,8 @@ def test_gat_attention_empty_mask_row_raises():
     v = lambda r, c: ad.Value(np.ones((r, c)))
     indptr, src = np.array([0, 1, 1, 2]), np.array([0, 2])     # row 1 has no edge
     with pytest.raises(DegenerateRowError, match="row 1"):
-        ad.gat_attention(v(3, 2), v(3, 2), v(2, 1), v(1, 1), indptr, src, np.ones(2), 0.2)
+        ad.gat_attention(v(3, 2), v(3, 2), v(2, 1), v(1, 1),
+                         eg.CsrGraph(indptr, src, np.ones(2), n=3), 0.2)
 
 
 def test_gat_attention_node_that_is_no_source_gets_zero_right_gradient():
@@ -52,11 +54,45 @@ def test_gat_attention_node_that_is_no_source_gets_zero_right_gradient():
     weights, w = rng.random((4, 4)), ad.const(rng.standard_normal((4, 3)))
     dst, src = np.nonzero(mask)
     indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+    graph = eg.CsrGraph(indptr, src, weights[dst, src], n=4)
     f = lambda: ad.reduce_sum(ad.mul(
-        ad.gat_attention(left, right, attn, edge_bias, indptr, src, weights[dst, src], 0.2), w))
+        ad.gat_attention(left, right, attn, edge_bias, graph, 0.2), w))
     report = ad.grad_check(f, [left, right, attn, edge_bias], step=1e-5, tol=1e-4)
     assert report.passed, report
     assert (right.grad[2] == 0.0).all() and (right.grad[[0, 1, 3]] != 0.0).any()
+
+
+def test_gat_attention_rows_do_not_depend_on_the_other_rows():
+    # every edge and row is scored on its own, so a row's output and its
+    # left and right gradients are bit-identical wherever the row sits: in
+    # a stack of graphs, or after extra single-edge rows
+    rng = np.random.default_rng(17)   # with these draws a GEMV's logits move with the offset
+    n, d = 60, 16
+    dense = [rng.random((n, n)) * (rng.random((n, n)) < 0.04) for _ in range(4)]
+    padded = np.zeros((n + 7, n + 7))
+    padded[7:, 7:] = dense[0]
+    lefts, rights, cotangents = ([rng.standard_normal((n, d)) for _ in dense] for _ in range(3))
+    attn, edge_bias = rand(rng, d, 1), ad.Value(np.full((1, 1), 0.7))
+
+    def rows(graph, left, right, cotangent):
+        left, right = ad.Value(left), ad.Value(right)
+        with ad.Tape() as tape:
+            out = ad.gat_attention(left, right, attn, edge_bias, graph, 0.2)
+            tape.backward(ad.reduce_sum(ad.mul(out, ad.const(cotangent))))
+        return out.data, left.grad, right.grad
+
+    separate = [rows(eg.from_dense(a), *operands)
+                for a, *operands in zip(dense, lefts, rights, cotangents)]
+    stacked = rows(eg.stack(eg.from_dense(a) for a in dense),
+                   *(np.concatenate(operands) for operands in (lefts, rights, cotangents)))
+    extra = np.zeros((7, d))
+    padded_rows = rows(eg.from_dense(padded), *(np.concatenate((extra, operands[0]))
+                                                 for operands in (lefts, rights, cotangents)))
+    for i, want in enumerate(separate[0]):
+        np.testing.assert_array_equal(stacked[i], np.concatenate([s[i] for s in separate]))
+        np.testing.assert_array_equal(padded_rows[i][7:], want)
+    multi = np.diff(eg.from_dense(dense[0]).indptr) > 1
+    assert multi.any() and not multi.all()
 
 
 def _mha_operands(rng, n, d_in, d_head, n_heads, d_out):
@@ -94,8 +130,7 @@ def test_gat_attention_rejects_stacked_mask_of_wrong_height():
     for copies in (2, 3):                     # 4 or 6 graph rows for 5 node rows
         graph = eg.stack([eg.from_dense(np.ones((2, 2)))] * copies)
         with pytest.raises(ShapeError, match="gat_attention: indptr"):
-            ad.gat_attention(v(5, 2), v(5, 2), v(2, 1), v(1, 1), graph.indptr, graph.src,
-                             graph.weight, 0.2)
+            ad.gat_attention(v(5, 2), v(5, 2), v(2, 1), v(1, 1), graph, 0.2)
 
 
 def test_multi_head_attention_skips_frozen_operands():
@@ -255,7 +290,7 @@ PRIMITIVES = {
     "matmul": 0, "add": 1, "smul": 2, "mul": 3, "mul_scalar_broadcast": 4, "concat_cols": 5,
     "slice_cols": 6, "prelu": 12, "reduce_sum": 13, "cross_entropy_with_logits": 15,
     "gat_attention": 16, "multi_head_attention": 17, "gat_attention_stacked": 18,
-    "multi_head_attention_groups": 19,
+    "multi_head_attention_groups": 19, "gat_attention_mixed_rows": 20,
 }
 
 
@@ -305,7 +340,7 @@ def test_primitive_gradients_against_finite_differences(name):
             graph = eg.from_dense(np.where(mask, weights, 0.0))
             w = ad.const(rng.standard_normal((r, c)))
             f = lambda: ad.reduce_sum(ad.mul(ad.gat_attention(
-                left, right, attn, edge_bias, graph.indptr, graph.src, graph.weight, 0.2), w))
+                left, right, attn, edge_bias, graph, 0.2), w))
             params = [left, right, attn, edge_bias]
         elif name == "multi_head_attention":
             n, n_heads, d_head = (int(x) for x in rng.integers(1, [7, 4, 4]))
@@ -331,7 +366,17 @@ def test_primitive_gradients_against_finite_differences(name):
             graph = eg.stack(eg.from_dense(block) for block in blocks)
             w = ad.const(rng.standard_normal((r * c, 2)))
             f = lambda: ad.reduce_sum(ad.mul(ad.gat_attention(
-                left, right, attn, edge_bias, graph.indptr, graph.src, graph.weight, 0.2), w))
+                left, right, attn, edge_bias, graph, 0.2), w))
+            params = [left, right, attn, edge_bias]
+        elif name == "gat_attention_mixed_rows":
+            # rows with one edge (a self-loop, or an edge from another node)
+            # next to rows with several
+            left, right = _off_kink_pair(rng, r, c)
+            attn, edge_bias = rand(rng, c, 1), ad.Value(rng.uniform(0.5, 2.0, (1, 1)))
+            graph = mixed_graph(rng, r)
+            w = ad.const(rng.standard_normal((r, c)))
+            f = lambda: ad.reduce_sum(ad.mul(ad.gat_attention(
+                left, right, attn, edge_bias, graph, 0.2), w))
             params = [left, right, attn, edge_bias]
         elif name == "multi_head_attention_groups":
             groups, n, n_heads, d_head = (int(x) for x in rng.integers([2, 1, 1, 1], [5, 5, 4, 4]))

@@ -341,6 +341,17 @@ def test_each_stock_csv_is_read_once(small_dataset, tmp_path, monkeypatch, argv)
     assert sorted(ticker for ticker, _ in reads) == [f"SYN{i:02d}" for i in range(6)]
 
 
+def test_eval_builds_graphs_for_the_test_windows_only(small_dataset, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run_cli("train", *fast_flags(small_dataset, out, epochs="1")) == 0
+    builds = count_calls(monkeypatch, eg, "boltzmann_graph")
+    assert run_cli("eval", "--manifest", str(small_dataset), "--out", str(tmp_path / "eval"),
+                   "--model", str(out / "model_seed0.bin")) == 0
+    panel = md.select_indicators(md.load_panel(small_dataset), md.DEFAULT_INDICATORS)
+    test_windows = md.split_periods(panel, cli.DEFAULT_RATIOS, 7, 1).test
+    assert len(builds) == len(test_windows) > 0
+
+
 def test_sweep_over_heads_builds_each_energy_graph_once(small_dataset, tmp_path, monkeypatch):
     builds = count_calls(monkeypatch, eg, "boltzmann_graph")
     assert run_cli("train", *fast_flags(small_dataset, tmp_path / "tr", epochs="1")) == 0

@@ -210,6 +210,36 @@ def test_builder_matches_dense_oracle_on_random_instances():
     assert offdiag > 150    # kept neighbours are exercised, not only self-loops
 
 
+def _threshold_off_reciprocals(rng):
+    """s in [0.25, 0.85], away from every 1/m, where m entries of 1/m each
+    would sit exactly at the bound."""
+    while True:
+        s = float(rng.uniform(0.25, 0.85))
+        if min(abs(s - 1.0 / m) for m in (2, 3, 4)) > 1e-6:
+            return s
+
+
+def test_rows_keep_at_most_one_over_s_edges():
+    # a row sums to 1 and its self-weight is its largest entry, so at most
+    # floor(1/s) entries reach s, and only the self-loop when s > 0.5
+    rng = np.random.default_rng(43)
+    widest = 0
+    for case in range(600):
+        n, tau = int(rng.integers(2, 60)), int(rng.integers(7, 28))
+        k, s = float(rng.uniform(0.02, 2.0)), _threshold_off_reciprocals(rng)
+        if case % 2:
+            feats = rng.standard_normal((n, tau)) * rng.uniform(0.2, 2.0, (n, 1))
+        else:   # energies spaced on the kernel's scale k * tau, where rows keep neighbours
+            energies = np.cumsum(rng.exponential(rng.uniform(0.1, 2.0), n) * k * tau)
+            feats = np.sqrt(rng.permutation(energies))[:, None]
+        per_row = np.diff(eg.boltzmann_graph(feats, k, tau, s).indptr)
+        assert per_row.max() <= max(1, math.floor(1.0 / s)), (case, s, per_row.max())
+        if s > 0.5:
+            assert (per_row == 1).all(), (case, s)
+        widest = max(widest, int(per_row.max()))
+    assert widest == 3      # rows with neighbours are exercised, up to the bound
+
+
 def test_builder_on_tied_energies():
     # rows 0 and 2 are permutations of each other, so their energies tie
     feats = np.array([[1.0, 2.0], [0.5, 0.5], [2.0, 1.0], [3.0, 0.0]])
@@ -281,6 +311,14 @@ def test_from_dense_round_trips_through_the_dense_matrix():
         np.array(graph, copy=False)
     with pytest.raises(ShapeError, match="square"):
         eg.from_dense(np.zeros((2, 3)))
+
+
+def test_graph_arrays_are_read_only():
+    # the attention index arrays are built from them once, so they must not change
+    graph = eg.from_dense(np.array([[0.5, 0.5], [0.0, 1.0]]))
+    for array in (graph.indptr, graph.src, graph.weight):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 def test_stack_offsets_sources_and_keeps_each_snapshots_self_loops():

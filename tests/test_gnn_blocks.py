@@ -9,10 +9,9 @@ from trendgat import gnn_blocks as gb
 from trendgat.errors import ConfigError, DegenerateRowError, ShapeError
 
 
-def gat_oracle(h, adj, params):
-    """Per-node, per-edge evaluation of the propagation layer formula on
-    the graph's dense matrix."""
-    adj = np.asarray(adj)
+def gat_oracle(h, graph, params):
+    """Per-node, per-edge evaluation of the propagation layer formula over
+    the graph's stored edges."""
     w_left = params.w_left.data
     w_right = params.w_right.data
     a = params.attn.data[:, 0]
@@ -23,17 +22,17 @@ def gat_oracle(h, adj, params):
     right = h @ w_right
     out = np.zeros_like(right)
     for i in range(n):
-        nbrs = sorted({j for j in range(n) if adj[i, j] > 0} | {i})
+        edges = range(graph.indptr[i], graph.indptr[i + 1])
         logits = []
-        for j in nbrs:
-            u = left[i] + right[j]
+        for e in edges:
+            u = left[i] + right[graph.src[e]]
             act = np.where(u > 0, u, slope * u)
-            logits.append(float(act @ a) + beta * adj[i, j])
+            logits.append(float(act @ a) + beta * graph.weight[e])
         logits = np.array(logits)
         w = np.exp(logits - logits.max())
         w /= w.sum()
-        for wj, j in zip(w, nbrs):
-            out[i] += wj * right[j]
+        for wj, e in zip(w, edges):
+            out[i] += wj * right[graph.src[e]]
     return out
 
 
@@ -53,6 +52,24 @@ def mha_oracle(m, params):
 
 def random_adjacency(rng, n, density=0.5):
     return eg.from_dense(rng.random((n, n)) * (rng.random((n, n)) < density))
+
+
+def mixed_graph(rng, n):
+    """A graph of n nodes mixing three kinds of row in shuffled order, about
+    n / 3 of each: the self-loop alone, one edge from another node (no
+    self-loop), and two or more edges.  Random weights."""
+    indptr, src = [0], []
+    for i, kind in enumerate(rng.permutation(np.resize([0, 1, 2], n)) if n > 1 else [0]):
+        if kind == 0:
+            row = [i]
+        elif kind == 1:
+            row = [int(rng.choice(np.delete(np.arange(n), i)))]
+        else:
+            row = sorted(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        src += row
+        indptr.append(len(src))
+    return eg.CsrGraph(indptr=np.array(indptr), src=np.array(src, dtype=np.int64),
+                       weight=rng.random(len(src)), n=n)
 
 
 def layout_values(d, h, seed, name="block0", parallel=True):
@@ -146,6 +163,36 @@ def test_gat_permutation_equivariance():
     np.testing.assert_allclose(permuted, p @ base, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_gat_on_mixed_single_and_multi_edge_rows_matches_oracle(n):
+    rng = np.random.default_rng(34 + n)
+    params = gb.init_block(d=4, h=2, seed=35)
+    params.gat.edge_bias.data[...] = 0.8
+    for _ in range(5):
+        graph = mixed_graph(rng, n)
+        h = ad.Value(rng.standard_normal((n, 4)))
+        out = gb.gatv2_layer(h, graph, params.gat)
+        np.testing.assert_allclose(out.data, gat_oracle(h.data, graph, params.gat), atol=1e-12)
+
+
+@pytest.mark.parametrize("graph", [
+    eg.snapshot(0, np.random.default_rng(36).standard_normal((9, 8)), 0.5, 4, 0.7).adjacency,
+    eg.stack([eg.from_dense(np.zeros((3, 3)))] * 3),
+], ids=["energy_graph_s_0.7", "stacked_zero_weight_self_loops"])
+def test_gat_on_self_loop_graph_is_the_right_projection(graph):
+    rng = np.random.default_rng(37)
+    params = gb.init_block(d=4, h=2, seed=38)
+    assert graph.src.size == graph.rows
+    h = ad.Value(rng.standard_normal((graph.rows, 4)))
+    with ad.Tape() as tape:
+        out = gb.gatv2_layer(h, graph, params.gat)
+        tape.backward(ad.reduce_sum(ad.mul(out, ad.const(rng.standard_normal(out.shape)))))
+    np.testing.assert_array_equal(out.data, h.data @ params.gat.w_right.data)
+    for value in (params.gat.w_left, params.gat.attn, params.gat.edge_bias):
+        assert not value.grad.any()
+    assert params.gat.w_right.grad.any()
+
+
 def test_gat_attention_rows_are_convex_combinations():
     # with every value row equal to v, any weights summing to 1 return v
     rng = np.random.default_rng(5)
@@ -211,12 +258,11 @@ def test_gat_stacked_adjacency_shape_mismatch_is_shape_error(h_rows, graph):
 def _attention_on(**edges):
     """gat_attention over 3 nodes on a well-formed graph (rows of 1, 2 and 1
     edges) with the given arrays replaced."""
-    graph = {"indptr": [0, 1, 3, 4], "src": [0, 0, 1, 2], "weight": [0.5, 0.2, 0.7, 1.0]}
-    graph.update(edges)
+    arrays = {"indptr": [0, 1, 3, 4], "src": [0, 0, 1, 2], "weight": [0.5, 0.2, 0.7, 1.0]}
+    arrays.update(edges)
     v = lambda r, c: ad.Value(np.ones((r, c)))
-    return lambda: ad.gat_attention(v(3, 2), v(3, 2), v(2, 1), v(1, 1),
-                                    *(np.array(graph[key]) for key in ("indptr", "src", "weight")),
-                                    0.2)
+    graph = eg.CsrGraph(**{key: np.array(values) for key, values in arrays.items()}, n=3)
+    return lambda: ad.gat_attention(v(3, 2), v(3, 2), v(2, 1), v(1, 1), graph, 0.2)
 
 
 def _layer_on(adjacency):
@@ -229,12 +275,12 @@ def _layer_on(adjacency):
     (_attention_on(), None, None),
     (_attention_on(indptr=[0, 1, 4]), ShapeError, "gat_attention: indptr"),
     (_attention_on(indptr=[0, 3, 1, 4]), ShapeError, "indptr decreases at row 1"),
-    (_attention_on(indptr=[0, 1, 3, 3]), ShapeError, "gat_attention: indptr"),
-    (_attention_on(indptr=[1, 1, 3, 4]), ShapeError, "gat_attention: indptr"),
+    (_attention_on(indptr=[0, 1, 3, 3]), ShapeError, "CsrGraph: indptr"),
+    (_attention_on(indptr=[1, 1, 3, 4]), ShapeError, "CsrGraph: indptr"),
     (_attention_on(src=[0, -1, 1, 2]), ShapeError, r"outside \[0, 3\)"),
     (_attention_on(src=[0, 0, 3, 2]), ShapeError, r"outside \[0, 3\)"),
-    (_attention_on(src=[0.0, 0.0, 1.0, 2.0]), ShapeError, "gat_attention: indptr"),
-    (_attention_on(weight=[0.5, 0.2, 0.7]), ShapeError, "gat_attention: indptr"),
+    (_attention_on(src=[0.0, 0.0, 1.0, 2.0]), ShapeError, "CsrGraph: indptr"),
+    (_attention_on(weight=[0.5, 0.2, 0.7]), ShapeError, "CsrGraph: indptr"),
     (_attention_on(indptr=[0, 1, 1, 4], src=[0, 0, 1, 2]), DegenerateRowError, "row 1"),
     (_layer_on(np.eye(3)), ShapeError, "must be a CsrGraph"),
     (_layer_on(eg.from_dense(np.eye(4))), ShapeError, "gatv2_layer: adjacency of 4 nodes"),

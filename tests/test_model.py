@@ -299,6 +299,18 @@ def test_training_is_deterministic():
         np.testing.assert_array_equal(va.data, vb.data)
 
 
+def test_training_builds_each_graph_structure_once(monkeypatch):
+    built = []
+    build = eg.edge_structure
+    monkeypatch.setattr(eg, "edge_structure", lambda graph: built.append(graph) or build(graph))
+    rng = np.random.default_rng(15)
+    cfg = small_config(epochs=2, s=0.25)
+    samples = [random_sample(rng, 5, cfg) for _ in range(3)]
+    mdl.train(samples, [random_sample(rng, 5, cfg)], cfg)
+    assert [sum(graph is sample.snapshot.adjacency for graph in built)
+            for sample in samples] == [1, 1, 1]
+
+
 @pytest.mark.parametrize("with_validation", [True, False])
 def test_best_params_are_independent_of_final_params(with_validation):
     rng = np.random.default_rng(14)
