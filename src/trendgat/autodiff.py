@@ -349,15 +349,19 @@ def multi_head_attention(m: Value, heads, w_merge: Value, groups: int = 1) -> Va
             if w_merge.requires_grad:
                 w_merge._acc(merged.T @ g)
             g_o = (g @ w_merge.data.T).reshape(groups, n, n_heads, d_head).transpose(0, 2, 1, 3)
-            g_v = p.swapaxes(-1, -2) @ g_o
+            # the q, k and v gradients land in one buffer laid out as m @ w_all
+            g_qkv = np.empty((groups, n, n_heads, 3, d_head))
+            g_q, g_k, g_v = g_qkv.transpose(3, 0, 2, 1, 4)               # groups x H x N x d_head
+            np.matmul(p.swapaxes(-1, -2), g_o, out=g_v)
             # softmax JVP in place: row i of sum_j p_ij * g_p_ij is g_o_i . o_i,
             # an O(N * d) product instead of an N x N one
             g_s = g_o @ v.swapaxes(-1, -2)
             g_s -= (g_o * o).sum(axis=-1, keepdims=True)
             g_s *= p
-            g_q = (g_s @ k) * scale
-            g_k = g_s.swapaxes(-1, -2) @ q_scaled
-            g_qkv = np.stack([g_q, g_k, g_v]).transpose(1, 3, 2, 0, 4).reshape(rows, -1)
+            np.matmul(g_s, k, out=g_q)
+            g_q *= scale
+            np.matmul(g_s.swapaxes(-1, -2), q_scaled, out=g_k)
+            g_qkv = g_qkv.reshape(rows, -1)
             if any(w.requires_grad for w in weights):
                 g_w = m.data.T @ g_qkv
                 for i, w in enumerate(weights):

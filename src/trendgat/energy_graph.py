@@ -163,7 +163,10 @@ class EdgeStructure:
 
     A row with one edge has a softmax over one position, so it needs only
     its source: ``first_src`` holds each row's first.  ``multi`` holds the
-    rows with more than one edge, or is None when there are none.  The
+    rows with more than one edge, or is None when there are none; then
+    ``self_loops_only`` tells whether every row's one edge is its own
+    self-loop, which makes the attention the identity on ``right`` (so
+    ``gnn_blocks.gatv2_layer`` is the plain projection W_right h).  The
     backward sums the right gradient over all E edges taken in stable
     source order: ``dst_by_src`` is their rows, and ``src_nodes`` and
     ``src_starts`` each source node and its first place in that order.
@@ -174,6 +177,7 @@ class EdgeStructure:
     src_nodes: np.ndarray     # nodes that are the source of some edge, ascending
     src_starts: np.ndarray    # one per src_nodes
     multi: NeighbourRows | None
+    self_loops_only: bool     # no multi, and first_src[r] == r for every row r
 
 
 def edge_structure(graph: CsrGraph) -> EdgeStructure:
@@ -210,9 +214,12 @@ def edge_structure(graph: CsrGraph) -> EdgeStructure:
         multi = NeighbourRows(rows=multi_rows, starts=multi_counts.cumsum() - multi_counts,
                               seg=seg, src=src[edges], dst=multi_rows[seg],
                               weight=weight[edges], at=place[edges])
-    return EdgeStructure(first_src=src[indptr[:-1]], dst_by_src=graph.dst[by_src],
+    first_src = src[indptr[:-1]]
+    self_loops_only = multi is None and np.array_equal(first_src, np.arange(rows))
+    return EdgeStructure(first_src=first_src, dst_by_src=graph.dst[by_src],
                          src_nodes=src_nodes,
-                         src_starts=(src_counts.cumsum() - src_counts)[src_nodes], multi=multi)
+                         src_starts=(src_counts.cumsum() - src_counts)[src_nodes], multi=multi,
+                         self_loops_only=self_loops_only)
 
 
 def boltzmann_adjacency(features: np.ndarray, k: float, tau: int) -> np.ndarray:

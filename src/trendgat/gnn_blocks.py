@@ -12,10 +12,13 @@ A row whose one edge is its self-loop is the plain projection W_right h_i,
 and a thresholded row keeps at most 1/s entries, so for s > 0.5 every row
 is one.  The softmax runs over the E' edges of rows that have
 neighbours: with width d the layer costs O(N * d + E' * d) time and
-memory.  It reads the ``energy_graph.CsrGraph`` edges as they are stored,
-and each graph's index arrays are built once (``CsrGraph.structure``).  The
-multi-head attention is dense over the N nodes: one primitive computes
-all H heads in batched products and costs O(H * N^2) time and memory.
+memory on top of its projections.  W_left h is formed only when some row
+has neighbours, and a graph of self-loops alone is h @ W_right itself,
+one product and one tape op.  The layer reads the ``energy_graph.CsrGraph``
+edges as they are stored, and each graph's index arrays are built once
+(``CsrGraph.structure``).  The multi-head attention is dense over the
+N nodes: one primitive computes all H heads in batched products and
+costs O(H * N^2) time and memory.
 
 Every function here also takes B snapshots of N nodes at once: node
 states stacked row-wise to (B * N) x d and the graphs joined by
@@ -97,21 +100,39 @@ def gatv2_layer(h: ad.Value, adjacency: CsrGraph, params: GatLayerParams) -> ad.
     ``h`` has one row per graph node, so B snapshots stacked row-wise
     ((B * N) x d) pair with their ``energy_graph.stack``; each snapshot
     then attends only within itself, exactly as if it were run alone.
+
+    Only rows with more than one edge read W_left h, so a graph without
+    such rows records no W_left product.  If, in addition, every row's
+    one edge is its self-loop (``EdgeStructure.self_loops_only``: every
+    neighbour-free energy or sector graph, or a stack of them), the layer
+    is W_right h itself, one tape op.  The graph's checks run first in
+    every case.
     """
     rows, d_in = h.data.shape
-    if params.w_left.data.shape[0] != d_in or params.w_right.data.shape[0] != d_in:
+    d_out = params.w_right.data.shape[1]
+    shapes = tuple(value.data.shape for value in
+                   (params.w_left, params.w_right, params.attn, params.edge_bias))
+    if shapes != ((d_in, d_out), (d_in, d_out), (d_out, 1), (1, 1)):
         raise ShapeError(
-            f"gatv2_layer: input width {d_in} does not match projections "
-            f"{params.w_left.data.shape} / {params.w_right.data.shape}")
+            f"gatv2_layer: input width {d_in} does not match w_left, w_right, attn, "
+            f"edge_bias {shapes} (want {d_in} x d_out, {d_in} x d_out, d_out x 1, 1 x 1)")
     if not isinstance(adjacency, CsrGraph):
         raise ShapeError(f"gatv2_layer: adjacency must be a CsrGraph, got "
                          f"{type(adjacency).__name__} {np.shape(adjacency)}")
     if adjacency.rows != rows or adjacency.n < 1 or rows % adjacency.n:
         raise ShapeError(f"gatv2_layer: adjacency of {adjacency.rows} nodes, {adjacency.n} "
                          f"per graph, for {rows} rows (want {rows} nodes, n dividing them)")
+    structure = adjacency.structure        # checks the graph before any product
 
-    left = ad.matmul(h, params.w_left)     # R x d_out
-    right = ad.matmul(h, params.w_right)   # R x d_out
+    if structure.multi is None:
+        right = ad.matmul(h, params.w_right)   # R x d_out
+        if structure.self_loops_only:
+            return right
+        left = right                            # read only on rows with neighbours
+    else:
+        # left before right: the tape order fixes how h.grad accumulates
+        left = ad.matmul(h, params.w_left)     # R x d_out
+        right = ad.matmul(h, params.w_right)
     return ad.gat_attention(left, right, params.attn, params.edge_bias, adjacency,
                             params.leaky_slope)
 

@@ -150,6 +150,16 @@ def test_gat_width_mismatch_is_shape_error():
         gb.gatv2_layer(ad.Value(np.zeros((3, 5))), eg.from_dense(np.zeros((3, 3))), params.gat)
 
 
+@pytest.mark.parametrize("name,shape", [("w_left", (4, 5)), ("w_right", (4, 5)),
+                                        ("attn", (5, 1)), ("edge_bias", (1, 2))])
+def test_gat_parameter_shape_mismatch_on_self_loop_graph_is_shape_error(name, shape):
+    # the layer returns the right projection on this graph, after checking every learnable
+    params = gb.init_block(d=4, h=2, seed=3).gat
+    setattr(params, name, ad.Value(np.zeros(shape)))
+    with pytest.raises(ShapeError, match="gatv2_layer: input width 4"):
+        gb.gatv2_layer(ad.Value(np.zeros((3, 4))), eg.from_dense(np.zeros((3, 3))), params)
+
+
 def test_gat_permutation_equivariance():
     rng = np.random.default_rng(4)
     params = gb.init_block(d=4, h=2, seed=5)
@@ -186,11 +196,28 @@ def test_gat_on_self_loop_graph_is_the_right_projection(graph):
     h = ad.Value(rng.standard_normal((graph.rows, 4)))
     with ad.Tape() as tape:
         out = gb.gatv2_layer(h, graph, params.gat)
+        recorded = len(tape)
         tape.backward(ad.reduce_sum(ad.mul(out, ad.const(rng.standard_normal(out.shape)))))
+    assert graph.structure.self_loops_only and recorded == 1
     np.testing.assert_array_equal(out.data, h.data @ params.gat.w_right.data)
     for value in (params.gat.w_left, params.gat.attn, params.gat.edge_bias):
         assert not value.grad.any()
     assert params.gat.w_right.grad.any()
+
+
+def test_gat_on_one_edge_rows_from_other_nodes_gathers_the_right_projection():
+    # no row has neighbours, but no edge is a self-loop: the layer is not W_right h
+    rng = np.random.default_rng(39)
+    params = gb.init_block(d=4, h=2, seed=40)
+    src = np.roll(np.arange(6), 1)
+    graph = eg.CsrGraph(indptr=np.arange(7), src=src, weight=rng.random(6), n=6)
+    h = ad.Value(rng.standard_normal((6, 4)))
+    with ad.Tape() as tape:
+        out = gb.gatv2_layer(h, graph, params.gat)
+        recorded = len(tape)
+    assert graph.structure.multi is None and not graph.structure.self_loops_only
+    assert recorded == 2                   # the right projection and its gather
+    np.testing.assert_array_equal(out.data, (h.data @ params.gat.w_right.data)[src])
 
 
 def test_gat_attention_rows_are_convex_combinations():
@@ -255,13 +282,21 @@ def test_gat_stacked_adjacency_shape_mismatch_is_shape_error(h_rows, graph):
         gb.gatv2_layer(ad.Value(np.zeros((h_rows, 4))), graph, params.gat)
 
 
-def _attention_on(**edges):
-    """gat_attention over 3 nodes on a well-formed graph (rows of 1, 2 and 1
-    edges) with the given arrays replaced."""
-    arrays = {"indptr": [0, 1, 3, 4], "src": [0, 0, 1, 2], "weight": [0.5, 0.2, 0.7, 1.0]}
-    arrays.update(edges)
+# well-formed graphs over 3 nodes: rows of 1, 2 and 1 edges, and self-loops alone
+MIXED_ROWS = {"indptr": [0, 1, 3, 4], "src": [0, 0, 1, 2], "weight": [0.5, 0.2, 0.7, 1.0]}
+SELF_LOOPS = {"indptr": [0, 1, 2, 3], "src": [0, 1, 2], "weight": [0.5, 0.0, 1.0]}
+
+
+def _csr(base, **edges):
+    """A CsrGraph of 3 nodes from ``base`` with the given arrays replaced."""
+    arrays = {**base, **edges}
+    return eg.CsrGraph(**{key: np.array(values) for key, values in arrays.items()}, n=3)
+
+
+def _attention_on(base=MIXED_ROWS, **edges):
+    """gat_attention over 3 nodes on ``_csr(base, **edges)``."""
     v = lambda r, c: ad.Value(np.ones((r, c)))
-    graph = eg.CsrGraph(**{key: np.array(values) for key, values in arrays.items()}, n=3)
+    graph = _csr(base, **edges)
     return lambda: ad.gat_attention(v(3, 2), v(3, 2), v(2, 1), v(1, 1), graph, 0.2)
 
 
@@ -284,10 +319,26 @@ def _layer_on(adjacency):
     (_attention_on(indptr=[0, 1, 1, 4], src=[0, 0, 1, 2]), DegenerateRowError, "row 1"),
     (_layer_on(np.eye(3)), ShapeError, "must be a CsrGraph"),
     (_layer_on(eg.from_dense(np.eye(4))), ShapeError, "gatv2_layer: adjacency of 4 nodes"),
+    # a neighbour-free graph makes the layer a plain projection, after the same checks
+    (_layer_on(_csr(SELF_LOOPS)), None, None),
+    (_attention_on(SELF_LOOPS, src=[0, 1, 3]), ShapeError, r"outside \[0, 3\)"),
+    (_layer_on(_csr(SELF_LOOPS, src=[0, 1, 3])), ShapeError, r"outside \[0, 3\)"),
+    (_attention_on(SELF_LOOPS, indptr=[0, 1, 2, 4]), ShapeError, "CsrGraph: indptr"),
+    (_layer_on(_csr(SELF_LOOPS, indptr=[0, 1, 2, 4])), ShapeError, "CsrGraph: indptr"),
+    (_attention_on(SELF_LOOPS, weight=[0.5, 1.0]), ShapeError, "CsrGraph: indptr"),
+    (_layer_on(_csr(SELF_LOOPS, weight=[0.5, 1.0])), ShapeError, "CsrGraph: indptr"),
+    (_attention_on(SELF_LOOPS, indptr=[0, 1, 1, 2], src=[0, 2], weight=[0.5, 1.0]),
+     DegenerateRowError, "row 1"),
+    (_layer_on(_csr(SELF_LOOPS, indptr=[0, 1, 1, 2], src=[0, 2], weight=[0.5, 1.0])),
+     DegenerateRowError, "row 1"),
 ], ids=["well_formed", "indptr_length", "indptr_decreasing", "indptr_not_ending_at_edges",
         "indptr_not_starting_at_zero", "source_negative", "source_past_last_row",
         "source_not_integer", "weight_length", "row_without_edge", "layer_dense_matrix",
-        "layer_row_count"])
+        "layer_row_count", "layer_self_loops_well_formed", "self_loops_source_past_last_row",
+        "layer_self_loops_source_past_last_row", "self_loops_indptr_not_ending_at_edges",
+        "layer_self_loops_indptr_not_ending_at_edges", "self_loops_weight_length",
+        "layer_self_loops_weight_length", "self_loops_row_without_edge",
+        "layer_self_loops_row_without_edge"])
 def test_malformed_graph_is_a_documented_error(call, error, match):
     if error is None:
         assert call().data.shape == (3, 2)

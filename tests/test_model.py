@@ -10,7 +10,10 @@ import pytest
 from trendgat import autodiff as ad
 from trendgat import energy_graph as eg
 from trendgat import gnn_blocks as gb
+from trendgat import market_data as md
+from trendgat import metrics as mt
 from trendgat import model as mdl
+from trendgat import synth
 from trendgat.errors import (ConfigError, FormatError, LabelError, NumericError, ShapeError,
                              TrendgatError)
 
@@ -143,13 +146,35 @@ def test_loss_multi_step_blocks():
     assert ours == pytest.approx(loss_oracle(logits, labels), abs=1e-12)
 
 
+def _training_step(dense):
+    """The tape and parameters of one training step (hidden 16, 2 layers,
+    2 heads) on a snapshot of len(dense) stocks whose graph is ``dense``."""
+    cfg = small_config(hidden=16, layers=2, heads=2)
+    sample = random_sample(np.random.default_rng(6), len(dense), cfg)
+    snapshot = eg.GraphSnapshot(0, sample.snapshot.features, eg.from_dense(dense))
+    params = mdl.init_model(cfg)
+    with ad.Tape() as tape:
+        tape.backward(mdl.loss(mdl.forward(params, snapshot), sample.labels))
+    return tape, params
+
+
 def test_training_step_records_twenty_tape_ops():
     # per block: two projections, gat_attention, skip, add, concat, attention
-    cfg = small_config(hidden=16, layers=2, heads=2)
-    sample = random_sample(np.random.default_rng(6), 8, cfg)
-    with ad.Tape() as tape:
-        mdl.loss(mdl.forward(mdl.init_model(cfg), sample.snapshot), sample.labels)
-    assert len(tape) <= 20
+    dense = np.eye(8)
+    dense[3, 5] = 0.4                        # one row with a neighbour
+    tape, params = _training_step(dense)
+    assert len(tape) == 20
+    assert all(block.gat.attn.grad.any() for block in params.blocks)
+
+
+def test_neighbour_free_training_step_records_sixteen_tape_ops():
+    # per block the graph layer is the right projection alone
+    tape, params = _training_step(np.eye(8))
+    assert len(tape) == 16
+    for block in params.blocks:
+        for value in (block.gat.w_left, block.gat.attn, block.gat.edge_bias):
+            assert not value.grad.any()
+        assert block.gat.w_right.grad.any()
 
 
 def test_malformed_labels_rejected():
@@ -309,6 +334,47 @@ def test_training_builds_each_graph_structure_once(monkeypatch):
     mdl.train(samples, [random_sample(rng, 5, cfg)], cfg)
     assert [sum(graph is sample.snapshot.adjacency for graph in built)
             for sample in samples] == [1, 1, 1]
+
+
+def full_gatv2_layer(h, adjacency, params):
+    """The graph layer without its shortcuts: both projections and
+    gat_attention on every graph, whatever its rows."""
+    left = ad.matmul(h, params.w_left)
+    right = ad.matmul(h, params.w_right)
+    return ad.gat_attention(left, right, params.attn, params.edge_bias, adjacency,
+                            params.leaky_slope)
+
+
+@pytest.fixture(scope="module")
+def small_synth_panel(tmp_path_factory):
+    manifest = synth.write_dataset(tmp_path_factory.mktemp("synth"), 6, 120, seed=0)
+    return md.select_indicators(md.load_panel(manifest), md.DEFAULT_INDICATORS)
+
+
+@pytest.mark.parametrize("source", ["energy", "sector"])
+def test_training_matches_the_full_graph_layer_bit_for_bit(small_synth_panel, monkeypatch,
+                                                            source):
+    panel = small_synth_panel
+    cfg = mdl.ModelConfig(tau=7, k=0.5, s=0.4, f=4, hidden=8, heads=2, layers=2, epochs=3,
+                          seed=0)
+    sector = eg.sector_adjacency(panel.sectors, panel.tickers) if source == "sector" else None
+    datasets = mdl.build_datasets(panel, cfg, adjacency=sector)
+    # the energy snapshots mix both kinds of graph; the sector graph has neighbour rows
+    kinds = {sample.snapshot.adjacency.structure.self_loops_only
+             for sample in datasets["train"]}
+    assert kinds == ({False} if sector else {False, True})
+
+    def run():
+        result = mdl.train(datasets["train"], datasets["validation"], cfg)
+        return result, mt.evaluate(result.params, datasets["test"])
+
+    got, got_test = run()
+    monkeypatch.setattr(gb, "gatv2_layer", full_gatv2_layer)
+    want, want_test = run()
+    assert got.history == want.history
+    assert got.params.flat.tobytes() == want.params.flat.tobytes()
+    assert got.final_params.flat.tobytes() == want.final_params.flat.tobytes()
+    assert got_test == want_test
 
 
 @pytest.mark.parametrize("with_validation", [True, False])
