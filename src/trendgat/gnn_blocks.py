@@ -12,9 +12,8 @@ A row whose one edge is its self-loop is the plain projection W_right h_i,
 and a thresholded row keeps at most 1/s entries, so for s > 0.5 every row
 is one.  The softmax runs over the E' edges of rows that have
 neighbours: with width d the layer costs O(N * d + E' * d) time and
-memory on top of its projections.  W_left h is formed only when some row
-has neighbours, and a graph of self-loops alone is h @ W_right itself,
-one product and one tape op.  The layer reads the ``energy_graph.CsrGraph``
+memory on top of its projections.  A graph of self-loops alone is
+h @ W_right itself, one product and one tape op, with no W_left product.  The layer reads the ``energy_graph.CsrGraph``
 edges as they are stored, and each graph's index arrays are built once
 (``CsrGraph.structure``).  The multi-head attention is dense over the
 N nodes: one primitive computes all H heads in batched products and
@@ -101,12 +100,11 @@ def gatv2_layer(h: ad.Value, adjacency: CsrGraph, params: GatLayerParams) -> ad.
     ((B * N) x d) pair with their ``energy_graph.stack``; each snapshot
     then attends only within itself, exactly as if it were run alone.
 
-    Only rows with more than one edge read W_left h, so a graph without
-    such rows records no W_left product.  If, in addition, every row's
+    Only rows with more than one edge read W_left h.  When every row's
     one edge is its self-loop (``EdgeStructure.self_loops_only``: every
     neighbour-free energy or sector graph, or a stack of them), the layer
-    is W_right h itself, one tape op.  The graph's checks run first in
-    every case.
+    is W_right h itself, one tape op with no W_left product.  The graph's
+    checks run first in every case.
     """
     rows, d_in = h.data.shape
     d_out = params.w_right.data.shape[1]
@@ -124,15 +122,12 @@ def gatv2_layer(h: ad.Value, adjacency: CsrGraph, params: GatLayerParams) -> ad.
                          f"per graph, for {rows} rows (want {rows} nodes, n dividing them)")
     structure = adjacency.structure        # checks the graph before any product
 
-    if structure.multi is None:
-        right = ad.matmul(h, params.w_right)   # R x d_out
-        if structure.self_loops_only:
-            return right
-        left = right                            # read only on rows with neighbours
-    else:
-        # left before right: the tape order fixes how h.grad accumulates
-        left = ad.matmul(h, params.w_left)     # R x d_out
-        right = ad.matmul(h, params.w_right)
+    if structure.self_loops_only:
+        return ad.matmul(h, params.w_right)
+
+    # left before right: the tape order fixes how h.grad accumulates
+    left = ad.matmul(h, params.w_left)     # R x d_out
+    right = ad.matmul(h, params.w_right)
     return ad.gat_attention(left, right, params.attn, params.edge_bias, adjacency,
                             params.leaky_slope)
 

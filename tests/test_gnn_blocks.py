@@ -212,11 +212,8 @@ def test_gat_on_one_edge_rows_from_other_nodes_gathers_the_right_projection():
     src = np.roll(np.arange(6), 1)
     graph = eg.CsrGraph(indptr=np.arange(7), src=src, weight=rng.random(6), n=6)
     h = ad.Value(rng.standard_normal((6, 4)))
-    with ad.Tape() as tape:
-        out = gb.gatv2_layer(h, graph, params.gat)
-        recorded = len(tape)
+    out = gb.gatv2_layer(h, graph, params.gat)
     assert graph.structure.multi is None and not graph.structure.self_loops_only
-    assert recorded == 2                   # the right projection and its gather
     np.testing.assert_array_equal(out.data, (h.data @ params.gat.w_right.data)[src])
 
 
