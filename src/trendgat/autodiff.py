@@ -27,6 +27,13 @@ if TYPE_CHECKING:
 
 _ACTIVE_TAPES: list["Tape"] = []
 
+# multi_head_attention exponentiates its scores without a row-max shift
+# while every |score| is at most this.  e^±300 is a normal float64, so a
+# row sum overflows only past 9e177 columns, and the backward's
+# e * (g_hat v^T) products stay finite; scores past it take the row-max
+# shift instead.
+SCORE_LIMIT = 300.0
+
 
 class Value:
     """A dense matrix with a lazily allocated same-shape gradient buffer."""
@@ -222,8 +229,8 @@ def slice_cols(a: Value, start: int, stop: int) -> Value:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    # over the last axis, so a stack of matrices is softmaxed row by row;
-    # overwrites and returns z, so an N x N score buffer is not copied
+    # row softmax of the loss's logits, overwriting and returning z;
+    # multi_head_attention keeps its weights unnormalised instead
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
@@ -313,9 +320,13 @@ def multi_head_attention(m: Value, heads, w_merge: Value, groups: int = 1) -> Va
     ``w_merge`` ((H * d_head) x d_out).  The rows of ``m`` form ``groups``
     equal consecutive blocks of N rows (B stacked graphs), and a row attends
     only to the rows of its own block.  The projections are one GEMM, the
-    groups x H x N x N scores and the weighted sums one batched matmul each,
-    and the backward reuses the forward softmax, so time and memory are
-    O(groups * H * N^2).
+    groups x H x N x N scores and the weighted sums one batched matmul each.
+
+    The softmax stays unnormalised: the scores are exponentiated in place,
+    shifted by their row max only if some |score| exceeds ``SCORE_LIMIT``,
+    and each row's sum divides the N x d_head weighted sum, not the N x N
+    weights.  The backward reuses those weights and row sums, so time and
+    memory are O(groups * H * N^2) with one N x N buffer kept per call.
     """
     rows, d_in = m.data.shape
     if not heads or any(len(triple) != 3 for triple in heads):
@@ -339,8 +350,13 @@ def multi_head_attention(m: Value, heads, w_merge: Value, groups: int = 1) -> Va
     w_all = np.concatenate([w.data for w in weights], axis=1)      # d_in x 3H*d_head
     q, k, v = (m.data @ w_all).reshape(groups, n, n_heads, 3, d_head).transpose(3, 0, 2, 1, 4)
     q_scaled = q * scale                                            # scale N x d, not N x N
-    p = _softmax_rows(q_scaled @ k.swapaxes(-1, -2))                # groups x H x N x N
-    o = p @ v
+    e = q_scaled @ k.swapaxes(-1, -2)                               # groups x H x N x N
+    if e.max() > SCORE_LIMIT or e.min() < -SCORE_LIMIT:
+        e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)                                                # unnormalised weights
+    norm = e.sum(axis=-1, keepdims=True)
+    o = e @ v
+    o /= norm
     merged = o.transpose(0, 2, 1, 3).reshape(rows, n_heads * d_head)
     out, t = _make(merged @ w_merge.data, m, *weights, w_merge)
     if t is not None:
@@ -349,15 +365,19 @@ def multi_head_attention(m: Value, heads, w_merge: Value, groups: int = 1) -> Va
             if w_merge.requires_grad:
                 w_merge._acc(merged.T @ g)
             g_o = (g @ w_merge.data.T).reshape(groups, n, n_heads, d_head).transpose(0, 2, 1, 3)
+            # p = e / norm row by row, so dividing the N x d_head g_o by norm
+            # stands in for every division by it of an N x N product
+            g_hat = g_o / norm
             # the q, k and v gradients land in one buffer laid out as m @ w_all
             g_qkv = np.empty((groups, n, n_heads, 3, d_head))
             g_q, g_k, g_v = g_qkv.transpose(3, 0, 2, 1, 4)               # groups x H x N x d_head
-            np.matmul(p.swapaxes(-1, -2), g_o, out=g_v)
+            np.matmul(e.swapaxes(-1, -2), g_hat, out=g_v)
             # softmax JVP in place: row i of sum_j p_ij * g_p_ij is g_o_i . o_i,
-            # an O(N * d) product instead of an N x N one
-            g_s = g_o @ v.swapaxes(-1, -2)
-            g_s -= (g_o * o).sum(axis=-1, keepdims=True)
-            g_s *= p
+            # so g_hat_i . o_i here, one batched 1 x d by d x 1 product per row
+            # instead of an N x N one
+            g_s = g_hat @ v.swapaxes(-1, -2)
+            g_s -= (g_hat[..., None, :] @ o[..., None])[..., 0]
+            g_s *= e
             np.matmul(g_s, k, out=g_q)
             g_q *= scale
             np.matmul(g_s.swapaxes(-1, -2), q_scaled, out=g_k)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,29 @@ def test_multi_head_attention_skips_frozen_operands():
         t.backward(ad.reduce_sum(ad.multi_head_attention(m, heads, w_merge)))
     assert frozen._grad is None
     assert all((w.grad != 0).any() for w in (m, heads[0][0], heads[1][2], w_merge))
+
+
+def test_multi_head_attention_keeps_one_score_sized_buffer():
+    # N=500 and 2 heads, so H * N^2 doubles are 4 MB.  The forward keeps the
+    # unnormalised weights e and the backward adds one N x N gradient;
+    # normalising e into a second buffer would break both bounds
+    rng = np.random.default_rng(15)
+    n, n_heads = 500, 2
+    m, heads, w_merge = _mha_operands(rng, n, 32, 16, n_heads, 16)
+    cotangent = ad.const(rng.standard_normal((n, 16)))
+    scores = n_heads * n * n * 8
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            out = ad.multi_head_attention(m, heads, w_merge)
+            _, forward_peak = tracemalloc.get_traced_memory()
+            tape.backward(ad.reduce_sum(ad.mul(out, cotangent)))
+        _, step_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(m.grad).all()
+    assert forward_peak < 1.5 * scores, f"forward peak {forward_peak / scores:.2f} H*N^2 doubles"
+    assert step_peak < 3 * scores, f"step peak {step_peak / scores:.2f} H*N^2 doubles"
 
 
 def test_cross_entropy_uniform_binary_is_ln2():
@@ -291,11 +315,16 @@ PRIMITIVES = {
     "slice_cols": 6, "prelu": 12, "reduce_sum": 13, "cross_entropy_with_logits": 15,
     "gat_attention": 16, "multi_head_attention": 17, "gat_attention_stacked": 18,
     "multi_head_attention_groups": 19, "gat_attention_mixed_rows": 20,
+    "multi_head_attention_shifted": 21,
 }
 
 
 @pytest.mark.parametrize("name", PRIMITIVES)
-def test_primitive_gradients_against_finite_differences(name):
+def test_primitive_gradients_against_finite_differences(name, monkeypatch):
+    if name == "multi_head_attention_shifted":
+        # a negative limit sends every score through the row-max shift; the
+        # other attention entries take the unshifted softmax
+        monkeypatch.setattr(ad, "SCORE_LIMIT", -1.0)
     for case in range(PRIMITIVE_CASES):
         rng = np.random.default_rng(1000 * PRIMITIVES[name] + case)
         r = int(rng.integers(1, 6))
@@ -378,7 +407,7 @@ def test_primitive_gradients_against_finite_differences(name):
             f = lambda: ad.reduce_sum(ad.mul(ad.gat_attention(
                 left, right, attn, edge_bias, graph, 0.2), w))
             params = [left, right, attn, edge_bias]
-        elif name == "multi_head_attention_groups":
+        elif name in ("multi_head_attention_groups", "multi_head_attention_shifted"):
             groups, n, n_heads, d_head = (int(x) for x in rng.integers([2, 1, 1, 1], [5, 5, 4, 4]))
             m = rand(rng, groups * n, c)
             heads = [tuple(rand(rng, c, d_head) for _ in range(3)) for _ in range(n_heads)]

@@ -36,17 +36,19 @@ def gat_oracle(h, graph, params):
     return out
 
 
+def mha_scores(m, params):
+    """Each head's scores Q K^T / sqrt(d_head), as mha_oracle softmaxes them."""
+    return [(m @ w_q.data) @ (m @ w_k.data).T / np.sqrt(w_q.data.shape[1])
+            for w_q, w_k, _ in params.heads]
+
+
 def mha_oracle(m, params):
     """Head-by-head plain numpy evaluation of the fusion attention."""
     outs = []
-    for w_q, w_k, w_v in params.heads:
-        q = m @ w_q.data
-        k = m @ w_k.data
-        v = m @ w_v.data
-        scores = q @ k.T / np.sqrt(q.shape[1])
+    for scores, (_, _, w_v) in zip(mha_scores(m, params), params.heads):
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         p = e / e.sum(axis=1, keepdims=True)
-        outs.append(p @ v)
+        outs.append(p @ (m @ w_v.data))
     return np.concatenate(outs, axis=1) @ params.w_merge.data
 
 
@@ -373,13 +375,66 @@ def test_attention_matches_per_head_oracle():
     np.testing.assert_allclose(out.data, mha_oracle(m, params), atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [60, 1])
-def test_attention_matches_per_head_oracle_at_width_16(n):
+def peak_score(m, params):
+    return max(np.abs(scores).max() for scores in mha_scores(m, params))
+
+
+def scaled_to_peak(m, params, fraction):
+    """``m`` scaled so that its largest |score| is ``fraction`` of SCORE_LIMIT
+    (the scores are quadratic in m); ``m`` itself when fraction is None."""
+    if fraction is None:
+        return m
+    return m * np.sqrt(fraction * ad.SCORE_LIMIT / peak_score(m, params))
+
+
+def check_attention_at_scale(ms, params):
+    """One forward and backward over the stacked groups ``ms`` with overflow,
+    invalid and divide faults raised.  The output must be within 1e-12 of
+    mha_oracle relative to its largest entry, and every gradient within 1e-9
+    of the other softmax branch's (row-max shift or none), relative to the
+    largest gradient entry: with one row the q and k gradients are zero up
+    to round-off."""
+    rng = np.random.default_rng(len(ms))
+    m = ad.Value(np.concatenate(ms))
+    cotangent = ad.const(rng.standard_normal((m.data.shape[0], params.w_merge.data.shape[1])))
+    operands = [m, *(w for triple in params.heads for w in triple), params.w_merge]
+
+    def forward_backward():
+        for v in operands:
+            v.zero_grad()
+        with np.errstate(over="raise", invalid="raise", divide="raise"), ad.Tape() as tape:
+            out = gb.multi_head_attention(m, params, groups=len(ms))
+            tape.backward(ad.reduce_sum(ad.mul(out, cotangent)))
+        return out.data, [v.grad.copy() for v in operands]
+
+    out, grads = forward_backward()
+    want = np.concatenate([mha_oracle(x, params) for x in ms])
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+    shifted = max(peak_score(x, params) for x in ms) > ad.SCORE_LIMIT
+    with pytest.MonkeyPatch.context() as mp:
+        # both branches stay finite at these scores: e^310 is a normal float64
+        mp.setattr(ad, "SCORE_LIMIT", np.inf if shifted else -1.0)
+        _, other = forward_backward()
+    assert all(np.isfinite(g).all() for g in grads)
+    scale = max(np.abs(g).max() for g in other)
+    assert max(np.abs(g - h).max() for g, h in zip(grads, other)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n,fraction", [(60, None), (1, None), (60, 0.97), (60, 1.03),
+                                        (1, 0.97), (1, 1.03)],
+                         ids=["60", "1", "60-under", "60-over", "1-under", "1-over"])
+def test_attention_matches_per_head_oracle_at_width_16(n, fraction):
+    # fraction scales the input so that the largest |score| sits just under
+    # or just over SCORE_LIMIT, on either side of the row-max shift
     rng = np.random.default_rng(20 + n)
     params = gb.init_block(d=16, h=2, seed=21)
-    m = rng.standard_normal((n, 32))
-    out = gb.multi_head_attention(ad.Value(m), params)
-    np.testing.assert_allclose(out.data, mha_oracle(m, params), atol=1e-12)
+    m = scaled_to_peak(rng.standard_normal((n, 32)), params, fraction)
+    if fraction is None:
+        out = gb.multi_head_attention(ad.Value(m), params)
+        np.testing.assert_allclose(out.data, mha_oracle(m, params), atol=1e-12)
+        return
+    assert abs(peak_score(m, params) / ad.SCORE_LIMIT - fraction) < 1e-9
+    check_attention_at_scale([m], params)
 
 
 def test_grouped_attention_matches_per_group_oracle():
@@ -389,6 +444,14 @@ def test_grouped_attention_matches_per_group_oracle():
     out = gb.multi_head_attention(ad.Value(np.concatenate(ms)), params, groups=3)
     np.testing.assert_allclose(out.data, np.concatenate([mha_oracle(m, params) for m in ms]),
                                rtol=0, atol=1e-12)
+    # the same groups scaled so that the largest |score| sits just under or
+    # just over SCORE_LIMIT: in all three groups, or over in the middle one only
+    for fractions in [(0.97, 0.97, 0.97), (1.03, 1.03, 1.03), (None, 1.03, None)]:
+        scaled = [scaled_to_peak(m, params, f) for m, f in zip(ms, fractions)]
+        for m, f in zip(scaled, fractions):
+            peak = peak_score(m, params) / ad.SCORE_LIMIT
+            assert peak < 1 if f is None else abs(peak - f) < 1e-9
+        check_attention_at_scale(scaled, params)
 
 
 @pytest.mark.parametrize("rows,groups", [(7, 2), (6, 4), (6, 0)])
