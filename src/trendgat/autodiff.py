@@ -254,7 +254,8 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
     every per-row reduction is one ``reduceat``: time and memory are
     O(R * d + E' * d).  The index arrays come from ``graph.structure``,
     built once per graph, which also checks the graph (see
-    ``energy_graph.edge_structure``).
+    ``energy_graph.edge_structure``); the backward into ``right`` also
+    reads ``graph.by_source``, likewise built once, on first need.
     """
     rows, d = left.data.shape
     if right.data.shape != (rows, d) or attn.data.shape != (d, 1) or edge_bias.data.shape != (1, 1):
@@ -285,7 +286,8 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
         def bwd():
             g_out = out.grad
             if right.requires_grad:
-                g_edges = g_out[s.dst_by_src]                       # E x d, by source
+                o = graph.by_source
+                g_edges = g_out[o.dst_by_src]                       # E x d, by source
             if m is not None:
                 g = g_out[m.dst]                                    # E' x d
                 g_alpha = (g * nbr).sum(axis=1)
@@ -300,12 +302,12 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
                     g_left[m.rows] = np.add.reduceat(g_pre, m.starts, axis=0)
                     left._acc(g_left)
                 if right.requires_grad:
-                    g_edges[m.at] = alpha[:, None] * g + g_pre
+                    g_edges[o.multi_at] = alpha[:, None] * g + g_pre
             if right.requires_grad:
                 # one sum per source over all its edges; a node that is no
                 # edge's source keeps a zero row
                 g_right = np.zeros_like(right.data)
-                g_right[s.src_nodes] = np.add.reduceat(g_edges, s.src_starts, axis=0)
+                g_right[o.src_nodes] = np.add.reduceat(g_edges, o.src_starts, axis=0)
                 right._acc(g_right)
         t._record(bwd)
     return out

@@ -88,6 +88,12 @@ class CsrGraph:
         """The graph's ``edge_structure``, built on first use."""
         return edge_structure(self)
 
+    @cached_property
+    def by_source(self) -> "SourceOrder":
+        """The graph's ``source_order``, built on first use: only a backward
+        pass into ``right`` of ``autodiff.gat_attention`` reads it."""
+        return source_order(self)
+
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("CsrGraph: the dense matrix is always a new array")
@@ -145,39 +151,48 @@ def _windows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class NeighbourRows:
     """The M rows that have more than one edge, and their E' edges row by
     row: per row its index into all rows and its first edge; per edge its
-    row's position in 0..M-1, its source, row and weight, and its place in
-    the source order of ``EdgeStructure``."""
+    row's position in 0..M-1, its index into all E edges, and its source,
+    row and weight."""
 
     rows: np.ndarray      # M
     starts: np.ndarray    # M
     seg: np.ndarray       # E'
+    edges: np.ndarray     # E'
     src: np.ndarray       # E'
     dst: np.ndarray       # E'
     weight: np.ndarray    # E'
-    at: np.ndarray        # E'
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class EdgeStructure:
-    """The index arrays ``autodiff.gat_attention`` reads from a graph.
+    """The index arrays ``autodiff.gat_attention``'s forward reads from a
+    graph.
 
     A row with one edge has a softmax over one position, so it needs only
     its source: ``first_src`` holds each row's first.  ``multi`` holds the
     rows with more than one edge, or is None when there are none; then
     ``self_loops_only`` tells whether every row's one edge is its own
     self-loop, which makes the attention the identity on ``right`` (so
-    ``gnn_blocks.gatv2_layer`` is the plain projection W_right h).  The
-    backward sums the right gradient over all E edges taken in stable
-    source order: ``dst_by_src`` is their rows, and ``src_nodes`` and
-    ``src_starts`` each source node and its first place in that order.
+    ``gnn_blocks.gatv2_layer`` is the plain projection W_right h).
     """
 
     first_src: np.ndarray     # R
+    multi: NeighbourRows | None
+    self_loops_only: bool     # no multi, and first_src[r] == r for every row r
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class SourceOrder:
+    """The graph's E edges in stable source order, in which the backward
+    of ``autodiff.gat_attention`` sums the right gradient: ``dst_by_src``
+    is their rows, ``src_nodes`` and ``src_starts`` each source node and
+    its first place in that order, and ``multi_at`` the place of each edge
+    of ``EdgeStructure.multi`` (None when that is None)."""
+
     dst_by_src: np.ndarray    # E
     src_nodes: np.ndarray     # nodes that are the source of some edge, ascending
     src_starts: np.ndarray    # one per src_nodes
-    multi: NeighbourRows | None
-    self_loops_only: bool     # no multi, and first_src[r] == r for every row r
+    multi_at: np.ndarray | None   # E'
 
 
 def edge_structure(graph: CsrGraph) -> EdgeStructure:
@@ -201,25 +216,34 @@ def edge_structure(graph: CsrGraph) -> EdgeStructure:
     if src.size and (src.min() < 0 or src.max() >= rows):
         raise ShapeError(f"CsrGraph: sources span [{src.min()}, {src.max()}], "
                          f"outside [0, {rows})")
-    by_src = np.argsort(src, kind="stable")
-    src_counts = np.bincount(src, minlength=rows)
-    src_nodes = np.flatnonzero(src_counts)
     multi_rows = np.flatnonzero(counts > 1)
     multi = None
     if multi_rows.size:
         multi_counts = counts[multi_rows]
         seg, edges = _windows(indptr[multi_rows], indptr[multi_rows + 1])
-        place = np.empty_like(by_src)
-        place[by_src] = np.arange(by_src.size)
         multi = NeighbourRows(rows=multi_rows, starts=multi_counts.cumsum() - multi_counts,
-                              seg=seg, src=src[edges], dst=multi_rows[seg],
-                              weight=weight[edges], at=place[edges])
+                              seg=seg, edges=edges, src=src[edges], dst=multi_rows[seg],
+                              weight=weight[edges])
     first_src = src[indptr[:-1]]
     self_loops_only = multi is None and np.array_equal(first_src, np.arange(rows))
-    return EdgeStructure(first_src=first_src, dst_by_src=graph.dst[by_src],
-                         src_nodes=src_nodes,
-                         src_starts=(src_counts.cumsum() - src_counts)[src_nodes], multi=multi,
-                         self_loops_only=self_loops_only)
+    return EdgeStructure(first_src=first_src, multi=multi, self_loops_only=self_loops_only)
+
+
+def source_order(graph: CsrGraph) -> SourceOrder:
+    """Build ``graph``'s ``SourceOrder``, after ``graph.structure`` has
+    checked it."""
+    multi = graph.structure.multi
+    by_src = np.argsort(graph.src, kind="stable")
+    src_counts = np.bincount(graph.src, minlength=graph.rows)
+    src_nodes = np.flatnonzero(src_counts)
+    multi_at = None
+    if multi is not None:
+        place = np.empty_like(by_src)
+        place[by_src] = np.arange(by_src.size)
+        multi_at = place[multi.edges]
+    return SourceOrder(dst_by_src=graph.dst[by_src], src_nodes=src_nodes,
+                       src_starts=(src_counts.cumsum() - src_counts)[src_nodes],
+                       multi_at=multi_at)
 
 
 def boltzmann_adjacency(features: np.ndarray, k: float, tau: int) -> np.ndarray:

@@ -3,14 +3,17 @@
 Evaluation pools every (stock, step) prediction over all scored days into
 one confusion matrix and computes each metric once (micro-pooling).
 Degenerate cases are total: a zero factor in the MCC denominator or an
-all-negative F1 yields 0.0 with a flag in the record.
+all-negative F1 yields 0.0 with a flag in the record.  A ``Split`` holds
+one split's samples and keeps, once built, the stacked graphs and true
+classes that every evaluation of it reads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +23,9 @@ from . import energy_graph as eg
 # N = 100 that is 4 snapshots, and larger chunks gain little speed while the
 # stacked inputs and B x H x N x N attention scores raise peak memory
 CHUNK_ROWS = 400
+
+# classes per forecast step (down, up); ModelConfig admits alpha = 2 only
+_ALPHA = 2
 
 
 @dataclass
@@ -102,37 +108,67 @@ def metrics_record(c: ConfusionCounts) -> dict:
     }
 
 
+class Split(tuple):
+    """One split's samples, in time order: an immutable sequence that
+    ``evaluate`` scores.
+
+    On first evaluation the split cuts its samples into chunks (see
+    ``_chunks``), stacks each chunk's graphs with ``energy_graph.stack``
+    and pools the true class of every (stock, step), and it keeps both:
+    later evaluations of the split, such as every epoch's validation,
+    build neither again, and each stacked graph keeps the ``structure``
+    its first forward built.  The chunk size is fixed then.  Chunk
+    features are not kept; each evaluation joins the samples' own arrays.
+    The split reads its samples' graphs and labels once, so they must not
+    change after it is first scored.
+    """
+
+    @cached_property
+    def chunks(self) -> tuple[tuple[tuple, eg.CsrGraph], ...]:
+        """(samples, their stacked graph) per chunk, in sample order."""
+        return tuple((chunk, eg.stack(sample.snapshot.adjacency for sample in chunk))
+                     for chunk in _chunks(self))
+
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """The true class of every (stock, step), sample by sample: each
+        alpha-wide one-hot label block's first maximum."""
+        labels = np.concatenate([sample.labels for sample in self])
+        return labels.reshape(-1, _ALPHA).argmax(axis=1)
+
+
+def as_split(samples) -> Split:
+    """``samples`` if it is a ``Split``, else a new one holding them."""
+    return samples if isinstance(samples, Split) else Split(samples)
+
+
 def evaluate(params, samples) -> dict:
     """Pool predictions of every sample into one confusion matrix and score
-    it; samples are (GraphSnapshot, labels) pairs.
+    it; samples are (GraphSnapshot, labels) pairs, a ``Split`` or any
+    sequence (wrapped in a new ``Split``, so pass the same ``Split`` to
+    score a split repeatedly without stacking it again).
 
     Consecutive samples of the same shape are joined into chunks of at
     most ``CHUNK_ROWS`` rows, or one sample if it is larger: features
     stacked row-wise to (B * N) x tau*f and graphs by ``energy_graph.stack``
-    (see ``gnn_blocks``).  Each chunk is scored by one ``predict`` call.
-    Every snapshot still attends only within itself, so the predictions
-    are those of one call per sample, but each primitive runs once per
-    chunk instead of once per snapshot.  The dense attention keeps
-    B x H x N x N scores per chunk.
+    (see ``gnn_blocks``).  Each chunk is scored by one ``model.forward``
+    call, each alpha-wide logit block's first maximum being its class, so
+    ties go to class 0 as in ``model.predict``.  Every snapshot still
+    attends only within itself, so the predictions are those of one
+    ``predict`` call per sample, but each primitive runs once per chunk
+    instead of once per snapshot.  The dense attention keeps B x H x N x N
+    scores per chunk.
     """
-    from .model import predict  # deferred: model depends on this module too
+    from . import model  # deferred: model depends on this module too
     if not samples:
         raise ValueError("evaluate: no samples")
-    trues, preds = [], []
-    for chunk in _chunks(samples):
-        snapshot = replace(
-            chunk[0].snapshot,
-            features=np.concatenate([sample.snapshot.features for sample in chunk]),
-            adjacency=eg.stack(sample.snapshot.adjacency for sample in chunk))
-        classes, _ = predict(params, snapshot)
-        labels = np.concatenate([sample.labels for sample in chunk])
-        alpha = 2
-        phi = classes.shape[1]
-        blocks = labels.reshape(labels.shape[0], phi, alpha)
-        trues.append(blocks.argmax(axis=2).ravel())
-        preds.append(classes.ravel())
-    c = confusion(np.concatenate(trues), np.concatenate(preds))
-    return metrics_record(c)
+    split = as_split(samples)
+    preds = []
+    for chunk, graph in split.chunks:
+        features = np.concatenate([sample.snapshot.features for sample in chunk])
+        logits = model.forward(params, eg.GraphSnapshot(chunk[0].snapshot.t, features, graph))
+        preds.append(logits.data.reshape(-1, _ALPHA).argmax(axis=1))
+    return metrics_record(confusion(split.classes, np.concatenate(preds)))
 
 
 def _chunks(samples):
@@ -141,7 +177,7 @@ def _chunks(samples):
     alone)."""
     shapes = lambda sample: (sample.snapshot.features.shape, sample.snapshot.adjacency.shape)
     for (features_shape, _), run in itertools.groupby(samples, key=shapes):
-        run = list(run)
+        run = tuple(run)
         size = max(1, CHUNK_ROWS // max(1, features_shape[0]))
         for start in range(0, len(run), size):
             yield run[start:start + size]

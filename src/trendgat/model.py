@@ -272,12 +272,16 @@ def build_datasets(panel: md.IndicatorPanel, config: ModelConfig,
                    ratios: tuple[int, int, int] = (457, 63, 261),
                    adjacency: eg.CsrGraph | None = None,
                    names: tuple[str, ...] = ("train", "validation", "test"),
-                   ) -> dict[str, list[Sample]]:
+                   ) -> dict[str, mt.Split]:
     """Split chronologically, normalize with train-only statistics, and
-    materialize samples for the splits in ``names`` (all three by default)."""
+    materialize samples for the splits in ``names`` (all three by default),
+    each a ``metrics.Split``: it stacks its evaluation chunks on first use
+    and keeps them, so scoring a split again, in any later epoch, seed or
+    variant, reuses them."""
     splits = md.split_periods(panel, ratios, config.tau, config.phi)
     normalized = md.normalize(panel, splits)
-    return {name: samples_from_panel(normalized, getattr(splits, name), config, adjacency)
+    return {name: mt.Split(samples_from_panel(normalized, getattr(splits, name), config,
+                                              adjacency))
             for name in names}
 
 
@@ -285,7 +289,9 @@ def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelC
           stop_at_val_acc: float | None = None) -> TrainResult:
     """Train with one optimizer step per time step (all stocks at once),
     sweeping the training period chronologically each epoch; keeps the
-    parameters of the best validation-accuracy epoch.
+    parameters of the best validation-accuracy epoch.  ``val_samples`` is
+    taken as one ``metrics.Split`` for the run, so its evaluation chunks
+    are stacked once.
 
     ``stop_at_val_acc`` ends the run early once the best validation
     accuracy reaches the target (used by budgeted acceptance runs).
@@ -299,6 +305,7 @@ def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelC
     best_epoch = -1
     best_flat = params.flat.copy()
     scale = 1.0 / len(train_samples)
+    val_samples = mt.as_split(val_samples)
 
     for epoch in range(1, config.epochs + 1):
         total = 0.0

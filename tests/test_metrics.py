@@ -156,6 +156,18 @@ def _samples(rng, cfg, counts_by_n):
     return out
 
 
+def _predict_reference(params, samples):
+    """One ``predict`` call per sample, pooled: what ``evaluate`` must equal."""
+    from trendgat import model as mdl
+    cfg = params.config
+    trues, preds = [], []
+    for sample in samples:
+        classes, _ = mdl.predict(params, sample.snapshot)
+        trues.append(sample.labels.reshape(-1, cfg.phi, cfg.alpha).argmax(axis=2).ravel())
+        preds.append(classes.ravel())
+    return mt.metrics_record(mt.confusion(np.concatenate(trues), np.concatenate(preds)))
+
+
 def test_chunked_evaluate_equals_per_sample_predictions(monkeypatch):
     from trendgat import model as mdl
     rng = np.random.default_rng(5)
@@ -164,17 +176,11 @@ def test_chunked_evaluate_equals_per_sample_predictions(monkeypatch):
     # 30 rows: 13 samples per chunk, 40 = 3 * 13 + 1; 7 rows: 57 per chunk
     runs = [(30, 40), (7, 60), (30, 2)]
     samples = _samples(rng, cfg, runs)
-
-    trues, preds = [], []
-    for sample in samples:
-        classes, _ = mdl.predict(params, sample.snapshot)
-        trues.append(sample.labels.reshape(-1, cfg.phi, cfg.alpha).argmax(axis=2).ravel())
-        preds.append(classes.ravel())
-    reference = mt.metrics_record(mt.confusion(np.concatenate(trues), np.concatenate(preds)))
+    reference = _predict_reference(params, samples)
 
     calls = []
-    predict = mdl.predict
-    monkeypatch.setattr(mdl, "predict", lambda p, snap: calls.append(snap) or predict(p, snap))
+    forward = mdl.forward
+    monkeypatch.setattr(mdl, "forward", lambda p, snap: calls.append(snap) or forward(p, snap))
     assert mt.evaluate(params, samples) == reference
     assert [snap.features.shape[0] for snap in calls] == [390, 390, 390, 30, 399, 21, 60]
     assert all(rows <= mt.CHUNK_ROWS for rows in (snap.adjacency.shape[0] for snap in calls))
@@ -187,7 +193,68 @@ def test_evaluate_scores_a_sample_larger_than_a_chunk_alone(monkeypatch):
     params = mdl.init_model(cfg)
     samples = _samples(rng, cfg, [(mt.CHUNK_ROWS + 1, 2)])
     calls = []
-    predict = mdl.predict
-    monkeypatch.setattr(mdl, "predict", lambda p, snap: calls.append(snap) or predict(p, snap))
+    forward = mdl.forward
+    monkeypatch.setattr(mdl, "forward", lambda p, snap: calls.append(snap) or forward(p, snap))
     assert mt.evaluate(params, samples)["n"] == 2 * (mt.CHUNK_ROWS + 1)
     assert [snap.adjacency.shape for snap in calls] == [(mt.CHUNK_ROWS + 1,) * 2] * 2
+
+
+# ---------------------------------------------------------------------------
+# Split: each split stacks its chunks and pools its classes once
+# ---------------------------------------------------------------------------
+
+def test_a_split_stacks_each_chunk_once(monkeypatch):
+    from trendgat import energy_graph as eg
+    from trendgat import model as mdl
+    rng = np.random.default_rng(7)
+    cfg = mdl.ModelConfig(tau=3, k=0.5, s=0.25, f=2, phi=2, hidden=6, heads=2, layers=2, seed=3)
+    params = mdl.init_model(cfg)
+    # 30 rows: 13 samples per chunk, so 20 samples make 2 chunks; 7 rows: 1 chunk
+    samples = _samples(rng, cfg, [(30, 20), (7, 5)])
+    reference = _predict_reference(params, samples)
+
+    stacked = []
+    stack = eg.stack
+    monkeypatch.setattr(eg, "stack", lambda graphs: stacked.append(1) or stack(graphs))
+    split = mt.Split(samples)
+    assert mt.evaluate(params, split) == reference
+    assert mt.evaluate(params, split) == reference
+    assert len(stacked) == len(split.chunks) == 3
+    # a plain list is wrapped anew on every call
+    assert mt.evaluate(params, samples) == reference
+    assert len(stacked) == 6
+
+
+def test_evaluating_an_empty_split_is_value_error():
+    from trendgat import model as mdl
+    params = mdl.init_model(mdl.ModelConfig(tau=3, f=2, hidden=4, heads=2, layers=2))
+    for empty in ([], mt.Split()):
+        with pytest.raises(ValueError, match="no samples"):
+            mt.evaluate(params, empty)
+
+
+def test_evaluation_and_self_loop_stacks_build_no_source_order(monkeypatch):
+    from trendgat import autodiff as ad
+    from trendgat import energy_graph as eg
+    from trendgat import model as mdl
+    built = []
+    order = eg.source_order
+    monkeypatch.setattr(eg, "source_order", lambda graph: built.append(graph) or order(graph))
+    self_loops = eg.stack([eg.from_dense(np.eye(5))] * 3)
+    assert self_loops.structure.self_loops_only
+
+    rng = np.random.default_rng(8)
+    cfg = mdl.ModelConfig(tau=3, k=0.5, s=0.25, f=2, hidden=4, heads=2, layers=2, seed=4)
+    params = mdl.init_model(cfg)
+    samples = _samples(rng, cfg, [(30, 3)])
+    split = mt.Split(samples)
+    mt.evaluate(params, split)
+    assert all(graph.structure.multi is not None for _, graph in split.chunks)
+    assert built == []
+
+    # the backward into the graph layer's right projection builds it, once
+    sample = next(s for s in samples if s.snapshot.adjacency.structure.multi is not None)
+    for _ in range(2):
+        with ad.Tape() as tape:
+            tape.backward(mdl.loss(mdl.forward(params, sample.snapshot), sample.labels))
+    assert built == [sample.snapshot.adjacency]

@@ -377,6 +377,25 @@ def test_training_matches_the_full_graph_layer_bit_for_bit(small_synth_panel, mo
     assert got_test == want_test
 
 
+def test_build_datasets_returns_a_split_per_requested_name(small_synth_panel):
+    cfg = mdl.ModelConfig(tau=7, f=4, hidden=8, heads=2, layers=2, epochs=1)
+    for names in (("train", "validation", "test"), ("test",)):
+        datasets = mdl.build_datasets(small_synth_panel, cfg, names=names)
+        assert tuple(datasets) == names
+        assert all(isinstance(split, mt.Split) and split for split in datasets.values())
+
+
+def test_training_history_is_the_same_for_a_list_or_a_split(small_synth_panel):
+    cfg = mdl.ModelConfig(tau=7, k=0.5, s=0.4, f=4, hidden=8, heads=2, layers=2, epochs=3,
+                          seed=1)
+    datasets = mdl.build_datasets(small_synth_panel, cfg)
+    validation = datasets["validation"]
+    from_split = mdl.train(datasets["train"], validation, cfg)
+    from_list = mdl.train(list(datasets["train"]), list(validation), cfg)
+    assert from_split.history == from_list.history
+    assert from_split.params.flat.tobytes() == from_list.params.flat.tobytes()
+
+
 @pytest.mark.parametrize("with_validation", [True, False])
 def test_best_params_are_independent_of_final_params(with_validation):
     rng = np.random.default_rng(14)
