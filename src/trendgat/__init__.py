@@ -1,7 +1,7 @@
 """Stock trend classification with energy-based dynamic graphs and parallel
 graph attention."""
 
-from .energy_graph import boltzmann_adjacency, sector_adjacency, snapshot, sparsify
+from .energy_graph import sector_adjacency, snapshot
 from .market_data import load_panel, select_indicators
 from .model import ModelConfig, build_datasets, load_model, predict, save_model, train
 
@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelConfig",
-    "boltzmann_adjacency",
     "build_datasets",
     "load_model",
     "load_panel",
@@ -18,7 +17,6 @@ __all__ = [
     "sector_adjacency",
     "select_indicators",
     "snapshot",
-    "sparsify",
     "train",
     "__version__",
 ]

@@ -162,32 +162,18 @@ def add(a: Value, b: Value) -> Value:
     return out
 
 
-def smul(a: Value, c: float) -> Value:
-    """Multiply by a Python scalar constant (not differentiated w.r.t. c)."""
-    c = float(c)
-    out, t = _make(a.data * c, a)
-    if t is not None:
-        def bwd():
-            a._acc(out.grad * c)
-        t._record(bwd)
-    return out
-
-
 def mul(a: Value, b: Value) -> Value:
-    """Elementwise product; one operand may be 1x1 (broadcast scale)."""
-    sa, sb = a.data.shape, b.data.shape
-    if sa != sb and sa != (1, 1) and sb != (1, 1):
-        raise ShapeError(f"mul: shapes differ, {sa} vs {sb}")
+    """Elementwise product of two same-shape matrices."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mul: shapes differ, {a.data.shape} vs {b.data.shape}")
     out, t = _make(a.data * b.data, a, b)
     if t is not None:
         def bwd():
             g = out.grad
             if a.requires_grad:
-                ga = g * b.data
-                a._acc(ga.sum().reshape(1, 1) if sa == (1, 1) and sb != (1, 1) else ga)
+                a._acc(g * b.data)
             if b.requires_grad:
-                gb = g * a.data
-                b._acc(gb.sum().reshape(1, 1) if sb == (1, 1) and sa != (1, 1) else gb)
+                b._acc(g * a.data)
         t._record(bwd)
     return out
 
@@ -212,29 +198,6 @@ def concat_cols(*vs: Value) -> Value:
                 lo += w
         t._record(bwd)
     return out
-
-
-def slice_cols(a: Value, start: int, stop: int) -> Value:
-    cols = a.data.shape[1]
-    if not (0 <= start < stop <= cols):
-        raise ShapeError(f"slice_cols: [{start}:{stop}] out of range for {a.data.shape}")
-    out, t = _make(a.data[:, start:stop].copy(), a)
-    if t is not None:
-        def bwd():
-            g = np.zeros_like(a.data)
-            g[:, start:stop] = out.grad
-            a._acc(g)
-        t._record(bwd)
-    return out
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    # row softmax of the loss's logits, overwriting and returning z;
-    # multi_head_attention keeps its weights unnormalised instead
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
 
 
 def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
@@ -422,24 +385,41 @@ def reduce_sum(a: Value) -> Value:
     return out
 
 
-def cross_entropy_with_logits(logits: Value, targets: np.ndarray) -> Value:
-    """Row-wise softmax cross-entropy against one-hot targets, summed over
-    rows into a 1x1 scalar."""
+def cross_entropy_with_logits(logits: Value, targets: np.ndarray, alpha: int) -> Value:
+    """Softmax cross-entropy of each alpha-wide column block of ``logits``
+    against one-hot ``targets``, summed over the blocks and averaged over
+    the rows into a 1x1 scalar.
+
+    Targets of another shape, a width that is not a multiple of ``alpha``
+    or a target block that is not one-hot is a ``LabelError``.  Each
+    block's cross-entropies are summed over the rows, the block totals are
+    added in block order and the sum is scaled by 1 / rows.  The backward
+    reuses the forward's exponentials and row sums.
+    """
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != logits.data.shape:
-        raise ShapeError(
+    rows, width = logits.data.shape
+    if targets.shape != (rows, width):
+        raise LabelError(
             f"cross_entropy_with_logits: targets {targets.shape} vs logits {logits.data.shape}")
-    if not (((targets == 0.0) | (targets == 1.0)).all() and (targets.sum(axis=1) == 1.0).all()):
-        raise LabelError("cross_entropy_with_logits: each target row must be one-hot")
-    x = logits.data
-    m = x.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
-    total = float((lse[:, 0] - (targets * x).sum(axis=1)).sum())
-    out, t = _make(np.array([[total]]), logits)
+    if alpha < 1 or width % alpha:
+        raise LabelError(f"cross_entropy_with_logits: width {width} is not a multiple of "
+                         f"alpha={alpha}")
+    y = targets.reshape(rows, width // alpha, alpha)
+    if not (((y == 0.0) | (y == 1.0)).all() and (y.sum(axis=2) == 1.0).all()):
+        raise LabelError("cross_entropy_with_logits: each target block must be one-hot")
+    x = logits.data.reshape(y.shape)
+    m = x.max(axis=2, keepdims=True)
+    e = np.exp(x - m)
+    norm = e.sum(axis=2, keepdims=True)
+    lse = (m + np.log(norm))[..., 0]                                # rows x blocks
+    total = 0.0
+    for b in range(y.shape[1]):
+        total += float((lse[:, b] - (y[:, b] * x[:, b]).sum(axis=1)).sum())
+    scale = 1.0 / rows
+    out, t = _make(np.array([[total * scale]]), logits)
     if t is not None:
-        soft = _softmax_rows(x.copy())
         def bwd():
-            logits._acc((soft - targets) * out.grad[0, 0])
+            logits._acc(((e / norm - y) * (out.grad[0, 0] * scale)).reshape(rows, width))
         t._record(bwd)
     return out
 

@@ -10,8 +10,7 @@ runs.
 Every graph the model reads is a ``CsrGraph``: per node, the sources of
 its incoming edges and their weights.  A thresholded row keeps at most
 1/s entries, so a snapshot takes O(N / s) memory, and ``boltzmann_graph``
-builds it in O(N log N) without an N x N intermediate.  The dense
-``boltzmann_adjacency`` and ``sparsify`` stay as its reference.
+builds it in O(N log N) without an N x N intermediate.
 """
 
 from __future__ import annotations
@@ -112,30 +111,6 @@ class GraphSnapshot:
     t: int
     features: np.ndarray   # N x (tau*F), or (B * N) x (tau*F) stacked
     adjacency: CsrGraph    # the sparsified graph, or B of them stacked
-
-
-def _energies(features, k: float, tau: int, caller: str) -> np.ndarray:
-    """Per-stock window energies, after the checks every builder shares."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 2:
-        raise ConfigError(f"{caller}: need a 2-D matrix with N >= 2 rows, got {features.shape}")
-    if k <= 0:
-        raise ConfigError(f"{caller}: k must be positive, got {k}")
-    if tau < 1:
-        raise ConfigError(f"{caller}: tau must be >= 1, got {tau}")
-    energies = (features * features).sum(axis=1)
-    # squares cannot cancel, so a non-finite feature makes its energy non-finite
-    if not np.isfinite(energies).all():
-        raise NumericError(f"{caller}: features have non-finite entries or energies that overflow")
-    return energies
-
-
-def _check_threshold(s: float) -> None:
-    lo, hi = THRESHOLD_RANGE
-    if not lo <= s <= hi:
-        warnings.warn(
-            f"threshold {s} outside the usual range [{lo}, {hi}]", ThresholdRangeWarning,
-            stacklevel=3)
 
 
 def _windows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,36 +221,12 @@ def source_order(graph: CsrGraph) -> SourceOrder:
                        multi_at=multi_at)
 
 
-def boltzmann_adjacency(features: np.ndarray, k: float, tau: int) -> np.ndarray:
-    """Row-stochastic similarity matrix from pairwise energy differences.
-
-    Entry (i, j) is exp(-|E_i - E_j|/(k*tau)) normalized over j.  The
-    exponent is shifted by the row maximum before exponentiation; the
-    shift is zero here (the self term always attains it) but keeps the
-    evaluation explicitly underflow-safe for extreme energies.  Dense
-    N x N: the reference for ``boltzmann_graph``.
-    """
-    energies = _energies(features, k, tau, "boltzmann_adjacency")
-    gaps = np.abs(energies[:, None] - energies[None, :])
-    logits = -gaps / (k * tau)
-    logits -= logits.max(axis=1, keepdims=True)
-    with np.errstate(under="ignore"):
-        kernel = np.exp(logits)
-    return kernel / kernel.sum(axis=1, keepdims=True)
-
-
-def sparsify(adjacency: np.ndarray, s: float) -> np.ndarray:
-    """Zero every entry below s, leaving the rest untouched (no renormalization)."""
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    _check_threshold(s)
-    out = adjacency.copy()
-    out[out < s] = 0.0
-    return out
-
-
 def boltzmann_graph(features: np.ndarray, k: float, tau: int, s: float) -> CsrGraph:
-    """The graph of ``sparsify(boltzmann_adjacency(features, k, tau), s)``
-    plus every self-loop, in O(N log N) time and O(N / s) memory.
+    """The thresholded Boltzmann graph of one window: entry (i, j) is
+    exp(-|E_i - E_j| / (k * tau)) normalized over j, E being each stock's
+    sum of squared features, and is kept when it is at least s (positive,
+    for s <= 0); every self-loop is kept too.  O(N log N) time and
+    O(N / s) memory.
 
     With the energies sorted and x = E / (k * tau), row i's normalizer
     sum_j exp(-|x_i - x_j|) is Z_i = L_i + R_i - 1, where
@@ -283,12 +234,30 @@ def boltzmann_graph(features: np.ndarray, k: float, tau: int, s: float) -> CsrGr
     ``np.logaddexp.accumulate`` and R_i mirrors it from the right.  Entry
     (i, j) reaches s exactly when |x_i - x_j| <= -ln(s * Z_i): a window of
     the sorted energies, found with ``searchsorted`` and widened by a
-    rounding margin.  Each candidate's weight exp(-|E_i - E_j| / (k * tau))
-    / Z_i is then kept when it is at least s (positive, for s <= 0), the
-    rule of ``sparsify``.
+    rounding margin.  Each candidate's weight is then computed and kept
+    by the rule above.
+
+    Fewer than two stocks, a k that is not positive or a tau below 1 is a
+    ``ConfigError``; a non-finite feature, or an energy that overflows, a
+    ``NumericError``.  A threshold outside ``THRESHOLD_RANGE`` warns.
     """
-    energies = _energies(features, k, tau, "boltzmann_graph")
-    _check_threshold(s)
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] < 2:
+        raise ConfigError(f"boltzmann_graph: need a 2-D matrix with N >= 2 rows, "
+                          f"got {features.shape}")
+    if not k > 0:
+        raise ConfigError(f"boltzmann_graph: k must be positive, got {k}")
+    if tau < 1:
+        raise ConfigError(f"boltzmann_graph: tau must be >= 1, got {tau}")
+    energies = (features * features).sum(axis=1)
+    # squares cannot cancel, so a non-finite feature makes its energy non-finite
+    if not np.isfinite(energies).all():
+        raise NumericError("boltzmann_graph: features have non-finite entries or energies "
+                           "that overflow")
+    lo, hi = THRESHOLD_RANGE
+    if not lo <= s <= hi:
+        warnings.warn(f"threshold {s} outside the usual range [{lo}, {hi}]",
+                      ThresholdRangeWarning, stacklevel=2)
     n = energies.size
     scale = k * tau
     order = energies.argsort(kind="stable")

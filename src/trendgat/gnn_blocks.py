@@ -53,7 +53,6 @@ class GatLayerParams:
     w_right: ad.Value       # d_in x d_out
     attn: ad.Value          # d_out x 1
     edge_bias: ad.Value     # 1 x 1 scale on the graph weights (pre-softmax)
-    leaky_slope: float = LEAKY_SLOPE
 
 
 @dataclass
@@ -128,8 +127,7 @@ def gatv2_layer(h: ad.Value, adjacency: CsrGraph, params: GatLayerParams) -> ad.
     # left before right: the tape order fixes how h.grad accumulates
     left = ad.matmul(h, params.w_left)     # R x d_out
     right = ad.matmul(h, params.w_right)
-    return ad.gat_attention(left, right, params.attn, params.edge_bias, adjacency,
-                            params.leaky_slope)
+    return ad.gat_attention(left, right, params.attn, params.edge_bias, adjacency, LEAKY_SLOPE)
 
 
 def multi_head_attention(m: ad.Value, params: BlockParams, groups: int = 1) -> ad.Value:

@@ -29,7 +29,6 @@ from . import metrics as mt
 from .errors import (
     ConfigError,
     FormatError,
-    LabelError,
     NumericError,
     ShapeError,
     TrainingDivergedError,
@@ -75,6 +74,9 @@ class ModelConfig:
             raise ConfigError("phi, epochs and hidden must be positive")
         if self.f < 1:
             raise ConfigError(f"f must be positive (at least one indicator), got {self.f}")
+        for key in ("k", "s", "lr", "wd"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.grad_clip is not None and not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
             raise ConfigError(f"grad_clip must be a finite positive number, got {self.grad_clip}")
         if not strict_ranges:
@@ -149,14 +151,17 @@ class Sample:
     labels: np.ndarray
 
 
+# AdamW moment decay rates and the guard added to the denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """AdamW first/second moment accumulators, laid out like ``ModelParams.flat``,
     and two vectors of that size that ``adamw_step`` computes in."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -189,19 +194,9 @@ def forward(params: ModelParams, snapshot: eg.GraphSnapshot) -> ad.Value:
 
 def loss(logits: ad.Value, labels: np.ndarray, alpha: int = 2) -> ad.Value:
     """Mean over stocks of the summed per-step cross-entropies, each
-    alpha-wide logit block softmaxed independently."""
-    labels = np.asarray(labels)
-    if labels.shape != logits.data.shape:
-        raise LabelError(f"loss: labels {labels.shape} vs logits {logits.data.shape}")
-    n, width = labels.shape
-    if width % alpha != 0:
-        raise LabelError(f"loss: width {width} is not a multiple of alpha={alpha}")
-    total = None
-    for start in range(0, width, alpha):
-        block = ad.cross_entropy_with_logits(
-            ad.slice_cols(logits, start, start + alpha), labels[:, start:start + alpha])
-        total = block if total is None else ad.add(total, block)
-    return ad.smul(total, 1.0 / n)
+    alpha-wide logit block softmaxed independently: one tape op,
+    ``autodiff.cross_entropy_with_logits``, which checks the labels."""
+    return ad.cross_entropy_with_logits(logits, labels, alpha)
 
 
 def adamw_step(params: ModelParams, opt: OptimizerState, lr: float, wd: float,
@@ -215,8 +210,8 @@ def adamw_step(params: ModelParams, opt: OptimizerState, lr: float, wd: float,
                     if not np.isfinite(value.grad).all()), "?")
         raise NumericError(f"non-finite gradient in parameter {bad}")
     opt.step += 1
-    c1 = 1.0 - opt.beta1 ** opt.step
-    c2 = 1.0 - opt.beta2 ** opt.step
+    c1 = 1.0 - ADAM_BETA1 ** opt.step
+    c2 = 1.0 - ADAM_BETA2 ** opt.step
     if opt.m is None:
         opt.m, opt.v = np.zeros_like(g), np.zeros_like(g)
         opt.scratch = (np.empty_like(g), np.empty_like(g))
@@ -226,15 +221,15 @@ def adamw_step(params: ModelParams, opt: OptimizerState, lr: float, wd: float,
     #   m = beta1 * m + (1 - beta1) * g,  v = beta2 * v + (1 - beta2) * (g * g),
     #   flat -= lr * ((m / c1) / (sqrt(v / c2) + eps) + wd * flat)
     # so that every element rounds as they do
-    m *= opt.beta1
-    m += np.multiply(g, 1.0 - opt.beta1, out=a)
-    v *= opt.beta2
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    v *= ADAM_BETA2
     np.multiply(g, g, out=a)
-    a *= 1.0 - opt.beta2
+    a *= 1.0 - ADAM_BETA2
     v += a
     np.divide(v, c2, out=a)
     np.sqrt(a, out=a)
-    a += opt.eps
+    a += ADAM_EPS
     np.divide(m, c1, out=b)
     b /= a
     b += np.multiply(flat, wd, out=a)

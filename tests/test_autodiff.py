@@ -171,14 +171,14 @@ def test_multi_head_attention_keeps_one_score_sized_buffer():
 def test_cross_entropy_uniform_binary_is_ln2():
     logits = ad.Value(np.zeros((1, 2)))
     target = np.array([[1.0, 0.0]])
-    out = ad.cross_entropy_with_logits(logits, target)
+    out = ad.cross_entropy_with_logits(logits, target, 2)
     assert out.item() == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_cross_entropy_rejects_malformed_target():
     logits = ad.Value(np.zeros((2, 2)))
     with pytest.raises(LabelError):
-        ad.cross_entropy_with_logits(logits, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        ad.cross_entropy_with_logits(logits, np.array([[1.0, 1.0], [0.0, 1.0]]), 2)
 
 
 @pytest.mark.parametrize("row", [[0.5, 0.5], [2.0, -1.0], [math.nan, 1.0], [1.0, math.nan]],
@@ -186,7 +186,7 @@ def test_cross_entropy_rejects_malformed_target():
 def test_cross_entropy_rejects_non_binary_targets(row):
     logits = ad.Value(np.zeros((2, 2)))
     with pytest.raises(LabelError, match="one-hot"):
-        ad.cross_entropy_with_logits(logits, np.array([[0.0, 1.0], row]))
+        ad.cross_entropy_with_logits(logits, np.array([[0.0, 1.0], row]), 2)
 
 
 def test_prelu_all_ones_is_identity():
@@ -237,7 +237,7 @@ def test_backward_requires_scalar():
 def test_backward_twice_raises():
     x = ad.Value(np.ones((1, 1)))
     with ad.Tape() as t:
-        y = ad.smul(x, 2.0)
+        y = ad.add(x, x)
         t.backward(y)
         with pytest.raises(TapeError):
             t.backward(y)
@@ -252,7 +252,7 @@ def test_backward_determinism_bit_identical():
         a = ad.Value(data_a.copy())
         b = ad.Value(data_b.copy())
         with ad.Tape() as t:
-            out = ad.cross_entropy_with_logits(ad.matmul(a, b), np.eye(4))
+            out = ad.cross_entropy_with_logits(ad.matmul(a, b), np.eye(4), 4)
             t.backward(out)
         return a.grad.copy(), b.grad.copy()
 
@@ -266,7 +266,7 @@ def test_concat_cols_routes_gradient_exactly():
     b = ad.Value(np.ones((2, 3)))
     with ad.Tape() as t:
         cat = ad.concat_cols(a, b)
-        loss = ad.reduce_sum(ad.slice_cols(cat, 2, 5))
+        loss = ad.reduce_sum(ad.mul(cat, ad.const(np.array([[0.0, 0.0, 1.0, 1.0, 1.0]] * 2))))
         t.backward(loss)
     np.testing.assert_array_equal(a.grad, np.zeros((2, 2)))
     np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
@@ -311,8 +311,8 @@ PRIMITIVE_CASES = 100  # shapes/seed combinations per primitive
 # primitive -> seed base of its cases, fixed so that a case's draws do not
 # depend on which other primitives are listed
 PRIMITIVES = {
-    "matmul": 0, "add": 1, "smul": 2, "mul": 3, "mul_scalar_broadcast": 4, "concat_cols": 5,
-    "slice_cols": 6, "prelu": 12, "reduce_sum": 13, "cross_entropy_with_logits": 15,
+    "matmul": 0, "add": 1, "mul": 3, "concat_cols": 5,
+    "prelu": 12, "reduce_sum": 13, "cross_entropy_with_logits": 15,
     "gat_attention": 16, "multi_head_attention": 17, "gat_attention_stacked": 18,
     "multi_head_attention_groups": 19, "gat_attention_mixed_rows": 20,
     "multi_head_attention_shifted": 21,
@@ -339,26 +339,14 @@ def test_primitive_gradients_against_finite_differences(name, monkeypatch):
             a, b = rand(rng, r, c), rand(rng, r, c)
             f = lambda: ad.reduce_sum(ad.mul(ad.add(a, b), ad.add(a, b)))
             params = [a, b]
-        elif name == "smul":
-            a = rand(rng, r, c)
-            f = lambda: ad.reduce_sum(ad.mul(ad.smul(a, -1.7), a))
-            params = [a]
         elif name == "mul":
             a, b = rand(rng, r, c), rand(rng, r, c)
             f = lambda: ad.reduce_sum(ad.mul(a, b))
             params = [a, b]
-        elif name == "mul_scalar_broadcast":
-            a, s = rand(rng, r, c), rand(rng, 1, 1)
-            f = lambda: ad.reduce_sum(ad.mul(ad.mul(a, s), a))
-            params = [a, s]
         elif name == "concat_cols":
             a, b = rand(rng, r, c), rand(rng, r, c + 1)
             f = lambda: ad.reduce_sum(ad.mul(ad.concat_cols(a, b), ad.concat_cols(a, b)))
             params = [a, b]
-        elif name == "slice_cols":
-            a = rand(rng, r, c + 2)
-            f = lambda: ad.reduce_sum(ad.mul(ad.slice_cols(a, 1, c + 1), ad.slice_cols(a, 1, c + 1)))
-            params = [a]
         elif name == "gat_attention":
             left, right = _off_kink_pair(rng, r, c)
             attn, edge_bias = rand(rng, c, 1), ad.Value(rng.uniform(0.5, 2.0, (1, 1)))
@@ -425,11 +413,12 @@ def test_primitive_gradients_against_finite_differences(name, monkeypatch):
             a = rand(rng, r, c)
             f = lambda: ad.reduce_sum(ad.mul(a, a))
             params = [a]
-        else:  # cross_entropy_with_logits
-            a = rand(rng, r, c + 1)
-            target = np.zeros((r, c + 1))
-            target[np.arange(r), rng.integers(0, c + 1, r)] = 1.0
-            f = lambda: ad.cross_entropy_with_logits(a, target)
+        else:  # cross_entropy_with_logits: phi blocks of alpha columns
+            phi, alpha = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+            a = rand(rng, r, phi * alpha)
+            target = np.zeros((r, phi, alpha))
+            target[np.arange(r)[:, None], np.arange(phi), rng.integers(0, alpha, (r, phi))] = 1.0
+            f = lambda: ad.cross_entropy_with_logits(a, target.reshape(r, -1), alpha)
             params = [a]
         _check(f, params, seed=case)
 

@@ -431,18 +431,23 @@ def test_usage_error_exits_one():
     assert run_cli("nonsense") == 1
 
 
-@pytest.mark.parametrize("flag,value,message", [
-    ("--grad-clip", "-1", "grad_clip must be a finite positive number"),
-    ("--grad-clip", "0", "grad_clip must be a finite positive number"),
-    ("--grad-clip", "nan", "grad_clip must be a finite positive number"),
-    ("--grad-clip", "inf", "grad_clip must be a finite positive number"),
-    ("--indicators", ",", "f must be positive"),
+@pytest.mark.parametrize("flags,message", [
+    (("--grad-clip", "-1"), "grad_clip must be a finite positive number"),
+    (("--grad-clip", "0"), "grad_clip must be a finite positive number"),
+    (("--grad-clip", "nan"), "grad_clip must be a finite positive number"),
+    (("--grad-clip", "inf"), "grad_clip must be a finite positive number"),
+    (("--indicators", ","), "f must be positive"),
+    (("--no-range-check", "--k", "nan"), "k must be finite, got nan"),
+    (("--no-range-check", "--k", "inf"), "k must be finite, got inf"),
+    (("--no-range-check", "--s", "nan"), "s must be finite, got nan"),
+    (("--no-range-check", "--lr", "nan"), "lr must be finite, got nan"),
+    (("--no-range-check", "--wd", "inf"), "wd must be finite, got inf"),
 ], ids=["grad_clip_negative", "grad_clip_zero", "grad_clip_nan", "grad_clip_inf",
-        "no_indicators"])
-def test_setting_no_model_trains_with_exits_one(small_dataset, tmp_path, capsys, flag, value,
-                                                message):
+        "no_indicators", "k_nan_unchecked", "k_inf_unchecked", "s_nan_unchecked",
+        "lr_nan_unchecked", "wd_inf_unchecked"])
+def test_setting_no_model_trains_with_exits_one(small_dataset, tmp_path, capsys, flags, message):
     out = tmp_path / "o"
-    assert run_cli("train", *fast_flags(small_dataset, out), flag, value) == 1
+    assert run_cli("train", *fast_flags(small_dataset, out), *flags) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
 

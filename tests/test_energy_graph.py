@@ -7,6 +7,8 @@ import pytest
 from trendgat import energy_graph as eg
 from trendgat.errors import ConfigError, NumericError, ShapeError
 
+from oracles import boltzmann_adjacency, sparsify
+
 
 def brute_force_adjacency(features, k, tau):
     """Independent evaluation: scalar loops, no vectorization shortcuts."""
@@ -28,12 +30,12 @@ def brute_force_adjacency(features, k, tau):
 
 
 # ---------------------------------------------------------------------------
-# boltzmann_adjacency
+# the dense Boltzmann adjacency (tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 def test_equal_energies_give_uniform_rows():
     feats = np.tile(np.array([1.0, -2.0, 0.5]), (3, 1))
-    adj = eg.boltzmann_adjacency(feats, k=0.7, tau=5)
+    adj = boltzmann_adjacency(feats, k=0.7, tau=5)
     np.testing.assert_allclose(adj, 1.0 / 3.0, atol=1e-15)
 
 
@@ -42,26 +44,27 @@ def test_two_stock_log2_gap_hand_case():
     k, tau = 0.5, 10
     e1 = k * tau * math.log(2.0)
     feats = np.array([[0.0, 0.0], [math.sqrt(e1), 0.0]])
-    adj = eg.boltzmann_adjacency(feats, k=k, tau=tau)
+    adj = boltzmann_adjacency(feats, k=k, tau=tau)
     np.testing.assert_allclose(adj[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
 
 def test_matches_brute_force_oracle():
     rng = np.random.default_rng(1)
     feats = rng.standard_normal((6, 8))
-    adj = eg.boltzmann_adjacency(feats, k=0.5, tau=10)
+    adj = boltzmann_adjacency(feats, k=0.5, tau=10)
     oracle = brute_force_adjacency(feats, k=0.5, tau=10)
     np.testing.assert_allclose(adj, oracle, atol=1e-12)
 
 
 def test_invalid_scaling_or_temperature_rejected():
     feats = np.ones((2, 3))
+    for k in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError, match="k must be positive"):
+            eg.boltzmann_graph(feats, k=k, tau=5, s=0.4)
     with pytest.raises(ConfigError):
-        eg.boltzmann_adjacency(feats, k=0.0, tau=5)
+        eg.boltzmann_graph(feats, k=0.5, tau=0, s=0.4)
     with pytest.raises(ConfigError):
-        eg.boltzmann_adjacency(feats, k=0.5, tau=0)
-    with pytest.raises(ConfigError):
-        eg.boltzmann_adjacency(np.ones((1, 3)), k=0.5, tau=5)
+        eg.boltzmann_graph(np.ones((1, 3)), k=0.5, tau=5, s=0.4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])   # 1e200 squared overflows
@@ -69,7 +72,7 @@ def test_non_finite_features_rejected(bad):
     feats = np.ones((3, 4))
     feats[1, 2] = bad
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
-        eg.boltzmann_adjacency(feats, k=0.5, tau=5)
+        eg.boltzmann_graph(feats, k=0.5, tau=5, s=0.4)
 
 
 def test_rows_sum_to_one_on_random_instances():
@@ -77,7 +80,7 @@ def test_rows_sum_to_one_on_random_instances():
     for _ in range(50):
         n = int(rng.integers(2, 12))
         feats = rng.standard_normal((n, int(rng.integers(1, 10)))) * rng.uniform(0.1, 5.0)
-        adj = eg.boltzmann_adjacency(feats, k=float(rng.uniform(0.02, 2.0)), tau=int(rng.integers(1, 30)))
+        adj = boltzmann_adjacency(feats, k=float(rng.uniform(0.02, 2.0)), tau=int(rng.integers(1, 30)))
         np.testing.assert_allclose(adj.sum(axis=1), 1.0, atol=1e-9)
         assert (adj >= 0).all()
 
@@ -94,7 +97,7 @@ def test_prenormalization_kernel_is_symmetric():
 def test_diagonal_is_row_maximum_before_sparsify():
     rng = np.random.default_rng(4)
     feats = rng.standard_normal((8, 6))
-    adj = eg.boltzmann_adjacency(feats, k=0.4, tau=7)
+    adj = boltzmann_adjacency(feats, k=0.4, tau=7)
     assert (np.diag(adj) >= adj.max(axis=1) - 1e-15).all()
 
 
@@ -104,7 +107,7 @@ def test_uniform_temperature_limit():
     energies = (feats ** 2).sum(axis=1)
     max_gap = np.abs(energies[:, None] - energies[None, :]).max()
     k = 1e6 * max_gap  # k*tau >= 1e6 * max|dE| with tau = 1
-    adj = eg.boltzmann_adjacency(feats, k=k, tau=1)
+    adj = boltzmann_adjacency(feats, k=k, tau=1)
     assert np.abs(adj - 0.2).max() < 1e-6
 
 
@@ -113,7 +116,7 @@ def test_sharp_temperature_limit_concentrates_on_diagonal():
     energies = (feats ** 2).sum(axis=1)
     gaps = np.abs(energies[:, None] - energies[None, :])
     min_gap = gaps[gaps > 0].min()
-    adj = eg.boltzmann_adjacency(feats, k=1e-6 * min_gap, tau=1)
+    adj = boltzmann_adjacency(feats, k=1e-6 * min_gap, tau=1)
     assert (np.diag(adj) >= 1.0 - 1e-6).all()
 
 
@@ -122,15 +125,15 @@ def test_permutation_equivariance():
     feats = rng.standard_normal((6, 5))
     perm = rng.permutation(6)
     p = np.eye(6)[perm]
-    a = eg.boltzmann_adjacency(feats, k=0.5, tau=10)
-    a_perm = eg.boltzmann_adjacency(p @ feats, k=0.5, tau=10)
+    a = boltzmann_adjacency(feats, k=0.5, tau=10)
+    a_perm = boltzmann_adjacency(p @ feats, k=0.5, tau=10)
     np.testing.assert_allclose(a_perm, p @ a @ p.T, atol=1e-13)
 
 
 def test_larger_gap_never_gets_larger_entry():
     rng = np.random.default_rng(7)
     feats = rng.standard_normal((9, 4))
-    adj = eg.boltzmann_adjacency(feats, k=0.8, tau=3)
+    adj = boltzmann_adjacency(feats, k=0.8, tau=3)
     energies = (feats ** 2).sum(axis=1)
     gaps = np.abs(energies[:, None] - energies[None, :])
     for i in range(9):
@@ -140,34 +143,38 @@ def test_larger_gap_never_gets_larger_entry():
 
 
 # ---------------------------------------------------------------------------
-# sparsify
+# the entrywise threshold
 # ---------------------------------------------------------------------------
 
 def test_zero_threshold_leaves_matrix_unchanged():
     rng = np.random.default_rng(8)
     adj = rng.random((4, 4))
+    np.testing.assert_array_equal(sparsify(adj, 0.0), adj)
+    feats = rng.standard_normal((4, 3))
     with pytest.warns(eg.ThresholdRangeWarning):
-        out = eg.sparsify(adj, 0.0)
-    np.testing.assert_array_equal(out, adj)
+        graph = eg.boltzmann_graph(feats, 0.5, 5, 0.0)
+    np.testing.assert_allclose(np.asarray(graph), boltzmann_adjacency(feats, 0.5, 5),
+                               rtol=0, atol=1e-12)
 
 
 def test_entrywise_threshold_hand_case():
     adj = np.array([[0.6, 0.4], [0.3, 0.7]])
-    out = eg.sparsify(adj, 0.5)
+    out = sparsify(adj, 0.5)
     np.testing.assert_array_equal(out, [[0.6, 0.0], [0.0, 0.7]])
 
 
 def test_saturating_threshold_zeroes_everything():
     adj = np.full((3, 3), 1.0 / 3.0)
+    assert (sparsify(adj, 0.9) == 0.0).all()
     with pytest.warns(eg.ThresholdRangeWarning):
-        out = eg.sparsify(adj, 0.9)
-    assert (out == 0.0).all()
+        graph = eg.boltzmann_graph(np.ones((3, 2)), 0.5, 5, 0.9)    # uniform rows of 1/3
+    np.testing.assert_array_equal(np.asarray(graph), 0.0)
 
 
 def test_surviving_entries_are_zero_or_at_least_s():
     rng = np.random.default_rng(9)
-    adj = eg.boltzmann_adjacency(rng.standard_normal((7, 5)), k=0.5, tau=10)
-    out = eg.sparsify(adj, 0.3)
+    adj = boltzmann_adjacency(rng.standard_normal((7, 5)), k=0.5, tau=10)
+    out = sparsify(adj, 0.3)
     assert ((out == 0.0) | (out >= 0.3)).all()
 
 
@@ -180,7 +187,7 @@ def assert_matches_dense_oracle(features, k, tau, s):
     sparsify(boltzmann_adjacency(...)) plus every self-loop, row-major,
     with weights within 1e-12 (a self-loop below s carries 0.0)."""
     graph = eg.boltzmann_graph(features, k, tau, s)
-    dense = eg.sparsify(eg.boltzmann_adjacency(features, k, tau), s)
+    dense = sparsify(boltzmann_adjacency(features, k, tau), s)
     keep = dense > 0
     np.fill_diagonal(keep, True)
     rows, cols = np.nonzero(keep)
@@ -387,7 +394,7 @@ def test_export_identity_self_loops(tmp_path):
 
 def test_export_count_matches_independent_nonzero_count(tmp_path):
     rng = np.random.default_rng(10)
-    adj = eg.sparsify(eg.boltzmann_adjacency(rng.standard_normal((5, 4)), 0.5, 10), 0.3)
+    adj = sparsify(boltzmann_adjacency(rng.standard_normal((5, 4)), 0.5, 10), 0.3)
     expected = sum(1 for i in range(5) for j in range(5) if adj[i, j] != 0.0)
     n = eg.export_edges(eg.from_dense(adj), list("ABCDE"), tmp_path / "e.tsv")
     assert n == expected
@@ -396,7 +403,7 @@ def test_export_count_matches_independent_nonzero_count(tmp_path):
 
 def test_dense_dump_round_trips(tmp_path):
     rng = np.random.default_rng(11)
-    adj = eg.boltzmann_adjacency(rng.standard_normal((4, 3)), 0.5, 10)
+    adj = boltzmann_adjacency(rng.standard_normal((4, 3)), 0.5, 10)
     out = tmp_path / "adj.csv"
     eg.export_dense(eg.from_dense(adj), list("ABCD"), out)
     lines = out.read_text().strip().split("\n")

@@ -16,7 +16,7 @@ def gat_oracle(h, graph, params):
     w_right = params.w_right.data
     a = params.attn.data[:, 0]
     beta = params.edge_bias.data[0, 0]
-    slope = params.leaky_slope
+    slope = gb.LEAKY_SLOPE
     n = h.shape[0]
     left = h @ w_left
     right = h @ w_right

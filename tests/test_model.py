@@ -158,19 +158,20 @@ def _training_step(dense):
     return tape, params
 
 
-def test_training_step_records_twenty_tape_ops():
-    # per block: two projections, gat_attention, skip, add, concat, attention
+def test_training_step_records_eighteen_tape_ops():
+    # input projection, rectifier, output projection and loss; per block:
+    # two projections, gat_attention, skip, add, concat, attention
     dense = np.eye(8)
     dense[3, 5] = 0.4                        # one row with a neighbour
     tape, params = _training_step(dense)
-    assert len(tape) == 20
+    assert len(tape) == 18
     assert all(block.gat.attn.grad.any() for block in params.blocks)
 
 
-def test_neighbour_free_training_step_records_sixteen_tape_ops():
+def test_neighbour_free_training_step_records_fourteen_tape_ops():
     # per block the graph layer is the right projection alone
     tape, params = _training_step(np.eye(8))
-    assert len(tape) == 16
+    assert len(tape) == 14
     for block in params.blocks:
         for value in (block.gat.w_left, block.gat.attn, block.gat.edge_bias):
             assert not value.grad.any()
@@ -181,6 +182,43 @@ def test_malformed_labels_rejected():
     logits = ad.Value(np.zeros((2, 2)))
     with pytest.raises(LabelError):
         mdl.loss(logits, np.array([[1, 1], [0, 1]]))
+    for shape, labels, message in [
+            ((2, 2), [[1, 0]], r"targets \(1, 2\) vs logits \(2, 2\)"),
+            ((2, 3), [[1, 0, 0], [0, 1, 0]], "width 3 is not a multiple of alpha=2"),
+            ((2, 4), [[1, 0, 0, 1], [0, 1, 1, 1]], "one-hot")]:       # second block
+        with pytest.raises(LabelError, match=message):
+            mdl.loss(ad.Value(np.zeros(shape)), np.array(labels))
+
+
+def _blockwise_loss_reference(x, labels, alpha):
+    """The loss and its logits gradient computed block by block: each
+    alpha-wide block's cross-entropy summed over the rows, the block sums
+    added in block order, then scaled by 1 / rows."""
+    n = x.shape[0]
+    total, grad = 0.0, np.zeros_like(x)
+    for start in range(0, x.shape[1], alpha):
+        block = x[:, start:start + alpha].copy()
+        target = labels[:, start:start + alpha].astype(np.float64)
+        m = block.max(axis=1, keepdims=True)
+        e = np.exp(block - m)
+        lse = m + np.log(e.sum(axis=1, keepdims=True))
+        total += float((lse[:, 0] - (target * block).sum(axis=1)).sum())
+        grad[:, start:start + alpha] = (e / e.sum(axis=1, keepdims=True) - target) * (1.0 / n)
+    return total * (1.0 / n), grad
+
+
+def test_loss_is_one_tape_op_equal_to_the_blockwise_reference():
+    rng = np.random.default_rng(7)
+    cfg = small_config(phi=3)
+    labels = random_sample(rng, 9, cfg).labels
+    logits = ad.Value(3.0 * rng.standard_normal((9, cfg.output_width)))
+    with ad.Tape() as tape:
+        value = mdl.loss(logits, labels)
+        tape.backward(value)
+    want_value, want_grad = _blockwise_loss_reference(logits.data, labels, cfg.alpha)
+    assert len(tape) == 1
+    assert value.item() == want_value
+    assert (logits.grad == want_grad).all()
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +380,7 @@ def full_gatv2_layer(h, adjacency, params):
     left = ad.matmul(h, params.w_left)
     right = ad.matmul(h, params.w_right)
     return ad.gat_attention(left, right, params.attn, params.edge_bias, adjacency,
-                            params.leaky_slope)
+                            gb.LEAKY_SLOPE)
 
 
 @pytest.fixture(scope="module")
