@@ -27,8 +27,6 @@ from . import model as mdl
 from . import synth
 from .errors import ConfigError, DataError, NumericError
 
-DEFAULT_RATIOS = (457, 63, 261)
-
 # every configuration key: (value kind, flag help), in --help order.  A
 # key's flag is --<name after the dot> with "_" written "-" (out.dir is
 # --out), and a graph./model./train. key named after a ModelConfig field
@@ -152,7 +150,7 @@ def parse_spec(config_path, overrides: dict, mode: str, range_check: bool = True
         config=config,
         seeds=seeds,
         indicators=indicators,
-        ratios=values.get("data.ratios", DEFAULT_RATIOS),
+        ratios=values.get("data.ratios", mdl.DEFAULT_RATIOS),
         range_check=range_check,
     )
 

@@ -15,6 +15,7 @@ builds it in O(N log N) without an N x N intermediate.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -237,16 +238,19 @@ def boltzmann_graph(features: np.ndarray, k: float, tau: int, s: float) -> CsrGr
     rounding margin.  Each candidate's weight is then computed and kept
     by the rule above.
 
-    Fewer than two stocks, a k that is not positive or a tau below 1 is a
-    ``ConfigError``; a non-finite feature, or an energy that overflows, a
-    ``NumericError``.  A threshold outside ``THRESHOLD_RANGE`` warns.
+    Fewer than two stocks, a k that is not positive and finite, an s that
+    is not finite or a tau below 1 is a ``ConfigError``; a non-finite
+    feature, or an energy that overflows, a ``NumericError``.  A finite
+    threshold outside ``THRESHOLD_RANGE`` warns.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 2:
         raise ConfigError(f"boltzmann_graph: need a 2-D matrix with N >= 2 rows, "
                           f"got {features.shape}")
-    if not k > 0:
-        raise ConfigError(f"boltzmann_graph: k must be positive, got {k}")
+    if not 0 < k < math.inf:
+        raise ConfigError(f"boltzmann_graph: k must be positive and finite, got {k}")
+    if not math.isfinite(s):
+        raise ConfigError(f"boltzmann_graph: s must be finite, got {s}")
     if tau < 1:
         raise ConfigError(f"boltzmann_graph: tau must be >= 1, got {tau}")
     energies = (features * features).sum(axis=1)
@@ -290,19 +294,6 @@ def boltzmann_graph(features: np.ndarray, k: float, tau: int, s: float) -> CsrGr
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.bincount(dst, minlength=n).cumsum(out=indptr[1:])
     return CsrGraph(indptr=indptr, src=src[by_node], weight=w[edge][by_node], n=n)
-
-
-def from_dense(adjacency: np.ndarray) -> CsrGraph:
-    """The graph of a square matrix: its positive entries plus every
-    self-loop (weight ``adjacency[i, i]``, whatever its sign), row-major."""
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1] or not adjacency.size:
-        raise ShapeError(f"from_dense: want a non-empty square matrix, got {adjacency.shape}")
-    mask = adjacency > 0
-    np.fill_diagonal(mask, True)
-    dst, src = np.nonzero(mask)
-    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
-    return CsrGraph(indptr=indptr, src=src, weight=adjacency[dst, src], n=adjacency.shape[0])
 
 
 def stack(graphs) -> CsrGraph:

@@ -51,10 +51,6 @@ class TapeError(TrendgatError):
     """Backward called twice on one recording, or on a non-scalar."""
 
 
-class DeterminismError(TrendgatError):
-    """Two evaluations of a supposedly deterministic function disagreed."""
-
-
 class TrainingDivergedError(NumericError):
     """Training loss became non-finite; carries history up to the last finite epoch."""
 

@@ -145,15 +145,13 @@ def multi_head_attention(m: ad.Value, params: BlockParams, groups: int = 1) -> a
     return ad.multi_head_attention(m, params.heads, params.w_merge, groups)
 
 
-def parallel_block(state: BlockState, adjacency: CsrGraph, params: BlockParams,
-                   gamma_fn=None) -> BlockState:
+def parallel_block(state: BlockState, adjacency: CsrGraph, params: BlockParams) -> BlockState:
     """One dual-stream update.
 
     Propagation stream: h <- gat(h).  Parallel stream: hp <- attention over
-    concat_cols(hp, gat(h) + h @ W_skip).  ``gamma_fn`` replaces the
-    attention for probing in tests.  A stack of B graphs runs B row-stacked
-    snapshots at once (see ``gatv2_layer``); the attention then takes each
-    block of ``adjacency.n`` rows as its own group.
+    concat_cols(hp, gat(h) + h @ W_skip).  A stack of B graphs runs B
+    row-stacked snapshots at once (see ``gatv2_layer``); the attention then
+    takes each block of ``adjacency.n`` rows as its own group.
     """
     d = state.h.data.shape[1]
     propagated = gatv2_layer(state.h, adjacency, params.gat)
@@ -163,8 +161,7 @@ def parallel_block(state: BlockState, adjacency: CsrGraph, params: BlockParams,
     skip = ad.matmul(state.h, params.w_skip)
     fused = ad.concat_cols(state.hp, ad.add(propagated, skip))
     groups = adjacency.rows // adjacency.n
-    gamma = gamma_fn if gamma_fn is not None else lambda m: multi_head_attention(m, params, groups)
-    return BlockState(h=propagated, hp=gamma(fused))
+    return BlockState(h=propagated, hp=multi_head_attention(fused, params, groups))
 
 
 def plain_block(state: BlockState, adjacency: CsrGraph, params: BlockParams) -> BlockState:
@@ -221,10 +218,3 @@ def assemble_block(values: Iterator[ad.Value], h: int, parallel: bool = True) ->
     heads = [(next(values), next(values), next(values)) for _ in range(h)]
     return BlockParams(gat=gat, w_skip=w_skip, heads=heads, w_merge=next(values))
 
-
-def init_block(d: int, h: int, seed: int, name: str = "block0",
-               parallel: bool = True) -> BlockParams:
-    """A standalone block with fresh initial values."""
-    values = (ad.Value(initial_value(seed, *entry))
-              for entry in block_layout(d, h, name, parallel))
-    return assemble_block(values, h, parallel)

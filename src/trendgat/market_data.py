@@ -27,17 +27,6 @@ CSV_HEADER = ["date", "open", "high", "low", "adj_close", "volume"]
 
 
 @dataclass
-class NormalizationStats:
-    """Per-(stock, channel) train-split statistics; kept for inverting the
-    transform and for reporting zero-variance channels."""
-
-    mean: np.ndarray       # N x F
-    std: np.ndarray        # N x F, divisor actually used (1.0 where degenerate)
-    stat_days: int         # calendar days the statistics were computed on
-    zero_variance: list[tuple[str, str]] = field(default_factory=list)
-
-
-@dataclass
 class IndicatorPanel:
     """Aligned per-stock, per-day indicator series."""
 
@@ -47,7 +36,6 @@ class IndicatorPanel:
     indicators: list[str]
     close: np.ndarray                # N x T raw adjusted close, kept for labels
     sectors: dict[str, str] = field(default_factory=dict)
-    norm_stats: NormalizationStats | None = None
 
     @property
     def n_stocks(self) -> int:
@@ -253,8 +241,8 @@ def select_indicators(panel: IndicatorPanel, names: list[str]) -> IndicatorPanel
 def normalize(panel: IndicatorPanel, splits: DatasetSplits) -> IndicatorPanel:
     """Z-score each (stock, channel) series with statistics from the days
     covered by the training block only (calendar days up to the last train
-    window end); zero-variance channels keep divisor 1 and are recorded.
-    A channel whose statistics overflow float64 is a NumericError."""
+    window end); zero-variance channels keep divisor 1.  A channel whose
+    statistics overflow float64 is a NumericError."""
     if not splits.train:
         raise InsufficientDataError("empty training split")
     stat_days = max(splits.train) + 1
@@ -271,16 +259,11 @@ def normalize(panel: IndicatorPanel, splits: DatasetSplits) -> IndicatorPanel:
             f"normalize: {panel.indicators[j]} of stock {panel.tickers[i]} has "
             f"train mean {mean[i, j]} and std {std[i, j]}; its values are too large "
             f"to z-score in float64")
-    degenerate = std == 0.0
-    zero_variance = [(panel.tickers[i], panel.indicators[j])
-                     for i, j in zip(*np.nonzero(degenerate))]
-    safe_std = np.where(degenerate, 1.0, std)
+    safe_std = np.where(std == 0.0, 1.0, std)
     values = (panel.values - mean[:, None, :]) / safe_std[:, None, :]
-    stats = NormalizationStats(mean=mean, std=safe_std, stat_days=stat_days,
-                               zero_variance=zero_variance)
     return IndicatorPanel(tickers=panel.tickers, dates=panel.dates, values=values,
                           indicators=panel.indicators, close=panel.close,
-                          sectors=panel.sectors, norm_stats=stats)
+                          sectors=panel.sectors)
 
 
 def build_sample(panel: IndicatorPanel, t: int, tau: int, phi: int, alpha: int = 2) -> WindowSample:

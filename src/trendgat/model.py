@@ -37,11 +37,14 @@ from .errors import (
 MAGIC = b"EPGT"
 FORMAT_VERSION = 2
 
+# train:validation:test window ratios of a chronological split
+DEFAULT_RATIOS = (457, 63, 261)
+
 # documented hyperparameter search ranges; parse-time validation cites these
 RANGES = {
     "tau": (7, 27),
     "k": (0.02, 2.0),
-    "s": (0.25, 0.85),
+    "s": eg.THRESHOLD_RANGE,
     "heads": (2, 30),
     "layers": (2, 6),
     "lr": (1e-4, 2e-3),
@@ -264,7 +267,7 @@ def samples_from_panel(panel: md.IndicatorPanel, ts, config: ModelConfig,
 
 
 def build_datasets(panel: md.IndicatorPanel, config: ModelConfig,
-                   ratios: tuple[int, int, int] = (457, 63, 261),
+                   ratios: tuple[int, int, int] = DEFAULT_RATIOS,
                    adjacency: eg.CsrGraph | None = None,
                    names: tuple[str, ...] = ("train", "validation", "test"),
                    ) -> dict[str, mt.Split]:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .market_data import CSV_HEADER, RAW_INDICATORS
 
 @dataclass
 class RuleSpec:
@@ -213,12 +214,11 @@ def write_dataset(out_dir, n_stocks: int, n_days: int, seed: int,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tickers = [f"SYN{i:02d}" for i in range(n_stocks)]
-    columns = ["open", "high", "low", "adj_close", "volume"]
     for i, ticker in enumerate(tickers):
         with open(out_dir / f"{ticker}.csv", "w", encoding="utf-8") as fh:
-            fh.write("date,open,high,low,adj_close,volume\n")
+            fh.write(",".join(CSV_HEADER) + "\n")
             for j, d in enumerate(dates):
-                row = ",".join(f"{data[c][i, j]:.17g}" for c in columns)
+                row = ",".join(f"{data[c][i, j]:.17g}" for c in RAW_INDICATORS)
                 fh.write(f"{d},{row}\n")
 
     manifest = out_dir / "manifest.csv"

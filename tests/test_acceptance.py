@@ -16,6 +16,7 @@ from trendgat import metrics as mt
 from trendgat import model as mdl
 from trendgat import synth
 
+from gradcheck import grad_check
 from oracles import boltzmann_adjacency, sparsify
 from test_energy_graph import assert_matches_dense_oracle, brute_force_adjacency
 from test_metrics import oracle_metrics
@@ -160,7 +161,7 @@ def test_gradient_suite():
         checks.append((lambda: ad.cross_entropy_with_logits(lg2, tgt2.reshape(r, -1), c + 1),
                        [lg2]))
         for f, params in checks:
-            rep = ad.grad_check(f, params, step=1e-5, tol=1e-4)
+            rep = grad_check(f, params, step=1e-5, tol=1e-4)
             worst = max(worst, rep.max_rel_err)
             ok = ok and rep.passed
 
@@ -174,7 +175,7 @@ def test_gradient_suite():
         labels[np.arange(5), srng.integers(0, 2, 5)] = 1
         snap = eg.snapshot(0, feats, cfg.k, cfg.tau, cfg.s)
         values = [v for _, v in params.named()]
-        rep = ad.grad_check(lambda: mdl.loss(mdl.forward(params, snap), labels),
+        rep = grad_check(lambda: mdl.loss(mdl.forward(params, snap), labels),
                             values, step=1e-5, tol=1e-4)
         worst = max(worst, rep.max_rel_err)
         ok = ok and rep.passed

@@ -13,6 +13,8 @@ from trendgat.errors import (
     TapeError,
 )
 
+from gradcheck import grad_check
+from oracles import from_dense
 from test_gnn_blocks import mixed_graph
 
 
@@ -26,7 +28,7 @@ def rand(rng, r, c):
 
 def test_gat_attention_rejects_bad_shapes():
     v = lambda r, c: ad.Value(np.zeros((r, c)))
-    graph = eg.from_dense(np.zeros((3, 3)))
+    graph = from_dense(np.zeros((3, 3)))
     bad = [
         (v(3, 4), v(3, 5), v(4, 1), v(1, 1), graph),   # right width
         (v(3, 4), v(2, 4), v(4, 1), v(1, 1), graph),   # right rows
@@ -58,7 +60,7 @@ def test_gat_attention_node_that_is_no_source_gets_zero_right_gradient():
     graph = eg.CsrGraph(indptr, src, weights[dst, src], n=4)
     f = lambda: ad.reduce_sum(ad.mul(
         ad.gat_attention(left, right, attn, edge_bias, graph, 0.2), w))
-    report = ad.grad_check(f, [left, right, attn, edge_bias], step=1e-5, tol=1e-4)
+    report = grad_check(f, [left, right, attn, edge_bias], step=1e-5, tol=1e-4)
     assert report.passed, report
     assert (right.grad[2] == 0.0).all() and (right.grad[[0, 1, 3]] != 0.0).any()
 
@@ -82,17 +84,17 @@ def test_gat_attention_rows_do_not_depend_on_the_other_rows():
             tape.backward(ad.reduce_sum(ad.mul(out, ad.const(cotangent))))
         return out.data, left.grad, right.grad
 
-    separate = [rows(eg.from_dense(a), *operands)
+    separate = [rows(from_dense(a), *operands)
                 for a, *operands in zip(dense, lefts, rights, cotangents)]
-    stacked = rows(eg.stack(eg.from_dense(a) for a in dense),
+    stacked = rows(eg.stack(from_dense(a) for a in dense),
                    *(np.concatenate(operands) for operands in (lefts, rights, cotangents)))
     extra = np.zeros((7, d))
-    padded_rows = rows(eg.from_dense(padded), *(np.concatenate((extra, operands[0]))
+    padded_rows = rows(from_dense(padded), *(np.concatenate((extra, operands[0]))
                                                  for operands in (lefts, rights, cotangents)))
     for i, want in enumerate(separate[0]):
         np.testing.assert_array_equal(stacked[i], np.concatenate([s[i] for s in separate]))
         np.testing.assert_array_equal(padded_rows[i][7:], want)
-    multi = np.diff(eg.from_dense(dense[0]).indptr) > 1
+    multi = np.diff(from_dense(dense[0]).indptr) > 1
     assert multi.any() and not multi.all()
 
 
@@ -129,7 +131,7 @@ def test_multi_head_attention_rejects_rows_that_do_not_split_into_groups():
 def test_gat_attention_rejects_stacked_mask_of_wrong_height():
     v = lambda r, c: ad.Value(np.zeros((r, c)))
     for copies in (2, 3):                     # 4 or 6 graph rows for 5 node rows
-        graph = eg.stack([eg.from_dense(np.ones((2, 2)))] * copies)
+        graph = eg.stack([from_dense(np.ones((2, 2)))] * copies)
         with pytest.raises(ShapeError, match="gat_attention: indptr"):
             ad.gat_attention(v(5, 2), v(5, 2), v(2, 1), v(1, 1), graph, 0.2)
 
@@ -287,7 +289,7 @@ def test_constant_values_receive_no_gradient():
 # ---------------------------------------------------------------------------
 
 def _check(f, params, seed, tol=1e-4):
-    report = ad.grad_check(f, params, step=1e-5, tol=tol)
+    report = grad_check(f, params, step=1e-5, tol=tol)
     assert report.passed, f"seed={seed}: {report}"
 
 
@@ -354,7 +356,7 @@ def test_primitive_gradients_against_finite_differences(name, monkeypatch):
             mask = rng.random((r, r)) < 0.6
             mask[rng.random(r) < 0.3] = False   # some rows keep only their self-loop
             np.fill_diagonal(mask, True)
-            graph = eg.from_dense(np.where(mask, weights, 0.0))
+            graph = from_dense(np.where(mask, weights, 0.0))
             w = ad.const(rng.standard_normal((r, c)))
             f = lambda: ad.reduce_sum(ad.mul(ad.gat_attention(
                 left, right, attn, edge_bias, graph, 0.2), w))
@@ -380,7 +382,7 @@ def test_primitive_gradients_against_finite_differences(name, monkeypatch):
             mask = rng.random((r * c, c)) < 0.5
             mask[np.arange(r * c), np.arange(r * c) % c] = True
             blocks = np.where(mask, weights, 0.0).reshape(r, c, c)
-            graph = eg.stack(eg.from_dense(block) for block in blocks)
+            graph = eg.stack(from_dense(block) for block in blocks)
             w = ad.const(rng.standard_normal((r * c, 2)))
             f = lambda: ad.reduce_sum(ad.mul(ad.gat_attention(
                 left, right, attn, edge_bias, graph, 0.2), w))
@@ -426,5 +428,5 @@ def test_primitive_gradients_against_finite_differences(name, monkeypatch):
 def test_grad_check_passes_on_quadratic():
     rng = np.random.default_rng(10)
     x = ad.Value(rng.standard_normal((4, 3)))
-    report = ad.grad_check(lambda: ad.reduce_sum(ad.mul(x, x)), [x], step=1e-5, tol=1e-6)
+    report = grad_check(lambda: ad.reduce_sum(ad.mul(x, x)), [x], step=1e-5, tol=1e-6)
     assert report.passed

@@ -348,7 +348,7 @@ def test_eval_builds_graphs_for_the_test_windows_only(small_dataset, tmp_path, m
     assert run_cli("eval", "--manifest", str(small_dataset), "--out", str(tmp_path / "eval"),
                    "--model", str(out / "model_seed0.bin")) == 0
     panel = md.select_indicators(md.load_panel(small_dataset), md.DEFAULT_INDICATORS)
-    test_windows = md.split_periods(panel, cli.DEFAULT_RATIOS, 7, 1).test
+    test_windows = md.split_periods(panel, mdl.DEFAULT_RATIOS, 7, 1).test
     assert len(builds) == len(test_windows) > 0
 
 

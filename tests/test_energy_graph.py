@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from trendgat import energy_graph as eg
 from trendgat.errors import ConfigError, NumericError, ShapeError
 
-from oracles import boltzmann_adjacency, sparsify
+from oracles import boltzmann_adjacency, from_dense, sparsify
 
 
 def brute_force_adjacency(features, k, tau):
@@ -58,9 +59,17 @@ def test_matches_brute_force_oracle():
 
 def test_invalid_scaling_or_temperature_rejected():
     feats = np.ones((2, 3))
-    for k in (0.0, -1.0, math.nan):
+    for k in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="k must be positive"):
             eg.boltzmann_graph(feats, k=k, tau=5, s=0.4)
+    # a non-finite threshold is rejected before the range warning
+    for s in (math.nan, math.inf, -math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="s must be finite"):
+                eg.boltzmann_graph(feats, k=0.5, tau=5, s=s)
+        with pytest.raises(ConfigError, match="s must be finite"):
+            eg.snapshot(0, feats, 0.5, 5, s)
     with pytest.raises(ConfigError):
         eg.boltzmann_graph(feats, k=0.5, tau=0, s=0.4)
     with pytest.raises(ConfigError):
@@ -310,27 +319,27 @@ def test_from_dense_round_trips_through_the_dense_matrix():
     rng = np.random.default_rng(41)
     dense = rng.random((6, 6)) * (rng.random((6, 6)) < 0.4)
     dense[2, 2] = 0.0
-    graph = eg.from_dense(dense)
+    graph = from_dense(dense)
     assert set(zip(graph.dst, graph.src)) >= {(i, i) for i in range(6)}   # every self-loop
     np.testing.assert_array_equal(np.asarray(graph), dense)
     assert np.asarray(graph, dtype=np.float32).dtype == np.float32
     with pytest.raises(ValueError):
         np.array(graph, copy=False)
     with pytest.raises(ShapeError, match="square"):
-        eg.from_dense(np.zeros((2, 3)))
+        from_dense(np.zeros((2, 3)))
 
 
 def test_graph_arrays_are_read_only():
     # the attention index arrays are built from them once, so they must not change
-    graph = eg.from_dense(np.array([[0.5, 0.5], [0.0, 1.0]]))
+    graph = from_dense(np.array([[0.5, 0.5], [0.0, 1.0]]))
     for array in (graph.indptr, graph.src, graph.weight):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
 
 
 def test_stack_offsets_sources_and_keeps_each_snapshots_self_loops():
-    a = eg.from_dense(np.zeros((3, 3)))                                  # self-loops only
-    b = eg.from_dense(np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.2, 0.0, 0.9]]))
+    a = from_dense(np.zeros((3, 3)))                                  # self-loops only
+    b = from_dense(np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.2, 0.0, 0.9]]))
     graph = eg.stack([a, b])
     assert (graph.rows, graph.n, graph.shape) == (6, 3, (6, 6))
     np.testing.assert_array_equal(graph.indptr, [0, 1, 2, 3, 5, 6, 8])
@@ -339,7 +348,7 @@ def test_stack_offsets_sources_and_keeps_each_snapshots_self_loops():
     expected[3:, 3:] = np.asarray(b)
     np.testing.assert_array_equal(np.asarray(graph), expected)           # block-diagonal
     with pytest.raises(ShapeError, match="equal n"):
-        eg.stack([a, eg.from_dense(np.eye(2))])
+        eg.stack([a, from_dense(np.eye(2))])
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +388,14 @@ def test_missing_sector_is_config_error():
 
 def test_export_zero_matrix(tmp_path):
     out = tmp_path / "edges.tsv"
-    n = eg.export_edges(eg.from_dense(np.zeros((3, 3))), ["A", "B", "C"], out)
+    n = eg.export_edges(from_dense(np.zeros((3, 3))), ["A", "B", "C"], out)
     assert n == 0
     assert out.read_text() == "src\tdst\tweight\n"
 
 
 def test_export_identity_self_loops(tmp_path):
     out = tmp_path / "edges.tsv"
-    n = eg.export_edges(eg.from_dense(np.eye(3)), ["A", "B", "C"], out)
+    n = eg.export_edges(from_dense(np.eye(3)), ["A", "B", "C"], out)
     assert n == 3
     lines = out.read_text().strip().split("\n")
     assert lines[1:] == ["A\tA\t1", "B\tB\t1", "C\tC\t1"]
@@ -396,7 +405,7 @@ def test_export_count_matches_independent_nonzero_count(tmp_path):
     rng = np.random.default_rng(10)
     adj = sparsify(boltzmann_adjacency(rng.standard_normal((5, 4)), 0.5, 10), 0.3)
     expected = sum(1 for i in range(5) for j in range(5) if adj[i, j] != 0.0)
-    n = eg.export_edges(eg.from_dense(adj), list("ABCDE"), tmp_path / "e.tsv")
+    n = eg.export_edges(from_dense(adj), list("ABCDE"), tmp_path / "e.tsv")
     assert n == expected
     assert len((tmp_path / "e.tsv").read_text().strip().split("\n")) == expected + 1
 
@@ -405,7 +414,7 @@ def test_dense_dump_round_trips(tmp_path):
     rng = np.random.default_rng(11)
     adj = boltzmann_adjacency(rng.standard_normal((4, 3)), 0.5, 10)
     out = tmp_path / "adj.csv"
-    eg.export_dense(eg.from_dense(adj), list("ABCD"), out)
+    eg.export_dense(from_dense(adj), list("ABCD"), out)
     lines = out.read_text().strip().split("\n")
     assert lines[0] == ",A,B,C,D"
     parsed = np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])

@@ -8,6 +8,9 @@ from trendgat import energy_graph as eg
 from trendgat import gnn_blocks as gb
 from trendgat.errors import ConfigError, DegenerateRowError, ShapeError
 
+from gradcheck import grad_check
+from oracles import from_dense, init_block
+
 
 def gat_oracle(h, graph, params):
     """Per-node, per-edge evaluation of the propagation layer formula over
@@ -53,7 +56,7 @@ def mha_oracle(m, params):
 
 
 def random_adjacency(rng, n, density=0.5):
-    return eg.from_dense(rng.random((n, n)) * (rng.random((n, n)) < density))
+    return from_dense(rng.random((n, n)) * (rng.random((n, n)) < density))
 
 
 def mixed_graph(rng, n):
@@ -85,19 +88,19 @@ def layout_values(d, h, seed, name="block0", parallel=True):
 # ---------------------------------------------------------------------------
 
 def test_isolated_node_with_self_loop_passes_right_projection():
-    params = gb.init_block(d=4, h=2, seed=0)
+    params = init_block(d=4, h=2, seed=0)
     h = ad.Value(np.random.default_rng(0).standard_normal((3, 4)))
-    adj = eg.from_dense(np.zeros((3, 3)))  # fully sparsified: only the self-loops
+    adj = from_dense(np.zeros((3, 3)))  # fully sparsified: only the self-loops
     out = gb.gatv2_layer(h, adj, params.gat)
     expected = h.data @ params.gat.w_right.data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
 def test_identical_positions_share_attention_equally():
-    params = gb.init_block(d=3, h=2, seed=1)
+    params = init_block(d=3, h=2, seed=1)
     row = np.array([0.4, -1.2, 0.7])
     h = ad.Value(np.tile(row, (3, 1)))
-    adj = eg.from_dense(np.full((3, 3), 0.5))
+    adj = from_dense(np.full((3, 3), 0.5))
     out = gb.gatv2_layer(h, adj, params.gat)
     # all three logits in each row are identical, so each weight is 1/3 and
     # the output equals the shared right-projection
@@ -108,7 +111,7 @@ def test_identical_positions_share_attention_equally():
 def test_gat_matches_per_edge_oracle():
     rng = np.random.default_rng(2)
     for seed in range(5):
-        params = gb.init_block(d=5, h=2, seed=seed)
+        params = init_block(d=5, h=2, seed=seed)
         h = ad.Value(rng.standard_normal((4, 5)))
         adj = random_adjacency(rng, 4)
         out = gb.gatv2_layer(h, adj, params.gat)
@@ -117,7 +120,7 @@ def test_gat_matches_per_edge_oracle():
 
 def test_gat_matches_per_edge_oracle_on_larger_denser_graph():
     rng = np.random.default_rng(15)
-    params = gb.init_block(d=8, h=2, seed=17)
+    params = init_block(d=8, h=2, seed=17)
     params.gat.edge_bias.data[...] = 1.6
     h = ad.Value(rng.standard_normal((40, 8)))
     adj = random_adjacency(rng, 40, density=0.3)
@@ -130,7 +133,7 @@ def test_gat_forward_backward_memory_scales_with_edges():
     # would take 32 MB, so the bound leaves no room for pair-sized arrays
     rng = np.random.default_rng(16)
     n, d = 500, 16
-    params = gb.init_block(d=d, h=2, seed=18)
+    params = init_block(d=d, h=2, seed=18)
     h = ad.Value(rng.standard_normal((n, d)))
     adj = random_adjacency(rng, n, density=0.01)
     cotangent = ad.const(rng.standard_normal((n, d)))
@@ -147,30 +150,30 @@ def test_gat_forward_backward_memory_scales_with_edges():
 
 
 def test_gat_width_mismatch_is_shape_error():
-    params = gb.init_block(d=4, h=2, seed=3)
+    params = init_block(d=4, h=2, seed=3)
     with pytest.raises(ShapeError):
-        gb.gatv2_layer(ad.Value(np.zeros((3, 5))), eg.from_dense(np.zeros((3, 3))), params.gat)
+        gb.gatv2_layer(ad.Value(np.zeros((3, 5))), from_dense(np.zeros((3, 3))), params.gat)
 
 
 @pytest.mark.parametrize("name,shape", [("w_left", (4, 5)), ("w_right", (4, 5)),
                                         ("attn", (5, 1)), ("edge_bias", (1, 2))])
 def test_gat_parameter_shape_mismatch_on_self_loop_graph_is_shape_error(name, shape):
     # the layer returns the right projection on this graph, after checking every learnable
-    params = gb.init_block(d=4, h=2, seed=3).gat
+    params = init_block(d=4, h=2, seed=3).gat
     setattr(params, name, ad.Value(np.zeros(shape)))
     with pytest.raises(ShapeError, match="gatv2_layer: input width 4"):
-        gb.gatv2_layer(ad.Value(np.zeros((3, 4))), eg.from_dense(np.zeros((3, 3))), params)
+        gb.gatv2_layer(ad.Value(np.zeros((3, 4))), from_dense(np.zeros((3, 3))), params)
 
 
 def test_gat_permutation_equivariance():
     rng = np.random.default_rng(4)
-    params = gb.init_block(d=4, h=2, seed=5)
+    params = init_block(d=4, h=2, seed=5)
     h = rng.standard_normal((6, 4))
     adj = random_adjacency(rng, 6)
     perm = rng.permutation(6)
     p = np.eye(6)[perm]
     base = gb.gatv2_layer(ad.Value(h), adj, params.gat).data
-    permuted = gb.gatv2_layer(ad.Value(p @ h), eg.from_dense(p @ np.asarray(adj) @ p.T),
+    permuted = gb.gatv2_layer(ad.Value(p @ h), from_dense(p @ np.asarray(adj) @ p.T),
                               params.gat).data
     np.testing.assert_allclose(permuted, p @ base, atol=1e-12)
 
@@ -178,7 +181,7 @@ def test_gat_permutation_equivariance():
 @pytest.mark.parametrize("n", [3, 7, 12])
 def test_gat_on_mixed_single_and_multi_edge_rows_matches_oracle(n):
     rng = np.random.default_rng(34 + n)
-    params = gb.init_block(d=4, h=2, seed=35)
+    params = init_block(d=4, h=2, seed=35)
     params.gat.edge_bias.data[...] = 0.8
     for _ in range(5):
         graph = mixed_graph(rng, n)
@@ -189,11 +192,11 @@ def test_gat_on_mixed_single_and_multi_edge_rows_matches_oracle(n):
 
 @pytest.mark.parametrize("graph", [
     eg.snapshot(0, np.random.default_rng(36).standard_normal((9, 8)), 0.5, 4, 0.7).adjacency,
-    eg.stack([eg.from_dense(np.zeros((3, 3)))] * 3),
+    eg.stack([from_dense(np.zeros((3, 3)))] * 3),
 ], ids=["energy_graph_s_0.7", "stacked_zero_weight_self_loops"])
 def test_gat_on_self_loop_graph_is_the_right_projection(graph):
     rng = np.random.default_rng(37)
-    params = gb.init_block(d=4, h=2, seed=38)
+    params = init_block(d=4, h=2, seed=38)
     assert graph.src.size == graph.rows
     h = ad.Value(rng.standard_normal((graph.rows, 4)))
     with ad.Tape() as tape:
@@ -210,7 +213,7 @@ def test_gat_on_self_loop_graph_is_the_right_projection(graph):
 def test_gat_on_one_edge_rows_from_other_nodes_gathers_the_right_projection():
     # no row has neighbours, but no edge is a self-loop: the layer is not W_right h
     rng = np.random.default_rng(39)
-    params = gb.init_block(d=4, h=2, seed=40)
+    params = init_block(d=4, h=2, seed=40)
     src = np.roll(np.arange(6), 1)
     graph = eg.CsrGraph(indptr=np.arange(7), src=src, weight=rng.random(6), n=6)
     h = ad.Value(rng.standard_normal((6, 4)))
@@ -222,7 +225,7 @@ def test_gat_on_one_edge_rows_from_other_nodes_gathers_the_right_projection():
 def test_gat_attention_rows_are_convex_combinations():
     # with every value row equal to v, any weights summing to 1 return v
     rng = np.random.default_rng(5)
-    params = gb.init_block(d=4, h=2, seed=6)
+    params = init_block(d=4, h=2, seed=6)
     h = ad.Value(np.tile(rng.standard_normal(4), (5, 1)))
     adj = random_adjacency(rng, 5)
     out = gb.gatv2_layer(h, adj, params.gat)
@@ -239,11 +242,11 @@ def _stacked_snapshots(rng, n, densities):
 
 def test_gat_on_row_stacked_snapshots_matches_separate_calls():
     rng = np.random.default_rng(24)
-    params = gb.init_block(d=4, h=2, seed=25)
+    params = init_block(d=4, h=2, seed=25)
     hs, adjs = _stacked_snapshots(rng, 6, (0.0, 0.3, 0.9))
     dense = np.asarray(adjs[2])
     dense[4] = 0.0                           # a row left with only its self-loop
-    adjs[2] = eg.from_dense(dense)
+    adjs[2] = from_dense(dense)
     out = gb.gatv2_layer(ad.Value(np.concatenate(hs)), eg.stack(adjs), params.gat)
     separate = [gb.gatv2_layer(ad.Value(h), adj, params.gat).data for h, adj in zip(hs, adjs)]
     np.testing.assert_allclose(out.data, np.concatenate(separate), rtol=0, atol=1e-12)
@@ -253,7 +256,7 @@ def test_gat_on_row_stacked_snapshots_matches_separate_calls():
 
 def test_parallel_block_on_row_stacked_snapshots_matches_separate_calls():
     rng = np.random.default_rng(26)
-    params = gb.init_block(d=4, h=2, seed=27)
+    params = init_block(d=4, h=2, seed=27)
     hs, adjs = _stacked_snapshots(rng, 5, (0.2, 0.6, 1.0))
     hps = [rng.standard_normal((5, 4)) for _ in hs]
     out = gb.parallel_block(gb.BlockState(h=ad.Value(np.concatenate(hs)),
@@ -276,7 +279,7 @@ def _graph(rows, n):
 @pytest.mark.parametrize("h_rows,graph", [(6, _graph(4, 4)), (7, _graph(7, 3)), (6, _graph(6, 0))],
                          ids=["rows_differ", "rows_not_multiple_of_width", "empty_width"])
 def test_gat_stacked_adjacency_shape_mismatch_is_shape_error(h_rows, graph):
-    params = gb.init_block(d=4, h=2, seed=28)
+    params = init_block(d=4, h=2, seed=28)
     with pytest.raises(ShapeError, match="gatv2_layer: adjacency"):
         gb.gatv2_layer(ad.Value(np.zeros((h_rows, 4))), graph, params.gat)
 
@@ -302,7 +305,7 @@ def _attention_on(base=MIXED_ROWS, **edges):
 def _layer_on(adjacency):
     """gatv2_layer over 3 node rows."""
     return lambda: gb.gatv2_layer(ad.Value(np.ones((3, 2))), adjacency,
-                                  gb.init_block(d=2, h=2, seed=32).gat)
+                                  init_block(d=2, h=2, seed=32).gat)
 
 
 @pytest.mark.parametrize("call,error,match", [
@@ -317,7 +320,7 @@ def _layer_on(adjacency):
     (_attention_on(weight=[0.5, 0.2, 0.7]), ShapeError, "CsrGraph: indptr"),
     (_attention_on(indptr=[0, 1, 1, 4], src=[0, 0, 1, 2]), DegenerateRowError, "row 1"),
     (_layer_on(np.eye(3)), ShapeError, "must be a CsrGraph"),
-    (_layer_on(eg.from_dense(np.eye(4))), ShapeError, "gatv2_layer: adjacency of 4 nodes"),
+    (_layer_on(from_dense(np.eye(4))), ShapeError, "gatv2_layer: adjacency of 4 nodes"),
     # a neighbour-free graph makes the layer a plain projection, after the same checks
     (_layer_on(_csr(SELF_LOOPS)), None, None),
     (_attention_on(SELF_LOOPS, src=[0, 1, 3]), ShapeError, r"outside \[0, 3\)"),
@@ -351,7 +354,7 @@ def test_malformed_graph_is_a_documented_error(call, error, match):
 # ---------------------------------------------------------------------------
 
 def test_single_row_attention_is_value_projection():
-    params = gb.init_block(d=3, h=2, seed=7)
+    params = init_block(d=3, h=2, seed=7)
     m = ad.Value(np.random.default_rng(6).standard_normal((1, 6)))
     out = gb.multi_head_attention(m, params)
     heads = [m.data @ w_v.data for _, _, w_v in params.heads]
@@ -361,7 +364,7 @@ def test_single_row_attention_is_value_projection():
 
 @pytest.mark.parametrize("n,d,h", [(5, 4, 2), (3, 8, 4), (7, 6, 3)])
 def test_attention_output_shape(n, d, h):
-    params = gb.init_block(d=d, h=h, seed=8)
+    params = init_block(d=d, h=h, seed=8)
     m = ad.Value(np.random.default_rng(7).standard_normal((n, 2 * d)))
     out = gb.multi_head_attention(m, params)
     assert out.data.shape == (n, d)
@@ -369,7 +372,7 @@ def test_attention_output_shape(n, d, h):
 
 def test_attention_matches_per_head_oracle():
     rng = np.random.default_rng(8)
-    params = gb.init_block(d=4, h=2, seed=9)
+    params = init_block(d=4, h=2, seed=9)
     m = rng.standard_normal((5, 8))
     out = gb.multi_head_attention(ad.Value(m), params)
     np.testing.assert_allclose(out.data, mha_oracle(m, params), atol=1e-12)
@@ -427,7 +430,7 @@ def test_attention_matches_per_head_oracle_at_width_16(n, fraction):
     # fraction scales the input so that the largest |score| sits just under
     # or just over SCORE_LIMIT, on either side of the row-max shift
     rng = np.random.default_rng(20 + n)
-    params = gb.init_block(d=16, h=2, seed=21)
+    params = init_block(d=16, h=2, seed=21)
     m = scaled_to_peak(rng.standard_normal((n, 32)), params, fraction)
     if fraction is None:
         out = gb.multi_head_attention(ad.Value(m), params)
@@ -439,7 +442,7 @@ def test_attention_matches_per_head_oracle_at_width_16(n, fraction):
 
 def test_grouped_attention_matches_per_group_oracle():
     rng = np.random.default_rng(29)
-    params = gb.init_block(d=4, h=2, seed=30)
+    params = init_block(d=4, h=2, seed=30)
     ms = [rng.standard_normal((6, 8)) for _ in range(3)]
     out = gb.multi_head_attention(ad.Value(np.concatenate(ms)), params, groups=3)
     np.testing.assert_allclose(out.data, np.concatenate([mha_oracle(m, params) for m in ms]),
@@ -456,13 +459,13 @@ def test_grouped_attention_matches_per_group_oracle():
 
 @pytest.mark.parametrize("rows,groups", [(7, 2), (6, 4), (6, 0)])
 def test_attention_rows_must_split_into_groups(rows, groups):
-    params = gb.init_block(d=4, h=2, seed=31)
+    params = init_block(d=4, h=2, seed=31)
     with pytest.raises(ShapeError, match="equal groups"):
         gb.multi_head_attention(ad.Value(np.zeros((rows, 8))), params, groups)
 
 
 def test_attention_records_one_tape_op():
-    params = gb.init_block(d=4, h=2, seed=22)
+    params = init_block(d=4, h=2, seed=22)
     m = ad.Value(np.random.default_rng(23).standard_normal((6, 8)))
     with ad.Tape() as tape:
         gb.multi_head_attention(m, params)
@@ -471,52 +474,54 @@ def test_attention_records_one_tape_op():
 
 def test_head_count_must_divide_fused_width():
     with pytest.raises(ConfigError):
-        gb.init_block(d=4, h=3, seed=10)
+        init_block(d=4, h=3, seed=10)
     with pytest.raises(ConfigError):
-        gb.init_block(d=4, h=9, seed=10)
+        init_block(d=4, h=9, seed=10)
 
 
 # ---------------------------------------------------------------------------
 # parallel_block
 # ---------------------------------------------------------------------------
 
-def test_fused_left_columns_are_previous_parallel_stream():
+def test_fused_left_columns_are_previous_parallel_stream(monkeypatch):
     rng = np.random.default_rng(9)
-    params = gb.init_block(d=4, h=2, seed=11)
+    params = init_block(d=4, h=2, seed=11)
     state = gb.BlockState(h=ad.Value(rng.standard_normal((3, 4))),
                           hp=ad.Value(rng.standard_normal((3, 4))))
     adj = random_adjacency(rng, 3)
     captured = {}
 
-    def probe(fused):
+    def probe(fused, *_):
         captured["fused"] = fused.data.copy()
         return fused
 
-    gb.parallel_block(state, adj, params, gamma_fn=probe)
+    monkeypatch.setattr(gb, "multi_head_attention", probe)
+    gb.parallel_block(state, adj, params)
     np.testing.assert_array_equal(captured["fused"][:, :4], state.hp.data)
 
 
-def test_zero_skip_makes_fused_right_half_pure_propagation():
+def test_zero_skip_makes_fused_right_half_pure_propagation(monkeypatch):
     rng = np.random.default_rng(10)
-    params = gb.init_block(d=4, h=2, seed=12)
+    params = init_block(d=4, h=2, seed=12)
     params.w_skip.data[:] = 0.0
     state = gb.BlockState(h=ad.Value(rng.standard_normal((3, 4))),
                           hp=ad.Value(rng.standard_normal((3, 4))))
-    adj = eg.from_dense(np.zeros((3, 3)))  # only the self-loops
+    adj = from_dense(np.zeros((3, 3)))  # only the self-loops
     captured = {}
 
-    def probe(fused):
+    def probe(fused, *_):
         captured["fused"] = fused.data.copy()
         return fused
 
-    gb.parallel_block(state, adj, params, gamma_fn=probe)
+    monkeypatch.setattr(gb, "multi_head_attention", probe)
+    gb.parallel_block(state, adj, params)
     self_loop_out = state.h.data @ params.gat.w_right.data
     np.testing.assert_allclose(captured["fused"][:, 4:], self_loop_out, atol=1e-12)
 
 
 def test_block_widths_are_invariant():
     rng = np.random.default_rng(11)
-    params = gb.init_block(d=6, h=3, seed=13)
+    params = init_block(d=6, h=3, seed=13)
     state = gb.BlockState(h=ad.Value(rng.standard_normal((4, 6))),
                           hp=ad.Value(rng.standard_normal((4, 6))))
     adj = random_adjacency(rng, 4)
@@ -528,7 +533,7 @@ def test_block_widths_are_invariant():
 
 def test_propagation_stream_ignores_parallel_stream():
     rng = np.random.default_rng(12)
-    params = gb.init_block(d=4, h=2, seed=14)
+    params = init_block(d=4, h=2, seed=14)
     h = ad.Value(rng.standard_normal((3, 4)))
     adj = random_adjacency(rng, 3)
     a = gb.parallel_block(gb.BlockState(h=h, hp=ad.Value(rng.standard_normal((3, 4)))),
@@ -553,13 +558,13 @@ def test_two_stacked_blocks_pass_gradient_check():
         return ad.reduce_sum(ad.mul(state.hp, weight))
 
     params = [x] + [v for listing in listings for _, v in listing]
-    report = ad.grad_check(f, params, step=1e-5, tol=1e-4)
+    report = grad_check(f, params, step=1e-5, tol=1e-4)
     assert report.passed, report
 
 
 def test_plain_block_collapses_streams():
     rng = np.random.default_rng(14)
-    params = gb.init_block(d=4, h=2, seed=16, parallel=False)
+    params = init_block(d=4, h=2, seed=16, parallel=False)
     assert params.heads is None
     h = ad.Value(rng.standard_normal((3, 4)))
     adj = random_adjacency(rng, 3)
@@ -570,7 +575,7 @@ def test_plain_block_collapses_streams():
 
 
 # ---------------------------------------------------------------------------
-# init_block
+# initial values
 # ---------------------------------------------------------------------------
 
 def test_same_seed_is_bit_identical():
@@ -580,7 +585,7 @@ def test_same_seed_is_bit_identical():
         assert na == nb
         np.testing.assert_array_equal(va.data, vb.data)
     # init_block assembles the same draws into the matching fields
-    block = gb.init_block(d=8, h=2, seed=42)
+    block = init_block(d=8, h=2, seed=42)
     values = dict(a)
     np.testing.assert_array_equal(block.gat.attn.data, values["block0.gat.attn"].data)
     np.testing.assert_array_equal(block.heads[1][2].data, values["block0.head1.w_v"].data)
@@ -588,8 +593,8 @@ def test_same_seed_is_bit_identical():
 
 
 def test_different_seeds_differ():
-    a = gb.init_block(d=8, h=2, seed=1)
-    b = gb.init_block(d=8, h=2, seed=2)
+    a = init_block(d=8, h=2, seed=1)
+    b = init_block(d=8, h=2, seed=2)
     assert (a.gat.w_left.data != b.gat.w_left.data).any()
 
 
@@ -605,8 +610,8 @@ def test_xavier_bounds_hold_empirically():
 
 
 def test_shared_shape_parameters_identical_across_variants():
-    full = gb.init_block(d=8, h=2, seed=3, parallel=True)
-    plain = gb.init_block(d=8, h=2, seed=3, parallel=False)
+    full = init_block(d=8, h=2, seed=3, parallel=True)
+    plain = init_block(d=8, h=2, seed=3, parallel=False)
     np.testing.assert_array_equal(full.gat.w_left.data, plain.gat.w_left.data)
     np.testing.assert_array_equal(full.w_skip.data, plain.w_skip.data)
 

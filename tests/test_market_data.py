@@ -342,7 +342,7 @@ def test_normalize_two_value_hand_case(tmp_path):
     np.testing.assert_allclose(out.values[0, :2, 3], [-1.0, 1.0], atol=1e-12)
 
 
-def test_constant_channel_becomes_zero_with_record(tmp_path):
+def test_constant_channel_becomes_zero(tmp_path):
     dates = trading_dates(8)
 
     def fn(t, j):
@@ -353,7 +353,10 @@ def test_constant_channel_becomes_zero_with_record(tmp_path):
     splits = md.split_periods(panel, (1, 1, 1), tau=2, phi=1)
     out = md.normalize(panel, splits)
     assert (out.values[:, :, 4] == 0.0).all()
-    assert ("A", "volume") in out.norm_stats.zero_variance
+    # divisor 1 on the constant channel only: the others are z-scored
+    train = out.values[:, :max(splits.train) + 1, :4]
+    np.testing.assert_allclose(train.mean(axis=1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(train.std(axis=1), 1.0, atol=1e-12)
 
 
 def test_overflowing_channel_is_a_numeric_error(tmp_path):
@@ -374,8 +377,7 @@ def test_normalize_is_idempotent_on_statistics(tmp_path):
     splits = md.split_periods(panel, (2, 1, 1), tau=3, phi=1)
     once = md.normalize(panel, splits)
     twice = md.normalize(once, splits)
-    stat_days = once.norm_stats.stat_days
-    train = twice.values[:, :stat_days, :]
+    train = twice.values[:, :max(splits.train) + 1, :]
     np.testing.assert_allclose(train.mean(axis=1), 0.0, atol=1e-12)
     np.testing.assert_allclose(train.std(axis=1), 1.0, atol=1e-12)
 
@@ -389,8 +391,9 @@ def test_statistics_ignore_validation_days(tmp_path):
         indicators=panel.indicators, close=panel.close, sectors=panel.sectors)
     perturbed.values[:, splits.validation[0], :] += 99.0
     out = md.normalize(perturbed, splits)
-    np.testing.assert_array_equal(out.norm_stats.mean, base.norm_stats.mean)
-    np.testing.assert_array_equal(out.norm_stats.std, base.norm_stats.std)
+    stat_days = max(splits.train) + 1
+    assert splits.validation[0] >= stat_days
+    np.testing.assert_array_equal(out.values[:, :stat_days], base.values[:, :stat_days])
 
 
 # ---------------------------------------------------------------------------

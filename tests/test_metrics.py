@@ -5,6 +5,8 @@ import pytest
 
 from trendgat import metrics as mt
 
+from oracles import from_dense
+
 
 def oracle_metrics(tp, tn, fp, fn):
     """Direct formula evaluation, independent of the library code paths."""
@@ -240,7 +242,7 @@ def test_evaluation_and_self_loop_stacks_build_no_source_order(monkeypatch):
     built = []
     order = eg.source_order
     monkeypatch.setattr(eg, "source_order", lambda graph: built.append(graph) or order(graph))
-    self_loops = eg.stack([eg.from_dense(np.eye(5))] * 3)
+    self_loops = eg.stack([from_dense(np.eye(5))] * 3)
     assert self_loops.structure.self_loops_only
 
     rng = np.random.default_rng(8)

@@ -17,6 +17,8 @@ from trendgat import synth
 from trendgat.errors import (ConfigError, FormatError, LabelError, NumericError, ShapeError,
                              TrendgatError)
 
+from gradcheck import grad_check
+from oracles import from_dense
 from test_gnn_blocks import gat_oracle, mha_oracle
 
 
@@ -151,7 +153,7 @@ def _training_step(dense):
     2 heads) on a snapshot of len(dense) stocks whose graph is ``dense``."""
     cfg = small_config(hidden=16, layers=2, heads=2)
     sample = random_sample(np.random.default_rng(6), len(dense), cfg)
-    snapshot = eg.GraphSnapshot(0, sample.snapshot.features, eg.from_dense(dense))
+    snapshot = eg.GraphSnapshot(0, sample.snapshot.features, from_dense(dense))
     params = mdl.init_model(cfg)
     with ad.Tape() as tape:
         tape.backward(mdl.loss(mdl.forward(params, snapshot), sample.labels))
@@ -473,7 +475,7 @@ def test_end_to_end_gradient_check():
         return mdl.loss(mdl.forward(params, sample.snapshot), sample.labels)
 
     values = [v for _, v in params.named()]
-    report = ad.grad_check(f, values, step=1e-5, tol=1e-4)
+    report = grad_check(f, values, step=1e-5, tol=1e-4)
     assert report.passed, report
 
 
