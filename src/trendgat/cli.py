@@ -15,10 +15,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import statistics
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import energy_graph as eg
 from . import market_data as md
@@ -46,7 +45,6 @@ KEYS = {
     "train.lr": ("float", None),
     "train.wd": ("float", None),
     "train.epochs": ("int", None),
-    "train.seed": ("int", None),
     "train.seeds": ("intlist", "comma-separated seed list"),
     "train.grad_clip": ("float", None),
 }
@@ -105,10 +103,14 @@ def _parse_value(key: str, raw: str):
 def read_config_file(path) -> dict:
     """key=value lines; '#' comments and blank lines ignored."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 at byte {exc.start}") from None
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -198,9 +200,9 @@ def train_one(config: mdl.ModelConfig, seed: int, datasets, out_dir: Path,
     return record
 
 
-def run_variants(spec: ExperimentSpec, variants) -> dict[str, list[dict]]:
+def run_variants(spec: ExperimentSpec, variants) -> list[dict]:
     """Train each (label, ModelConfig, graph source) for every seed of the
-    spec; returns {label: [per-seed record]}.  A graph source is "energy"
+    spec; returns the per-seed records in that order.  A graph source is "energy"
     (one energy graph per window) or "sector" (the fixed same-sector graph).
 
     Every config, graph source and data split is checked before the first
@@ -217,7 +219,7 @@ def run_variants(spec: ExperimentSpec, variants) -> dict[str, list[dict]]:
         md.split_periods(panel, spec.ratios, config.tau, config.phi)
     out_dir = Path(spec.out_dir)
     write_resolved_spec(spec, out_dir)
-    results: dict[str, list[dict]] = {}
+    records: list[dict] = []
     built, datasets = None, None
     for label, config, source in variants:
         key = (config.tau, config.phi, config.k, config.s, source)
@@ -225,36 +227,47 @@ def run_variants(spec: ExperimentSpec, variants) -> dict[str, list[dict]]:
             datasets = None           # free the previous set before building the next
             datasets = mdl.build_datasets(panel, config, spec.ratios, graphs[source])
             built = key
-        results[label] = [train_one(config, seed, datasets, out_dir, label)
-                          for seed in spec.seeds]
-    return results
+        records += [train_one(config, seed, datasets, out_dir, label) for seed in spec.seeds]
+    return records
 
 
-def summarize(records: list[dict], metric_path=("test", "acc")) -> dict:
-    def get(rec):
-        value = rec
-        for key in metric_path:
-            value = value[key]
-        return value
-    values = np.array([get(r) for r in records], dtype=float)
-    return {"mean": float(values.mean()), "std": float(values.std()),  # population std
-            "n": len(records)}
+SUMMARY_METRICS = ("val_acc", "acc", "mcc", "f1")  # validation ACC, then the test metrics
+
+
+def _summary_row(record: dict) -> tuple:
+    """(label, [val_acc, test acc, mcc, f1]) of a per-seed record, with None
+    for a missing value."""
+    test = record.get("test")
+    test = test if isinstance(test, dict) else {}
+    return (record.get("label", "train"),
+            [record.get("val_acc")] + [test.get(name) for name in SUMMARY_METRICS[1:]])
+
+
+def write_report(records, out_dir: Path) -> int:
+    """Group per-seed records by label; write each label's n and the mean and
+    population std of every SUMMARY_METRICS value to out_dir/report.json and
+    print them as one table.  fmean and pstdev sum exactly, so the numbers do
+    not depend on the order of the records."""
+    by_label: dict[str, list[list]] = {}
+    for label, values in map(_summary_row, records):
+        by_label.setdefault(label, []).append(values)
+    summary = {
+        label: {"n": len(rows), **{
+            name: {"mean": statistics.fmean(column), "std": statistics.pstdev(column)}
+            for name, column in zip(SUMMARY_METRICS, zip(*rows))}}
+        for label, rows in sorted(by_label.items())
+    }
+    (out_dir / "report.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{'label':>14} {'n':>3} {'val acc':>16} {'test acc':>16} {'test mcc':>16} {'test f1':>16}")
+    for label, stats in summary.items():
+        cells = " ".join(f"{stats[m]['mean']:.4f} +- {stats[m]['std']:.4f}" for m in SUMMARY_METRICS)
+        print(f"{label:>14} {stats['n']:>3} {cells}")
+    return 0
 
 
 def cmd_train(spec: ExperimentSpec) -> int:
-    records = run_variants(spec, [("", spec.config, "energy")])[""]
-    summary = {
-        "acc": summarize(records, ("test", "acc")),
-        "mcc": summarize(records, ("test", "mcc")),
-        "f1": summarize(records, ("test", "f1")),
-        "records": records,
-    }
-    (Path(spec.out_dir) / "run_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    for name in ("acc", "mcc", "f1"):
-        s = summary[name]
-        print(f"test {name}: {s['mean']:.4f} +- {s['std']:.4f} over {s['n']} seed(s)")
-    return 0
+    return write_report(run_variants(spec, [("", spec.config, "energy")]), Path(spec.out_dir))
 
 
 def cmd_eval(spec: ExperimentSpec, model_path: str) -> int:
@@ -281,31 +294,9 @@ ABLATION_VARIANTS = [
 
 
 def cmd_ablate(spec: ExperimentSpec) -> int:
-    table = run_variants(spec, [
+    return write_report(run_variants(spec, [
         (label, dataclasses.replace(spec.config, parallel_attention=parallel), source)
-        for label, source, parallel in ABLATION_VARIANTS])
-    report = {
-        "seeds": spec.seeds,
-        "variants": {
-            label: {
-                "graph": source,
-                "parallel_attention": parallel,
-                "parameters": table[label][0]["parameters"],
-                "val_acc": summarize(table[label], ("val_acc",)),
-                "test_acc": summarize(table[label], ("test", "acc")),
-            }
-            for label, source, parallel in ABLATION_VARIANTS
-        },
-    }
-    (Path(spec.out_dir) / "ablation.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"{'variant':>14} {'graph':>7} {'attn':>5} {'params':>8} {'val acc':>16} {'test acc':>16}")
-    for label, source, parallel in ABLATION_VARIANTS:
-        v = report["variants"][label]
-        print(f"{label:>14} {source:>7} {str(parallel):>5} {v['parameters']:>8} "
-              f"{v['val_acc']['mean']:.4f} +- {v['val_acc']['std']:.4f} "
-              f"{v['test_acc']['mean']:.4f} +- {v['test_acc']['std']:.4f}")
-    return 0
+        for label, source, parallel in ABLATION_VARIANTS]), Path(spec.out_dir))
 
 
 def cmd_sweep(spec: ExperimentSpec, axis: str, grid_raw: str) -> int:
@@ -319,38 +310,9 @@ def cmd_sweep(spec: ExperimentSpec, axis: str, grid_raw: str) -> int:
         raise ConfigError("sweep grid must not be empty")
     if len(set(grid)) < len(grid):
         raise ConfigError(f"sweep grid repeats a value: {grid}")
-    results = run_variants(spec, [
+    return write_report(run_variants(spec, [
         (f"{axis}{value}", dataclasses.replace(spec.config, **{axis: value}), "energy")
-        for value in grid])
-    rows = [(value, record["seed"], record["test"]["acc"], record["test"]["mcc"],
-             record["test"]["f1"])
-            for value in grid for record in results[f"{axis}{value}"]]
-    out_dir = Path(spec.out_dir)
-    csv_path = out_dir / "sweep.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("axis_value,seed,acc,mcc,f1\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
-    summary = sweep_summary(rows)
-    (out_dir / "sweep_summary.json").write_text(
-        json.dumps({"axis": axis, "values": summary}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    for value, stats in summary.items():
-        print(f"{axis}={value}: acc {stats['acc']['mean']:.4f} +- {stats['acc']['std']:.4f}")
-    return 0
-
-
-def sweep_summary(rows) -> dict:
-    """Per-axis-value mean/std (population) of each metric."""
-    summary: dict = {}
-    for value in sorted({row[0] for row in rows}):
-        chunk = [row for row in rows if row[0] == value]
-        summary[str(value)] = {
-            name: {"mean": float(np.mean([row[i] for row in chunk])),
-                   "std": float(np.std([row[i] for row in chunk]))}
-            for name, i in (("acc", 2), ("mcc", 3), ("f1", 4))
-        }
-    return summary
+        for value in grid]), Path(spec.out_dir))
 
 
 def cmd_graphgen(spec: ExperimentSpec, t: int | None) -> int:
@@ -385,39 +347,30 @@ def cmd_synth(out: str, n: int, days: int, seed: int) -> int:
 
 
 def cmd_report(run_dir: str) -> int:
+    """The summary of every metrics_*seed*.json with a test block under
+    run_dir, read in sorted-path order."""
     run_dir = Path(run_dir)
-    files = sorted(run_dir.rglob("metrics_*seed*.json"))
     records = []
-    for path in files:
+    for path in sorted(run_dir.rglob("metrics_*seed*.json")):
         try:
             blob = json.loads(path.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: metrics file is not JSON: {exc}") from None
         if not isinstance(blob, dict):
             raise DataError(f"{path}: metrics file is not a JSON object")
-        test = blob.get("test")
-        if not test:
+        if not blob.get("test"):
             continue
-        if not (isinstance(test, dict) and all(
-                isinstance(test.get(name), (int, float)) for name in ("acc", "mcc", "f1"))):
-            raise DataError(f"{path}: 'test' lacks a numeric acc, mcc or f1")
+        label, values = _summary_row(blob)
+        if not isinstance(label, str):
+            raise DataError(f"{path}: label {label!r} is not a string")
+        # every metric lies in [-1, 1]; this also rejects NaN, inf and bools
+        if not all(type(v) in (int, float) and -1 <= v <= 1 for v in values):
+            raise DataError(f"{path}: val_acc or the test acc, mcc or f1 is missing "
+                            f"or not a number in [-1, 1]")
         records.append(blob)
     if not records:
         raise DataError(f"no per-seed metrics files under {run_dir}")
-    by_label: dict[str, list[dict]] = {}
-    for record in records:
-        by_label.setdefault(record.get("label", "train"), []).append(record)
-    summary = {
-        label: {name: summarize(chunk, ("test", name)) for name in ("acc", "mcc", "f1")}
-        for label, chunk in sorted(by_label.items())
-    }
-    (run_dir / "report.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"{'label':>14} {'n':>3} {'acc':>18} {'mcc':>18} {'f1':>18}")
-    for label, stats in summary.items():
-        cells = " ".join(f"{stats[m]['mean']:.4f} +- {stats[m]['std']:.4f}" for m in ("acc", "mcc", "f1"))
-        print(f"{label:>14} {stats['acc']['n']:>3} {cells}")
-    return 0
+    return write_report(records, run_dir)
 
 
 # ---------------------------------------------------------------------------

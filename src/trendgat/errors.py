@@ -26,9 +26,10 @@ class InsufficientDataError(DataError):
 
 
 class FormatError(DataError):
-    """Corrupt, truncated or unsupported model checkpoint: bad magic, a format
-    version other than 2, a CRC32 mismatch, or a header that is not UTF-8
-    JSON or disagrees with the payload; the message includes a byte offset."""
+    """Unreadable, corrupt, truncated or unsupported model checkpoint.  For a
+    bad magic, a format version other than 2, a CRC32 mismatch, or a header
+    that is not UTF-8 JSON or disagrees with the payload, the message
+    includes a byte offset."""
 
 
 class NumericError(TrendgatError):

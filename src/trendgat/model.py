@@ -407,8 +407,11 @@ def _has_kind(value, kind: str) -> bool:
 
 
 def load_model(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read model file {path}: {exc.strerror}") from None
     if len(blob) < _PREFIX.size:
         raise FormatError(f"truncated model file: {len(blob)} bytes from offset 0, "
                           f"shorter than the {_PREFIX.size}-byte prefix")

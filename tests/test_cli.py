@@ -1,5 +1,4 @@
 import argparse
-import csv
 import hashlib
 import json
 from pathlib import Path
@@ -23,12 +22,11 @@ def run_cli(*argv):
 
 def fast_flags(manifest, out, epochs="3"):
     return ["--manifest", str(manifest), "--out", str(out),
-            "--tau", "7", "--epochs", epochs, "--seed", "0"]
+            "--tau", "7", "--epochs", epochs, "--seeds", "0"]
 
 
-def read_sweep_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+def read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def count_calls(monkeypatch, module, name):
@@ -102,7 +100,6 @@ KEY_SAMPLES = {
     "train.lr": "0.002",
     "train.wd": "0.0002",
     "train.epochs": "5",
-    "train.seed": "3",
     "train.seeds": "1,2",
     "train.grad_clip": "0.5",
 }
@@ -128,8 +125,8 @@ def test_file_line_and_flag_set_a_key_alike(tmp_path, key):
 
 COMMON_FLAGS = {
     "--config", "--manifest", "--out", "--indicators", "--ratios", "--tau", "--k", "--s",
-    "--hidden", "--heads", "--layers", "--phi", "--lr", "--wd", "--epochs", "--seed",
-    "--seeds", "--grad-clip", "--no-range-check",
+    "--hidden", "--heads", "--layers", "--phi", "--lr", "--wd", "--epochs", "--seeds",
+    "--grad-clip", "--no-range-check",
 }
 
 
@@ -141,7 +138,7 @@ def test_each_subcommand_accepts_exactly_its_flags():
                if opt.startswith("--") and opt != "--help"}
         for mode, sub in subparsers.choices.items()
     }
-    assert len(COMMON_FLAGS) == 19
+    assert len(COMMON_FLAGS) == 18
     assert accepted == {
         "train": COMMON_FLAGS,
         "eval": COMMON_FLAGS | {"--model"},
@@ -205,10 +202,10 @@ def test_eval_reproduces_saved_model_metrics(small_dataset, tmp_path):
 def test_ablation_emits_four_variants(small_dataset, tmp_path):
     out = tmp_path / "abl"
     assert run_cli("ablate", *fast_flags(small_dataset, out)) == 0
-    report = json.loads((out / "ablation.json").read_text())
-    assert set(report["variants"]) == {"energy_attn", "energy_plain",
-                                       "sector_plain", "sector_attn"}
-    assert report["seeds"] == [0]
+    report = read_json(out / "report.json")
+    assert set(report) == {"energy_attn", "energy_plain", "sector_plain", "sector_attn"}
+    assert all(stats["n"] == 1 for stats in report.values())
+    assert read_json(out / "spec_resolved.json")["seeds"] == [0]
 
 
 def test_ablation_full_variant_matches_plain_train(small_dataset, tmp_path):
@@ -225,14 +222,13 @@ def test_ablation_full_variant_matches_plain_train(small_dataset, tmp_path):
 def test_ablation_parameter_counts_differ_by_attention_matrices(small_dataset, tmp_path):
     out = tmp_path / "abl"
     run_cli("ablate", *fast_flags(small_dataset, out))
-    report = json.loads((out / "ablation.json").read_text())
     d = mdl.ModelConfig.hidden
     h = mdl.ModelConfig.heads
     layers = mdl.ModelConfig.layers
     d_cat, d_head = 2 * d, 2 * d // h
     gamma = layers * (h * 3 * d_cat * d_head + d_cat * d)
-    diff = (report["variants"]["energy_attn"]["parameters"]
-            - report["variants"]["energy_plain"]["parameters"])
+    diff = (read_json(out / "metrics_energy_attn_seed0.json")["parameters"]
+            - read_json(out / "metrics_energy_plain_seed0.json")["parameters"])
     assert diff == gamma
 
 
@@ -262,10 +258,10 @@ def test_single_point_sweep_equals_train_run(small_dataset, tmp_path):
                    "--axis", "k", "--grid", "0.5") == 0
     out2 = tmp_path / "tr"
     run_cli("train", *fast_flags(small_dataset, out2), "--k", "0.5")
-    rows = read_sweep_rows(out / "sweep.csv")
-    plain = json.loads((out2 / "metrics_seed0.json").read_text())
-    assert len(rows) == 1
-    assert float(rows[0]["acc"]) == pytest.approx(plain["test"]["acc"], abs=1e-12)
+    report = read_json(out / "report.json")
+    plain = read_json(out2 / "metrics_seed0.json")
+    assert list(report) == ["k0.5"] and report["k0.5"]["n"] == 1
+    assert report["k0.5"]["acc"]["mean"] == pytest.approx(plain["test"]["acc"], abs=1e-12)
 
 
 def test_sweep_cardinality(small_dataset, tmp_path):
@@ -274,24 +270,41 @@ def test_sweep_cardinality(small_dataset, tmp_path):
                    "--epochs", "2", "--seeds", "0,1",
                    "--axis", "tau", "--grid", "7,17,27")
     assert code == 0
-    rows = read_sweep_rows(out / "sweep.csv")
-    assert len(rows) == 6
+    assert len(list(out.glob("metrics_*_seed*.json"))) == 6
+    report = read_json(out / "report.json")
+    assert sorted(report) == ["tau17", "tau27", "tau7"]
+    assert [stats["n"] for stats in report.values()] == [2, 2, 2]
 
 
-def test_sweep_csv_round_trip_matches_summary(small_dataset, tmp_path):
+def test_sweep_report_matches_its_per_seed_metrics(small_dataset, tmp_path):
     out = tmp_path / "sw"
     run_cli("sweep", "--manifest", str(small_dataset), "--out", str(out),
             "--epochs", "2", "--seeds", "0,1", "--axis", "k", "--grid", "0.1,0.9",
             "--tau", "7")
-    stored = json.loads((out / "sweep_summary.json").read_text())["values"]
-    recomputed = cli.sweep_summary([
-        (row["axis_value"], int(row["seed"]), float(row["acc"]), float(row["mcc"]),
-         float(row["f1"]))
-        for row in read_sweep_rows(out / "sweep.csv")])
-    for value, stats in recomputed.items():
-        for metric in ("acc", "mcc", "f1"):
-            assert stats[metric]["mean"] == pytest.approx(stored[value][metric]["mean"], abs=1e-12)
-            assert stats[metric]["std"] == pytest.approx(stored[value][metric]["std"], abs=1e-12)
+    stored = read_json(out / "report.json")
+    assert sorted(stored) == ["k0.1", "k0.9"]
+    for label, stats in stored.items():
+        seeds = [read_json(out / f"metrics_{label}_seed{seed}.json") for seed in (0, 1)]
+        for metric in ("val_acc", "acc", "mcc", "f1"):
+            values = [m["val_acc"] if metric == "val_acc" else m["test"][metric] for m in seeds]
+            assert stats[metric]["mean"] == pytest.approx(np.mean(values), abs=1e-12)
+            assert stats[metric]["std"] == pytest.approx(np.std(values), abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--seeds", "2,0,1"],
+    ["ablate"],
+    ["sweep", "--seeds", "1,0", "--axis", "k", "--grid", "0.1,0.9"],
+], ids=["train", "ablate", "sweep"])
+def test_command_summary_is_the_report_of_its_directory(small_dataset, tmp_path, argv):
+    out = tmp_path / "o"
+    assert run_cli(argv[0], *fast_flags(small_dataset, out, epochs="1"), *argv[1:]) == 0
+    summaries = {p.name for p in out.iterdir()
+                 if not p.name.startswith(("history_", "metrics_", "model_"))}
+    assert summaries == {"spec_resolved.json", "report.json"}
+    written = (out / "report.json").read_bytes()
+    assert cli.cmd_report(out) == 0
+    assert (out / "report.json").read_bytes() == written
 
 
 def test_empty_grid_rejected(small_dataset, tmp_path):
@@ -395,12 +408,25 @@ def test_report_on_empty_directory_is_data_error(tmp_path):
     assert run_cli("report", "--dir", str(tmp_path)) == 2
 
 
+VALID_TEST = '"test": {"acc": 0.5, "mcc": 0.0, "f1": 0.5}'
+
+
 @pytest.mark.parametrize("text", [
     '{"seed": 0, "test": {"acc": 0.5',
     '[{"seed": 0}]',
-    '{"seed": 0, "test": {"acc": 0.5, "f1": 0.5}}',
-], ids=["truncated", "json_list", "test_lacks_mcc"])
+    '{"seed": 0, "val_acc": 0.5, "test": {"acc": 0.5, "f1": 0.5}}',
+    '{"seed": 0, "label": ["a"], "val_acc": 0.5, ' + VALID_TEST + '}',
+    '{"seed": 0, "label": 3, "val_acc": 0.5, ' + VALID_TEST + '}',
+    '{"seed": 0, ' + VALID_TEST + '}',
+    '{"seed": 0, "val_acc": NaN, ' + VALID_TEST + '}',
+    '{"seed": 0, "val_acc": 0.5, "test": {"acc": Infinity, "mcc": 0.0, "f1": 0.5}}',
+    '{"seed": 0, "val_acc": 0.5, "test": {"acc": 0.5, "mcc": 1' + '0' * 400 + ', "f1": 0.5}}',
+    '{"seed": 0, "val_acc": true, ' + VALID_TEST + '}',
+], ids=["truncated", "json_list", "test_lacks_mcc", "list_label", "int_label",
+        "lacks_val_acc", "nan_val_acc", "inf_acc", "huge_int_mcc", "bool_val_acc"])
 def test_report_on_malformed_metrics_file_is_data_error(tmp_path, capsys, text):
+    # a well-formed file beside the bad one, so that labels of two types meet
+    write_metrics(tmp_path / "metrics_ok_seed1.json", "ok", 1, 0.5)
     (tmp_path / "metrics_seed0.json").write_text(text)
     assert run_cli("report", "--dir", str(tmp_path)) == 2
     assert "metrics_seed0.json" in capsys.readouterr().err
@@ -449,6 +475,29 @@ def test_setting_no_model_trains_with_exits_one(small_dataset, tmp_path, capsys,
     out = tmp_path / "o"
     assert run_cli("train", *fast_flags(small_dataset, out), *flags) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make", ["missing", "directory"])
+def test_unreadable_model_file_exits_two(small_dataset, tmp_path, capsys, make):
+    model = tmp_path / "model.bin"
+    if make == "directory":
+        model.mkdir()
+    assert run_cli("eval", "--manifest", str(small_dataset), "--out", str(tmp_path / "o"),
+                   "--model", str(model)) == 2
+    assert f"cannot read model file {model}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", ["missing", "directory", "non_utf8"])
+def test_unreadable_config_file_exits_one(small_dataset, tmp_path, capsys, make):
+    cfg = tmp_path / "run.cfg"
+    if make == "directory":
+        cfg.mkdir()
+    elif make == "non_utf8":
+        cfg.write_bytes(b"train.epochs = 1\n# caf\xe9\n")
+    out = tmp_path / "o"
+    assert run_cli("train", *fast_flags(small_dataset, out), "--config", str(cfg)) == 1
+    assert str(cfg) in capsys.readouterr().err
     assert not out.exists()
 
 
