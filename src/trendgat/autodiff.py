@@ -65,11 +65,6 @@ class Value:
         else:
             self._grad += g
 
-    def item(self) -> float:
-        if self.data.shape != (1, 1):
-            raise ShapeError(f"item() requires a 1x1 Value, got {self.data.shape}")
-        return float(self.data[0, 0])
-
     def __repr__(self) -> str:
         return f"Value(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -63,6 +63,17 @@ FIELD_KEYS = {
 }
 SWEEP_AXES = ("tau", "k", "s", "heads", "layers")  # ModelConfig fields
 
+# documented hyperparameter search ranges; --no-range-check lifts them
+RANGES = {
+    "tau": (7, 27),
+    "k": (0.02, 2.0),
+    "s": eg.THRESHOLD_RANGE,
+    "heads": (2, 30),
+    "layers": (2, 6),
+    "lr": (1e-4, 2e-3),
+    "wd": (1e-4, 1e-3),
+}
+
 
 @dataclasses.dataclass
 class ExperimentSpec:
@@ -134,11 +145,11 @@ def parse_spec(config_path, overrides: dict, mode: str, range_check: bool = True
         if raw is not None:
             values[key] = _parse_value(key, raw) if isinstance(raw, str) else raw
 
-    config = mdl.ModelConfig(**{name: values[key] for name, key in FIELD_KEYS.items()
-                                if key in values})
     indicators = values.get("data.indicators", list(md.DEFAULT_INDICATORS))
-    config.f = len(indicators)
-    config.validate(strict_ranges=range_check)
+    config = mdl.ModelConfig(f=len(indicators), **{name: values[key] for name, key
+                                                   in FIELD_KEYS.items() if key in values})
+    if range_check:
+        check_ranges(config)
 
     seeds = values.get("train.seeds", [config.seed])
     if not seeds:
@@ -155,6 +166,13 @@ def parse_spec(config_path, overrides: dict, mode: str, range_check: bool = True
         ratios=values.get("data.ratios", mdl.DEFAULT_RATIOS),
         range_check=range_check,
     )
+
+
+def check_ranges(config: mdl.ModelConfig) -> None:
+    for key, (lo, hi) in RANGES.items():
+        val = getattr(config, key)
+        if not lo <= val <= hi:
+            raise ConfigError(f"{key}={val} outside the permitted range [{lo}, {hi}]")
 
 
 def write_resolved_spec(spec: ExperimentSpec, out_dir: Path) -> None:
@@ -205,19 +223,26 @@ def run_variants(spec: ExperimentSpec, variants) -> list[dict]:
     spec; returns the per-seed records in that order.  A graph source is "energy"
     (one energy graph per window) or "sector" (the fixed same-sector graph).
 
-    Every config, graph source and data split is checked before the first
+    An output directory that already holds per-seed metrics is refused, and
+    every config, graph source and data split is checked before the first
     model trains.  The panel is loaded once, and consecutive variants that
     share tau, phi, k, s and graph source share one set of datasets; at
     most one set is alive at a time."""
+    out_dir = Path(spec.out_dir)
+    # report reads every metrics file under the directory, so one from an
+    # earlier run would be pooled with this run's
+    stale = min(out_dir.rglob("metrics_*seed*.json"), default=None)
+    if stale is not None:
+        raise ConfigError(f"{out_dir} already holds results ({stale}); choose a new --out")
     configs = [config for _, config, _ in variants]
-    for config in configs:
-        config.validate(strict_ranges=spec.range_check)
+    if spec.range_check:
+        for config in configs:
+            check_ranges(config)
     panel = _load_panel(spec, configs)
     graphs = {source: None if source == "energy" else eg.sector_adjacency(panel.sectors, panel.tickers)
               for _, _, source in variants}
     for config in configs:
         md.split_periods(panel, spec.ratios, config.tau, config.phi)
-    out_dir = Path(spec.out_dir)
     write_resolved_spec(spec, out_dir)
     records: list[dict] = []
     built, datasets = None, None

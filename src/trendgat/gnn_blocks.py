@@ -177,9 +177,8 @@ def block_layout(d: int, h: int, name: str = "block0",
     """(name, rows, cols) of one block's learnables, in store order: the
     graph layer's w_left, w_right, attn and edge_bias, then w_skip, then
     (parallel stream only) each head's w_q, w_k, w_v and the merge.  Lazy,
-    so a caller comparing against it stops at the first difference."""
-    if d < 1:
-        raise ConfigError(f"block_layout: width must be >= 1, got {d}")
+    so a caller comparing against it stops at the first difference.  ``d``
+    and ``h`` come from a ``model.ModelConfig``, which checked them."""
     yield f"{name}.gat.w_left", d, d
     yield f"{name}.gat.w_right", d, d
     yield f"{name}.gat.attn", d, 1
@@ -188,10 +187,6 @@ def block_layout(d: int, h: int, name: str = "block0",
     if not parallel:
         return
     d_cat = 2 * d
-    if h < 1 or h > d_cat:
-        raise ConfigError(f"block_layout: heads must be in [1, {d_cat}], got {h}")
-    if d_cat % h != 0:
-        raise ConfigError(f"block_layout: heads {h} must divide the fused width {d_cat}")
     for i in range(h):
         for proj in ("w_q", "w_k", "w_v"):
             yield f"{name}.head{i}.{proj}", d_cat, d_cat // h

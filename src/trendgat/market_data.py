@@ -24,6 +24,7 @@ from .errors import ConfigError, DataError, InsufficientDataError, NumericError,
 RAW_INDICATORS = ["open", "high", "low", "adj_close", "volume"]
 DEFAULT_INDICATORS = ["open", "high", "low", "adj_close"]
 CSV_HEADER = ["date", "open", "high", "low", "adj_close", "volume"]
+CLASSES = 2  # trend classes per forecast step: 0 down or flat, 1 up
 
 
 @dataclass
@@ -53,7 +54,7 @@ class WindowSample:
 
     t: int
     features: np.ndarray  # N x (tau*F), a read-only view of the panel
-    labels: np.ndarray    # N x (phi*alpha) integer one-hot per alpha block
+    labels: np.ndarray    # N x (phi*CLASSES) integer one-hot per CLASSES block
 
 
 @dataclass
@@ -266,7 +267,7 @@ def normalize(panel: IndicatorPanel, splits: DatasetSplits) -> IndicatorPanel:
                           sectors=panel.sectors)
 
 
-def build_sample(panel: IndicatorPanel, t: int, tau: int, phi: int, alpha: int = 2) -> WindowSample:
+def build_sample(panel: IndicatorPanel, t: int, tau: int, phi: int) -> WindowSample:
     """Window features ending at day t plus one-hot movement labels for
     days t+1 .. t+phi.
 
@@ -276,8 +277,6 @@ def build_sample(panel: IndicatorPanel, t: int, tau: int, phi: int, alpha: int =
     memory; no window is copied.  A step is class 1 when adjusted close rises,
     class 0 otherwise (ties count as down).
     """
-    if alpha != 2:
-        raise ConfigError(f"only alpha=2 trend classes are supported, got {alpha}")
     if tau < 1 or phi < 1:
         raise ConfigError(f"tau and phi must be >= 1, got tau={tau}, phi={phi}")
     if t < tau - 1 or t + phi >= panel.n_days:
@@ -288,10 +287,10 @@ def build_sample(panel: IndicatorPanel, t: int, tau: int, phi: int, alpha: int =
     window = panel.values[:, t - tau + 1:t + 1, :]        # N x tau x F, day-major
     features = window.reshape(n, tau * f)                 # a view of the panel
     features.flags.writeable = False
-    labels = np.zeros((n, phi * alpha), dtype=np.int64)
+    labels = np.zeros((n, phi * CLASSES), dtype=np.int64)
     for j in range(1, phi + 1):
         up = panel.close[:, t + j] > panel.close[:, t + j - 1]
-        block = (j - 1) * alpha
+        block = (j - 1) * CLASSES
         labels[:, block] = (~up).astype(np.int64)     # class 0: down or flat
         labels[:, block + 1] = up.astype(np.int64)    # class 1: up
     return WindowSample(t=t, features=features, labels=labels)

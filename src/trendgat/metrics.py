@@ -18,14 +18,12 @@ from functools import cached_property
 import numpy as np
 
 from . import energy_graph as eg
+from . import market_data as md
 
 # rows (stocks x snapshots) that evaluate stacks into one forward pass; at
 # N = 100 that is 4 snapshots, and larger chunks gain little speed while the
 # stacked inputs and B x H x N x N attention scores raise peak memory
 CHUNK_ROWS = 400
-
-# classes per forecast step (down, up); ModelConfig admits alpha = 2 only
-_ALPHA = 2
 
 
 @dataclass
@@ -98,7 +96,6 @@ def metrics_record(c: ConfusionCounts) -> dict:
     return {
         "acc": accuracy(c),
         "mcc": m,
-        "mcc_x100": 100.0 * m,
         "f1": f1(c),
         "n": c.total,
         "degenerate_flags": {
@@ -132,9 +129,9 @@ class Split(tuple):
     @cached_property
     def classes(self) -> np.ndarray:
         """The true class of every (stock, step), sample by sample: each
-        alpha-wide one-hot label block's first maximum."""
+        ``md.CLASSES``-wide one-hot label block's first maximum."""
         labels = np.concatenate([sample.labels for sample in self])
-        return labels.reshape(-1, _ALPHA).argmax(axis=1)
+        return labels.reshape(-1, md.CLASSES).argmax(axis=1)
 
 
 def as_split(samples) -> Split:
@@ -152,7 +149,7 @@ def evaluate(params, samples) -> dict:
     most ``CHUNK_ROWS`` rows, or one sample if it is larger: features
     stacked row-wise to (B * N) x tau*f and graphs by ``energy_graph.stack``
     (see ``gnn_blocks``).  Each chunk is scored by one ``model.forward``
-    call, each alpha-wide logit block's first maximum being its class, so
+    call, each ``md.CLASSES``-wide logit block's first maximum being its class, so
     ties go to class 0 as in ``model.predict``.  Every snapshot still
     attends only within itself, so the predictions are those of one
     ``predict`` call per sample, but each primitive runs once per chunk
@@ -167,7 +164,7 @@ def evaluate(params, samples) -> dict:
     for chunk, graph in split.chunks:
         features = np.concatenate([sample.snapshot.features for sample in chunk])
         logits = model.forward(params, eg.GraphSnapshot(chunk[0].snapshot.t, features, graph))
-        preds.append(logits.data.reshape(-1, _ALPHA).argmax(axis=1))
+        preds.append(logits.data.reshape(-1, md.CLASSES).argmax(axis=1))
     return metrics_record(confusion(split.classes, np.concatenate(preds)))
 
 

@@ -10,7 +10,6 @@ time steps in chronological order.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import math
@@ -18,6 +17,7 @@ import struct
 import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, asdict
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,26 +40,18 @@ FORMAT_VERSION = 2
 # train:validation:test window ratios of a chronological split
 DEFAULT_RATIOS = (457, 63, 261)
 
-# documented hyperparameter search ranges; parse-time validation cites these
-RANGES = {
-    "tau": (7, 27),
-    "k": (0.02, 2.0),
-    "s": eg.THRESHOLD_RANGE,
-    "heads": (2, 30),
-    "layers": (2, 6),
-    "lr": (1e-4, 2e-3),
-    "wd": (1e-4, 1e-3),
-}
-
-
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """Hyperparameters of one model.  Construction checks every structural
+    rule (field types, finite floats, positive sizes, the heads rule), so a
+    ModelConfig that exists is one that ``layout`` can lay out; the search
+    ranges are a command-line policy (``cli.check_ranges``)."""
+
     tau: int = 14
     k: float = 0.5
     s: float = 0.4
     f: int = 4
     phi: int = 1
-    alpha: int = 2
     hidden: int = 16
     heads: int = 2
     layers: int = 2
@@ -69,10 +61,13 @@ class ModelConfig:
     seed: int = 0
     parallel_attention: bool = True
     grad_clip: float | None = None
+    alpha: ClassVar[int] = md.CLASSES  # classes per forecast step, not a setting
 
-    def validate(self, strict_ranges: bool = True) -> None:
-        if self.alpha != 2:
-            raise ConfigError(f"alpha must be 2, got {self.alpha}")
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not _has_kind(value, field.type):
+                raise ConfigError(f"{field.name}={value!r} is not {field.type}")
         if self.phi < 1 or self.epochs < 1 or self.hidden < 1:
             raise ConfigError("phi, epochs and hidden must be positive")
         if self.f < 1:
@@ -82,12 +77,12 @@ class ModelConfig:
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.grad_clip is not None and not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
             raise ConfigError(f"grad_clip must be a finite positive number, got {self.grad_clip}")
-        if not strict_ranges:
-            return
-        for key, (lo, hi) in RANGES.items():
-            val = getattr(self, key)
-            if not lo <= val <= hi:
-                raise ConfigError(f"{key}={val} outside the permitted range [{lo}, {hi}]")
+        if self.parallel_attention:  # the heads split the fused width 2 * hidden
+            d_cat = 2 * self.hidden
+            if not 1 <= self.heads <= d_cat:
+                raise ConfigError(f"heads must be in [1, {d_cat}], got {self.heads}")
+            if d_cat % self.heads != 0:
+                raise ConfigError(f"heads {self.heads} must divide the fused width {d_cat}")
 
     @property
     def input_width(self) -> int:
@@ -172,10 +167,9 @@ class OptimizerState:
 
 
 def init_model(config: ModelConfig) -> ModelParams:
-    config.validate(strict_ranges=False)
     flat = np.concatenate([gb.initial_value(config.seed, *entry).ravel()
                            for entry in layout(config)])
-    return ModelParams(copy.copy(config), flat)
+    return ModelParams(config, flat)
 
 
 def forward(params: ModelParams, snapshot: eg.GraphSnapshot) -> ad.Value:
@@ -195,7 +189,7 @@ def forward(params: ModelParams, snapshot: eg.GraphSnapshot) -> ad.Value:
     return ad.matmul(state.hp, params.w_out)
 
 
-def loss(logits: ad.Value, labels: np.ndarray, alpha: int = 2) -> ad.Value:
+def loss(logits: ad.Value, labels: np.ndarray, alpha: int = md.CLASSES) -> ad.Value:
     """Mean over stocks of the summed per-step cross-entropies, each
     alpha-wide logit block softmaxed independently: one tape op,
     ``autodiff.cross_entropy_with_logits``, which checks the labels."""
@@ -257,7 +251,7 @@ def samples_from_panel(panel: md.IndicatorPanel, ts, config: ModelConfig,
     graph."""
     out = []
     for t in ts:
-        ws = md.build_sample(panel, t, config.tau, config.phi, config.alpha)
+        ws = md.build_sample(panel, t, config.tau, config.phi)
         if adjacency is None:
             snap = eg.snapshot(t, ws.features, config.k, config.tau, config.s)
         else:
@@ -311,7 +305,7 @@ def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelC
             params.grad.fill(0.0)
             with ad.Tape() as tape:
                 out = forward(params, sample.snapshot)
-                sample_loss = loss(out, sample.labels, config.alpha)
+                sample_loss = loss(out, sample.labels)
                 tape.backward(sample_loss)
             total += sample_loss.data[0, 0]
             if not np.isfinite(total):
@@ -343,17 +337,11 @@ def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelC
 def predict(params: ModelParams, snapshot: eg.GraphSnapshot) -> tuple[np.ndarray, np.ndarray]:
     """Class index per (stock, step) plus per-block probabilities.  Argmax
     ties resolve to class 0."""
-    cfg = params.config
     logits = forward(params, snapshot).data
-    n = logits.shape[0]
-    classes = np.empty((n, cfg.phi), dtype=np.int64)
-    probs = np.empty_like(logits)
-    for j in range(cfg.phi):
-        block = logits[:, j * cfg.alpha:(j + 1) * cfg.alpha]
-        z = block - block.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs[:, j * cfg.alpha:(j + 1) * cfg.alpha] = e / e.sum(axis=1, keepdims=True)
-        classes[:, j] = block.argmax(axis=1)  # first maximum, so ties go to class 0
+    blocks = logits.reshape(logits.shape[0], params.config.phi, md.CLASSES)
+    e = np.exp(blocks - blocks.max(axis=2, keepdims=True))
+    probs = (e / e.sum(axis=2, keepdims=True)).reshape(logits.shape)
+    classes = blocks.argmax(axis=2)  # first maximum, so ties go to class 0
     return classes, probs
 
 
@@ -381,17 +369,18 @@ def save_model(params: ModelParams, path) -> None:
 def _read_config(values, offset: int) -> ModelConfig:
     if not isinstance(values, dict):
         raise FormatError(f"config at offset {offset} is not a JSON object")
-    kinds = {f.name: f.type for f in fields(ModelConfig)}
-    unknown = set(values) - set(kinds)
+    # headers written while alpha was a config field store it; 2 was its one value
+    alpha = values.pop("alpha", ModelConfig.alpha)
+    if type(alpha) is not int or alpha != ModelConfig.alpha:
+        raise FormatError(f"config at offset {offset}: alpha={alpha!r}, but a model has "
+                          f"{ModelConfig.alpha} classes per step")
+    unknown = set(values) - {f.name for f in fields(ModelConfig)}
     if unknown:
         raise FormatError(f"config at offset {offset} has unknown keys {sorted(unknown)}")
-    for key, value in values.items():
-        # json reads NaN and +-Infinity, which no config field may hold
-        if isinstance(value, float) and not math.isfinite(value):
-            raise FormatError(f"config at offset {offset}: {key}={value!r} is not finite")
-        if not _has_kind(value, kinds[key]):
-            raise FormatError(f"config at offset {offset}: {key}={value!r} is not {kinds[key]}")
-    return ModelConfig(**values)
+    try:
+        return ModelConfig(**values)
+    except ConfigError as exc:
+        raise FormatError(f"config at offset {offset}: {exc}") from None
 
 
 def _has_kind(value, kind: str) -> bool:
@@ -451,16 +440,12 @@ def load_model(path) -> ModelParams:
 
     # the layout is lazy, so a huge stored layers or heads stops at the first
     # entry that differs from the finite listing, before anything is allocated
-    try:
-        cfg.validate(strict_ranges=False)
-        for i, (stored, entry) in enumerate(itertools.zip_longest(listing, layout(cfg))):
-            expected = None if entry is None else list(entry)
-            if stored != expected:
-                raise FormatError(f"parameter listing in the header at offset {at} does not "
-                                  f"match the stored configuration at entry {i}: the header "
-                                  f"has {stored or 'nothing'}, the configuration lays out "
-                                  f"{expected or 'nothing'}")
-    except ConfigError as exc:
-        raise FormatError(f"stored configuration is invalid: {exc}") from None
+    for i, (stored, entry) in enumerate(itertools.zip_longest(listing, layout(cfg))):
+        expected = None if entry is None else list(entry)
+        if stored != expected:
+            raise FormatError(f"parameter listing in the header at offset {at} does not "
+                              f"match the stored configuration at entry {i}: the header "
+                              f"has {stored or 'nothing'}, the configuration lays out "
+                              f"{expected or 'nothing'}")
     # astype copies the read-only buffer into a writable native-order vector
     return ModelParams(cfg, np.frombuffer(blob, dtype="<f8", offset=end).astype(np.float64))

@@ -41,7 +41,7 @@ def grad_check(f, params: list[ad.Value], step: float = 1e-5, tol: float = 1e-4,
         raise ValueError("grad_check: step must be positive")
 
     def eval_plain() -> float:
-        return f().item()
+        return f().data[0, 0]
 
     f0 = eval_plain()
     if eval_plain() != f0:

@@ -37,11 +37,8 @@ def synthetic_dataset(tmp_path_factory):
 
 
 def acceptance_config(**overrides) -> mdl.ModelConfig:
-    cfg = mdl.ModelConfig(tau=14, k=0.5, s=0.4, f=4, hidden=16, heads=2, layers=2,
-                          lr=1e-3, epochs=800, seed=0)
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return mdl.ModelConfig(**{**dict(tau=14, k=0.5, s=0.4, f=4, hidden=16, heads=2, layers=2,
+                                     lr=1e-3, epochs=800, seed=0), **overrides})
 
 
 def test_graph_oracle_equivalence():

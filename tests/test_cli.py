@@ -307,18 +307,40 @@ def test_command_summary_is_the_report_of_its_directory(small_dataset, tmp_path,
     assert (out / "report.json").read_bytes() == written
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--seeds", "2"],
+    ["ablate"],
+    ["sweep", "--axis", "k", "--grid", "0.5"],
+], ids=["train", "ablate", "sweep"])
+def test_out_holding_earlier_results_is_refused_before_loading(small_dataset, tmp_path,
+                                                               monkeypatch, capsys, argv):
+    out = tmp_path / "o"
+    assert run_cli("train", *fast_flags(small_dataset, out, epochs="1")) == 0
+    before = sorted(p.name for p in out.iterdir())
+    loads = count_calls(monkeypatch, md, "load_panel")
+    assert run_cli(argv[0], *fast_flags(small_dataset, out, epochs="1"), *argv[1:]) == 1
+    assert f"already holds results ({out / 'metrics_seed0.json'})" in capsys.readouterr().err
+    assert loads == []
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
 def test_empty_grid_rejected(small_dataset, tmp_path):
     code = run_cli("sweep", *fast_flags(small_dataset, tmp_path / "o"),
                    "--axis", "k", "--grid", ",")
     assert code == 1
 
 
-def test_sweep_checks_the_whole_grid_before_training(small_dataset, tmp_path, capsys):
+@pytest.mark.parametrize("axis,grid,message", [
+    ("tau", "7,30", "tau=30"),
+    ("heads", "2,3", "heads 3 must divide the fused width 32"),
+], ids=["tau_out_of_range", "heads_not_dividing"])
+def test_sweep_checks_the_whole_grid_before_training(small_dataset, tmp_path, capsys,
+                                                     axis, grid, message):
     out = tmp_path / "sw"
     assert run_cli("sweep", "--manifest", str(small_dataset), "--out", str(out),
-                   "--epochs", "1", "--axis", "tau", "--grid", "7,30") == 1
-    assert "tau=30" in capsys.readouterr().err
-    assert not list(tmp_path.rglob("model_*.bin"))
+                   "--epochs", "1", "--axis", axis, "--grid", grid) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_checks_every_split_before_training(tmp_path, capsys):
@@ -468,9 +490,12 @@ def test_usage_error_exits_one():
     (("--no-range-check", "--s", "nan"), "s must be finite, got nan"),
     (("--no-range-check", "--lr", "nan"), "lr must be finite, got nan"),
     (("--no-range-check", "--wd", "inf"), "wd must be finite, got inf"),
+    (("--heads", "3"), "heads 3 must divide the fused width 32"),
+    (("--no-range-check", "--heads", "33"), "heads must be in [1, 32], got 33"),
 ], ids=["grad_clip_negative", "grad_clip_zero", "grad_clip_nan", "grad_clip_inf",
         "no_indicators", "k_nan_unchecked", "k_inf_unchecked", "s_nan_unchecked",
-        "lr_nan_unchecked", "wd_inf_unchecked"])
+        "lr_nan_unchecked", "wd_inf_unchecked", "heads_not_dividing",
+        "heads_above_fused_width_unchecked"])
 def test_setting_no_model_trains_with_exits_one(small_dataset, tmp_path, capsys, flags, message):
     out = tmp_path / "o"
     assert run_cli("train", *fast_flags(small_dataset, out), *flags) == 1

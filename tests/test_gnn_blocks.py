@@ -6,6 +6,7 @@ import pytest
 from trendgat import autodiff as ad
 from trendgat import energy_graph as eg
 from trendgat import gnn_blocks as gb
+from trendgat import model as mdl
 from trendgat.errors import ConfigError, DegenerateRowError, ShapeError
 
 from gradcheck import grad_check
@@ -473,10 +474,12 @@ def test_attention_records_one_tape_op():
 
 
 def test_head_count_must_divide_fused_width():
-    with pytest.raises(ConfigError):
-        init_block(d=4, h=3, seed=10)
-    with pytest.raises(ConfigError):
-        init_block(d=4, h=9, seed=10)
+    # block_layout trusts its d and h; the ModelConfig they come from checks them
+    with pytest.raises(ConfigError, match="heads 3 must divide the fused width 8"):
+        mdl.ModelConfig(hidden=4, heads=3)
+    with pytest.raises(ConfigError, match=r"heads must be in \[1, 8\], got 9"):
+        mdl.ModelConfig(hidden=4, heads=9)
+    assert mdl.ModelConfig(hidden=4, heads=3, parallel_attention=False).heads == 3
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,7 @@ def test_constant_close_labels_all_down(tmp_path):
 def test_sample_shapes(tmp_path):
     panel = rising_panel(tmp_path, n_days=12)
     sample = md.build_sample(md.select_indicators(panel, md.DEFAULT_INDICATORS),
-                             t=8, tau=7, phi=1, alpha=2)
+                             t=8, tau=7, phi=1)
     assert sample.features.shape == (5, 28)
     assert sample.labels.shape == (5, 2)
 

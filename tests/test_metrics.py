@@ -79,12 +79,6 @@ def test_degenerate_mcc_and_f1_are_zero_and_flagged():
     assert rec["degenerate_flags"] == {"mcc": True, "f1": True}
 
 
-def test_record_reports_mcc_times_100():
-    c = mt.ConfusionCounts(tp=3, tn=4, fp=2, fn=1)
-    rec = mt.metrics_record(c)
-    assert rec["mcc_x100"] == pytest.approx(100.0 * rec["mcc"])
-
-
 def test_mcc_symmetric_under_class_relabeling():
     rng = np.random.default_rng(0)
     for _ in range(50):

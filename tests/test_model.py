@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -23,11 +24,8 @@ from test_gnn_blocks import gat_oracle, mha_oracle
 
 
 def small_config(**overrides):
-    cfg = mdl.ModelConfig(tau=3, k=0.5, s=0.3, f=2, hidden=6, heads=2, layers=2,
-                          lr=1e-3, wd=1e-4, epochs=10, seed=0)
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return mdl.ModelConfig(**{**dict(tau=3, k=0.5, s=0.3, f=2, hidden=6, heads=2, layers=2,
+                                     lr=1e-3, wd=1e-4, epochs=10, seed=0), **overrides})
 
 
 def random_sample(rng, n, cfg, labels=None):
@@ -120,13 +118,13 @@ def test_forward_rejects_wrong_width():
 def test_confident_correct_prediction_drives_loss_to_zero():
     labels = np.array([[0, 1], [1, 0]])
     logits = ad.Value(np.array([[-40.0, 40.0], [40.0, -40.0]]))
-    assert mdl.loss(logits, labels).item() < 1e-12
+    assert mdl.loss(logits, labels).data[0, 0] < 1e-12
 
 
 def test_zero_logits_give_ln2():
     labels = np.array([[0, 1], [1, 0], [0, 1]])
     logits = ad.Value(np.zeros((3, 2)))
-    assert mdl.loss(logits, labels).item() == pytest.approx(math.log(2.0), abs=1e-15)
+    assert mdl.loss(logits, labels).data[0, 0] == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_loss_matches_formula_oracle():
@@ -134,7 +132,7 @@ def test_loss_matches_formula_oracle():
     logits = rng.standard_normal((4, 2))
     labels = np.zeros((4, 2), dtype=np.int64)
     labels[np.arange(4), rng.integers(0, 2, 4)] = 1
-    ours = mdl.loss(ad.Value(logits), labels).item()
+    ours = mdl.loss(ad.Value(logits), labels).data[0, 0]
     assert ours == pytest.approx(loss_oracle(logits, labels), abs=1e-12)
 
 
@@ -144,7 +142,7 @@ def test_loss_multi_step_blocks():
     labels = np.zeros((3, 4), dtype=np.int64)
     for j in range(2):
         labels[np.arange(3), 2 * j + rng.integers(0, 2, 3)] = 1
-    ours = mdl.loss(ad.Value(logits), labels).item()
+    ours = mdl.loss(ad.Value(logits), labels).data[0, 0]
     assert ours == pytest.approx(loss_oracle(logits, labels), abs=1e-12)
 
 
@@ -219,7 +217,7 @@ def test_loss_is_one_tape_op_equal_to_the_blockwise_reference():
         tape.backward(value)
     want_value, want_grad = _blockwise_loss_reference(logits.data, labels, cfg.alpha)
     assert len(tape) == 1
-    assert value.item() == want_value
+    assert value.data[0, 0] == want_value
     assert (logits.grad == want_grad).all()
 
 
@@ -492,6 +490,24 @@ def test_predict_argmax_and_tie_rule():
     assert classes.tolist() == [0, 0, 1]  # equal logits resolve to class 0
 
 
+def test_predict_equals_the_per_step_loop(monkeypatch):
+    params = mdl.init_model(small_config(phi=3))
+    logits = np.random.default_rng(12).standard_normal((7, 6)) * 30
+    logits[0, 2:4] = 0.5  # a tie, which goes to class 0
+    monkeypatch.setattr(mdl, "forward", lambda params, snapshot: ad.Value(logits))
+    classes, probs = mdl.predict(params, None)
+    want_classes = np.empty((7, 3), dtype=np.int64)
+    want_probs = np.empty_like(logits)
+    for j in range(3):
+        block = logits[:, 2 * j:2 * j + 2]
+        e = np.exp(block - block.max(axis=1, keepdims=True))
+        want_probs[:, 2 * j:2 * j + 2] = e / e.sum(axis=1, keepdims=True)
+        want_classes[:, j] = block.argmax(axis=1)
+    assert want_classes[0, 1] == 0
+    np.testing.assert_array_equal(classes, want_classes)
+    np.testing.assert_array_equal(probs, want_probs)
+
+
 def test_predict_shapes_and_probabilities():
     rng = np.random.default_rng(11)
     cfg = small_config()
@@ -593,15 +609,19 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
                  r"the configuration lays out \['block0.head0.w_q', 12, 4\]"),
     ("layers", 10**9, r"entry 26: the header has \['w_out', 6, 2\], "
                       r"the configuration lays out \['block2.gat.w_left', 6, 6\]"),
-    ("heads", 10**9, r"stored configuration is invalid: .*heads must be in \[1, 12\]"),
-    ("epochs", 0, "stored configuration is invalid"),
-    ("k", math.nan, "k=nan is not finite"),
-    ("s", math.inf, "s=inf is not finite"),
-    ("grad_clip", -math.inf, "grad_clip=-inf is not finite"),
-    ("grad_clip", -1, "stored configuration is invalid: grad_clip must be a finite positive"),
+    ("heads", 10**9, r"config at offset 16: heads must be in \[1, 12\], got 1000000000"),
+    ("heads", 5, "config at offset 16: heads 5 must divide the fused width 12"),
+    ("epochs", 0, "config at offset 16: phi, epochs and hidden must be positive"),
+    ("k", math.nan, "config at offset 16: k must be finite, got nan"),
+    ("s", math.inf, "config at offset 16: s must be finite, got inf"),
+    ("grad_clip", -math.inf, "grad_clip must be a finite positive number, got -inf"),
+    ("grad_clip", -1, "config at offset 16: grad_clip must be a finite positive number, got -1"),
+    ("alpha", 3, "config at offset 16: alpha=3, but a model has 2 classes per step"),
+    ("alpha", 2.0, "config at offset 16: alpha=2.0, but a model has 2 classes per step"),
 ], ids=["hidden_str", "layers_null", "tau_str", "hidden_huge", "grad_clip_str",
-        "parallel_str", "heads_missized", "layers_huge", "heads_huge", "epochs_zero", "k_nan",
-        "s_inf", "grad_clip_neg_inf", "grad_clip_negative"])
+        "parallel_str", "heads_missized", "layers_huge", "heads_huge", "heads_not_dividing",
+        "epochs_zero", "k_nan", "s_inf", "grad_clip_neg_inf", "grad_clip_negative",
+        "alpha_3", "alpha_float"])
 def test_mistyped_or_missized_config_is_format_error(tmp_path, capsys, key, value, match):
     from trendgat import cli
 
@@ -615,6 +635,33 @@ def test_mistyped_or_missized_config_is_format_error(tmp_path, capsys, key, valu
     assert cli.main(["eval", "--manifest", str(tmp_path / "unused.csv"),
                      "--out", str(tmp_path / "eval"), "--model", str(path)]) == 2
     assert re.search(match, capsys.readouterr().err)
+
+
+def test_config_is_frozen_and_checked_when_made():
+    cfg = mdl.ModelConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.heads = 3
+    assert "alpha" not in {field.name for field in dataclasses.fields(mdl.ModelConfig)}
+    assert cfg.alpha == md.CLASSES == 2
+    with pytest.raises(ConfigError, match="heads 3 must divide the fused width 32"):
+        dataclasses.replace(cfg, heads=3)
+    with pytest.raises(ConfigError, match="tau=7.0 is not int"):
+        mdl.ModelConfig(tau=7.0)
+
+
+def test_header_holding_the_retired_alpha_field_loads(tmp_path):
+    # checkpoints written while alpha was a config field store "alpha": 2
+    path = tmp_path / "model.bin"
+    params = mdl.init_model(small_config())
+    mdl.save_model(params, path)
+    blob = path.read_bytes()
+    assert b"alpha" not in _split(blob)[0]
+    cfg = json.loads(_config_block(blob))
+    path.write_bytes(_with_config_block(blob, json.dumps({**cfg, "alpha": 2},
+                                                         sort_keys=True).encode()))
+    loaded = mdl.load_model(path)
+    assert loaded.config == params.config
+    np.testing.assert_array_equal(loaded.flat, params.flat)
 
 
 def test_config_field_kinds_accept_what_save_writes(tmp_path):
