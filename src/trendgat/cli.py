@@ -175,6 +175,19 @@ def check_ranges(config: mdl.ModelConfig) -> None:
             raise ConfigError(f"{key}={val} outside the permitted range [{lo}, {hi}]")
 
 
+def output_dir(spec: ExperimentSpec) -> Path:
+    """The spec's output directory, checked before any data is read: a path
+    that exists as something other than a directory, or under such a path,
+    is a ConfigError."""
+    out_dir = Path(spec.out_dir)
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out_dir}: {path} exists and is not a directory")
+            break
+    return out_dir
+
+
 def write_resolved_spec(spec: ExperimentSpec, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "spec_resolved.json").write_text(
@@ -228,7 +241,7 @@ def run_variants(spec: ExperimentSpec, variants) -> list[dict]:
     model trains.  The panel is loaded once, and consecutive variants that
     share tau, phi, k, s and graph source share one set of datasets; at
     most one set is alive at a time."""
-    out_dir = Path(spec.out_dir)
+    out_dir = output_dir(spec)
     # report reads every metrics file under the directory, so one from an
     # earlier run would be pooled with this run's
     stale = min(out_dir.rglob("metrics_*seed*.json"), default=None)
@@ -296,9 +309,9 @@ def cmd_train(spec: ExperimentSpec) -> int:
 
 
 def cmd_eval(spec: ExperimentSpec, model_path: str) -> int:
+    out_dir = output_dir(spec)
     params = mdl.load_model(model_path)
     eval_spec = dataclasses.replace(spec, config=params.config)
-    out_dir = Path(spec.out_dir)
     write_resolved_spec(eval_spec, out_dir)
     panel = _load_panel(eval_spec, [params.config])
     test = mdl.build_datasets(panel, params.config, spec.ratios, names=("test",))["test"]
@@ -341,18 +354,27 @@ def cmd_sweep(spec: ExperimentSpec, axis: str, grid_raw: str) -> int:
 
 
 def cmd_graphgen(spec: ExperimentSpec, t: int | None) -> int:
-    out_dir = Path(spec.out_dir)
+    """Build every window's graph, print each split's ``eg.graph_statistics``
+    and export the graph of day t (default: the last training day)."""
+    out_dir = output_dir(spec)
     write_resolved_spec(spec, out_dir)
     panel = _load_panel(spec, [spec.config])
     cfg = spec.config
-    splits = md.split_periods(panel, spec.ratios, cfg.tau, cfg.phi)
     usable = md.usable_range(panel.n_days, cfg.tau, cfg.phi)
-    if t is None:
-        t = splits.train[-1]
-    elif t not in usable:
+    if t is not None and t not in usable:
         raise ConfigError(f"--t {t} outside the usable range [{usable.start}, {usable.stop - 1}] "
                           f"for tau={cfg.tau}, phi={cfg.phi} and {panel.n_days} days")
-    snap = mdl.samples_from_panel(md.normalize(panel, splits), [t], cfg)[0].snapshot
+    datasets = mdl.build_datasets(panel, cfg, spec.ratios)
+    for name, split in datasets.items():
+        stats = eg.graph_statistics([sample.snapshot.adjacency for sample in split])
+        print(f"{name}: {stats['windows']} windows, {stats['offdiag_edges_mean']:.4f} "
+              f"off-diagonal edges per window, {stats['neighbour_window_share']:.4f} of "
+              f"windows with a neighbour row, isolated-node fraction {stats['isolated_frac']:.4f}")
+    if t is None:
+        t = datasets["train"][-1].snapshot.t
+    # the splits partition the usable range, so exactly one window ends at t
+    snap = next(sample.snapshot for split in datasets.values() for sample in split
+                if sample.snapshot.t == t)
     edges = eg.export_edges(snap.adjacency, panel.tickers, out_dir / f"edges_t{t}.tsv")
     eg.export_dense(snap.adjacency, panel.tickers, out_dir / f"adjacency_t{t}.csv")
     print(f"t={t} ({panel.dates[t]}): {edges} edges -> {out_dir / f'edges_t{t}.tsv'}")

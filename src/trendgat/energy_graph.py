@@ -10,7 +10,8 @@ runs.
 Every graph the model reads is a ``CsrGraph``: per node, the sources of
 its incoming edges and their weights.  A thresholded row keeps at most
 1/s entries, so a snapshot takes O(N / s) memory, and ``boltzmann_graph``
-builds it in O(N log N) without an N x N intermediate.
+builds it in O(N log N) without an N x N intermediate, for every window
+of a split in one call.
 """
 
 from __future__ import annotations
@@ -31,16 +32,23 @@ THRESHOLD_RANGE = (0.25, 0.85)
 # any gap that changes which entries reach s
 _WINDOW_MARGIN = 1e-9
 
+# boltzmann_graph builds blocks of windows whose squared features, or
+# candidate pairs, take about this many bytes
+_BLOCK_BYTES = 1 << 20
+
 
 class ThresholdRangeWarning(UserWarning):
     """Threshold outside the usual search range; permitted but suspicious."""
 
 
 def _read_only(values, dtype=None) -> np.ndarray:
-    """A read-only view of ``values``; the array it views keeps its flags."""
-    view = np.asarray(values, dtype=dtype).view()
-    view.flags.writeable = False
-    return view
+    """``values`` as an array that is read-only: itself when it already is
+    one, else a read-only view (the array it views keeps its flags)."""
+    array = np.asarray(values, dtype=dtype)
+    if array.flags.writeable:
+        array = array.view()
+        array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +64,8 @@ class CsrGraph:
     ``np.asarray(graph)`` is the dense R x R matrix, block-diagonal for a
     stack; ``shape`` is its shape.
 
-    The arrays are read-only views, so ``structure``, which is built from
-    them on first use and kept, cannot go stale.
+    The arrays are read-only, so ``structure``, which is built from them
+    on first use and kept, cannot go stale.
     """
 
     indptr: np.ndarray   # R + 1 edge offsets, indptr[0] = 0
@@ -66,9 +74,11 @@ class CsrGraph:
     n: int               # nodes per graph
 
     def __post_init__(self):
-        object.__setattr__(self, "indptr", _read_only(self.indptr))
-        object.__setattr__(self, "src", _read_only(self.src))
-        object.__setattr__(self, "weight", _read_only(self.weight, np.float64))
+        for name, dtype in (("indptr", None), ("src", None), ("weight", np.float64)):
+            value = getattr(self, name)
+            array = _read_only(value, dtype)
+            if array is not value:
+                object.__setattr__(self, name, array)
 
     @property
     def rows(self) -> int:
@@ -222,78 +232,117 @@ def source_order(graph: CsrGraph) -> SourceOrder:
                        multi_at=multi_at)
 
 
-def boltzmann_graph(features: np.ndarray, k: float, tau: int, s: float) -> CsrGraph:
-    """The thresholded Boltzmann graph of one window: entry (i, j) is
-    exp(-|E_i - E_j| / (k * tau)) normalized over j, E being each stock's
-    sum of squared features, and is kept when it is at least s (positive,
-    for s <= 0); every self-loop is kept too.  O(N log N) time and
-    O(N / s) memory.
+def boltzmann_graph(windows: np.ndarray, k: float, tau: int, s: float) -> list[CsrGraph]:
+    """The thresholded Boltzmann graph of each of B windows, given as a
+    B x N x (tau*F) stack: entry (i, j) is exp(-|E_i - E_j| / (k * tau))
+    normalized over j, E being each stock's sum of squared features, and is
+    kept when it is at least s (positive, for s <= 0); every self-loop is
+    kept too.  O(N log N) time and O(N / s) memory per window.
 
     With the energies sorted and x = E / (k * tau), row i's normalizer
     sum_j exp(-|x_i - x_j|) is Z_i = L_i + R_i - 1, where
     L_i = sum_{j <= i} exp(x_j - x_i) comes from one
     ``np.logaddexp.accumulate`` and R_i mirrors it from the right.  Entry
     (i, j) reaches s exactly when |x_i - x_j| <= -ln(s * Z_i): a window of
-    the sorted energies, found with ``searchsorted`` and widened by a
-    rounding margin.  Each candidate's weight is then computed and kept
-    by the rule above.
+    the sorted energies, widened by a rounding margin.  Each candidate's
+    weight is then computed and kept by the rule above.
+
+    Every step runs on whole blocks of windows at once (``_block_graphs``),
+    sized so that no temporary is much over ``_BLOCK_BYTES``; the returned
+    graphs view the block's arrays.
 
     Fewer than two stocks, a k that is not positive and finite, an s that
     is not finite or a tau below 1 is a ``ConfigError``; a non-finite
-    feature, or an energy that overflows, a ``NumericError``.  A finite
-    threshold outside ``THRESHOLD_RANGE`` warns.
+    feature, or an energy that overflows, a ``NumericError`` naming the
+    window.  A finite threshold outside ``THRESHOLD_RANGE`` warns, once
+    per call.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 2:
-        raise ConfigError(f"boltzmann_graph: need a 2-D matrix with N >= 2 rows, "
-                          f"got {features.shape}")
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3 or windows.shape[1] < 2:
+        raise ConfigError(f"boltzmann_graph: need a B x N x (tau*F) stack of windows with "
+                          f"N >= 2 stocks, got {windows.shape}")
     if not 0 < k < math.inf:
         raise ConfigError(f"boltzmann_graph: k must be positive and finite, got {k}")
     if not math.isfinite(s):
         raise ConfigError(f"boltzmann_graph: s must be finite, got {s}")
     if tau < 1:
         raise ConfigError(f"boltzmann_graph: tau must be >= 1, got {tau}")
-    energies = (features * features).sum(axis=1)
-    # squares cannot cancel, so a non-finite feature makes its energy non-finite
-    if not np.isfinite(energies).all():
-        raise NumericError("boltzmann_graph: features have non-finite entries or energies "
-                           "that overflow")
     lo, hi = THRESHOLD_RANGE
     if not lo <= s <= hi:
         warnings.warn(f"threshold {s} outside the usual range [{lo}, {hi}]",
                       ThresholdRangeWarning, stacklevel=2)
-    n = energies.size
-    scale = k * tau
-    order = energies.argsort(kind="stable")
-    e = energies[order]
+    b, n, width = windows.shape
+    # candidates per row: at most about 1/s entries of a row reach s
+    per_row = n if s <= 1.0 / n else min(n, int(1.0 / s) + 2)
+    step = max(1, _BLOCK_BYTES // (8 * n * max(width, per_row)))
+    graphs: list[CsrGraph] = []
+    for start in range(0, b, step):
+        graphs += _block_graphs(windows[start:start + step], k * tau, s, start)
+    return graphs
+
+
+def _count_below(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(x[b], q[b])`` for every row b at once: how many
+    entries of the ascending row x[b] sort before each q[b, m] (a NaN after
+    every number).  One stable sort of each row's queries followed by its
+    entries puts every query before the entries equal to it, so the entries
+    ahead of a query are exactly those that compare less."""
+    rows, m = q.shape
+    merged = np.concatenate((q, x), axis=1).argsort(axis=1, kind="stable")
+    ahead = (merged >= m).cumsum(axis=1)
+    count = np.empty(merged.shape, dtype=np.intp)
+    count[np.arange(rows)[:, None], merged] = ahead
+    return count[:, :m]
+
+
+def _block_graphs(windows: np.ndarray, scale: float, s: float, first: int) -> list[CsrGraph]:
+    """``boltzmann_graph`` of one block of B windows, whose first is window
+    ``first`` of the call.  Sorted position i of window b is flat row
+    b * N + i; each row's candidates are a run of flat columns of its own
+    window, and one argsort of (window, dst, src) keys puts the kept edges
+    in CSR order for all windows together."""
+    b, n, _ = windows.shape
+    # squares in C order, so each energy sums one contiguous row, as for one window
+    energies = np.multiply(windows, windows, order="C").sum(axis=2)
+    # squares cannot cancel, so a non-finite feature makes its energy non-finite
+    finite = np.isfinite(energies).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"boltzmann_graph: window {first + int(np.argmin(finite))} has "
+                           f"non-finite features or energies that overflow")
+    order = energies.argsort(axis=1, kind="stable")
+    e = np.take_along_axis(energies, order, axis=1)
     x = e / scale
-    log_left = np.logaddexp.accumulate(x) - x
-    log_right = np.logaddexp.accumulate(-x[::-1])[::-1] + x
+    log_left = np.logaddexp.accumulate(x, axis=1) - x
+    log_right = np.logaddexp.accumulate(-x[:, ::-1], axis=1)[:, ::-1] + x
     z = np.exp(log_left) + np.exp(log_right) - 1.0
-    margin = _WINDOW_MARGIN * (1.0 + x[-1])          # energies are >= 0
-    reach = margin - np.log(s * z) if s > 0 else np.full(n, np.inf)
-    bounds = x.searchsorted(np.concatenate((x - reach, x + reach)))
+    margin = _WINDOW_MARGIN * (1.0 + x[:, -1:])       # energies are >= 0
+    reach = margin - np.log(s * z) if s > 0 else np.full(x.shape, np.inf)
+    bounds = _count_below(x, np.concatenate((x - reach, x + reach), axis=1))
     # every window holds its own row: one whose own entry misses s keeps
     # only its self-loop
     at = np.arange(n)
-    lo, hi = np.minimum(bounds[:n], at), np.maximum(bounds[n:], at + 1)
-    if (hi - lo == 1).all():
-        # no row has a candidate neighbour, as in most snapshots at the
-        # default k and s: the graph is the self-loops, weight 1 / Z_i
-        self_weight = 1.0 / z
-        weight = np.empty(n)
-        weight[order] = self_weight * (self_weight >= s)
-        return CsrGraph(indptr=np.arange(n + 1), src=at, weight=weight, n=n)
-    row, col = _windows(lo, hi)
+    base = np.arange(0, b * n, n)[:, None]
+    lo = np.minimum(bounds[:, :n], at) + base
+    hi = np.maximum(bounds[:, n:], at + 1) + base
+    row, col = _windows(lo.ravel(), hi.ravel())
+    e, z = e.ravel(), z.ravel()
     w = np.exp(np.abs(e[row] - e[col]) / -scale) / z[row]
     kept = w >= s if s > 0 else w > 0
     edge = kept | (row == col)
     w *= kept
-    dst, src = order[row[edge]], order[col[edge]]
-    by_node = (dst * n + src).argsort()              # row-major, sources ascending
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.bincount(dst, minlength=n).cumsum(out=indptr[1:])
-    return CsrGraph(indptr=indptr, src=src[by_node], weight=w[edge][by_node], n=n)
+    row = row[edge]
+    order = (order + base).ravel()                   # flat node b * N + stock
+    dst, src = order[row], order[col[edge]]
+    by_node = (dst * n + src % n).argsort()          # window, row and source ascending
+    indptr = np.zeros((b, n + 1), dtype=np.int64)
+    np.bincount(dst, minlength=b * n).reshape(b, n).cumsum(axis=1, out=indptr[:, 1:])
+    src = src[by_node] % n
+    weight = w[edge][by_node]
+    for array in (indptr, src, weight):
+        array.flags.writeable = False
+    ends = indptr[:, -1].cumsum().tolist()
+    return [CsrGraph(indptr=indptr[i], src=src[start:end], weight=weight[start:end], n=n)
+            for i, (start, end) in enumerate(zip([0] + ends[:-1], ends))]
 
 
 def stack(graphs) -> CsrGraph:
@@ -331,6 +380,21 @@ def sector_adjacency(membership: dict[str, str], tickers: list[str]) -> CsrGraph
                     weight=1.0 / size[row], n=len(tickers))
 
 
+def graph_statistics(graphs: list[CsrGraph]) -> dict:
+    """Summary of one or more graphs of equal ``n``, such as a split's energy
+    graphs: ``windows``, the graph count; ``offdiag_edges_mean``, the mean
+    number of edges between two different nodes per graph;
+    ``neighbour_window_share``, the share of graphs in which some row has
+    such an edge; ``isolated_frac``, the share of rows (over all graphs)
+    that hold only their self-loop.  Every row holds its self-loop, so its
+    other edges are its edge count less one."""
+    off = np.stack([np.diff(graph.indptr) for graph in graphs]) - 1
+    return {"windows": len(graphs),
+            "offdiag_edges_mean": float(off.sum() / len(graphs)),
+            "neighbour_window_share": float((off.max(axis=1) > 0).mean()),
+            "isolated_frac": float((off == 0).mean())}
+
+
 def export_edges(graph: CsrGraph, tickers: list[str], out) -> int:
     """Write the nonzero entries as TSV `src dst weight` lines, row-major,
     `src` naming the row's stock and `dst` the entry's column; returns the
@@ -356,7 +420,7 @@ def export_dense(graph: CsrGraph, tickers: list[str], out) -> None:
 
 
 def snapshot(t: int, features: np.ndarray, k: float, tau: int, threshold: float) -> GraphSnapshot:
-    """Bundle one window's features with its thresholded energy graph
-    (``boltzmann_graph``)."""
+    """Bundle one N x (tau*F) window's features with its thresholded energy
+    graph (``boltzmann_graph`` of a stack of one)."""
     features = np.asarray(features, dtype=np.float64)
-    return GraphSnapshot(t, features, boltzmann_graph(features, k, tau, threshold))
+    return GraphSnapshot(t, features, boltzmann_graph(features[None], k, tau, threshold)[0])

@@ -48,16 +48,6 @@ class IndicatorPanel:
 
 
 @dataclass
-class WindowSample:
-    """Features over the lag window ending at t and one-hot labels for the
-    following forecast steps."""
-
-    t: int
-    features: np.ndarray  # N x (tau*F), a read-only view of the panel
-    labels: np.ndarray    # N x (phi*CLASSES) integer one-hot per CLASSES block
-
-
-@dataclass
 class DatasetSplits:
     """Chronological sample-index blocks; every index is a window end t."""
 
@@ -116,7 +106,8 @@ def _read_stock_csv(ticker: str, csv_path: Path) -> tuple[np.ndarray, np.ndarray
     and the matching R x 5 float64 array in RAW_INDICATORS order.
 
     The file is checked and converted in bulk: one read, one split into
-    fields, one ``float`` pass over the 5R value strings, and array checks
+    fields, one ``np.array`` conversion of the 5R value strings (Python's
+    ``float`` parser on each), and array checks
     of the dates (canonical ``YYYY-MM-DD``, a real calendar day, year >= 1,
     no repeats) and values (finite).  Fields are plain: a ``"`` is not
     quoting, so a quoted field fails its date or number check.  Blank lines
@@ -154,7 +145,7 @@ def _read_stock_csv(ticker: str, csv_path: Path) -> tuple[np.ndarray, np.ndarray
     if days.min() < np.datetime64("0001-01-01"):
         _raise_first_bad_line(csv_path, lines)
     try:
-        values = np.fromiter(map(float, fields), np.float64, 5 * n).reshape(n, 5)
+        values = np.array(fields, dtype=np.float64).reshape(n, 5)
     except ValueError:
         _raise_first_bad_line(csv_path, lines)
     if not np.isfinite(values).all():
@@ -267,33 +258,40 @@ def normalize(panel: IndicatorPanel, splits: DatasetSplits) -> IndicatorPanel:
                           sectors=panel.sectors)
 
 
-def build_sample(panel: IndicatorPanel, t: int, tau: int, phi: int) -> WindowSample:
-    """Window features ending at day t plus one-hot movement labels for
-    days t+1 .. t+phi.
+def build_windows(panel: IndicatorPanel, ts, tau: int, phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window features ending at each day t of ``ts`` plus one-hot movement
+    labels for days t+1 .. t+phi, for all B window ends in one pass.
 
-    Feature rows concatenate, day by day from t-tau+1 through t, the F
-    channels of that stock.  The panel is day-major, so the features are a
-    read-only view of ``panel.values`` and consecutive windows share
-    memory; no window is copied.  A step is class 1 when adjusted close rises,
-    class 0 otherwise (ties count as down).
+    ``features`` is B x N x (tau*F): row i of window b concatenates, day by
+    day from t-tau+1 through t, the F channels of stock i.  The panel is
+    day-major, so it is a read-only view of ``panel.values`` and
+    consecutive windows share memory; no window is copied.  That needs the
+    window ends to be consecutive days, as a split's are.  ``labels`` is a
+    B x N x (phi*CLASSES) int64 array, one
+    CLASSES block per step: class 1 when adjusted close rises, class 0
+    otherwise (ties count as down).
     """
     if tau < 1 or phi < 1:
         raise ConfigError(f"tau and phi must be >= 1, got tau={tau}, phi={phi}")
-    if t < tau - 1 or t + phi >= panel.n_days:
-        raise IndexError(
-            f"t={t} out of range for tau={tau}, phi={phi}, {panel.n_days} days")
-    n = panel.n_stocks
-    f = len(panel.indicators)
-    window = panel.values[:, t - tau + 1:t + 1, :]        # N x tau x F, day-major
-    features = window.reshape(n, tau * f)                 # a view of the panel
-    features.flags.writeable = False
-    labels = np.zeros((n, phi * CLASSES), dtype=np.int64)
-    for j in range(1, phi + 1):
-        up = panel.close[:, t + j] > panel.close[:, t + j - 1]
-        block = (j - 1) * CLASSES
-        labels[:, block] = (~up).astype(np.int64)     # class 0: down or flat
-        labels[:, block + 1] = up.astype(np.int64)    # class 1: up
-    return WindowSample(t=t, features=features, labels=labels)
+    ts = np.asarray(ts, dtype=np.int64).reshape(-1)
+    outside = ts[(ts < tau - 1) | (ts + phi >= panel.n_days)]
+    if outside.size:
+        raise IndexError(f"t={outside[0]} out of range for tau={tau}, phi={phi}, "
+                         f"{panel.n_days} days")
+    if (np.diff(ts) != 1).any():
+        raise ConfigError("window ends must be consecutive days")
+    n, f = panel.n_stocks, len(panel.indicators)
+    # N x (T - tau + 1) x F x tau windows of the day axis, read-only
+    days = np.lib.stride_tricks.sliding_window_view(panel.values, tau, axis=1)
+    first = int(ts[0]) - tau + 1 if ts.size else 0
+    features = days[:, first:first + ts.size].transpose(1, 0, 3, 2)
+    features = features.reshape(ts.size, n, tau * f)      # still a view of the panel
+    up = panel.close[:, 1:] > panel.close[:, :-1]         # N x (T - 1): day d to d + 1
+    steps = up[:, ts[:, None] + np.arange(phi)].transpose(1, 0, 2)   # B x N x phi
+    labels = np.empty(steps.shape + (CLASSES,), dtype=np.int64)
+    labels[..., 0] = ~steps                               # class 0: down or flat
+    labels[..., 1] = steps                                # class 1: up
+    return features, labels.reshape(ts.size, n, phi * CLASSES)
 
 
 def usable_range(n_days: int, tau: int, phi: int) -> range:

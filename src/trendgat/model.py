@@ -73,9 +73,9 @@ class ModelConfig:
         if self.f < 1:
             raise ConfigError(f"f must be positive (at least one indicator), got {self.f}")
         for key in ("k", "s", "lr", "wd"):
-            if not math.isfinite(getattr(self, key)):
+            if not _finite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.grad_clip is not None and not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
+        if self.grad_clip is not None and not (_finite(self.grad_clip) and self.grad_clip > 0):
             raise ConfigError(f"grad_clip must be a finite positive number, got {self.grad_clip}")
         if self.parallel_attention:  # the heads split the fused width 2 * hidden
             d_cat = 2 * self.hidden
@@ -246,18 +246,15 @@ class TrainResult:
 def samples_from_panel(panel: md.IndicatorPanel, ts, config: ModelConfig,
                        adjacency: eg.CsrGraph | None = None) -> list[Sample]:
     """Window, label and graph every time step in ts (adjacency depends only
-    on the inputs, so it is built once and reused across epochs).  A fixed
-    ``adjacency`` (e.g. the sector graph) replaces the per-window energy
-    graph."""
-    out = []
-    for t in ts:
-        ws = md.build_sample(panel, t, config.tau, config.phi)
-        if adjacency is None:
-            snap = eg.snapshot(t, ws.features, config.k, config.tau, config.s)
-        else:
-            snap = eg.GraphSnapshot(t, ws.features, adjacency)
-        out.append(Sample(snapshot=snap, labels=ws.labels))
-    return out
+    on the inputs, so it is built once and reused across epochs): one
+    ``md.build_windows`` call for all of them, then one
+    ``eg.boltzmann_graph`` call for their energy graphs.  A fixed
+    ``adjacency`` (e.g. the sector graph) replaces the energy graphs."""
+    features, labels = md.build_windows(panel, ts, config.tau, config.phi)
+    graphs = (itertools.repeat(adjacency) if adjacency is not None
+              else eg.boltzmann_graph(features, config.k, config.tau, config.s))
+    return [Sample(snapshot=eg.GraphSnapshot(t, f, graph), labels=y)
+            for t, f, y, graph in zip(ts, features, labels, graphs)]
 
 
 def build_datasets(panel: md.IndicatorPanel, config: ModelConfig,
@@ -383,6 +380,14 @@ def _read_config(values, offset: int) -> ModelConfig:
         raise FormatError(f"config at offset {offset}: {exc}") from None
 
 
+def _finite(value: int | float) -> bool:
+    """Whether ``value`` is a finite float64: an int too large for one is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _has_kind(value, kind: str) -> bool:
     # kind is a ModelConfig field annotation: "int", "float", "bool" or
     # "float | None"; bool is a subclass of int but never a number here
@@ -422,7 +427,7 @@ def load_model(path) -> ModelParams:
         header = json.loads(blob[at:end].decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"header at offset {at} is not UTF-8: {exc.reason}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:   # also an int past Python's digit limit
         raise FormatError(f"header at offset {at} is not JSON: {exc}") from None
     if not isinstance(header, dict) or set(header) != {"config", "params"}:
         raise FormatError(f"header at offset {at} is not a JSON object with exactly "

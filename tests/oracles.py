@@ -1,14 +1,16 @@
 """Test references and builders.  ``boltzmann_adjacency`` and ``sparsify``
 are dense references for ``energy_graph.boltzmann_graph``: the Boltzmann
-adjacency as an N x N matrix and the entrywise threshold.  They skip the
-input checks, which the builder owns.  ``from_dense`` turns a dense matrix
-into a ``CsrGraph`` and ``init_block`` builds a standalone block."""
+adjacency as an N x N matrix and the entrywise threshold.
+``one_window_graph`` is its bit-exact sparse reference, one window at a
+time.  They skip the input checks, which the builder owns.  ``from_dense``
+turns a dense matrix into a ``CsrGraph`` and ``init_block`` builds a
+standalone block."""
 
 import numpy as np
 
 from trendgat import autodiff as ad
 from trendgat import gnn_blocks as gb
-from trendgat.energy_graph import CsrGraph
+from trendgat.energy_graph import _WINDOW_MARGIN, CsrGraph, _windows
 from trendgat.errors import ShapeError
 
 
@@ -28,6 +30,49 @@ def boltzmann_adjacency(features, k, tau):
     with np.errstate(under="ignore"):
         kernel = np.exp(logits)
     return kernel / kernel.sum(axis=1, keepdims=True)
+
+
+def one_window_graph(features, k, tau, s) -> CsrGraph:
+    """The thresholded Boltzmann graph of one N x (tau*F) window, built the
+    way ``boltzmann_graph`` built it window by window: sort the energies,
+    take each row's normalizer Z from two ``logaddexp.accumulate`` passes,
+    ``searchsorted`` each row's candidate window |x_i - x_j| <= -ln(s * Z_i)
+    (widened by the rounding margin), then keep each candidate that reaches
+    s, and every self-loop."""
+    features = np.asarray(features, dtype=np.float64)
+    energies = (features * features).sum(axis=1)
+    n = energies.size
+    scale = k * tau
+    order = energies.argsort(kind="stable")
+    e = energies[order]
+    x = e / scale
+    log_left = np.logaddexp.accumulate(x) - x
+    log_right = np.logaddexp.accumulate(-x[::-1])[::-1] + x
+    z = np.exp(log_left) + np.exp(log_right) - 1.0
+    margin = _WINDOW_MARGIN * (1.0 + x[-1])          # energies are >= 0
+    reach = margin - np.log(s * z) if s > 0 else np.full(n, np.inf)
+    bounds = x.searchsorted(np.concatenate((x - reach, x + reach)))
+    # every window holds its own row: one whose own entry misses s keeps
+    # only its self-loop
+    at = np.arange(n)
+    lo, hi = np.minimum(bounds[:n], at), np.maximum(bounds[n:], at + 1)
+    if (hi - lo == 1).all():
+        # no row has a candidate neighbour, as in most snapshots at the
+        # default k and s: the graph is the self-loops, weight 1 / Z_i
+        self_weight = 1.0 / z
+        weight = np.empty(n)
+        weight[order] = self_weight * (self_weight >= s)
+        return CsrGraph(indptr=np.arange(n + 1), src=at, weight=weight, n=n)
+    row, col = _windows(lo, hi)
+    w = np.exp(np.abs(e[row] - e[col]) / -scale) / z[row]
+    kept = w >= s if s > 0 else w > 0
+    edge = kept | (row == col)
+    w *= kept
+    dst, src = order[row[edge]], order[col[edge]]
+    by_node = (dst * n + src).argsort()              # row-major, sources ascending
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.bincount(dst, minlength=n).cumsum(out=indptr[1:])
+    return CsrGraph(indptr=indptr, src=src[by_node], weight=w[edge][by_node], n=n)
 
 
 def sparsify(adjacency, s):

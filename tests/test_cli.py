@@ -9,6 +9,8 @@ import pytest
 from trendgat import cli, energy_graph as eg, market_data as md, model as mdl, synth
 from trendgat.errors import ConfigError
 
+from oracles import one_window_graph
+
 
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
@@ -376,6 +378,11 @@ def test_each_stock_csv_is_read_once(small_dataset, tmp_path, monkeypatch, argv)
     assert sorted(ticker for ticker, _ in reads) == [f"SYN{i:02d}" for i in range(6)]
 
 
+def windows_built(builds) -> int:
+    """The windows handed to ``eg.boltzmann_graph`` over the recorded calls."""
+    return sum(args[0].shape[0] for args in builds)
+
+
 def test_eval_builds_graphs_for_the_test_windows_only(small_dataset, tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert run_cli("train", *fast_flags(small_dataset, out, epochs="1")) == 0
@@ -384,18 +391,20 @@ def test_eval_builds_graphs_for_the_test_windows_only(small_dataset, tmp_path, m
                    "--model", str(out / "model_seed0.bin")) == 0
     panel = md.select_indicators(md.load_panel(small_dataset), md.DEFAULT_INDICATORS)
     test_windows = md.split_periods(panel, mdl.DEFAULT_RATIOS, 7, 1).test
-    assert len(builds) == len(test_windows) > 0
+    assert len(builds) == 1                   # one batched build for the split
+    assert windows_built(builds) == len(test_windows) > 0
 
 
 def test_sweep_over_heads_builds_each_energy_graph_once(small_dataset, tmp_path, monkeypatch):
     builds = count_calls(monkeypatch, eg, "boltzmann_graph")
     assert run_cli("train", *fast_flags(small_dataset, tmp_path / "tr", epochs="1")) == 0
-    per_train = len(builds)
+    per_train = windows_built(builds)
+    assert len(builds) == 3                   # one per split
     builds.clear()
     assert run_cli("sweep", *fast_flags(small_dataset, tmp_path / "sw", epochs="1"),
                    "--axis", "heads", "--grid", "2,4") == 0
     assert per_train > 0
-    assert len(builds) == per_train
+    assert windows_built(builds) == per_train
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +474,50 @@ def test_graphgen_writes_edge_list(small_dataset, tmp_path):
     edges = list(out.glob("edges_t*.tsv"))
     assert len(edges) == 1
     assert edges[0].read_text().startswith("src\tdst\tweight\n")
+
+
+def test_graphgen_prints_each_splits_graph_statistics(tmp_path, capsys):
+    manifest = synth.write_dataset(tmp_path / "ds", 6, 120, seed=2)
+    tau, k, s = 7, 0.08, 0.25
+    assert run_cli("graphgen", "--manifest", str(manifest), "--out", str(tmp_path / "gg"),
+                   "--tau", str(tau), "--k", str(k), "--s", str(s)) == 0
+    printed = capsys.readouterr().out.splitlines()
+    # the same numbers from one-window oracle graphs, made dense
+    panel = md.select_indicators(md.load_panel(manifest), md.DEFAULT_INDICATORS)
+    splits = md.split_periods(panel, mdl.DEFAULT_RATIOS, tau, 1)
+    values = md.normalize(panel, splits).values
+    offdiag_total = 0
+    for name in ("train", "validation", "test"):
+        off = []
+        for t in getattr(splits, name):
+            window = values[:, t - tau + 1:t + 1, :].reshape(6, -1)
+            dense = np.asarray(one_window_graph(window, k, tau, s))
+            np.fill_diagonal(dense, 0.0)
+            off.append(dense > 0)
+        off = np.array(off)
+        offdiag_total += off.sum()
+        assert (f"{name}: {len(off)} windows, {off.sum() / len(off):.4f} off-diagonal edges "
+                f"per window, {off.any(axis=(1, 2)).mean():.4f} of windows with a neighbour "
+                f"row, isolated-node fraction {(~off.any(axis=2)).mean():.4f}") in printed
+    assert offdiag_total > 0
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+@pytest.mark.parametrize("argv", [
+    ["train"], ["ablate"], ["sweep", "--axis", "k", "--grid", "0.5,1.0"],
+    ["eval", "--model", "model.bin"], ["graphgen"],
+], ids=["train", "ablate", "sweep", "eval", "graphgen"])
+def test_out_that_is_a_file_exits_one_before_reading_data(small_dataset, tmp_path, monkeypatch,
+                                                          capsys, argv, below):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    reads = count_calls(monkeypatch, md, "_read_stock_csv")
+    loads = count_calls(monkeypatch, mdl, "load_model")
+    out = taken / "run" if below else taken
+    assert run_cli(argv[0], *fast_flags(small_dataset, out, epochs="1"), *argv[1:]) == 1
+    assert f"{taken} exists and is not a directory" in capsys.readouterr().err
+    assert reads == [] and loads == []
+    assert taken.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("t", ["99999", "-1", "5"])

@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from trendgat import energy_graph as eg
+from trendgat import market_data as md
 from trendgat.errors import ConfigError, NumericError, ShapeError
 
-from oracles import boltzmann_adjacency, from_dense, sparsify
+from oracles import boltzmann_adjacency, from_dense, one_window_graph, sparsify
+
+
+def graph_of(features, k, tau, s):
+    """``boltzmann_graph`` of one window: a stack of one."""
+    return eg.boltzmann_graph(np.asarray(features)[None], k, tau, s)[0]
 
 
 def brute_force_adjacency(features, k, tau):
@@ -61,19 +67,19 @@ def test_invalid_scaling_or_temperature_rejected():
     feats = np.ones((2, 3))
     for k in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="k must be positive"):
-            eg.boltzmann_graph(feats, k=k, tau=5, s=0.4)
+            graph_of(feats, k=k, tau=5, s=0.4)
     # a non-finite threshold is rejected before the range warning
     for s in (math.nan, math.inf, -math.inf):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="s must be finite"):
-                eg.boltzmann_graph(feats, k=0.5, tau=5, s=s)
+                graph_of(feats, k=0.5, tau=5, s=s)
         with pytest.raises(ConfigError, match="s must be finite"):
             eg.snapshot(0, feats, 0.5, 5, s)
     with pytest.raises(ConfigError):
-        eg.boltzmann_graph(feats, k=0.5, tau=0, s=0.4)
+        graph_of(feats, k=0.5, tau=0, s=0.4)
     with pytest.raises(ConfigError):
-        eg.boltzmann_graph(np.ones((1, 3)), k=0.5, tau=5, s=0.4)
+        graph_of(np.ones((1, 3)), k=0.5, tau=5, s=0.4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])   # 1e200 squared overflows
@@ -81,7 +87,7 @@ def test_non_finite_features_rejected(bad):
     feats = np.ones((3, 4))
     feats[1, 2] = bad
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
-        eg.boltzmann_graph(feats, k=0.5, tau=5, s=0.4)
+        graph_of(feats, k=0.5, tau=5, s=0.4)
 
 
 def test_rows_sum_to_one_on_random_instances():
@@ -161,7 +167,7 @@ def test_zero_threshold_leaves_matrix_unchanged():
     np.testing.assert_array_equal(sparsify(adj, 0.0), adj)
     feats = rng.standard_normal((4, 3))
     with pytest.warns(eg.ThresholdRangeWarning):
-        graph = eg.boltzmann_graph(feats, 0.5, 5, 0.0)
+        graph = graph_of(feats, 0.5, 5, 0.0)
     np.testing.assert_allclose(np.asarray(graph), boltzmann_adjacency(feats, 0.5, 5),
                                rtol=0, atol=1e-12)
 
@@ -176,7 +182,7 @@ def test_saturating_threshold_zeroes_everything():
     adj = np.full((3, 3), 1.0 / 3.0)
     assert (sparsify(adj, 0.9) == 0.0).all()
     with pytest.warns(eg.ThresholdRangeWarning):
-        graph = eg.boltzmann_graph(np.ones((3, 2)), 0.5, 5, 0.9)    # uniform rows of 1/3
+        graph = graph_of(np.ones((3, 2)), 0.5, 5, 0.9)    # uniform rows of 1/3
     np.testing.assert_array_equal(np.asarray(graph), 0.0)
 
 
@@ -195,7 +201,7 @@ def assert_matches_dense_oracle(features, k, tau, s):
     """The builder's edges are the positive entries of
     sparsify(boltzmann_adjacency(...)) plus every self-loop, row-major,
     with weights within 1e-12 (a self-loop below s carries 0.0)."""
-    graph = eg.boltzmann_graph(features, k, tau, s)
+    graph = graph_of(features, k, tau, s)
     dense = sparsify(boltzmann_adjacency(features, k, tau), s)
     keep = dense > 0
     np.fill_diagonal(keep, True)
@@ -248,7 +254,7 @@ def test_rows_keep_at_most_one_over_s_edges():
         else:   # energies spaced on the kernel's scale k * tau, where rows keep neighbours
             energies = np.cumsum(rng.exponential(rng.uniform(0.1, 2.0), n) * k * tau)
             feats = np.sqrt(rng.permutation(energies))[:, None]
-        per_row = np.diff(eg.boltzmann_graph(feats, k, tau, s).indptr)
+        per_row = np.diff(graph_of(feats, k, tau, s).indptr)
         assert per_row.max() <= max(1, math.floor(1.0 / s)), (case, s, per_row.max())
         if s > 0.5:
             assert (per_row == 1).all(), (case, s)
@@ -284,16 +290,107 @@ def test_builder_on_equal_energies_keeps_uniform_rows_or_only_self_loops(n, s, w
 
 def test_builder_keeps_the_dense_checks_and_warning():
     with pytest.raises(ConfigError):
-        eg.boltzmann_graph(np.ones((1, 3)), 0.5, 5, 0.4)
+        graph_of(np.ones((1, 3)), 0.5, 5, 0.4)
     with pytest.raises(ConfigError):
-        eg.boltzmann_graph(np.ones((2, 3)), 0.0, 5, 0.4)
+        graph_of(np.ones((2, 3)), 0.0, 5, 0.4)
     with pytest.raises(ConfigError):
-        eg.boltzmann_graph(np.ones((2, 3)), 0.5, 0, 0.4)
+        graph_of(np.ones((2, 3)), 0.5, 0, 0.4)
     with pytest.raises(NumericError, match="non-finite"):
-        eg.boltzmann_graph(np.array([[1.0, np.nan], [0.0, 1.0]]), 0.5, 5, 0.4)
+        graph_of(np.array([[1.0, np.nan], [0.0, 1.0]]), 0.5, 5, 0.4)
     with pytest.warns(eg.ThresholdRangeWarning):
         graph = eg.snapshot(0, np.eye(3), 0.5, 5, 0.9).adjacency
     np.testing.assert_array_equal(graph.weight, 0.0)     # nothing reaches 0.9
+
+
+# ---------------------------------------------------------------------------
+# boltzmann_graph over a stack of windows: bit for bit the one-window build
+# ---------------------------------------------------------------------------
+
+def panel_windows(n, seed, k=0.5, tau=7, days=60, f=4):
+    """Every window of a random N x days x f panel, as ``md.build_windows``
+    views it, with energies on the kernel's scale k * tau.  Stock 0 is all
+    zeros (zero energy).  With N = 2, stock 1 lies near it; otherwise stock
+    2 is stock 1 negated, so their energies tie exactly, far above the
+    rest: both kinds of pair keep their edges for s <= 0.4."""
+    rng = np.random.default_rng(seed)
+    scales = np.exp(rng.uniform(-1.2, 1.2, (n, 1, 1))) * math.sqrt(k / f)
+    values = rng.standard_normal((n, days, f)) * scales
+    values[0] = 0.0
+    if n == 2:
+        values[1] *= 0.1
+    else:
+        values[1] *= 30.0
+        values[2] = -values[1]
+    panel = md.IndicatorPanel(tickers=[f"S{i}" for i in range(n)], dates=[""] * days,
+                              values=values, indicators=["a"] * f, close=values[:, :, 0])
+    features, _ = md.build_windows(panel, md.usable_range(days, tau, 1), tau, 1)
+    return features
+
+
+def assert_bit_identical(graph, reference):
+    assert graph.n == reference.n
+    for name in ("indptr", "src", "weight"):
+        got, want = getattr(graph, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 100])
+@pytest.mark.parametrize("k,s", [(0.5, 0.4), (0.08, 0.25), (0.02, 0.1), (0.5, 0.0)])
+def test_stacked_build_is_bit_identical_to_one_window_at_a_time(n, k, s):
+    tau = 7
+    features = panel_windows(n, seed=n, k=k, tau=tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", eg.ThresholdRangeWarning)
+        graphs = eg.boltzmann_graph(features, k, tau, s)
+    assert len(graphs) == features.shape[0]
+    offdiag = 0
+    for window, graph in zip(features, graphs):
+        assert_bit_identical(graph, one_window_graph(window, k, tau, s))
+        offdiag += graph.src.size - n
+    assert offdiag > 0      # rows with neighbours are exercised
+
+
+def test_candidate_search_matches_searchsorted_on_ties_and_non_finite_queries():
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.integers(0, 6, (50, 9)).astype(float), axis=1)     # repeated entries
+    x[:5, -2:] = np.inf
+    q = np.concatenate((x, x + 0.5, -x, rng.uniform(-1, 7, (50, 6))), axis=1)
+    q[::7, 0], q[1::7, 1], q[2::7, 2] = np.nan, np.inf, -np.inf
+    np.testing.assert_array_equal(eg._count_below(x, q),
+                                  [np.searchsorted(row, queries) for row, queries in zip(x, q)])
+
+
+@pytest.mark.parametrize("block_bytes", [1, 20_000])
+def test_blocks_do_not_change_the_graphs(monkeypatch, block_bytes):
+    features = panel_windows(20, seed=5)
+    whole = eg.boltzmann_graph(features, 0.08, 7, 0.25)
+    monkeypatch.setattr(eg, "_BLOCK_BYTES", block_bytes)
+    for graph, reference in zip(eg.boltzmann_graph(features, 0.08, 7, 0.25), whole, strict=True):
+        assert_bit_identical(graph, reference)
+
+
+def test_stacked_build_names_the_non_finite_window_and_warns_once(monkeypatch):
+    features = panel_windows(5, seed=6).copy()
+    features[3, 1, 2] = np.nan
+    with pytest.raises(NumericError, match="window 3 has non-finite"):
+        eg.boltzmann_graph(features, 0.5, 7, 0.4)
+    monkeypatch.setattr(eg, "_BLOCK_BYTES", 1)       # one window per block
+    with pytest.raises(NumericError, match="window 3 has non-finite"):
+        eg.boltzmann_graph(features, 0.5, 7, 0.4)
+    monkeypatch.undo()
+    with pytest.warns(eg.ThresholdRangeWarning) as caught:
+        graphs = eg.boltzmann_graph(features[:3], 0.5, 7, 0.9)
+    assert len(caught) == 1 and len(graphs) == 3
+    assert eg.boltzmann_graph(features[:0], 0.5, 7, 0.4) == []
+
+
+def test_graph_statistics_count_neighbours_and_isolated_rows():
+    alone = from_dense(np.eye(3))
+    pair = from_dense(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert eg.graph_statistics([alone, pair]) == {
+        "windows": 2, "offdiag_edges_mean": 0.5, "neighbour_window_share": 0.5,
+        "isolated_frac": 5 / 6}
 
 
 def test_snapshot_at_2000_stocks_needs_no_dense_matrix():

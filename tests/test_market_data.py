@@ -397,7 +397,7 @@ def test_statistics_ignore_validation_days(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# build_sample
+# build_windows
 # ---------------------------------------------------------------------------
 
 def rising_panel(tmp_path, n_days=12):
@@ -405,11 +405,16 @@ def rising_panel(tmp_path, n_days=12):
                                       trading_dates(n_days), flat_values(10.0)))
 
 
+def window(panel, t, tau, phi):
+    """(features, labels) of the one window ending at t."""
+    features, labels = md.build_windows(panel, [t], tau, phi)
+    return features[0], labels[0]
+
+
 def test_strictly_rising_close_labels_all_up(tmp_path):
     panel = rising_panel(tmp_path)
-    sample = md.build_sample(panel, t=5, tau=3, phi=2)
-    np.testing.assert_array_equal(sample.labels,
-                                  np.tile([0, 1, 0, 1], (5, 1)))
+    _, labels = window(panel, t=5, tau=3, phi=2)
+    np.testing.assert_array_equal(labels, np.tile([0, 1, 0, 1], (5, 1)))
 
 
 def test_constant_close_labels_all_down(tmp_path):
@@ -417,71 +422,82 @@ def test_constant_close_labels_all_down(tmp_path):
     manifest = make_dataset(tmp_path, ["A", "B"], dates,
                             lambda t, j: (5.0, 6.0, 4.0, 5.0, 10.0))
     panel = md.load_panel(manifest)
-    sample = md.build_sample(panel, t=4, tau=2, phi=1)
-    np.testing.assert_array_equal(sample.labels, np.tile([1, 0], (2, 1)))
+    _, labels = window(panel, t=4, tau=2, phi=1)
+    np.testing.assert_array_equal(labels, np.tile([1, 0], (2, 1)))
 
 
 def test_sample_shapes(tmp_path):
-    panel = rising_panel(tmp_path, n_days=12)
-    sample = md.build_sample(md.select_indicators(panel, md.DEFAULT_INDICATORS),
-                             t=8, tau=7, phi=1)
-    assert sample.features.shape == (5, 28)
-    assert sample.labels.shape == (5, 2)
+    panel = md.select_indicators(rising_panel(tmp_path, n_days=12), md.DEFAULT_INDICATORS)
+    features, labels = md.build_windows(panel, [7, 8, 9], tau=7, phi=2)
+    assert features.shape == (3, 5, 28)
+    assert labels.shape == (3, 5, 4)
+    assert labels.dtype == np.int64 and labels[1].flags.c_contiguous
 
 
 def test_feature_layout_is_day_major(tmp_path):
     panel = rising_panel(tmp_path)
-    sample = md.build_sample(panel, t=4, tau=3, phi=1)
+    features, _ = window(panel, t=4, tau=3, phi=1)
     # first F entries of stock 0 are day t-2's indicators
-    np.testing.assert_array_equal(sample.features[0, :5], panel.values[0, 2, :])
-    np.testing.assert_array_equal(sample.features[0, 5:10], panel.values[0, 3, :])
+    np.testing.assert_array_equal(features[0, :5], panel.values[0, 2, :])
+    np.testing.assert_array_equal(features[0, 5:10], panel.values[0, 3, :])
 
 
 def test_features_are_read_only_views_of_the_panel(tmp_path):
     panel = rising_panel(tmp_path)
-    first = md.build_sample(panel, t=4, tau=3, phi=1)
-    second = md.build_sample(panel, t=5, tau=3, phi=1)
-    assert np.shares_memory(first.features, panel.values)
-    assert np.shares_memory(first.features, second.features)
+    features, _ = md.build_windows(panel, [4, 5], tau=3, phi=1)
+    first, second = features
+    assert np.shares_memory(first, panel.values)
+    assert np.shares_memory(first, second)
     with pytest.raises(ValueError):
-        first.features[0, 0] = 1.0
+        first[0, 0] = 1.0
 
 
 def test_out_of_range_t_rejected(tmp_path):
     panel = rising_panel(tmp_path, n_days=10)
-    with pytest.raises(IndexError):
-        md.build_sample(panel, t=1, tau=3, phi=1)
-    with pytest.raises(IndexError):
-        md.build_sample(panel, t=9, tau=3, phi=1)
+    with pytest.raises(IndexError, match="t=1 out of range"):
+        md.build_windows(panel, [1, 2, 3], tau=3, phi=1)
+    with pytest.raises(IndexError, match="t=9 out of range"):
+        md.build_windows(panel, [7, 8, 9], tau=3, phi=1)
+    with pytest.raises(ConfigError):
+        md.build_windows(panel, [4], tau=0, phi=1)
+
+
+def test_window_ends_must_be_consecutive(tmp_path):
+    panel = make_panel(tmp_path, n_stocks=3, n_days=20, seed=8)
+    features, labels = md.build_windows(panel, [5, 6, 7], tau=3, phi=2)
+    for b, t in enumerate([5, 6, 7]):
+        one_features, one_labels = window(panel, t, tau=3, phi=2)
+        np.testing.assert_array_equal(features[b], one_features)
+        np.testing.assert_array_equal(labels[b], one_labels)
+    for ts in ([3, 5, 7], [5, 4], [4, 4]):
+        with pytest.raises(ConfigError, match="consecutive"):
+            md.build_windows(panel, ts, tau=3, phi=1)
 
 
 def test_labels_are_one_hot_per_block(tmp_path):
     panel = make_panel(tmp_path, n_stocks=4, n_days=25, seed=5)
-    for t in md.usable_range(panel.n_days, 5, 2):
-        sample = md.build_sample(panel, t, tau=5, phi=2)
-        blocks = sample.labels.reshape(4, 2, 2)
-        assert set(np.unique(sample.labels)) <= {0, 1}
-        np.testing.assert_array_equal(blocks.sum(axis=2), np.ones((4, 2)))
+    _, labels = md.build_windows(panel, md.usable_range(panel.n_days, 5, 2), tau=5, phi=2)
+    assert set(np.unique(labels)) <= {0, 1}
+    np.testing.assert_array_equal(labels.reshape(-1, 4, 2, 2).sum(axis=3),
+                                  np.ones((labels.shape[0], 4, 2)))
 
 
 def test_no_lookahead_in_features(tmp_path):
     panel = make_panel(tmp_path, n_stocks=3, n_days=20, seed=6)
     t, tau, phi = 10, 4, 2
     # features are a view of the panel, so keep a copy of the window
-    before = md.build_sample(panel, t, tau, phi).features.copy()
+    before = window(panel, t, tau, phi)[0].copy()
     panel.values[:, t + 1:, :] += 123.0  # future days only
-    after = md.build_sample(panel, t, tau, phi)
-    np.testing.assert_array_equal(before, after.features)
+    np.testing.assert_array_equal(before, window(panel, t, tau, phi)[0])
 
 
 def test_labels_only_depend_on_forecast_steps(tmp_path):
     # labels compare closes over [t, t+phi]; earlier days must not matter
     panel = make_panel(tmp_path, n_stocks=3, n_days=20, seed=7)
     t, tau, phi = 10, 4, 1
-    before = md.build_sample(panel, t, tau, phi)
+    before = window(panel, t, tau, phi)[1]
     panel.close[:, :t] *= 1.7
-    after = md.build_sample(panel, t, tau, phi)
-    np.testing.assert_array_equal(before.labels, after.labels)
+    np.testing.assert_array_equal(before, window(panel, t, tau, phi)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -587,7 +587,9 @@ def _with_config_block(blob: bytes, cfg_blob: bytes) -> bytes:
     (lambda cfg: b"x" + cfg[1:], "not JSON"),
     (lambda cfg: b"[1, 2]", "not a JSON object"),
     (lambda cfg: json.dumps({**json.loads(cfg), "bogus": 1}).encode(), r"unknown keys \['bogus'\]"),
-], ids=["not_utf8", "not_json", "not_object", "unknown_key"])
+    (lambda cfg: json.dumps({**json.loads(cfg), "k": "big"}).encode().replace(
+        b'"big"', b"1" + b"0" * 5000), "not JSON: Exceeds"),
+], ids=["not_utf8", "not_json", "not_object", "unknown_key", "int_past_digit_limit"])
 def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     path = tmp_path / "model.bin"
     mdl.save_model(mdl.init_model(small_config()), path)
@@ -616,12 +618,14 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("s", math.inf, "config at offset 16: s must be finite, got inf"),
     ("grad_clip", -math.inf, "grad_clip must be a finite positive number, got -inf"),
     ("grad_clip", -1, "config at offset 16: grad_clip must be a finite positive number, got -1"),
+    ("k", 10**400, "config at offset 16: k must be finite, got 10{400}$"),
+    ("grad_clip", 10**400, "config at offset 16: grad_clip must be a finite positive number"),
     ("alpha", 3, "config at offset 16: alpha=3, but a model has 2 classes per step"),
     ("alpha", 2.0, "config at offset 16: alpha=2.0, but a model has 2 classes per step"),
 ], ids=["hidden_str", "layers_null", "tau_str", "hidden_huge", "grad_clip_str",
         "parallel_str", "heads_missized", "layers_huge", "heads_huge", "heads_not_dividing",
         "epochs_zero", "k_nan", "s_inf", "grad_clip_neg_inf", "grad_clip_negative",
-        "alpha_3", "alpha_float"])
+        "k_past_float", "grad_clip_past_float", "alpha_3", "alpha_float"])
 def test_mistyped_or_missized_config_is_format_error(tmp_path, capsys, key, value, match):
     from trendgat import cli
 
@@ -647,6 +651,13 @@ def test_config_is_frozen_and_checked_when_made():
         dataclasses.replace(cfg, heads=3)
     with pytest.raises(ConfigError, match="tau=7.0 is not int"):
         mdl.ModelConfig(tau=7.0)
+
+
+@pytest.mark.parametrize("key", ["k", "s", "lr", "wd", "grad_clip"])
+def test_config_rejects_an_int_too_large_for_a_float(key):
+    # math.isfinite raises OverflowError on such an int; the config says why instead
+    with pytest.raises(ConfigError, match=f"^{key} must be (finite|a finite positive number)"):
+        mdl.ModelConfig(**{key: 10**400})
 
 
 def test_header_holding_the_retired_alpha_field_loads(tmp_path):

@@ -40,10 +40,11 @@ def test_oracle_rule_scores_perfectly_on_generated_labels(tmp_path):
     scales = synth.stock_scales(10, spec)
     hits = 0
     total = 0
-    for t in range(spec.warmup, panel.n_days - 1):
-        sample = md.build_sample(panel, t, tau=2, phi=1)
+    ts = range(spec.warmup, panel.n_days - 1)
+    _, labels = md.build_windows(panel, ts, tau=2, phi=1)
+    for t, label in zip(ts, labels):
         dirs = synth.rule_directions(panel.close, scales, spec, t)
-        hits += int((sample.labels[:, 1] == (dirs > 0)).sum())
+        hits += int((label[:, 1] == (dirs > 0)).sum())
         total += 10
     assert hits == total
 
