@@ -175,11 +175,11 @@ def check_ranges(config: mdl.ModelConfig) -> None:
             raise ConfigError(f"{key}={val} outside the permitted range [{lo}, {hi}]")
 
 
-def output_dir(spec: ExperimentSpec) -> Path:
-    """The spec's output directory, checked before any data is read: a path
-    that exists as something other than a directory, or under such a path,
-    is a ConfigError."""
-    out_dir = Path(spec.out_dir)
+def output_dir(out) -> Path:
+    """The output directory ``out``, checked before any data is read or
+    generated: a path that exists as something other than a directory, or
+    under such a path, is a ConfigError."""
+    out_dir = Path(out)
     for path in (out_dir, *out_dir.parents):
         if path.exists():
             if not path.is_dir():
@@ -241,7 +241,7 @@ def run_variants(spec: ExperimentSpec, variants) -> list[dict]:
     model trains.  The panel is loaded once, and consecutive variants that
     share tau, phi, k, s and graph source share one set of datasets; at
     most one set is alive at a time."""
-    out_dir = output_dir(spec)
+    out_dir = output_dir(spec.out_dir)
     # report reads every metrics file under the directory, so one from an
     # earlier run would be pooled with this run's
     stale = min(out_dir.rglob("metrics_*seed*.json"), default=None)
@@ -309,7 +309,7 @@ def cmd_train(spec: ExperimentSpec) -> int:
 
 
 def cmd_eval(spec: ExperimentSpec, model_path: str) -> int:
-    out_dir = output_dir(spec)
+    out_dir = output_dir(spec.out_dir)
     params = mdl.load_model(model_path)
     eval_spec = dataclasses.replace(spec, config=params.config)
     write_resolved_spec(eval_spec, out_dir)
@@ -356,7 +356,7 @@ def cmd_sweep(spec: ExperimentSpec, axis: str, grid_raw: str) -> int:
 def cmd_graphgen(spec: ExperimentSpec, t: int | None) -> int:
     """Build every window's graph, print each split's ``eg.graph_statistics``
     and export the graph of day t (default: the last training day)."""
-    out_dir = output_dir(spec)
+    out_dir = output_dir(spec.out_dir)
     write_resolved_spec(spec, out_dir)
     panel = _load_panel(spec, [spec.config])
     cfg = spec.config
@@ -366,28 +366,29 @@ def cmd_graphgen(spec: ExperimentSpec, t: int | None) -> int:
                           f"for tau={cfg.tau}, phi={cfg.phi} and {panel.n_days} days")
     datasets = mdl.build_datasets(panel, cfg, spec.ratios)
     for name, split in datasets.items():
-        stats = eg.graph_statistics([sample.snapshot.adjacency for sample in split])
+        stats = eg.graph_statistics(split.graphs)
         print(f"{name}: {stats['windows']} windows, {stats['offdiag_edges_mean']:.4f} "
               f"off-diagonal edges per window, {stats['neighbour_window_share']:.4f} of "
               f"windows with a neighbour row, isolated-node fraction {stats['isolated_frac']:.4f}")
     if t is None:
-        t = datasets["train"][-1].snapshot.t
-    # the splits partition the usable range, so exactly one window ends at t
-    snap = next(sample.snapshot for split in datasets.values() for sample in split
-                if sample.snapshot.t == t)
-    edges = eg.export_edges(snap.adjacency, panel.tickers, out_dir / f"edges_t{t}.tsv")
-    eg.export_dense(snap.adjacency, panel.tickers, out_dir / f"adjacency_t{t}.csv")
+        t = datasets["train"].ts[-1]
+    # the splits partition the usable range, so exactly one of them holds t
+    split = next(split for split in datasets.values() if t in split.ts)
+    graph = split.graphs[split.ts.index(t)]
+    edges = eg.export_edges(graph, panel.tickers, out_dir / f"edges_t{t}.tsv")
+    eg.export_dense(graph, panel.tickers, out_dir / f"adjacency_t{t}.csv")
     print(f"t={t} ({panel.dates[t]}): {edges} edges -> {out_dir / f'edges_t{t}.tsv'}")
     return 0
 
 
 def cmd_synth(out: str, n: int, days: int, seed: int) -> int:
+    out_dir = output_dir(out)
     rule_spec = synth.RuleSpec()
-    manifest = synth.write_dataset(out, n, days, seed, rule_spec)
+    manifest = synth.write_dataset(out_dir, n, days, seed, rule_spec)
     resolved = {"mode": "synth", "out": str(out), "n": n, "days": days,
                 "f": len(md.DEFAULT_INDICATORS), "seed": seed,
                 "rule": dataclasses.asdict(rule_spec)}
-    (Path(out) / "spec_resolved.json").write_text(
+    (out_dir / "spec_resolved.json").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(manifest)
     return 0

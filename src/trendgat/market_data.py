@@ -49,11 +49,11 @@ class IndicatorPanel:
 
 @dataclass
 class DatasetSplits:
-    """Chronological sample-index blocks; every index is a window end t."""
+    """Chronological blocks of window ends t, consecutive days each."""
 
-    train: list[int]
-    validation: list[int]
-    test: list[int]
+    train: range
+    validation: range
+    test: range
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -237,7 +237,7 @@ def normalize(panel: IndicatorPanel, splits: DatasetSplits) -> IndicatorPanel:
     statistics overflow float64 is a NumericError."""
     if not splits.train:
         raise InsufficientDataError("empty training split")
-    stat_days = max(splits.train) + 1
+    stat_days = splits.train[-1] + 1
     if stat_days < 2:
         raise InsufficientDataError("training split must cover at least 2 days")
     train_slice = panel.values[:, :stat_days, :]
@@ -267,9 +267,9 @@ def build_windows(panel: IndicatorPanel, ts, tau: int, phi: int) -> tuple[np.nda
     day-major, so it is a read-only view of ``panel.values`` and
     consecutive windows share memory; no window is copied.  That needs the
     window ends to be consecutive days, as a split's are.  ``labels`` is a
-    B x N x (phi*CLASSES) int64 array, one
-    CLASSES block per step: class 1 when adjusted close rises, class 0
-    otherwise (ties count as down).
+    read-only B x N x (phi*CLASSES) int64 array, one CLASSES block per
+    step: class 1 when adjusted close rises, class 0 otherwise (ties count
+    as down).
     """
     if tau < 1 or phi < 1:
         raise ConfigError(f"tau and phi must be >= 1, got tau={tau}, phi={phi}")
@@ -291,6 +291,7 @@ def build_windows(panel: IndicatorPanel, ts, tau: int, phi: int) -> tuple[np.nda
     labels = np.empty(steps.shape + (CLASSES,), dtype=np.int64)
     labels[..., 0] = ~steps                               # class 0: down or flat
     labels[..., 1] = steps                                # class 1: up
+    labels.flags.writeable = False
     return features, labels.reshape(ts.size, n, phi * CLASSES)
 
 
@@ -305,7 +306,7 @@ def split_periods(panel: IndicatorPanel, ratios: tuple[int, int, int],
     proportional to the ratios (floor, then remainder left to right)."""
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ConfigError(f"ratios must be three positive integers, got {ratios}")
-    ts = list(usable_range(panel.n_days, tau, phi))
+    ts = usable_range(panel.n_days, tau, phi)
     usable = len(ts)
     total = sum(ratios)
     sizes = [usable * r // total for r in ratios]

@@ -4,13 +4,12 @@ Evaluation pools every (stock, step) prediction over all scored days into
 one confusion matrix and computes each metric once (micro-pooling).
 Degenerate cases are total: a zero factor in the MCC denominator or an
 all-negative F1 yields 0.0 with a flag in the record.  A ``Split`` holds
-one split's samples and keeps, once built, the stacked graphs and true
-classes that every evaluation of it reads.
+one split's windows as stacked arrays and keeps, once built, the stacked
+graphs and true classes that every evaluation of it reads.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,76 +104,75 @@ def metrics_record(c: ConfusionCounts) -> dict:
     }
 
 
-class Split(tuple):
-    """One split's samples, in time order: an immutable sequence that
-    ``evaluate`` scores.
+@dataclass
+class Sample:
+    """One window of a split: its graph snapshot plus its labels."""
 
-    On first evaluation the split cuts its samples into chunks (see
-    ``_chunks``), stacks each chunk's graphs with ``energy_graph.stack``
-    and pools the true class of every (stock, step), and it keeps both:
-    later evaluations of the split, such as every epoch's validation,
-    build neither again, and each stacked graph keeps the ``structure``
-    its first forward built.  The chunk size is fixed then.  Chunk
-    features are not kept; each evaluation joins the samples' own arrays.
-    The split reads its samples' graphs and labels once, so they must not
-    change after it is first scored.
+    snapshot: eg.GraphSnapshot
+    labels: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """One split's B windows, in time order, in the arrays they are built
+    in: window b ends on day ``ts[b]`` and has features ``features[b]``,
+    labels ``labels[b]`` and graph ``graphs[b]``; ``split[b]`` makes it a
+    ``Sample`` on demand.
+
+    On first evaluation the split cuts its windows into chunks of at most
+    ``CHUNK_ROWS`` rows (a larger window stands alone), stacks each chunk's
+    graphs with ``energy_graph.stack`` and pools the true class of every
+    (stock, step).  It keeps both, so later evaluations, such as every
+    epoch's validation, build neither again, and each stacked graph keeps
+    the ``structure`` its first forward built.  ``build_windows`` and
+    ``CsrGraph`` make the labels and graphs read-only, so neither goes stale.
     """
 
+    ts: range
+    features: np.ndarray   # B x N x (tau*F)
+    labels: np.ndarray     # B x N x (phi*CLASSES)
+    graphs: tuple          # B CsrGraphs of N nodes
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, b: int) -> Sample:
+        return Sample(eg.GraphSnapshot(self.ts[b], self.features[b], self.graphs[b]),
+                      self.labels[b])
+
     @cached_property
-    def chunks(self) -> tuple[tuple[tuple, eg.CsrGraph], ...]:
-        """(samples, their stacked graph) per chunk, in sample order."""
-        return tuple((chunk, eg.stack(sample.snapshot.adjacency for sample in chunk))
-                     for chunk in _chunks(self))
+    def chunks(self) -> tuple[tuple[slice, eg.CsrGraph], ...]:
+        """(window slice, their stacked graph) per chunk, in window order."""
+        size = max(1, CHUNK_ROWS // self.features.shape[1])
+        slices = (slice(start, start + size) for start in range(0, len(self), size))
+        return tuple((chunk, eg.stack(self.graphs[chunk])) for chunk in slices)
 
     @cached_property
     def classes(self) -> np.ndarray:
-        """The true class of every (stock, step), sample by sample: each
+        """The true class of every (stock, step), window by window: each
         ``md.CLASSES``-wide one-hot label block's first maximum."""
-        labels = np.concatenate([sample.labels for sample in self])
-        return labels.reshape(-1, md.CLASSES).argmax(axis=1)
+        return self.labels.reshape(-1, md.CLASSES).argmax(axis=1)
 
 
-def as_split(samples) -> Split:
-    """``samples`` if it is a ``Split``, else a new one holding them."""
-    return samples if isinstance(samples, Split) else Split(samples)
+def evaluate(params, split: Split) -> dict:
+    """Pool predictions of every window of ``split`` into one confusion
+    matrix and score it.
 
-
-def evaluate(params, samples) -> dict:
-    """Pool predictions of every sample into one confusion matrix and score
-    it; samples are (GraphSnapshot, labels) pairs, a ``Split`` or any
-    sequence (wrapped in a new ``Split``, so pass the same ``Split`` to
-    score a split repeatedly without stacking it again).
-
-    Consecutive samples of the same shape are joined into chunks of at
-    most ``CHUNK_ROWS`` rows, or one sample if it is larger: features
-    stacked row-wise to (B * N) x tau*f and graphs by ``energy_graph.stack``
-    (see ``gnn_blocks``).  Each chunk is scored by one ``model.forward``
-    call, each ``md.CLASSES``-wide logit block's first maximum being its class, so
-    ties go to class 0 as in ``model.predict``.  Every snapshot still
-    attends only within itself, so the predictions are those of one
-    ``predict`` call per sample, but each primitive runs once per chunk
-    instead of once per snapshot.  The dense attention keeps B x H x N x N
-    scores per chunk.
+    Each chunk of the split is scored by one ``model.forward`` call, its
+    features stacked row-wise to (B * N) x tau*F and its graphs by
+    ``energy_graph.stack`` (see ``gnn_blocks``); each ``md.CLASSES``-wide
+    logit block's first maximum is its class, so ties go to class 0 as in
+    ``model.predict``.  Every snapshot still attends only within itself,
+    so the predictions are those of one ``predict`` call per window, but
+    each primitive runs once per chunk.  The dense attention keeps
+    B x H x N x N scores per chunk.
     """
     from . import model  # deferred: model depends on this module too
-    if not samples:
+    if not split:
         raise ValueError("evaluate: no samples")
-    split = as_split(samples)
     preds = []
     for chunk, graph in split.chunks:
-        features = np.concatenate([sample.snapshot.features for sample in chunk])
-        logits = model.forward(params, eg.GraphSnapshot(chunk[0].snapshot.t, features, graph))
+        features = split.features[chunk].reshape(-1, split.features.shape[2])
+        logits = model.forward(params, eg.GraphSnapshot(split.ts[chunk.start], features, graph))
         preds.append(logits.data.reshape(-1, md.CLASSES).argmax(axis=1))
     return metrics_record(confusion(split.classes, np.concatenate(preds)))
-
-
-def _chunks(samples):
-    """Runs of consecutive samples with equal feature and adjacency shapes,
-    cut into chunks of at most ``CHUNK_ROWS`` rows (a larger sample stands
-    alone)."""
-    shapes = lambda sample: (sample.snapshot.features.shape, sample.snapshot.adjacency.shape)
-    for (features_shape, _), run in itertools.groupby(samples, key=shapes):
-        run = tuple(run)
-        size = max(1, CHUNK_ROWS // max(1, features_shape[0]))
-        for start in range(0, len(run), size):
-            yield run[start:start + size]

@@ -70,6 +70,10 @@ class ModelConfig:
                 raise ConfigError(f"{field.name}={value!r} is not {field.type}")
         if self.phi < 1 or self.epochs < 1 or self.hidden < 1:
             raise ConfigError("phi, epochs and hidden must be positive")
+        if self.tau < 1:
+            raise ConfigError(f"tau must be positive (at least one lag day), got {self.tau}")
+        if self.layers < 0:
+            raise ConfigError(f"layers must not be negative, got {self.layers}")
         if self.f < 1:
             raise ConfigError(f"f must be positive (at least one indicator), got {self.f}")
         for key in ("k", "s", "lr", "wd"):
@@ -139,14 +143,6 @@ class ModelParams:
 
     def parameter_count(self) -> int:
         return self.flat.size
-
-
-@dataclass
-class Sample:
-    """One training/evaluation unit: a graph snapshot plus its labels."""
-
-    snapshot: eg.GraphSnapshot
-    labels: np.ndarray
 
 
 # AdamW moment decay rates and the guard added to the denominator
@@ -243,49 +239,43 @@ class TrainResult:
     best_val_acc: float
 
 
-def samples_from_panel(panel: md.IndicatorPanel, ts, config: ModelConfig,
-                       adjacency: eg.CsrGraph | None = None) -> list[Sample]:
-    """Window, label and graph every time step in ts (adjacency depends only
-    on the inputs, so it is built once and reused across epochs): one
-    ``md.build_windows`` call for all of them, then one
-    ``eg.boltzmann_graph`` call for their energy graphs.  A fixed
-    ``adjacency`` (e.g. the sector graph) replaces the energy graphs."""
-    features, labels = md.build_windows(panel, ts, config.tau, config.phi)
-    graphs = (itertools.repeat(adjacency) if adjacency is not None
-              else eg.boltzmann_graph(features, config.k, config.tau, config.s))
-    return [Sample(snapshot=eg.GraphSnapshot(t, f, graph), labels=y)
-            for t, f, y, graph in zip(ts, features, labels, graphs)]
-
-
 def build_datasets(panel: md.IndicatorPanel, config: ModelConfig,
                    ratios: tuple[int, int, int] = DEFAULT_RATIOS,
                    adjacency: eg.CsrGraph | None = None,
                    names: tuple[str, ...] = ("train", "validation", "test"),
                    ) -> dict[str, mt.Split]:
     """Split chronologically, normalize with train-only statistics, and
-    materialize samples for the splits in ``names`` (all three by default),
-    each a ``metrics.Split``: it stacks its evaluation chunks on first use
-    and keeps them, so scoring a split again, in any later epoch, seed or
-    variant, reuses them."""
+    build the splits in ``names`` (all three by default), each a
+    ``metrics.Split``: one ``md.build_windows`` call windows and labels
+    all its days, one ``eg.boltzmann_graph`` call builds their energy
+    graphs, or a fixed ``adjacency`` (e.g. the sector graph) serves every
+    window.  A split stacks its evaluation chunks on first use and keeps
+    them, so scoring it again, in any later epoch, seed or variant, reuses
+    them."""
     splits = md.split_periods(panel, ratios, config.tau, config.phi)
     normalized = md.normalize(panel, splits)
-    return {name: mt.Split(samples_from_panel(normalized, getattr(splits, name), config,
-                                              adjacency))
-            for name in names}
+    datasets = {}
+    for name in names:
+        ts = getattr(splits, name)
+        features, labels = md.build_windows(normalized, ts, config.tau, config.phi)
+        graphs = ((adjacency,) * len(ts) if adjacency is not None
+                  else tuple(eg.boltzmann_graph(features, config.k, config.tau, config.s)))
+        datasets[name] = mt.Split(ts, features, labels, graphs)
+    return datasets
 
 
-def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelConfig,
+def train(train_split: mt.Split, val_split: mt.Split, config: ModelConfig,
           stop_at_val_acc: float | None = None) -> TrainResult:
     """Train with one optimizer step per time step (all stocks at once),
-    sweeping the training period chronologically each epoch; keeps the
-    parameters of the best validation-accuracy epoch.  ``val_samples`` is
-    taken as one ``metrics.Split`` for the run, so its evaluation chunks
-    are stacked once.
+    sweeping the training split's windows chronologically each epoch;
+    keeps the parameters of the best validation-accuracy epoch.  The
+    validation split stacks its evaluation chunks once, in the first
+    epoch.
 
     ``stop_at_val_acc`` ends the run early once the best validation
     accuracy reaches the target (used by budgeted acceptance runs).
     """
-    if not train_samples:
+    if not train_split:
         raise ConfigError("train: need at least one training sample")
     params = init_model(config)
     opt = OptimizerState()
@@ -293,12 +283,11 @@ def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelC
     best = -1.0
     best_epoch = -1
     best_flat = params.flat.copy()
-    scale = 1.0 / len(train_samples)
-    val_samples = mt.as_split(val_samples)
+    scale = 1.0 / len(train_split)
 
     for epoch in range(1, config.epochs + 1):
         total = 0.0
-        for sample in train_samples:
+        for sample in train_split:
             params.grad.fill(0.0)
             with ad.Tape() as tape:
                 out = forward(params, sample.snapshot)
@@ -314,8 +303,8 @@ def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelC
         train_loss = total * scale
 
         record: dict = {"epoch": epoch, "train_loss": train_loss}
-        if val_samples:
-            val = mt.evaluate(params, val_samples)
+        if val_split:
+            val = mt.evaluate(params, val_split)
             record.update(val_acc=val["acc"], val_mcc=val["mcc"], val_f1=val["f1"])
             if val["acc"] > best:
                 best = val["acc"]
@@ -325,7 +314,7 @@ def train(train_samples: list[Sample], val_samples: list[Sample], config: ModelC
         if stop_at_val_acc is not None and best >= stop_at_val_acc:
             break
 
-    if not val_samples:
+    if not val_split:
         best_flat, best_epoch, best = params.flat, config.epochs, float("nan")
     return TrainResult(params=ModelParams(params.config, best_flat.copy()), final_params=params,
                        history=history, best_epoch=best_epoch, best_val_acc=best)

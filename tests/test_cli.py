@@ -520,6 +520,40 @@ def test_out_that_is_a_file_exits_one_before_reading_data(small_dataset, tmp_pat
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_synth_out_that_is_a_file_exits_one_before_generating(tmp_path, monkeypatch, capsys,
+                                                              below):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    generated = count_calls(monkeypatch, synth, "generate")
+    out = taken / "data" if below else taken
+    assert run_cli("synth", "--out", str(out), "--n", "3", "--days", "40") == 1
+    assert f"{taken} exists and is not a directory" in capsys.readouterr().err
+    assert generated == []
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("day", ["first_validation", "last_usable"])
+def test_graphgen_exports_the_graph_of_the_given_day(small_dataset, tmp_path, capsys, day):
+    tau, k, s = 7, 0.08, 0.25
+    panel = md.select_indicators(md.load_panel(small_dataset), md.DEFAULT_INDICATORS)
+    splits = md.split_periods(panel, mdl.DEFAULT_RATIOS, tau, 1)
+    # neither is the default day, the last training day
+    t = (splits.validation[0] if day == "first_validation"
+         else md.usable_range(panel.n_days, tau, 1)[-1])
+    out = tmp_path / "gg"
+    assert run_cli("graphgen", "--manifest", str(small_dataset), "--out", str(out),
+                   "--tau", str(tau), "--k", str(k), "--s", str(s), "--t", str(t)) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"t={t} ({panel.dates[t]}): ")
+    window = md.normalize(panel, splits).values[:, t - tau + 1:t + 1, :].reshape(6, -1)
+    want = np.asarray(one_window_graph(window, k, tau, s))
+    got = np.loadtxt(out / f"adjacency_t{t}.csv", delimiter=",", skiprows=1,
+                     usecols=range(1, 7))
+    np.testing.assert_array_equal(got, want)
+    edges = (out / f"edges_t{t}.tsv").read_text().splitlines()
+    assert len(edges) == 1 + np.count_nonzero(want)
+
+
 @pytest.mark.parametrize("t", ["99999", "-1", "5"])
 def test_graphgen_index_outside_usable_range_exits_one(small_dataset, tmp_path, capsys, t):
     assert run_cli("graphgen", "--manifest", str(small_dataset), "--out", str(tmp_path / "gg"),
@@ -545,10 +579,12 @@ def test_usage_error_exits_one():
     (("--no-range-check", "--wd", "inf"), "wd must be finite, got inf"),
     (("--heads", "3"), "heads 3 must divide the fused width 32"),
     (("--no-range-check", "--heads", "33"), "heads must be in [1, 32], got 33"),
+    (("--no-range-check", "--tau", "0"), "tau must be positive (at least one lag day), got 0"),
+    (("--no-range-check", "--layers", "-1"), "layers must not be negative, got -1"),
 ], ids=["grad_clip_negative", "grad_clip_zero", "grad_clip_nan", "grad_clip_inf",
         "no_indicators", "k_nan_unchecked", "k_inf_unchecked", "s_nan_unchecked",
         "lr_nan_unchecked", "wd_inf_unchecked", "heads_not_dividing",
-        "heads_above_fused_width_unchecked"])
+        "heads_above_fused_width_unchecked", "tau_zero_unchecked", "layers_negative_unchecked"])
 def test_setting_no_model_trains_with_exits_one(small_dataset, tmp_path, capsys, flags, message):
     out = tmp_path / "o"
     assert run_cli("train", *fast_flags(small_dataset, out), *flags) == 1

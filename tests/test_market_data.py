@@ -337,7 +337,7 @@ def test_normalize_two_value_hand_case(tmp_path):
     write_stock_csv(tmp_path / "B.csv", dates, rows)
     write_manifest(tmp_path / "m.csv", [("A", "A.csv"), ("B", "B.csv")])
     panel = md.load_panel(tmp_path / "m.csv")
-    splits = md.DatasetSplits(train=[1], validation=[2, 3], test=[4])
+    splits = md.DatasetSplits(train=range(1, 2), validation=range(2, 4), test=range(4, 5))
     out = md.normalize(panel, splits)
     np.testing.assert_allclose(out.values[0, :2, 3], [-1.0, 1.0], atol=1e-12)
 
@@ -432,6 +432,7 @@ def test_sample_shapes(tmp_path):
     assert features.shape == (3, 5, 28)
     assert labels.shape == (3, 5, 4)
     assert labels.dtype == np.int64 and labels[1].flags.c_contiguous
+    assert not labels.flags.writeable and not labels[1].flags.writeable
 
 
 def test_feature_layout_is_day_major(tmp_path):
@@ -511,6 +512,9 @@ def test_exact_ratio_split(tmp_path):
     assert (len(splits.train), len(splits.validation), len(splits.test)) == (457, 63, 261)
     assert max(splits.train) < min(splits.validation) < min(splits.test)
     assert splits.train[0] == 6
+    # slices of the usable range: consecutive window ends, no list of them
+    assert (splits.train, splits.validation, splits.test) == (
+        range(6, 463), range(463, 526), range(526, 787))
 
 
 def test_even_split(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from trendgat import metrics as mt
 
 from oracles import from_dense
+from test_model import random_split
 
 
 def oracle_metrics(tp, tn, fp, fn):
@@ -134,30 +135,15 @@ def test_pooling_equals_concatenated_confusion():
 
 
 # ---------------------------------------------------------------------------
-# evaluate: chunked inference against one predict call per sample
+# evaluate: chunked inference against one predict call per window
 # ---------------------------------------------------------------------------
 
-def _samples(rng, cfg, counts_by_n):
-    from trendgat import energy_graph as eg
-    from trendgat import model as mdl
-    out = []
-    for n, count in counts_by_n:
-        for _ in range(count):
-            feats = rng.standard_normal((n, cfg.input_width))
-            labels = np.zeros((n, cfg.output_width), dtype=np.int64)
-            for j in range(cfg.phi):
-                labels[np.arange(n), j * cfg.alpha + rng.integers(0, 2, n)] = 1
-            out.append(mdl.Sample(snapshot=eg.snapshot(0, feats, cfg.k, cfg.tau, 0.25),
-                                  labels=labels))
-    return out
-
-
-def _predict_reference(params, samples):
-    """One ``predict`` call per sample, pooled: what ``evaluate`` must equal."""
+def _predict_reference(params, split):
+    """One ``predict`` call per window, pooled: what ``evaluate`` must equal."""
     from trendgat import model as mdl
     cfg = params.config
     trues, preds = [], []
-    for sample in samples:
+    for sample in split:
         classes, _ = mdl.predict(params, sample.snapshot)
         trues.append(sample.labels.reshape(-1, cfg.phi, cfg.alpha).argmax(axis=2).ravel())
         preds.append(classes.ravel())
@@ -169,17 +155,19 @@ def test_chunked_evaluate_equals_per_sample_predictions(monkeypatch):
     rng = np.random.default_rng(5)
     cfg = mdl.ModelConfig(tau=3, k=0.5, s=0.25, f=2, phi=2, hidden=6, heads=2, layers=2, seed=1)
     params = mdl.init_model(cfg)
-    # 30 rows: 13 samples per chunk, 40 = 3 * 13 + 1; 7 rows: 57 per chunk
-    runs = [(30, 40), (7, 60), (30, 2)]
-    samples = _samples(rng, cfg, runs)
-    reference = _predict_reference(params, samples)
+    # 30 rows: 13 windows per chunk, 40 = 3 * 13 + 1; 7 rows: 57 per chunk
+    cases = [(random_split(rng, n, cfg, windows), rows) for n, windows, rows in
+             [(30, 40, [390, 390, 390, 30]), (7, 60, [399, 21]), (30, 2, [60])]]
+    references = [_predict_reference(params, split) for split, _ in cases]
 
     calls = []
     forward = mdl.forward
     monkeypatch.setattr(mdl, "forward", lambda p, snap: calls.append(snap) or forward(p, snap))
-    assert mt.evaluate(params, samples) == reference
-    assert [snap.features.shape[0] for snap in calls] == [390, 390, 390, 30, 399, 21, 60]
-    assert all(rows <= mt.CHUNK_ROWS for rows in (snap.adjacency.shape[0] for snap in calls))
+    for (split, rows), reference in zip(cases, references):
+        calls.clear()
+        assert mt.evaluate(params, split) == reference
+        assert [snap.features.shape[0] for snap in calls] == rows
+        assert [snap.adjacency.shape[0] for snap in calls] == rows
 
 
 def test_evaluate_scores_a_sample_larger_than_a_chunk_alone(monkeypatch):
@@ -187,11 +175,11 @@ def test_evaluate_scores_a_sample_larger_than_a_chunk_alone(monkeypatch):
     rng = np.random.default_rng(6)
     cfg = mdl.ModelConfig(tau=3, k=0.5, s=0.25, f=2, hidden=4, heads=2, layers=2, seed=2)
     params = mdl.init_model(cfg)
-    samples = _samples(rng, cfg, [(mt.CHUNK_ROWS + 1, 2)])
+    split = random_split(rng, mt.CHUNK_ROWS + 1, cfg, windows=2)
     calls = []
     forward = mdl.forward
     monkeypatch.setattr(mdl, "forward", lambda p, snap: calls.append(snap) or forward(p, snap))
-    assert mt.evaluate(params, samples)["n"] == 2 * (mt.CHUNK_ROWS + 1)
+    assert mt.evaluate(params, split)["n"] == 2 * (mt.CHUNK_ROWS + 1)
     assert [snap.adjacency.shape for snap in calls] == [(mt.CHUNK_ROWS + 1,) * 2] * 2
 
 
@@ -205,28 +193,25 @@ def test_a_split_stacks_each_chunk_once(monkeypatch):
     rng = np.random.default_rng(7)
     cfg = mdl.ModelConfig(tau=3, k=0.5, s=0.25, f=2, phi=2, hidden=6, heads=2, layers=2, seed=3)
     params = mdl.init_model(cfg)
-    # 30 rows: 13 samples per chunk, so 20 samples make 2 chunks; 7 rows: 1 chunk
-    samples = _samples(rng, cfg, [(30, 20), (7, 5)])
-    reference = _predict_reference(params, samples)
+    # 30 rows: 13 windows per chunk, so 20 windows make 2 chunks; 7 rows: 1 chunk
+    splits = [random_split(rng, 30, cfg, windows=20), random_split(rng, 7, cfg, windows=5)]
+    references = [_predict_reference(params, split) for split in splits]
 
     stacked = []
     stack = eg.stack
     monkeypatch.setattr(eg, "stack", lambda graphs: stacked.append(1) or stack(graphs))
-    split = mt.Split(samples)
-    assert mt.evaluate(params, split) == reference
-    assert mt.evaluate(params, split) == reference
-    assert len(stacked) == len(split.chunks) == 3
-    # a plain list is wrapped anew on every call
-    assert mt.evaluate(params, samples) == reference
-    assert len(stacked) == 6
+    for split, reference in zip(splits, references):
+        assert mt.evaluate(params, split) == reference
+        assert mt.evaluate(params, split) == reference
+    assert len(stacked) == sum(len(split.chunks) for split in splits) == 3
 
 
 def test_evaluating_an_empty_split_is_value_error():
     from trendgat import model as mdl
-    params = mdl.init_model(mdl.ModelConfig(tau=3, f=2, hidden=4, heads=2, layers=2))
-    for empty in ([], mt.Split()):
-        with pytest.raises(ValueError, match="no samples"):
-            mt.evaluate(params, empty)
+    cfg = mdl.ModelConfig(tau=3, f=2, hidden=4, heads=2, layers=2)
+    empty = random_split(np.random.default_rng(0), 4, cfg, windows=0)
+    with pytest.raises(ValueError, match="no samples"):
+        mt.evaluate(mdl.init_model(cfg), empty)
 
 
 def test_evaluation_and_self_loop_stacks_build_no_source_order(monkeypatch):
@@ -242,14 +227,13 @@ def test_evaluation_and_self_loop_stacks_build_no_source_order(monkeypatch):
     rng = np.random.default_rng(8)
     cfg = mdl.ModelConfig(tau=3, k=0.5, s=0.25, f=2, hidden=4, heads=2, layers=2, seed=4)
     params = mdl.init_model(cfg)
-    samples = _samples(rng, cfg, [(30, 3)])
-    split = mt.Split(samples)
+    split = random_split(rng, 30, cfg, windows=3)
     mt.evaluate(params, split)
     assert all(graph.structure.multi is not None for _, graph in split.chunks)
     assert built == []
 
     # the backward into the graph layer's right projection builds it, once
-    sample = next(s for s in samples if s.snapshot.adjacency.structure.multi is not None)
+    sample = next(s for s in split if s.snapshot.adjacency.structure.multi is not None)
     for _ in range(2):
         with ad.Tape() as tape:
             tape.backward(mdl.loss(mdl.forward(params, sample.snapshot), sample.labels))

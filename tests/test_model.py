@@ -28,15 +28,14 @@ def small_config(**overrides):
                                      lr=1e-3, wd=1e-4, epochs=10, seed=0), **overrides})
 
 
-def random_sample(rng, n, cfg, labels=None):
-    feats = rng.standard_normal((n, cfg.input_width))
-    snap = eg.snapshot(0, feats, cfg.k, cfg.tau, cfg.s)
-    if labels is None:
-        labels = np.zeros((n, cfg.output_width), dtype=np.int64)
-        for j in range(cfg.phi):
-            ups = rng.integers(0, 2, n)
-            labels[np.arange(n), j * cfg.alpha + ups] = 1
-    return mdl.Sample(snapshot=snap, labels=labels)
+def random_split(rng, n, cfg, windows=1):
+    """``windows`` windows of n stocks with random features and one-hot
+    labels and their energy graphs, as one ``metrics.Split``."""
+    features = rng.standard_normal((windows, n, cfg.input_width))
+    ups = rng.integers(0, cfg.alpha, (windows, n, cfg.phi))
+    labels = np.eye(cfg.alpha, dtype=np.int64)[ups].reshape(windows, n, cfg.output_width)
+    graphs = eg.boltzmann_graph(features, cfg.k, cfg.tau, cfg.s)
+    return mt.Split(range(windows), features, labels, tuple(graphs))
 
 
 def forward_oracle(params, snapshot):
@@ -75,7 +74,7 @@ def loss_oracle(logits, labels, alpha=2):
 def test_forward_output_shape():
     cfg = small_config()
     params = mdl.init_model(cfg)
-    sample = random_sample(np.random.default_rng(0), 5, cfg)
+    sample = random_split(np.random.default_rng(0), 5, cfg)[0]
     out = mdl.forward(params, sample.snapshot)
     assert out.data.shape == (5, 2)
 
@@ -85,7 +84,7 @@ def test_forward_matches_straight_line_oracle():
     for parallel in (True, False):
         cfg = small_config(parallel_attention=parallel)
         params = mdl.init_model(cfg)
-        sample = random_sample(rng, 6, cfg)
+        sample = random_split(rng, 6, cfg)[0]
         out = mdl.forward(params, sample.snapshot)
         np.testing.assert_allclose(out.data, forward_oracle(params, sample.snapshot),
                                    atol=1e-12)
@@ -150,7 +149,7 @@ def _training_step(dense):
     """The tape and parameters of one training step (hidden 16, 2 layers,
     2 heads) on a snapshot of len(dense) stocks whose graph is ``dense``."""
     cfg = small_config(hidden=16, layers=2, heads=2)
-    sample = random_sample(np.random.default_rng(6), len(dense), cfg)
+    sample = random_split(np.random.default_rng(6), len(dense), cfg)[0]
     snapshot = eg.GraphSnapshot(0, sample.snapshot.features, from_dense(dense))
     params = mdl.init_model(cfg)
     with ad.Tape() as tape:
@@ -210,7 +209,7 @@ def _blockwise_loss_reference(x, labels, alpha):
 def test_loss_is_one_tape_op_equal_to_the_blockwise_reference():
     rng = np.random.default_rng(7)
     cfg = small_config(phi=3)
-    labels = random_sample(rng, 9, cfg).labels
+    labels = random_split(rng, 9, cfg)[0].labels
     logits = ad.Value(3.0 * rng.standard_normal((9, cfg.output_width)))
     with ad.Tape() as tape:
         value = mdl.loss(logits, labels)
@@ -334,8 +333,7 @@ def test_flat_vector_of_the_wrong_size_is_shape_error():
 def test_single_sample_capacity():
     rng = np.random.default_rng(6)
     cfg = small_config(epochs=50)
-    sample = random_sample(rng, 4, cfg)
-    result = mdl.train([sample], [], cfg)
+    result = mdl.train(random_split(rng, 4, cfg), random_split(rng, 4, cfg, windows=0), cfg)
     losses = [rec["train_loss"] for rec in result.history]
     assert min(losses) < math.log(2.0)
 
@@ -343,8 +341,7 @@ def test_single_sample_capacity():
 def test_single_sample_loss_nearly_monotone():
     rng = np.random.default_rng(7)
     cfg = small_config(epochs=50)
-    sample = random_sample(rng, 4, cfg)
-    result = mdl.train([sample], [], cfg)
+    result = mdl.train(random_split(rng, 4, cfg), random_split(rng, 4, cfg, windows=0), cfg)
     losses = [rec["train_loss"] for rec in result.history]
     violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-12)
     assert violations <= 5
@@ -353,8 +350,8 @@ def test_single_sample_loss_nearly_monotone():
 def test_training_is_deterministic():
     rng = np.random.default_rng(8)
     cfg = small_config(epochs=8)
-    samples = [random_sample(rng, 4, cfg) for _ in range(3)]
-    val = [random_sample(rng, 4, cfg)]
+    samples = random_split(rng, 4, cfg, windows=3)
+    val = random_split(rng, 4, cfg)
     a = mdl.train(samples, val, cfg)
     b = mdl.train(samples, val, cfg)
     assert a.history == b.history
@@ -368,10 +365,9 @@ def test_training_builds_each_graph_structure_once(monkeypatch):
     monkeypatch.setattr(eg, "edge_structure", lambda graph: built.append(graph) or build(graph))
     rng = np.random.default_rng(15)
     cfg = small_config(epochs=2, s=0.25)
-    samples = [random_sample(rng, 5, cfg) for _ in range(3)]
-    mdl.train(samples, [random_sample(rng, 5, cfg)], cfg)
-    assert [sum(graph is sample.snapshot.adjacency for graph in built)
-            for sample in samples] == [1, 1, 1]
+    samples = random_split(rng, 5, cfg, windows=3)
+    mdl.train(samples, random_split(rng, 5, cfg), cfg)
+    assert [sum(graph is window for graph in built) for window in samples.graphs] == [1, 1, 1]
 
 
 def full_gatv2_layer(h, adjacency, params):
@@ -423,23 +419,43 @@ def test_build_datasets_returns_a_split_per_requested_name(small_synth_panel):
         assert all(isinstance(split, mt.Split) and split for split in datasets.values())
 
 
-def test_training_history_is_the_same_for_a_list_or_a_split(small_synth_panel):
-    cfg = mdl.ModelConfig(tau=7, k=0.5, s=0.4, f=4, hidden=8, heads=2, layers=2, epochs=3,
-                          seed=1)
-    datasets = mdl.build_datasets(small_synth_panel, cfg)
-    validation = datasets["validation"]
-    from_split = mdl.train(datasets["train"], validation, cfg)
-    from_list = mdl.train(list(datasets["train"]), list(validation), cfg)
-    assert from_split.history == from_list.history
-    assert from_split.params.flat.tobytes() == from_list.params.flat.tobytes()
+def test_a_split_hands_out_its_windows_on_demand(small_synth_panel):
+    cfg = mdl.ModelConfig(tau=7, f=4, hidden=8, heads=2, layers=2, epochs=1)
+    periods = md.split_periods(small_synth_panel, mdl.DEFAULT_RATIOS, cfg.tau, cfg.phi)
+    for name, split in mdl.build_datasets(small_synth_panel, cfg).items():
+        assert split.ts == getattr(periods, name)
+        assert len(split) == len(split.features) == len(split.labels) == len(split.graphs) > 1
+        for b in (0, 1, len(split) - 1, -1):
+            window = split[b]
+            assert window.snapshot.t == split.ts[b]
+            assert window.snapshot.adjacency is split.graphs[b]
+            assert np.shares_memory(window.snapshot.features, split.features)
+            np.testing.assert_array_equal(window.snapshot.features, split.features[b])
+            np.testing.assert_array_equal(window.labels, split.labels[b])
+        assert split[-1].snapshot.t == split.ts[-1] == split[len(split) - 1].snapshot.t
+        with pytest.raises(IndexError):
+            split[len(split)]
+        windows = list(split)
+        assert len(windows) == len(split)
+        assert [window.snapshot.t for window in windows] == list(split.ts)
+
+
+def test_split_labels_cannot_be_written(small_synth_panel):
+    cfg = mdl.ModelConfig(tau=7, f=4, hidden=8, heads=2, layers=2, epochs=1)
+    split = mdl.build_datasets(small_synth_panel, cfg, names=("validation",))["validation"]
+    classes = split.classes.copy()
+    for labels in (split.labels, split[0].labels):
+        with pytest.raises(ValueError, match="read-only"):
+            labels[0, 0] = 1 - labels[0, 0]
+    np.testing.assert_array_equal(split.classes, classes)
 
 
 @pytest.mark.parametrize("with_validation", [True, False])
 def test_best_params_are_independent_of_final_params(with_validation):
     rng = np.random.default_rng(14)
     cfg = small_config(epochs=3)
-    samples = [random_sample(rng, 4, cfg) for _ in range(2)]
-    val = [random_sample(rng, 4, cfg)] if with_validation else []
+    samples = random_split(rng, 4, cfg, windows=2)
+    val = random_split(rng, 4, cfg, windows=1 if with_validation else 0)
     result = mdl.train(samples, val, cfg)
     best = [v.data.copy() for _, v in result.params.named()]
     for _, value in result.final_params.named():
@@ -451,8 +467,8 @@ def test_best_params_are_independent_of_final_params(with_validation):
 def test_best_checkpoint_tracks_validation_accuracy():
     rng = np.random.default_rng(9)
     cfg = small_config(epochs=6)
-    samples = [random_sample(rng, 4, cfg) for _ in range(2)]
-    val = [random_sample(rng, 4, cfg) for _ in range(2)]
+    samples = random_split(rng, 4, cfg, windows=2)
+    val = random_split(rng, 4, cfg, windows=2)
     result = mdl.train(samples, val, cfg)
     accs = [rec["val_acc"] for rec in result.history]
     assert result.best_val_acc == max(accs)
@@ -467,7 +483,7 @@ def test_end_to_end_gradient_check():
     rng = np.random.default_rng(10)
     cfg = mdl.ModelConfig(tau=7, f=4, hidden=8, heads=2, layers=2, seed=3)
     params = mdl.init_model(cfg)
-    sample = random_sample(rng, 5, cfg)
+    sample = random_split(rng, 5, cfg)[0]
 
     def f():
         return mdl.loss(mdl.forward(params, sample.snapshot), sample.labels)
@@ -512,7 +528,7 @@ def test_predict_shapes_and_probabilities():
     rng = np.random.default_rng(11)
     cfg = small_config()
     params = mdl.init_model(cfg)
-    sample = random_sample(rng, 5, cfg)
+    sample = random_split(rng, 5, cfg)[0]
     classes, probs = mdl.predict(params, sample.snapshot)
     assert classes.shape == (5, 1)
     assert probs.shape == (5, 2)
@@ -614,6 +630,8 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("heads", 10**9, r"config at offset 16: heads must be in \[1, 12\], got 1000000000"),
     ("heads", 5, "config at offset 16: heads 5 must divide the fused width 12"),
     ("epochs", 0, "config at offset 16: phi, epochs and hidden must be positive"),
+    ("tau", 0, r"config at offset 16: tau must be positive \(at least one lag day\), got 0"),
+    ("layers", -1, "config at offset 16: layers must not be negative, got -1"),
     ("k", math.nan, "config at offset 16: k must be finite, got nan"),
     ("s", math.inf, "config at offset 16: s must be finite, got inf"),
     ("grad_clip", -math.inf, "grad_clip must be a finite positive number, got -inf"),
@@ -624,8 +642,8 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("alpha", 2.0, "config at offset 16: alpha=2.0, but a model has 2 classes per step"),
 ], ids=["hidden_str", "layers_null", "tau_str", "hidden_huge", "grad_clip_str",
         "parallel_str", "heads_missized", "layers_huge", "heads_huge", "heads_not_dividing",
-        "epochs_zero", "k_nan", "s_inf", "grad_clip_neg_inf", "grad_clip_negative",
-        "k_past_float", "grad_clip_past_float", "alpha_3", "alpha_float"])
+        "epochs_zero", "tau_zero", "layers_negative", "k_nan", "s_inf", "grad_clip_neg_inf",
+        "grad_clip_negative", "k_past_float", "grad_clip_past_float", "alpha_3", "alpha_float"])
 def test_mistyped_or_missized_config_is_format_error(tmp_path, capsys, key, value, match):
     from trendgat import cli
 
@@ -651,6 +669,12 @@ def test_config_is_frozen_and_checked_when_made():
         dataclasses.replace(cfg, heads=3)
     with pytest.raises(ConfigError, match="tau=7.0 is not int"):
         mdl.ModelConfig(tau=7.0)
+    for tau in (0, -2):
+        with pytest.raises(ConfigError, match=f"tau must be positive .*, got {tau}$"):
+            mdl.ModelConfig(tau=tau)
+    with pytest.raises(ConfigError, match="layers must not be negative, got -1$"):
+        mdl.ModelConfig(layers=-1)
+    assert mdl.init_model(mdl.ModelConfig(tau=1, layers=0)).parameter_count() > 0
 
 
 @pytest.mark.parametrize("key", ["k", "s", "lr", "wd", "grad_clip"])
@@ -785,7 +809,7 @@ def test_loaded_model_reproduces_logits(tmp_path):
     rng = np.random.default_rng(12)
     cfg = small_config()
     params = mdl.init_model(cfg)
-    sample = random_sample(rng, 4, cfg)
+    sample = random_split(rng, 4, cfg)[0]
     before = mdl.forward(params, sample.snapshot).data
     mdl.save_model(params, tmp_path / "m.bin")
     loaded = mdl.load_model(tmp_path / "m.bin")
