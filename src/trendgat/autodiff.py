@@ -106,16 +106,9 @@ class Tape:
         self._spent = True
 
 
-def _tape() -> Tape | None:
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
-
-
 def _make(data: np.ndarray, *parents: Value) -> tuple[Value, Tape | None]:
     out = Value(data, requires_grad=any(p.requires_grad for p in parents))
-    t = _tape()
-    if t is None or not out.requires_grad:
-        return out, None
-    return out, t
+    return out, (_ACTIVE_TAPES[-1] if out.requires_grad and _ACTIVE_TAPES else None)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +259,17 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
     return out
 
 
-def multi_head_attention(m: Value, heads, w_merge: Value, groups: int = 1) -> Value:
+def multi_head_attention(m: Value, w_qkv: Value, w_merge: Value, heads: int,
+                         groups: int = 1) -> Value:
     """Scaled dot-product attention over the rows of ``m``, all heads at once.
 
-    ``heads`` holds one (w_q, w_k, w_v) triple per head, each d_in x d_head.
-    Head h returns softmax(Q_h K_h^T / sqrt(d_head)) V_h with Q_h = m w_q and
-    so on; the heads are concatenated column-wise and multiplied by
-    ``w_merge`` ((H * d_head) x d_out).  The rows of ``m`` form ``groups``
-    equal consecutive blocks of N rows (B stacked graphs), and a row attends
-    only to the rows of its own block.  The projections are one GEMM, the
+    Head h's w_q, w_k and w_v are the d_head-wide column blocks 3h, 3h + 1
+    and 3h + 2 of ``w_qkv`` (d_in x 3 * heads * d_head).  Head h returns
+    softmax(Q_h K_h^T / sqrt(d_head)) V_h with Q_h = m w_q and so on; the
+    heads are concatenated column-wise and multiplied by ``w_merge``
+    ((heads * d_head) x d_out).  The rows of ``m`` form ``groups`` equal
+    consecutive blocks of N rows (B stacked graphs), and a row attends only
+    to the rows of its own block.  The projections are one GEMM, the
     groups x H x N x N scores and the weighted sums one batched matmul each.
 
     The softmax stays unnormalised: the scores are exponentiated in place,
@@ -284,26 +279,21 @@ def multi_head_attention(m: Value, heads, w_merge: Value, groups: int = 1) -> Va
     memory are O(groups * H * N^2) with one N x N buffer kept per call.
     """
     rows, d_in = m.data.shape
-    if not heads or any(len(triple) != 3 for triple in heads):
-        raise ShapeError(f"multi_head_attention: want one (w_q, w_k, w_v) per head, "
-                         f"got {[len(triple) for triple in heads]} matrices per head")
     if groups < 1 or rows % groups != 0:
         raise ShapeError(f"multi_head_attention: {rows} input rows do not split into "
                          f"{groups} equal groups")
-    weights = [w for triple in heads for w in triple]               # q0, k0, v0, q1, ...
-    d_head = weights[0].data.shape[1]
-    n_heads = len(heads)
-    shapes = [w.data.shape for w in weights]
-    if any(shape != (d_in, d_head) for shape in shapes) or w_merge.data.shape[0] != n_heads * d_head:
+    width = w_qkv.data.shape[1]
+    if (heads < 1 or width % (3 * heads) or w_qkv.data.shape[0] != d_in
+            or w_merge.data.shape[0] != width // 3):
         raise ShapeError(
-            f"multi_head_attention: input {m.data.shape}, head projections {shapes}, "
-            f"merge {w_merge.data.shape} (want {d_in} x d_head each and "
-            f"{n_heads} * d_head merge rows)")
+            f"multi_head_attention: input {m.data.shape}, w_qkv {w_qkv.data.shape}, "
+            f"merge {w_merge.data.shape} for {heads} heads (want {d_in} x 3 * heads * "
+            f"d_head and heads * d_head merge rows)")
+    d_head = width // (3 * heads)
     n = rows // groups
     scale = 1.0 / np.sqrt(d_head)
 
-    w_all = np.concatenate([w.data for w in weights], axis=1)      # d_in x 3H*d_head
-    q, k, v = (m.data @ w_all).reshape(groups, n, n_heads, 3, d_head).transpose(3, 0, 2, 1, 4)
+    q, k, v = (m.data @ w_qkv.data).reshape(groups, n, heads, 3, d_head).transpose(3, 0, 2, 1, 4)
     q_scaled = q * scale                                            # scale N x d, not N x N
     e = q_scaled @ k.swapaxes(-1, -2)                               # groups x H x N x N
     if e.max() > SCORE_LIMIT or e.min() < -SCORE_LIMIT:
@@ -312,19 +302,19 @@ def multi_head_attention(m: Value, heads, w_merge: Value, groups: int = 1) -> Va
     norm = e.sum(axis=-1, keepdims=True)
     o = e @ v
     o /= norm
-    merged = o.transpose(0, 2, 1, 3).reshape(rows, n_heads * d_head)
-    out, t = _make(merged @ w_merge.data, m, *weights, w_merge)
+    merged = o.transpose(0, 2, 1, 3).reshape(rows, heads * d_head)
+    out, t = _make(merged @ w_merge.data, m, w_qkv, w_merge)
     if t is not None:
         def bwd():
             g = out.grad
             if w_merge.requires_grad:
                 w_merge._acc(merged.T @ g)
-            g_o = (g @ w_merge.data.T).reshape(groups, n, n_heads, d_head).transpose(0, 2, 1, 3)
+            g_o = (g @ w_merge.data.T).reshape(groups, n, heads, d_head).transpose(0, 2, 1, 3)
             # p = e / norm row by row, so dividing the N x d_head g_o by norm
             # stands in for every division by it of an N x N product
             g_hat = g_o / norm
-            # the q, k and v gradients land in one buffer laid out as m @ w_all
-            g_qkv = np.empty((groups, n, n_heads, 3, d_head))
+            # the q, k and v gradients land in one buffer laid out as m @ w_qkv
+            g_qkv = np.empty((groups, n, heads, 3, d_head))
             g_q, g_k, g_v = g_qkv.transpose(3, 0, 2, 1, 4)               # groups x H x N x d_head
             np.matmul(e.swapaxes(-1, -2), g_hat, out=g_v)
             # softmax JVP in place: row i of sum_j p_ij * g_p_ij is g_o_i . o_i,
@@ -337,13 +327,10 @@ def multi_head_attention(m: Value, heads, w_merge: Value, groups: int = 1) -> Va
             g_q *= scale
             np.matmul(g_s.swapaxes(-1, -2), q_scaled, out=g_k)
             g_qkv = g_qkv.reshape(rows, -1)
-            if any(w.requires_grad for w in weights):
-                g_w = m.data.T @ g_qkv
-                for i, w in enumerate(weights):
-                    if w.requires_grad:
-                        w._acc(g_w[:, i * d_head:(i + 1) * d_head])
+            if w_qkv.requires_grad:
+                w_qkv._acc(m.data.T @ g_qkv)
             if m.requires_grad:
-                m._acc(g_qkv @ w_all.T)
+                m._acc(g_qkv @ w_qkv.data.T)
         t._record(bwd)
     return out
 

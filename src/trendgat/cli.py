@@ -156,6 +156,8 @@ def parse_spec(config_path, overrides: dict, mode: str, range_check: bool = True
         raise ConfigError("seed list must not be empty")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"seed list repeats a seed: {seeds}")
+    if min(seeds) < 0:
+        raise ConfigError(f"seed must not be negative, got {min(seeds)}")
     return ExperimentSpec(
         mode=mode,
         manifest=values.get("data.manifest"),

@@ -13,11 +13,12 @@ and a thresholded row keeps at most 1/s entries, so for s > 0.5 every row
 is one.  The softmax runs over the E' edges of rows that have
 neighbours: with width d the layer costs O(N * d + E' * d) time and
 memory on top of its projections.  A graph of self-loops alone is
-h @ W_right itself, one product and one tape op, with no W_left product.  The layer reads the ``energy_graph.CsrGraph``
-edges as they are stored, and each graph's index arrays are built once
-(``CsrGraph.structure``).  The multi-head attention is dense over the
-N nodes: one primitive computes all H heads in batched products and
-costs O(H * N^2) time and memory.
+h @ W_right itself, one product and one tape op, with no W_left product.
+The layer reads the ``energy_graph.CsrGraph`` edges as they are stored,
+and each graph's index arrays are built once (``CsrGraph.structure``).
+The multi-head attention is dense over the N nodes: one primitive
+projects all H heads with the block's one ``w_qkv`` and costs O(H * N^2)
+time and memory.
 
 Every function here also takes B snapshots of N nodes at once: node
 states stacked row-wise to (B * N) x d and the graphs joined by
@@ -41,6 +42,7 @@ from .errors import ConfigError, ShapeError
 LEAKY_SLOPE = 0.2          # fixed rectifier slope inside the graph layer
 EDGE_BIAS = "edge_bias"    # 1 x 1 scale on a graph layer's edge weights
 PRELU_IN = "prelu_in"      # 1 x d slopes of the model's input rectifier
+QKV = "w_qkv"              # every head's q, k and v projections of one block
 # learnables that start at a constant instead of a Xavier draw
 CONSTANT_INIT = {PRELU_IN: 0.25, EDGE_BIAS: 1.0}
 
@@ -61,9 +63,10 @@ class BlockParams:
     is configured without the parallel stream."""
 
     gat: GatLayerParams
-    w_skip: ad.Value                                   # d x d
-    heads: list[tuple[ad.Value, ad.Value, ad.Value]] | None   # (w_q, w_k, w_v), each d_cat x d'
-    w_merge: ad.Value | None                           # d_cat x d
+    w_skip: ad.Value             # d x d
+    w_qkv: ad.Value | None       # d_cat x 3 d_cat: head 0's q, k, v columns, then head 1's, ...
+    w_merge: ad.Value | None     # d_cat x d
+    heads: int                   # attention heads, each d_cat / heads wide
 
 
 @dataclass
@@ -72,18 +75,16 @@ class BlockState:
     hp: ad.Value   # parallel stream,    N x d
 
 
-def seeded_rng(seed: int, name: str) -> np.random.Generator:
-    """Generator keyed by (seed, parameter name) so that parameters shared
-    between model variants get identical draws regardless of how many other
-    parameters either variant creates."""
+def xavier(seed: int, name: str, rows: int, cols: int) -> np.ndarray:
+    """Uniform draw within +-sqrt(6 / (rows + cols)) from a generator keyed
+    by (seed, parameter name), so that parameters shared between model
+    variants get identical draws regardless of how many other parameters
+    either variant creates.  The key holds the whole of a seed >= 0."""
     digest = hashlib.sha256(name.encode()).digest()
     words = [int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.default_rng(np.random.SeedSequence(entropy=[seed & 0xFFFFFFFF, *words]))
-
-
-def xavier(seed: int, name: str, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
-    return seeded_rng(seed, name).uniform(-limit, limit, (rows, cols))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, *words]))
+    return rng.uniform(-limit, limit, (rows, cols))
 
 
 def gatv2_layer(h: ad.Value, adjacency: CsrGraph, params: GatLayerParams) -> ad.Value:
@@ -131,18 +132,12 @@ def gatv2_layer(h: ad.Value, adjacency: CsrGraph, params: GatLayerParams) -> ad.
 
 
 def multi_head_attention(m: ad.Value, params: BlockParams, groups: int = 1) -> ad.Value:
-    """Scaled dot-product attention over the node dimension, one projection
-    triple per head, heads concatenated and merged back to width d.  The
-    rows of ``m`` are ``groups`` stacked snapshots, each attending only
-    within itself."""
-    if params.heads is None or params.w_merge is None:
+    """Scaled dot-product attention over the node dimension through the
+    block's ``w_qkv`` and ``w_merge``; the rows of ``m`` are ``groups``
+    stacked snapshots, each attending only within itself."""
+    if params.w_qkv is None or params.w_merge is None:
         raise ConfigError("multi_head_attention: block has no attention parameters")
-    d_cat = m.data.shape[1]
-    for w_q, _, _ in params.heads:
-        if w_q.data.shape[0] != d_cat:
-            raise ShapeError(
-                f"multi_head_attention: input width {d_cat} vs head projection {w_q.data.shape}")
-    return ad.multi_head_attention(m, params.heads, params.w_merge, groups)
+    return ad.multi_head_attention(m, params.w_qkv, params.w_merge, params.heads, groups)
 
 
 def parallel_block(state: BlockState, adjacency: CsrGraph, params: BlockParams) -> BlockState:
@@ -172,13 +167,13 @@ def plain_block(state: BlockState, adjacency: CsrGraph, params: BlockParams) -> 
     return BlockState(h=merged, hp=merged)
 
 
-def block_layout(d: int, h: int, name: str = "block0",
+def block_layout(d: int, name: str = "block0",
                  parallel: bool = True) -> Iterator[tuple[str, int, int]]:
     """(name, rows, cols) of one block's learnables, in store order: the
     graph layer's w_left, w_right, attn and edge_bias, then w_skip, then
-    (parallel stream only) each head's w_q, w_k, w_v and the merge.  Lazy,
-    so a caller comparing against it stops at the first difference.  ``d``
-    and ``h`` come from a ``model.ModelConfig``, which checked them."""
+    (parallel stream only) w_qkv, whose columns any head count splits, and
+    the merge.  Lazy, so a caller comparing against it stops at the first
+    difference.  ``d`` comes from a checked ``model.ModelConfig``."""
     yield f"{name}.gat.w_left", d, d
     yield f"{name}.gat.w_right", d, d
     yield f"{name}.gat.attn", d, 1
@@ -186,19 +181,22 @@ def block_layout(d: int, h: int, name: str = "block0",
     yield f"{name}.w_skip", d, d
     if not parallel:
         return
-    d_cat = 2 * d
-    for i in range(h):
-        for proj in ("w_q", "w_k", "w_v"):
-            yield f"{name}.head{i}.{proj}", d_cat, d_cat // h
-    yield f"{name}.w_merge", d_cat, d
+    yield f"{name}.{QKV}", 2 * d, 6 * d
+    yield f"{name}.w_merge", 2 * d, d
 
 
-def initial_value(seed: int, name: str, rows: int, cols: int) -> np.ndarray:
+def initial_value(seed: int, name: str, rows: int, cols: int, heads: int) -> np.ndarray:
     """Uniform Xavier draw keyed by (seed, name), except the learnables of
-    ``CONSTANT_INIT`` (matched on the last name component)."""
-    constant = CONSTANT_INIT.get(name.rpartition(".")[2])
+    ``CONSTANT_INIT`` (matched on the last name component) and a block's
+    ``w_qkv``: the draws keyed ``<block>.head<h>.w_q``, ``.w_k`` and ``.w_v``
+    (rows x d_head each) side by side, head by head."""
+    block, _, last = name.rpartition(".")
+    constant = CONSTANT_INIT.get(last)
     if constant is not None:
         return np.full((rows, cols), constant)
+    if last == QKV:
+        return np.concatenate([xavier(seed, f"{block}.head{i}.{proj}", rows, cols // (3 * heads))
+                               for i in range(heads) for proj in ("w_q", "w_k", "w_v")], axis=1)
     return xavier(seed, name, rows, cols)
 
 
@@ -208,8 +206,6 @@ def assemble_block(values: Iterator[ad.Value], h: int, parallel: bool = True) ->
     gat = GatLayerParams(w_left=next(values), w_right=next(values), attn=next(values),
                          edge_bias=next(values))
     w_skip = next(values)
-    if not parallel:
-        return BlockParams(gat=gat, w_skip=w_skip, heads=None, w_merge=None)
-    heads = [(next(values), next(values), next(values)) for _ in range(h)]
-    return BlockParams(gat=gat, w_skip=w_skip, heads=heads, w_merge=next(values))
+    w_qkv, w_merge = (next(values), next(values)) if parallel else (None, None)
+    return BlockParams(gat=gat, w_skip=w_skip, w_qkv=w_qkv, w_merge=w_merge, heads=h)
 

@@ -40,12 +40,14 @@ FORMAT_VERSION = 2
 # train:validation:test window ratios of a chronological split
 DEFAULT_RATIOS = (457, 63, 261)
 
+MAX_PARAMETERS = 2 ** 24   # learnables of one model: 128 MiB per float64 vector
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters of one model.  Construction checks every structural
-    rule (field types, finite floats, positive sizes, the heads rule), so a
-    ModelConfig that exists is one that ``layout`` can lay out; the search
-    ranges are a command-line policy (``cli.check_ranges``)."""
+    rule (field types, finite floats, positive sizes, the heads rule, at most
+    ``MAX_PARAMETERS`` learnables), so a ModelConfig that exists is one that
+    ``layout`` can lay out; the search ranges are ``cli.check_ranges``."""
 
     tau: int = 14
     k: float = 0.5
@@ -72,8 +74,9 @@ class ModelConfig:
             raise ConfigError("phi, epochs and hidden must be positive")
         if self.tau < 1:
             raise ConfigError(f"tau must be positive (at least one lag day), got {self.tau}")
-        if self.layers < 0:
-            raise ConfigError(f"layers must not be negative, got {self.layers}")
+        for key in ("layers", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must not be negative, got {getattr(self, key)}")
         if self.f < 1:
             raise ConfigError(f"f must be positive (at least one indicator), got {self.f}")
         for key in ("k", "s", "lr", "wd"):
@@ -87,6 +90,13 @@ class ModelConfig:
                 raise ConfigError(f"heads must be in [1, {d_cat}], got {self.heads}")
             if d_cat % self.heads != 0:
                 raise ConfigError(f"heads {self.heads} must divide the fused width {d_cat}")
+        # lazily, so a huge hidden or layers stops at the first entry past the bound
+        total = 0
+        for name, rows, cols in layout(self):
+            total += rows * cols
+            if total > MAX_PARAMETERS:
+                raise ConfigError(f"more than MAX_PARAMETERS = {MAX_PARAMETERS} learnables, "
+                                  f"passed at {name} ({rows} x {cols})")
 
     @property
     def input_width(self) -> int:
@@ -105,7 +115,7 @@ def layout(config: ModelConfig) -> Iterator[tuple[str, int, int]]:
     yield "w_in", config.input_width, d
     yield gb.PRELU_IN, 1, d
     for i in range(config.layers):
-        yield from gb.block_layout(d, config.heads, f"block{i}", config.parallel_attention)
+        yield from gb.block_layout(d, f"block{i}", config.parallel_attention)
     yield "w_out", d, config.output_width
 
 
@@ -163,7 +173,7 @@ class OptimizerState:
 
 
 def init_model(config: ModelConfig) -> ModelParams:
-    flat = np.concatenate([gb.initial_value(config.seed, *entry).ravel()
+    flat = np.concatenate([gb.initial_value(config.seed, *entry, config.heads).ravel()
                            for entry in layout(config)])
     return ModelParams(config, flat)
 
@@ -432,8 +442,7 @@ def load_model(path) -> ModelParams:
         raise FormatError(f"payload at offset {end} holds {len(blob) - end} bytes, but the "
                           f"header declares {declared} bytes")
 
-    # the layout is lazy, so a huge stored layers or heads stops at the first
-    # entry that differs from the finite listing, before anything is allocated
+    # stops at the first entry that differs, before anything is allocated
     for i, (stored, entry) in enumerate(itertools.zip_longest(listing, layout(cfg))):
         expected = None if entry is None else list(entry)
         if stored != expected:

@@ -69,8 +69,9 @@ def group_volatilities(n_groups: int, spec: RuleSpec) -> np.ndarray:
 # rule squares close returns, and z-scoring sums a close walk's squared
 # deviations, which came to 0.2-0.3 * days**2 squared rung volatilities
 # at 600 and 3000 days; the headroom keeps both finite up to about 10**5
-# days.  tests/test_synth.py checks both at 600 days.
+# days, MAX_DAYS.  tests/test_synth.py checks both at 600 days.
 LADDER_HEADROOM = 2.0 ** 16
+MAX_DAYS = 10 ** 5
 
 
 def max_stocks(spec: RuleSpec) -> int:
@@ -130,10 +131,12 @@ def generate(n_stocks: int, n_days: int, seed: int,
             f"at most {largest} stocks fit the volatility ladder "
             f"(base_vol {spec.base_vol} * vol_growth {spec.vol_growth} ** group), "
             f"got {n_stocks}")
-    if n_days < spec.warmup + 12:
-        raise ConfigError(f"need at least {spec.warmup + 12} days, got {n_days}")
+    if not spec.warmup + 12 <= n_days <= MAX_DAYS:
+        raise ConfigError(f"need {spec.warmup + 12} to {MAX_DAYS} days, got {n_days}")
+    if seed < 0:
+        raise ConfigError(f"seed must not be negative, got {seed}")
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed & 0xFFFFFFFF, 0x5E17]))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0x5E17]))
     groups = group_of(n_stocks, spec)
     n_groups = int(groups.max()) + 1
     group_vol = group_volatilities(n_groups, spec)

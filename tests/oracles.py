@@ -98,6 +98,6 @@ def from_dense(adjacency) -> CsrGraph:
 def init_block(d: int, h: int, seed: int, name: str = "block0",
                parallel: bool = True) -> gb.BlockParams:
     """A standalone block with fresh initial values."""
-    values = (ad.Value(gb.initial_value(seed, *entry))
-              for entry in gb.block_layout(d, h, name, parallel))
+    values = (ad.Value(gb.initial_value(seed, *entry, h))
+              for entry in gb.block_layout(d, name, parallel))
     return gb.assemble_block(values, h, parallel)

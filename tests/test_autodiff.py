@@ -99,33 +99,37 @@ def test_gat_attention_rows_do_not_depend_on_the_other_rows():
 
 
 def _mha_operands(rng, n, d_in, d_head, n_heads, d_out):
-    heads = [tuple(rand(rng, d_in, d_head) for _ in range(3)) for _ in range(n_heads)]
-    return rand(rng, n, d_in), heads, rand(rng, n_heads * d_head, d_out)
+    """m, w_qkv and w_merge of an n-row attention with n_heads heads."""
+    return (rand(rng, n, d_in), rand(rng, d_in, 3 * n_heads * d_head),
+            rand(rng, n_heads * d_head, d_out))
 
 
 def test_multi_head_attention_rejects_mismatched_shapes():
     rng = np.random.default_rng(12)
-    m, heads, w_merge = _mha_operands(rng, 4, 6, 3, 2, 5)
-    narrow = (heads[1][0], rand(rng, 6, 2), heads[1][2])          # one w_k is 6 x 2
+    m, w_qkv, w_merge = _mha_operands(rng, 4, 6, 3, 2, 5)   # w_qkv 6 x 18, w_merge 6 x 5
     bad = [
-        (m, [heads[0], narrow], w_merge),                          # head widths differ
-        (rand(rng, 4, 5), heads, w_merge),                         # input width
-        (m, heads, rand(rng, 5, 5)),                               # merge rows
-        (m, [heads[0][:2]], w_merge),                              # missing w_v
-        (m, [heads[0][:2], (*heads[1], heads[1][0])], w_merge),    # 2 + 4 matrices
-        (m, [], w_merge),                                          # no head
+        (rand(rng, 4, 5), w_qkv, w_merge, 2),     # input width vs w_qkv rows
+        (m, rand(rng, 6, 16), w_merge, 2),        # 16 columns are no 2 heads' q, k, v
+        (m, rand(rng, 6, 12), w_merge, 2),        # 2 heads of 2, but 6 merge rows
+        (m, w_qkv, rand(rng, 5, 5), 2),           # merge rows
+        (m, w_qkv, w_merge, 4),                   # 18 columns do not split into 4 heads
+        (m, w_qkv, w_merge, 0),                   # no head
+        (m, w_qkv, w_merge, -3),
     ]
     for args in bad:
         with pytest.raises(ShapeError, match="multi_head_attention"):
             ad.multi_head_attention(*args)
+    # the head count only splits the columns: 18 are also 3 heads of 2 or 1 of 6
+    for heads in (1, 3):
+        assert ad.multi_head_attention(m, w_qkv, w_merge, heads).data.shape == (4, 5)
 
 
 def test_multi_head_attention_rejects_rows_that_do_not_split_into_groups():
     rng = np.random.default_rng(14)
-    m, heads, w_merge = _mha_operands(rng, 6, 4, 2, 2, 3)
+    m, w_qkv, w_merge = _mha_operands(rng, 6, 4, 2, 2, 3)
     for groups in (4, 0, -2):
         with pytest.raises(ShapeError, match="6 input rows do not split"):
-            ad.multi_head_attention(m, heads, w_merge, groups)
+            ad.multi_head_attention(m, w_qkv, w_merge, 2, groups)
 
 
 def test_gat_attention_rejects_stacked_mask_of_wrong_height():
@@ -137,14 +141,13 @@ def test_gat_attention_rejects_stacked_mask_of_wrong_height():
 
 
 def test_multi_head_attention_skips_frozen_operands():
-    rng = np.random.default_rng(13)
-    m, heads, w_merge = _mha_operands(rng, 5, 4, 2, 2, 3)
-    frozen = heads[1][1]
-    frozen.requires_grad = False
-    with ad.Tape() as t:
-        t.backward(ad.reduce_sum(ad.multi_head_attention(m, heads, w_merge)))
-    assert frozen._grad is None
-    assert all((w.grad != 0).any() for w in (m, heads[0][0], heads[1][2], w_merge))
+    for frozen in range(3):                   # m, w_qkv, w_merge
+        operands = _mha_operands(np.random.default_rng(13), 5, 4, 2, 2, 3)
+        operands[frozen].requires_grad = False
+        with ad.Tape() as t:
+            t.backward(ad.reduce_sum(ad.multi_head_attention(*operands, 2)))
+        assert operands[frozen]._grad is None
+        assert all((w.grad != 0).any() for i, w in enumerate(operands) if i != frozen)
 
 
 def test_multi_head_attention_keeps_one_score_sized_buffer():
@@ -153,13 +156,13 @@ def test_multi_head_attention_keeps_one_score_sized_buffer():
     # normalising e into a second buffer would break both bounds
     rng = np.random.default_rng(15)
     n, n_heads = 500, 2
-    m, heads, w_merge = _mha_operands(rng, n, 32, 16, n_heads, 16)
+    m, w_qkv, w_merge = _mha_operands(rng, n, 32, 16, n_heads, 16)
     cotangent = ad.const(rng.standard_normal((n, 16)))
     scores = n_heads * n * n * 8
     tracemalloc.start()
     try:
         with ad.Tape() as tape:
-            out = ad.multi_head_attention(m, heads, w_merge)
+            out = ad.multi_head_attention(m, w_qkv, w_merge, n_heads)
             _, forward_peak = tracemalloc.get_traced_memory()
             tape.backward(ad.reduce_sum(ad.mul(out, cotangent)))
         _, step_peak = tracemalloc.get_traced_memory()
@@ -364,14 +367,14 @@ def test_primitive_gradients_against_finite_differences(name, monkeypatch):
         elif name == "multi_head_attention":
             n, n_heads, d_head = (int(x) for x in rng.integers(1, [7, 4, 4]))
             m = rand(rng, n, c)
-            heads = [tuple(rand(rng, c, d_head) for _ in range(3)) for _ in range(n_heads)]
-            w_merge = rand(rng, n_heads * d_head, r)
-            operands = [m, *(w for triple in heads for w in triple), w_merge]
+            w_qkv, w_merge = rand(rng, c, 3 * n_heads * d_head), rand(rng, n_heads * d_head, r)
+            operands = [m, w_qkv, w_merge]
             for v in operands:
                 v.requires_grad = bool(rng.random() < 0.7)
             operands[int(rng.integers(len(operands)))].requires_grad = True
             w = ad.const(rng.standard_normal((n, r)))
-            f = lambda: ad.reduce_sum(ad.mul(ad.multi_head_attention(m, heads, w_merge), w))
+            f = lambda: ad.reduce_sum(ad.mul(
+                ad.multi_head_attention(m, w_qkv, w_merge, n_heads), w))
             params = [v for v in operands if v.requires_grad]
         elif name == "gat_attention_stacked":
             # r graphs of c nodes stacked: mask and weights are drawn (r*c) x c,
@@ -400,12 +403,11 @@ def test_primitive_gradients_against_finite_differences(name, monkeypatch):
         elif name in ("multi_head_attention_groups", "multi_head_attention_shifted"):
             groups, n, n_heads, d_head = (int(x) for x in rng.integers([2, 1, 1, 1], [5, 5, 4, 4]))
             m = rand(rng, groups * n, c)
-            heads = [tuple(rand(rng, c, d_head) for _ in range(3)) for _ in range(n_heads)]
-            w_merge = rand(rng, n_heads * d_head, r)
+            w_qkv, w_merge = rand(rng, c, 3 * n_heads * d_head), rand(rng, n_heads * d_head, r)
             w = ad.const(rng.standard_normal((groups * n, r)))
             f = lambda: ad.reduce_sum(ad.mul(
-                ad.multi_head_attention(m, heads, w_merge, groups), w))
-            params = [m, *(w for triple in heads for w in triple), w_merge]
+                ad.multi_head_attention(m, w_qkv, w_merge, n_heads, groups), w))
+            params = [m, w_qkv, w_merge]
         elif name == "prelu":
             a = _smooth(rng, r, c)
             slopes = ad.Value(rng.uniform(0.1, 0.9, (1, c)))

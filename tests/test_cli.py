@@ -581,15 +581,29 @@ def test_usage_error_exits_one():
     (("--no-range-check", "--heads", "33"), "heads must be in [1, 32], got 33"),
     (("--no-range-check", "--tau", "0"), "tau must be positive (at least one lag day), got 0"),
     (("--no-range-check", "--layers", "-1"), "layers must not be negative, got -1"),
+    (("--seeds", "0,-1"), "seed must not be negative, got -1"),
+    (("--hidden", "100000000"), "more than MAX_PARAMETERS = 16777216 learnables, "
+                                "passed at w_in (28 x 100000000)"),
+    (("--no-range-check", "--layers", "100000000"), "more than MAX_PARAMETERS = 16777216"),
 ], ids=["grad_clip_negative", "grad_clip_zero", "grad_clip_nan", "grad_clip_inf",
         "no_indicators", "k_nan_unchecked", "k_inf_unchecked", "s_nan_unchecked",
         "lr_nan_unchecked", "wd_inf_unchecked", "heads_not_dividing",
-        "heads_above_fused_width_unchecked", "tau_zero_unchecked", "layers_negative_unchecked"])
+        "heads_above_fused_width_unchecked", "tau_zero_unchecked", "layers_negative_unchecked",
+        "seed_negative", "hidden_past_parameter_bound", "layers_past_parameter_bound_unchecked"])
 def test_setting_no_model_trains_with_exits_one(small_dataset, tmp_path, capsys, flags, message):
     out = tmp_path / "o"
     assert run_cli("train", *fast_flags(small_dataset, out), *flags) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_seeds_past_32_bits_train_different_models(small_dataset, tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("train", *fast_flags(small_dataset, out, epochs="1"),
+                   "--seeds", "0,4294967296") == 0
+    assert read_json(out / "report.json")["train"]["n"] == 2
+    a, b = (mdl.load_model(out / f"model_seed{seed}.bin") for seed in (0, 2**32))
+    assert b.config.seed == 2**32 and (a.flat != b.flat).any()
 
 
 @pytest.mark.parametrize("make", ["missing", "directory"])

@@ -40,19 +40,26 @@ def gat_oracle(h, graph, params):
     return out
 
 
+def head_projections(params):
+    """(w_q, w_k, w_v) of each head: head h's are the d_head-wide column
+    blocks 3h, 3h + 1 and 3h + 2 of w_qkv."""
+    blocks = np.split(params.w_qkv.data, 3 * params.heads, axis=1)
+    return [blocks[i:i + 3] for i in range(0, len(blocks), 3)]
+
+
 def mha_scores(m, params):
     """Each head's scores Q K^T / sqrt(d_head), as mha_oracle softmaxes them."""
-    return [(m @ w_q.data) @ (m @ w_k.data).T / np.sqrt(w_q.data.shape[1])
-            for w_q, w_k, _ in params.heads]
+    return [(m @ w_q) @ (m @ w_k).T / np.sqrt(w_q.shape[1])
+            for w_q, w_k, _ in head_projections(params)]
 
 
 def mha_oracle(m, params):
     """Head-by-head plain numpy evaluation of the fusion attention."""
     outs = []
-    for scores, (_, _, w_v) in zip(mha_scores(m, params), params.heads):
+    for scores, (_, _, w_v) in zip(mha_scores(m, params), head_projections(params)):
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         p = e / e.sum(axis=1, keepdims=True)
-        outs.append(p @ (m @ w_v.data))
+        outs.append(p @ (m @ w_v))
     return np.concatenate(outs, axis=1) @ params.w_merge.data
 
 
@@ -80,8 +87,8 @@ def mixed_graph(rng, n):
 
 def layout_values(d, h, seed, name="block0", parallel=True):
     """Fresh (name, Value) pairs of one block, in block_layout order."""
-    return [(entry[0], ad.Value(gb.initial_value(seed, *entry)))
-            for entry in gb.block_layout(d, h, name, parallel)]
+    return [(entry[0], ad.Value(gb.initial_value(seed, *entry, h)))
+            for entry in gb.block_layout(d, name, parallel)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +365,7 @@ def test_single_row_attention_is_value_projection():
     params = init_block(d=3, h=2, seed=7)
     m = ad.Value(np.random.default_rng(6).standard_normal((1, 6)))
     out = gb.multi_head_attention(m, params)
-    heads = [m.data @ w_v.data for _, _, w_v in params.heads]
+    heads = [m.data @ w_v for _, _, w_v in head_projections(params)]
     np.testing.assert_allclose(out.data, np.concatenate(heads, axis=1) @ params.w_merge.data,
                                atol=1e-12)
 
@@ -401,7 +408,7 @@ def check_attention_at_scale(ms, params):
     rng = np.random.default_rng(len(ms))
     m = ad.Value(np.concatenate(ms))
     cotangent = ad.const(rng.standard_normal((m.data.shape[0], params.w_merge.data.shape[1])))
-    operands = [m, *(w for triple in params.heads for w in triple), params.w_merge]
+    operands = [m, params.w_qkv, params.w_merge]
 
     def forward_backward():
         for v in operands:
@@ -568,7 +575,7 @@ def test_two_stacked_blocks_pass_gradient_check():
 def test_plain_block_collapses_streams():
     rng = np.random.default_rng(14)
     params = init_block(d=4, h=2, seed=16, parallel=False)
-    assert params.heads is None
+    assert params.w_qkv is None and params.w_merge is None
     h = ad.Value(rng.standard_normal((3, 4)))
     adj = random_adjacency(rng, 3)
     state = gb.plain_block(gb.BlockState(h=h, hp=h), adj, params)
@@ -591,7 +598,7 @@ def test_same_seed_is_bit_identical():
     block = init_block(d=8, h=2, seed=42)
     values = dict(a)
     np.testing.assert_array_equal(block.gat.attn.data, values["block0.gat.attn"].data)
-    np.testing.assert_array_equal(block.heads[1][2].data, values["block0.head1.w_v"].data)
+    np.testing.assert_array_equal(block.w_qkv.data, values["block0.w_qkv"].data)
     np.testing.assert_array_equal(block.w_merge.data, values["block0.w_merge"].data)
 
 
@@ -622,7 +629,7 @@ def test_shared_shape_parameters_identical_across_variants():
 def test_parallel_off_drops_exactly_the_attention_matrices():
     d, h = 8, 2
     count = lambda parallel: sum(rows * cols for _, rows, cols
-                                 in gb.block_layout(d, h, parallel=parallel))
+                                 in gb.block_layout(d, parallel=parallel))
     d_cat, d_head = 2 * d, 2 * d // h
     gamma_size = h * 3 * d_cat * d_head + d_cat * d
     assert count(True) - count(False) == gamma_size

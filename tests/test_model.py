@@ -276,8 +276,8 @@ def test_constant_gradient_reaches_signed_lr_steady_state():
 
 def test_non_finite_gradient_names_parameter():
     params = mdl.init_model(small_config())
-    params.blocks[1].heads[0][1].grad[0, 0] = np.nan
-    with pytest.raises(NumericError, match=r"block1\.head0\.w_k"):
+    params.blocks[1].w_qkv.grad[0, 1] = np.nan
+    with pytest.raises(NumericError, match=r"block1\.w_qkv"):
         mdl.adamw_step(params, mdl.OptimizerState(), lr=1e-3, wd=0.0)
 
 
@@ -324,6 +324,49 @@ def test_flat_vector_of_the_wrong_size_is_shape_error():
     for wrong in (size - 1, size + 1):
         with pytest.raises(ShapeError, match=rf"the layout needs \({size},\)"):
             mdl.ModelParams(cfg, np.zeros(wrong))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_w_qkv_starts_as_the_per_head_draws(heads):
+    # each block's w_qkv is the column concatenation of one Xavier draw per
+    # head and projection, keyed by the names they had as separate matrices
+    cfg = small_config(hidden=8, heads=heads, layers=2, seed=7)
+    named = dict(mdl.init_model(cfg).named())
+    d_cat = 2 * cfg.hidden
+    for i in range(cfg.layers):
+        want = np.concatenate([gb.xavier(7, f"block{i}.head{h}.{proj}", d_cat, d_cat // heads)
+                               for h in range(heads) for proj in ("w_q", "w_k", "w_v")], axis=1)
+        np.testing.assert_array_equal(named[f"block{i}.w_qkv"].data, want)
+
+
+def test_parameter_count_is_bounded(monkeypatch):
+    count = mdl.init_model(small_config()).parameter_count()
+    monkeypatch.setattr(mdl, "MAX_PARAMETERS", count)
+    small_config()                                 # exactly at the bound
+    monkeypatch.setattr(mdl, "MAX_PARAMETERS", count - 1)
+    with pytest.raises(ConfigError, match=rf"more than MAX_PARAMETERS = {count - 1} "
+                                          rf"learnables, passed at w_out \(6 x 2\)"):
+        small_config()
+    monkeypatch.undo()
+    # a huge size stops at the first entry past the bound, before laying out the rest
+    with pytest.raises(ConfigError, match=r"passed at w_in \(56 x 100000000\)"):
+        mdl.ModelConfig(hidden=10**8)
+    with pytest.raises(ConfigError, match=r"passed at block\d+\.w_qkv \(32 x 96\)"):
+        mdl.ModelConfig(layers=10**8)
+
+
+def test_seed_uses_its_whole_value():
+    with pytest.raises(ConfigError, match="seed must not be negative, got -1"):
+        small_config(seed=-1)
+    # seeds below 2**32 draw what they drew while the key held only 32 bits
+    assert gb.xavier(0, "probe", 1, 2).tolist() == [[0.18898085950590238, -1.3882055011060819]]
+    assert gb.xavier(2**32 - 1, "probe", 1, 2).tolist() == [[-1.090988028546568,
+                                                           -1.0981681362279412]]
+    flats = [mdl.init_model(small_config(seed=seed)).flat
+             for seed in (0, 2**32, 2**32 - 1, 2**64)]
+    for i, a in enumerate(flats):
+        for b in flats[i + 1:]:
+            assert (a != b).any()
 
 
 # ---------------------------------------------------------------------------
@@ -619,14 +662,13 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("hidden", "x", "hidden='x' is not int"),
     ("layers", None, "layers=None is not int"),
     ("tau", "14", "tau='14' is not int"),
-    ("hidden", 10**12, r"entry 0: the header has \['w_in', 6, 6\], "
-                       r"the configuration lays out \['w_in', 6, 1000000000000\]"),
+    ("hidden", 10**12, r"config at offset 16: more than MAX_PARAMETERS = 16777216 "
+                       r"learnables, passed at w_in \(6 x 1000000000000\)"),
     ("grad_clip", "a", "grad_clip='a' is not float | None"),
     ("parallel_attention", "no", "parallel_attention='no' is not bool"),
-    ("heads", 3, r"entry 7: the header has \['block0.head0.w_q', 12, 6\], "
-                 r"the configuration lays out \['block0.head0.w_q', 12, 4\]"),
-    ("layers", 10**9, r"entry 26: the header has \['w_out', 6, 2\], "
-                      r"the configuration lays out \['block2.gat.w_left', 6, 6\]"),
+    ("layers", 10**9, r"config at offset 16: more than MAX_PARAMETERS = 16777216 "
+                      r"learnables, passed at block\d+\."),
+    ("seed", -1, "config at offset 16: seed must not be negative, got -1"),
     ("heads", 10**9, r"config at offset 16: heads must be in \[1, 12\], got 1000000000"),
     ("heads", 5, "config at offset 16: heads 5 must divide the fused width 12"),
     ("epochs", 0, "config at offset 16: phi, epochs and hidden must be positive"),
@@ -641,7 +683,7 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("alpha", 3, "config at offset 16: alpha=3, but a model has 2 classes per step"),
     ("alpha", 2.0, "config at offset 16: alpha=2.0, but a model has 2 classes per step"),
 ], ids=["hidden_str", "layers_null", "tau_str", "hidden_huge", "grad_clip_str",
-        "parallel_str", "heads_missized", "layers_huge", "heads_huge", "heads_not_dividing",
+        "parallel_str", "layers_huge", "seed_negative", "heads_huge", "heads_not_dividing",
         "epochs_zero", "tau_zero", "layers_negative", "k_nan", "s_inf", "grad_clip_neg_inf",
         "grad_clip_negative", "k_past_float", "grad_clip_past_float", "alpha_3", "alpha_float"])
 def test_mistyped_or_missized_config_is_format_error(tmp_path, capsys, key, value, match):
@@ -697,6 +739,28 @@ def test_header_holding_the_retired_alpha_field_loads(tmp_path):
     loaded = mdl.load_model(path)
     assert loaded.config == params.config
     np.testing.assert_array_equal(loaded.flat, params.flat)
+
+
+def test_header_listing_per_head_matrices_is_format_error(tmp_path, capsys):
+    # checkpoints written while each head kept its own w_q, w_k and w_v list
+    # them where the layout now has the block's one w_qkv
+    from trendgat import cli
+
+    path = tmp_path / "model.bin"
+    mdl.save_model(mdl.init_model(small_config()), path)
+    header, payload = _split(path.read_bytes())
+    blob = json.loads(header)
+    at = blob["params"].index(["block0.w_qkv", 12, 36])
+    blob["params"][at:at + 1] = [[f"block0.head{h}.{proj}", 12, 6]
+                                 for h in range(2) for proj in ("w_q", "w_k", "w_v")]
+    path.write_bytes(_sealed(json.dumps(blob, sort_keys=True).encode(), payload))
+    match = (r"entry 7: the header has \['block0.head0.w_q', 12, 6\], "
+             r"the configuration lays out \['block0.w_qkv', 12, 36\]")
+    with pytest.raises(FormatError, match=match):
+        mdl.load_model(path)
+    assert cli.main(["eval", "--manifest", str(tmp_path / "unused.csv"),
+                     "--out", str(tmp_path / "eval"), "--model", str(path)]) == 2
+    assert re.search(match, capsys.readouterr().err)
 
 
 def test_config_field_kinds_accept_what_save_writes(tmp_path):

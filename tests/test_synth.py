@@ -84,6 +84,26 @@ def test_rule_needs_warmup():
         synth.rule_directions(closes, synth.stock_scales(4, spec), spec, t=spec.warmup - 1)
 
 
+def test_seed_uses_its_whole_value():
+    closes = [synth.generate(4, 40, seed)["adj_close"] for seed in (0, 2**32, 2**64)]
+    assert (closes[0] != closes[1]).any() and (closes[1] != closes[2]).any()
+    with pytest.raises(ConfigError, match="seed must not be negative, got -1"):
+        synth.generate(4, 40, seed=-1)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--days", "100000000000"], "need 22 to 100000 days, got 100000000000"),
+    (["--days", str(synth.MAX_DAYS + 1)], f"need 22 to 100000 days, got {synth.MAX_DAYS + 1}"),
+    (["--seed", "-1"], "seed must not be negative, got -1"),
+], ids=["days_huge", "days_past_headroom", "seed_negative"])
+def test_cli_synth_bad_days_or_seed_exits_one(tmp_path, capsys, argv, message):
+    from trendgat import cli
+
+    assert cli.main(["synth", "--out", str(tmp_path / "ds"), "--n", "4", *argv]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_largest_ladder_generates_finite_paths():
     # 600 days: the top rung's close walk must also z-score in float64
