@@ -1,11 +1,12 @@
-"""Dynamic stock-graph generation.
+"""Dynamic stock-graph generation, in two stages.
 
-Each stock's lag window gets an energy (sum of squared feature entries);
-pairwise energy differences are turned into edge weights with the
-Boltzmann kernel exp(-|dE|/(k*tau)) and row-normalized, the lag window
-size doubling as the system temperature.  Entries below the threshold s
-are then zeroed.  A static same-sector graph is provided for ablation
-runs.
+First each stock's lag window gets an energy, the sum of its squared
+feature entries (``window_energies``, for every window of a split at
+once).  Then ``boltzmann_graph`` turns the pairwise energy differences
+into edge weights with the Boltzmann kernel exp(-|dE|/(k*tau)),
+row-normalized, the lag window size doubling as the system temperature,
+and zeroes the entries below the threshold s.  A static same-sector graph
+is provided for ablation runs.
 
 Every graph the model reads is a ``CsrGraph``: per node, the sources of
 its incoming edges and their weights.  A thresholded row keeps at most
@@ -23,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import market_data as md
 from .errors import ConfigError, DegenerateRowError, NumericError, ShapeError
 
 THRESHOLD_RANGE = (0.25, 0.85)
@@ -32,9 +34,12 @@ THRESHOLD_RANGE = (0.25, 0.85)
 # any gap that changes which entries reach s
 _WINDOW_MARGIN = 1e-9
 
-# boltzmann_graph builds blocks of windows whose squared features, or
-# candidate pairs, take about this many bytes
-_BLOCK_BYTES = 1 << 20
+# boltzmann_graph builds blocks of windows whose candidate pairs take about
+# this many bytes.  Each pair's temporaries (indices, weights, masks) take
+# several times that, so larger blocks raise the set-up peak: over
+# load_panel + build_datasets of a 200 x 300 panel, 64 KiB blocks peak at
+# 3.8 panels, 256 KiB at 4.2 and 1 MiB at 5.6
+_BLOCK_BYTES = 1 << 16
 
 
 class ThresholdRangeWarning(UserWarning):
@@ -232,12 +237,33 @@ def source_order(graph: CsrGraph) -> SourceOrder:
                        multi_at=multi_at)
 
 
-def boltzmann_graph(windows: np.ndarray, k: float, tau: int, s: float) -> list[CsrGraph]:
-    """The thresholded Boltzmann graph of each of B windows, given as a
-    B x N x (tau*F) stack: entry (i, j) is exp(-|E_i - E_j| / (k * tau))
-    normalized over j, E being each stock's sum of squared features, and is
-    kept when it is at least s (positive, for s <= 0); every self-loop is
-    kept too.  O(N log N) time and O(N / s) memory per window.
+def window_energies(values: np.ndarray, ts, tau: int) -> np.ndarray:
+    """The B x N energies of the windows of ``tau`` days ending at each day
+    of ``ts`` (consecutive, checked by ``md.window_ends``) of the N x T x F
+    panel ``values``: entry (b, i) is the sum of squares of row i of
+    window b of ``md.build_windows``.  Only the days the windows cover are
+    squared, once, in C order; each window's row of ``md.window_view`` is
+    then one contiguous run of the squares, summed as that row alone would
+    be.  A non-finite entry, or a square that overflows, gives a
+    non-finite energy, which ``boltzmann_graph`` rejects."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 3:
+        raise ConfigError(f"window_energies: need an N x T x F panel, got shape {values.shape}")
+    ts = md.window_ends(ts, tau, values.shape[1] - 1)
+    if not ts.size:
+        return np.empty((0, values.shape[0]))
+    first = int(ts[0]) - tau + 1
+    covered = values[:, first:first + ts.size + tau - 1]
+    squares = np.multiply(covered, covered, order="C")
+    return md.window_view(squares, ts - first, tau).sum(axis=2)
+
+
+def boltzmann_graph(energies: np.ndarray, k: float, tau: int, s: float) -> list[CsrGraph]:
+    """The thresholded Boltzmann graph of each of B windows, given as their
+    B x N energies (``window_energies``): entry (i, j) is
+    exp(-|E_i - E_j| / (k * tau)) normalized over j, and is kept when it
+    is at least s (positive, for s <= 0); every self-loop is kept too.
+    O(N log N) time and O(N / s) memory per window.
 
     With the energies sorted and x = E / (k * tau), row i's normalizer
     sum_j exp(-|x_i - x_j|) is Z_i = L_i + R_i - 1, where
@@ -248,36 +274,42 @@ def boltzmann_graph(windows: np.ndarray, k: float, tau: int, s: float) -> list[C
     weight is then computed and kept by the rule above.
 
     Every step runs on whole blocks of windows at once (``_block_graphs``),
-    sized so that no temporary is much over ``_BLOCK_BYTES``; the returned
-    graphs view the block's arrays.
+    sized so that their candidate pairs take about ``_BLOCK_BYTES``; the
+    returned graphs view the block's arrays.
 
-    Fewer than two stocks, a k that is not positive and finite, an s that
-    is not finite or a tau below 1 is a ``ConfigError``; a non-finite
-    feature, or an energy that overflows, a ``NumericError`` naming the
-    window.  A finite threshold outside ``THRESHOLD_RANGE`` warns, once
-    per call.
+    Energies that are not B x N with N >= 2 stocks, a k that is not
+    positive and finite, an s that is not finite or a tau below 1 is a
+    ``ConfigError``; a negative or non-finite energy a ``NumericError``
+    naming the window.  A finite threshold outside ``THRESHOLD_RANGE``
+    warns, once per call.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[1] < 2:
-        raise ConfigError(f"boltzmann_graph: need a B x N x (tau*F) stack of windows with "
-                          f"N >= 2 stocks, got {windows.shape}")
+    energies = np.asarray(energies, dtype=np.float64)
+    if energies.ndim != 2 or energies.shape[1] < 2:
+        raise ConfigError(f"boltzmann_graph: need B x N energies with N >= 2 stocks, "
+                          f"got shape {energies.shape}")
     if not 0 < k < math.inf:
         raise ConfigError(f"boltzmann_graph: k must be positive and finite, got {k}")
     if not math.isfinite(s):
         raise ConfigError(f"boltzmann_graph: s must be finite, got {s}")
     if tau < 1:
         raise ConfigError(f"boltzmann_graph: tau must be >= 1, got {tau}")
+    # a NaN fails both comparisons
+    valid = ((energies >= 0) & (energies < math.inf)).all(axis=1)
+    if not valid.all():
+        raise NumericError(f"boltzmann_graph: window {int(np.argmin(valid))} has non-finite "
+                           f"or negative energies (a non-finite feature, or squares that "
+                           f"overflow)")
     lo, hi = THRESHOLD_RANGE
     if not lo <= s <= hi:
         warnings.warn(f"threshold {s} outside the usual range [{lo}, {hi}]",
                       ThresholdRangeWarning, stacklevel=2)
-    b, n, width = windows.shape
+    b, n = energies.shape
     # candidates per row: at most about 1/s entries of a row reach s
     per_row = n if s <= 1.0 / n else min(n, int(1.0 / s) + 2)
-    step = max(1, _BLOCK_BYTES // (8 * n * max(width, per_row)))
+    step = max(1, _BLOCK_BYTES // (8 * n * per_row))
     graphs: list[CsrGraph] = []
     for start in range(0, b, step):
-        graphs += _block_graphs(windows[start:start + step], k * tau, s, start)
+        graphs += _block_graphs(energies[start:start + step], k * tau, s)
     return graphs
 
 
@@ -295,20 +327,13 @@ def _count_below(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return count[:, :m]
 
 
-def _block_graphs(windows: np.ndarray, scale: float, s: float, first: int) -> list[CsrGraph]:
-    """``boltzmann_graph`` of one block of B windows, whose first is window
-    ``first`` of the call.  Sorted position i of window b is flat row
-    b * N + i; each row's candidates are a run of flat columns of its own
-    window, and one argsort of (window, dst, src) keys puts the kept edges
-    in CSR order for all windows together."""
-    b, n, _ = windows.shape
-    # squares in C order, so each energy sums one contiguous row, as for one window
-    energies = np.multiply(windows, windows, order="C").sum(axis=2)
-    # squares cannot cancel, so a non-finite feature makes its energy non-finite
-    finite = np.isfinite(energies).all(axis=1)
-    if not finite.all():
-        raise NumericError(f"boltzmann_graph: window {first + int(np.argmin(finite))} has "
-                           f"non-finite features or energies that overflow")
+def _block_graphs(energies: np.ndarray, scale: float, s: float) -> list[CsrGraph]:
+    """``boltzmann_graph`` of one block of B windows' checked energies.
+    Sorted position i of window b is flat row b * N + i; each row's
+    candidates are a run of flat columns of its own window, and one
+    argsort of (window, dst, src) keys puts the kept edges in CSR order
+    for all windows together."""
+    b, n = energies.shape
     order = energies.argsort(axis=1, kind="stable")
     e = np.take_along_axis(energies, order, axis=1)
     x = e / scale
@@ -421,6 +446,8 @@ def export_dense(graph: CsrGraph, tickers: list[str], out) -> None:
 
 def snapshot(t: int, features: np.ndarray, k: float, tau: int, threshold: float) -> GraphSnapshot:
     """Bundle one N x (tau*F) window's features with its thresholded energy
-    graph (``boltzmann_graph`` of a stack of one)."""
+    graph: the window is a one-day panel of tau*F channels, whose one
+    window has the same energies."""
     features = np.asarray(features, dtype=np.float64)
-    return GraphSnapshot(t, features, boltzmann_graph(features[None], k, tau, threshold)[0])
+    energies = window_energies(np.expand_dims(features, 1), [0], 1)
+    return GraphSnapshot(t, features, boltzmann_graph(energies, k, tau, threshold)[0])

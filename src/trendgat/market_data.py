@@ -258,34 +258,51 @@ def normalize(panel: IndicatorPanel, splits: DatasetSplits) -> IndicatorPanel:
                           sectors=panel.sectors)
 
 
+def window_ends(ts, tau: int, last: int) -> np.ndarray:
+    """``ts`` as an int64 array of window ends, checked: consecutive days,
+    as a split's are, each with ``tau`` days of history and none past day
+    ``last``.  A tau below 1 or ends that are not consecutive is a
+    ``ConfigError``; an end outside [tau - 1, last] an ``IndexError``."""
+    if tau < 1:
+        raise ConfigError(f"tau must be >= 1, got {tau}")
+    ts = np.asarray(ts, dtype=np.int64).reshape(-1)
+    outside = ts[(ts < tau - 1) | (ts > last)]
+    if outside.size:
+        raise IndexError(f"t={outside[0]} out of range [{tau - 1}, {last}] for tau={tau}")
+    if (np.diff(ts) != 1).any():
+        raise ConfigError("window ends must be consecutive days")
+    return ts
+
+
+def window_view(values: np.ndarray, ts: np.ndarray, tau: int) -> np.ndarray:
+    """The windows of ``tau`` days ending at each day of ``ts`` (checked by
+    ``window_ends``) of the N x T x F array ``values``, as a read-only
+    B x N x (tau*F) view: row i of window b concatenates, day by day from
+    t-tau+1 through t, the F channels of stock i.  The array is day-major,
+    so for a C-order ``values`` each row is one contiguous run of it and
+    consecutive windows overlap; no window is copied."""
+    n, _, f = values.shape
+    # N x (T - tau + 1) x F x tau windows of the day axis, read-only
+    days = np.lib.stride_tricks.sliding_window_view(values, tau, axis=1)
+    first = int(ts[0]) - tau + 1 if ts.size else 0
+    windows = days[:, first:first + ts.size].transpose(1, 0, 3, 2)
+    return windows.reshape(ts.size, n, tau * f)
+
+
 def build_windows(panel: IndicatorPanel, ts, tau: int, phi: int) -> tuple[np.ndarray, np.ndarray]:
     """Window features ending at each day t of ``ts`` plus one-hot movement
     labels for days t+1 .. t+phi, for all B window ends in one pass.
 
-    ``features`` is B x N x (tau*F): row i of window b concatenates, day by
-    day from t-tau+1 through t, the F channels of stock i.  The panel is
-    day-major, so it is a read-only view of ``panel.values`` and
-    consecutive windows share memory; no window is copied.  That needs the
-    window ends to be consecutive days, as a split's are.  ``labels`` is a
-    read-only B x N x (phi*CLASSES) int64 array, one CLASSES block per
-    step: class 1 when adjusted close rises, class 0 otherwise (ties count
-    as down).
+    ``features`` is the B x N x (tau*F) ``window_view`` of
+    ``panel.values``.  ``labels`` is a read-only B x N x (phi*CLASSES)
+    int64 array, one CLASSES block per step: class 1 when adjusted close
+    rises, class 0 otherwise (ties count as down).
     """
-    if tau < 1 or phi < 1:
-        raise ConfigError(f"tau and phi must be >= 1, got tau={tau}, phi={phi}")
-    ts = np.asarray(ts, dtype=np.int64).reshape(-1)
-    outside = ts[(ts < tau - 1) | (ts + phi >= panel.n_days)]
-    if outside.size:
-        raise IndexError(f"t={outside[0]} out of range for tau={tau}, phi={phi}, "
-                         f"{panel.n_days} days")
-    if (np.diff(ts) != 1).any():
-        raise ConfigError("window ends must be consecutive days")
-    n, f = panel.n_stocks, len(panel.indicators)
-    # N x (T - tau + 1) x F x tau windows of the day axis, read-only
-    days = np.lib.stride_tricks.sliding_window_view(panel.values, tau, axis=1)
-    first = int(ts[0]) - tau + 1 if ts.size else 0
-    features = days[:, first:first + ts.size].transpose(1, 0, 3, 2)
-    features = features.reshape(ts.size, n, tau * f)      # still a view of the panel
+    if phi < 1:
+        raise ConfigError(f"phi must be >= 1, got {phi}")
+    ts = window_ends(ts, tau, panel.n_days - 1 - phi)
+    features = window_view(panel.values, ts, tau)
+    n = panel.n_stocks
     up = panel.close[:, 1:] > panel.close[:, :-1]         # N x (T - 1): day d to d + 1
     steps = up[:, ts[:, None] + np.arange(phi)].transpose(1, 0, 2)   # B x N x phi
     labels = np.empty(steps.shape + (CLASSES,), dtype=np.int64)

@@ -90,13 +90,15 @@ class ModelConfig:
                 raise ConfigError(f"heads must be in [1, {d_cat}], got {self.heads}")
             if d_cat % self.heads != 0:
                 raise ConfigError(f"heads {self.heads} must divide the fused width {d_cat}")
-        # lazily, so a huge hidden or layers stops at the first entry past the bound
-        total = 0
-        for name, rows, cols in layout(self):
-            total += rows * cols
-            if total > MAX_PARAMETERS:
-                raise ConfigError(f"more than MAX_PARAMETERS = {MAX_PARAMETERS} learnables, "
-                                  f"passed at {name} ({rows} x {cols})")
+        # the blocks are alike, so one block's size times layers: a huge
+        # hidden or layers is answered at once
+        outside = sum(rows * cols for _, rows, cols in layout(self, layers=0))
+        block = sum(rows * cols for _, rows, cols
+                    in gb.block_layout(self.hidden, "block", self.parallel_attention))
+        total = outside + self.layers * block
+        if total > MAX_PARAMETERS:
+            raise ConfigError(f"more than MAX_PARAMETERS = {MAX_PARAMETERS} learnables: "
+                              f"{total} ({self.layers} blocks of {block}, {outside} outside them)")
 
     @property
     def input_width(self) -> int:
@@ -107,14 +109,15 @@ class ModelConfig:
         return self.phi * self.alpha
 
 
-def layout(config: ModelConfig) -> Iterator[tuple[str, int, int]]:
+def layout(config: ModelConfig, layers: int | None = None) -> Iterator[tuple[str, int, int]]:
     """(name, rows, cols) of every learnable, in ``ModelParams.flat`` order:
-    the input projection and rectifier, each block's ``gb.block_layout``,
-    then the output projection.  Lazy, like ``gb.block_layout``."""
+    the input projection and rectifier, each block's ``gb.block_layout``
+    (``layers`` blocks, ``config.layers`` by default), then the output
+    projection.  Lazy, like ``gb.block_layout``."""
     d = config.hidden
     yield "w_in", config.input_width, d
     yield gb.PRELU_IN, 1, d
-    for i in range(config.layers):
+    for i in range(config.layers if layers is None else layers):
         yield from gb.block_layout(d, f"block{i}", config.parallel_attention)
     yield "w_out", d, config.output_width
 
@@ -257,19 +260,22 @@ def build_datasets(panel: md.IndicatorPanel, config: ModelConfig,
     """Split chronologically, normalize with train-only statistics, and
     build the splits in ``names`` (all three by default), each a
     ``metrics.Split``: one ``md.build_windows`` call windows and labels
-    all its days, one ``eg.boltzmann_graph`` call builds their energy
-    graphs, or a fixed ``adjacency`` (e.g. the sector graph) serves every
-    window.  A split stacks its evaluation chunks on first use and keeps
-    them, so scoring it again, in any later epoch, seed or variant, reuses
-    them."""
+    all its days, one ``eg.window_energies`` call takes their energies and
+    one ``eg.boltzmann_graph`` call builds their energy graphs, or a fixed
+    ``adjacency`` (e.g. the sector graph) serves every window.  A split
+    stacks its evaluation chunks on first use and keeps them, so scoring
+    it again, in any later epoch, seed or variant, reuses them."""
     splits = md.split_periods(panel, ratios, config.tau, config.phi)
     normalized = md.normalize(panel, splits)
     datasets = {}
     for name in names:
         ts = getattr(splits, name)
         features, labels = md.build_windows(normalized, ts, config.tau, config.phi)
-        graphs = ((adjacency,) * len(ts) if adjacency is not None
-                  else tuple(eg.boltzmann_graph(features, config.k, config.tau, config.s)))
+        if adjacency is None:
+            energies = eg.window_energies(normalized.values, ts, config.tau)
+            graphs = tuple(eg.boltzmann_graph(energies, config.k, config.tau, config.s))
+        else:
+            graphs = (adjacency,) * len(ts)
         datasets[name] = mt.Split(ts, features, labels, graphs)
     return datasets
 

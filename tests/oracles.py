@@ -2,28 +2,41 @@
 are dense references for ``energy_graph.boltzmann_graph``: the Boltzmann
 adjacency as an N x N matrix and the entrywise threshold.
 ``one_window_graph`` is its bit-exact sparse reference, one window at a
-time.  They skip the input checks, which the builder owns.  ``from_dense``
-turns a dense matrix into a ``CsrGraph`` and ``init_block`` builds a
-standalone block."""
+time.  All three take the window's energies, as the builder does
+(``energies_of`` gives them for windows that are not days of a panel),
+and skip the input checks, which the builder owns.  ``from_dense`` turns
+a dense matrix into a ``CsrGraph`` and ``init_block`` builds a standalone
+block."""
 
 import numpy as np
 
 from trendgat import autodiff as ad
+from trendgat import energy_graph as eg
 from trendgat import gnn_blocks as gb
 from trendgat.energy_graph import _WINDOW_MARGIN, CsrGraph, _windows
 from trendgat.errors import ShapeError
 
 
-def boltzmann_adjacency(features, k, tau):
-    """Row-stochastic similarity matrix from pairwise energy differences.
+def energies_of(windows):
+    """``eg.window_energies`` of a B x N x (tau*F) stack of windows, each
+    taken as one day of an N x B x (tau*F) panel: B x N energies.  One
+    N x (tau*F) window gives its N energies."""
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim == 2:
+        return energies_of(windows[None])[0]
+    return eg.window_energies(windows.swapaxes(0, 1), range(len(windows)), 1)
+
+
+def boltzmann_adjacency(energies, k, tau):
+    """Row-stochastic similarity matrix from the pairwise differences of N
+    energies.
 
     Entry (i, j) is exp(-|E_i - E_j|/(k*tau)) normalized over j.  The
     exponent is shifted by the row maximum before exponentiation; the
     shift is zero here (the self term always attains it) but keeps the
     evaluation explicitly underflow-safe for extreme energies.
     """
-    features = np.asarray(features, dtype=np.float64)
-    energies = (features * features).sum(axis=1)
+    energies = np.asarray(energies, dtype=np.float64)
     gaps = np.abs(energies[:, None] - energies[None, :])
     logits = -gaps / (k * tau)
     logits -= logits.max(axis=1, keepdims=True)
@@ -32,15 +45,14 @@ def boltzmann_adjacency(features, k, tau):
     return kernel / kernel.sum(axis=1, keepdims=True)
 
 
-def one_window_graph(features, k, tau, s) -> CsrGraph:
-    """The thresholded Boltzmann graph of one N x (tau*F) window, built the
-    way ``boltzmann_graph`` built it window by window: sort the energies,
+def one_window_graph(energies, k, tau, s) -> CsrGraph:
+    """The thresholded Boltzmann graph of one window's N energies, built
+    the way ``boltzmann_graph`` built it window by window: sort them,
     take each row's normalizer Z from two ``logaddexp.accumulate`` passes,
     ``searchsorted`` each row's candidate window |x_i - x_j| <= -ln(s * Z_i)
     (widened by the rounding margin), then keep each candidate that reaches
     s, and every self-loop."""
-    features = np.asarray(features, dtype=np.float64)
-    energies = (features * features).sum(axis=1)
+    energies = np.asarray(energies, dtype=np.float64)
     n = energies.size
     scale = k * tau
     order = energies.argsort(kind="stable")

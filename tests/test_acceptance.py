@@ -17,7 +17,7 @@ from trendgat import model as mdl
 from trendgat import synth
 
 from gradcheck import grad_check
-from oracles import boltzmann_adjacency, sparsify
+from oracles import boltzmann_adjacency, energies_of, sparsify
 from test_energy_graph import assert_matches_dense_oracle, brute_force_adjacency
 from test_metrics import oracle_metrics
 
@@ -52,7 +52,7 @@ def test_graph_oracle_equivalence():
         k = float(rng.uniform(0.02, 2.0))
         tau = int(rng.integers(1, 28))
         s = float(rng.uniform(0.0, 1.0))
-        dense = boltzmann_adjacency(feats, k, tau)
+        dense = boltzmann_adjacency(energies_of(feats), k, tau)
         oracle = brute_force_adjacency(feats, k, tau)
         worst = max(worst, float(np.abs(dense - oracle).max()))
         sparse_ours = sparsify(dense, s)
@@ -68,7 +68,8 @@ def test_graph_builder_matches_dense_oracle_on_acceptance_set(synthetic_dataset)
     _, panel = synthetic_dataset
     cfg = acceptance_config()
     samples = [sample for split in mdl.build_datasets(panel, cfg).values() for sample in split]
-    edges = sum(assert_matches_dense_oracle(sample.snapshot.features, cfg.k, cfg.tau, cfg.s).src.size
+    edges = sum(assert_matches_dense_oracle(energies_of(sample.snapshot.features),
+                                            cfg.k, cfg.tau, cfg.s).src.size
                 for sample in samples)
     report("sparse graph builder equals the dense oracle on every snapshot (edges exact, 1e-12)",
            True, f"{len(samples)} snapshots, {edges} edges with self-loops")
@@ -80,7 +81,8 @@ def test_row_stochasticity():
     for _ in range(200):
         n = int(rng.integers(2, 11))
         feats = rng.standard_normal((n, int(rng.integers(1, 17)))) * rng.uniform(0.1, 5.0)
-        adj = boltzmann_adjacency(feats, float(rng.uniform(0.02, 2.0)), int(rng.integers(1, 28)))
+        adj = boltzmann_adjacency(energies_of(feats), float(rng.uniform(0.02, 2.0)),
+                                  int(rng.integers(1, 28)))
         worst = max(worst, float(np.abs(adj.sum(axis=1) - 1.0).max()))
     report("pre-threshold rows sum to 1 (1e-9)", worst <= 1e-9, f"max dev {worst:.2e}")
 
@@ -95,13 +97,13 @@ def test_temperature_limits():
         energies = (feats ** 2).sum(axis=1)
         gaps = np.abs(energies[:, None] - energies[None, :])
         max_gap = gaps.max()
-        adj = boltzmann_adjacency(feats, k=1e6 * max_gap, tau=1)
+        adj = boltzmann_adjacency(energies_of(feats), k=1e6 * max_gap, tau=1)
         dev = float(np.abs(adj - 1.0 / n).max())
         if dev > 1e-6:
             ok = False
             detail.append(f"uniform dev {dev:.2e}")
         min_gap = gaps[gaps > 0].min()
-        adj = boltzmann_adjacency(feats, k=1e-6 * min_gap, tau=1)
+        adj = boltzmann_adjacency(energies_of(feats), k=1e-6 * min_gap, tau=1)
         if (np.diag(adj) < 1.0 - 1e-6).any():
             ok = False
             detail.append(f"diag {np.diag(adj).min():.8f}")
@@ -119,8 +121,8 @@ def test_permutation_equivariance():
         feats = rng.standard_normal((n, cfg.input_width))
         perm = rng.permutation(n)
         p = np.eye(n)[perm]
-        adj = boltzmann_adjacency(feats, cfg.k, cfg.tau)
-        adj_perm = boltzmann_adjacency(p @ feats, cfg.k, cfg.tau)
+        adj = boltzmann_adjacency(energies_of(feats), cfg.k, cfg.tau)
+        adj_perm = boltzmann_adjacency(energies_of(p @ feats), cfg.k, cfg.tau)
         worst_adj = max(worst_adj, float(np.abs(adj_perm - p @ adj @ p.T).max()))
         base = mdl.forward(params, eg.snapshot(0, feats, cfg.k, cfg.tau, cfg.s)).data
         permuted = mdl.forward(params, eg.snapshot(0, p @ feats, cfg.k, cfg.tau, cfg.s)).data

@@ -9,7 +9,7 @@ import pytest
 from trendgat import cli, energy_graph as eg, market_data as md, model as mdl, synth
 from trendgat.errors import ConfigError
 
-from oracles import one_window_graph
+from oracles import energies_of, one_window_graph
 
 
 @pytest.fixture(scope="module")
@@ -379,7 +379,8 @@ def test_each_stock_csv_is_read_once(small_dataset, tmp_path, monkeypatch, argv)
 
 
 def windows_built(builds) -> int:
-    """The windows handed to ``eg.boltzmann_graph`` over the recorded calls."""
+    """The windows whose energies were handed to ``eg.boltzmann_graph`` over
+    the recorded calls."""
     return sum(args[0].shape[0] for args in builds)
 
 
@@ -491,7 +492,7 @@ def test_graphgen_prints_each_splits_graph_statistics(tmp_path, capsys):
         off = []
         for t in getattr(splits, name):
             window = values[:, t - tau + 1:t + 1, :].reshape(6, -1)
-            dense = np.asarray(one_window_graph(window, k, tau, s))
+            dense = np.asarray(one_window_graph(energies_of(window), k, tau, s))
             np.fill_diagonal(dense, 0.0)
             off.append(dense > 0)
         off = np.array(off)
@@ -546,7 +547,7 @@ def test_graphgen_exports_the_graph_of_the_given_day(small_dataset, tmp_path, ca
                    "--tau", str(tau), "--k", str(k), "--s", str(s), "--t", str(t)) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith(f"t={t} ({panel.dates[t]}): ")
     window = md.normalize(panel, splits).values[:, t - tau + 1:t + 1, :].reshape(6, -1)
-    want = np.asarray(one_window_graph(window, k, tau, s))
+    want = np.asarray(one_window_graph(energies_of(window), k, tau, s))
     got = np.loadtxt(out / f"adjacency_t{t}.csv", delimiter=",", skiprows=1,
                      usecols=range(1, 7))
     np.testing.assert_array_equal(got, want)
@@ -582,8 +583,9 @@ def test_usage_error_exits_one():
     (("--no-range-check", "--tau", "0"), "tau must be positive (at least one lag day), got 0"),
     (("--no-range-check", "--layers", "-1"), "layers must not be negative, got -1"),
     (("--seeds", "0,-1"), "seed must not be negative, got -1"),
-    (("--hidden", "100000000"), "more than MAX_PARAMETERS = 16777216 learnables, "
-                                "passed at w_in (28 x 100000000)"),
+    (("--hidden", "100000000"), "more than MAX_PARAMETERS = 16777216 learnables: "
+                                "340000003300000002 (2 blocks of 170000000100000001, "
+                                "3100000000 outside them)"),
     (("--no-range-check", "--layers", "100000000"), "more than MAX_PARAMETERS = 16777216"),
 ], ids=["grad_clip_negative", "grad_clip_zero", "grad_clip_nan", "grad_clip_inf",
         "no_indicators", "k_nan_unchecked", "k_inf_unchecked", "s_nan_unchecked",

@@ -7,14 +7,15 @@ import pytest
 
 from trendgat import energy_graph as eg
 from trendgat import market_data as md
+from trendgat import synth
 from trendgat.errors import ConfigError, NumericError, ShapeError
 
-from oracles import boltzmann_adjacency, from_dense, one_window_graph, sparsify
+from oracles import boltzmann_adjacency, energies_of, from_dense, one_window_graph, sparsify
 
 
-def graph_of(features, k, tau, s):
-    """``boltzmann_graph`` of one window: a stack of one."""
-    return eg.boltzmann_graph(np.asarray(features)[None], k, tau, s)[0]
+def graph_of(energies, k, tau, s):
+    """``boltzmann_graph`` of one window's N energies: a stack of one."""
+    return eg.boltzmann_graph(np.asarray(energies)[None], k, tau, s)[0]
 
 
 def brute_force_adjacency(features, k, tau):
@@ -42,7 +43,7 @@ def brute_force_adjacency(features, k, tau):
 
 def test_equal_energies_give_uniform_rows():
     feats = np.tile(np.array([1.0, -2.0, 0.5]), (3, 1))
-    adj = boltzmann_adjacency(feats, k=0.7, tau=5)
+    adj = boltzmann_adjacency(energies_of(feats), k=0.7, tau=5)
     np.testing.assert_allclose(adj, 1.0 / 3.0, atol=1e-15)
 
 
@@ -51,14 +52,14 @@ def test_two_stock_log2_gap_hand_case():
     k, tau = 0.5, 10
     e1 = k * tau * math.log(2.0)
     feats = np.array([[0.0, 0.0], [math.sqrt(e1), 0.0]])
-    adj = boltzmann_adjacency(feats, k=k, tau=tau)
+    adj = boltzmann_adjacency(energies_of(feats), k=k, tau=tau)
     np.testing.assert_allclose(adj[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
 
 def test_matches_brute_force_oracle():
     rng = np.random.default_rng(1)
     feats = rng.standard_normal((6, 8))
-    adj = boltzmann_adjacency(feats, k=0.5, tau=10)
+    adj = boltzmann_adjacency(energies_of(feats), k=0.5, tau=10)
     oracle = brute_force_adjacency(feats, k=0.5, tau=10)
     np.testing.assert_allclose(adj, oracle, atol=1e-12)
 
@@ -67,19 +68,19 @@ def test_invalid_scaling_or_temperature_rejected():
     feats = np.ones((2, 3))
     for k in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="k must be positive"):
-            graph_of(feats, k=k, tau=5, s=0.4)
+            graph_of(energies_of(feats), k=k, tau=5, s=0.4)
     # a non-finite threshold is rejected before the range warning
     for s in (math.nan, math.inf, -math.inf):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="s must be finite"):
-                graph_of(feats, k=0.5, tau=5, s=s)
+                graph_of(energies_of(feats), k=0.5, tau=5, s=s)
         with pytest.raises(ConfigError, match="s must be finite"):
             eg.snapshot(0, feats, 0.5, 5, s)
     with pytest.raises(ConfigError):
-        graph_of(feats, k=0.5, tau=0, s=0.4)
+        graph_of(energies_of(feats), k=0.5, tau=0, s=0.4)
     with pytest.raises(ConfigError):
-        graph_of(np.ones((1, 3)), k=0.5, tau=5, s=0.4)
+        graph_of(energies_of(np.ones((1, 3))), k=0.5, tau=5, s=0.4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])   # 1e200 squared overflows
@@ -87,7 +88,7 @@ def test_non_finite_features_rejected(bad):
     feats = np.ones((3, 4))
     feats[1, 2] = bad
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
-        graph_of(feats, k=0.5, tau=5, s=0.4)
+        graph_of(energies_of(feats), k=0.5, tau=5, s=0.4)
 
 
 def test_rows_sum_to_one_on_random_instances():
@@ -95,7 +96,8 @@ def test_rows_sum_to_one_on_random_instances():
     for _ in range(50):
         n = int(rng.integers(2, 12))
         feats = rng.standard_normal((n, int(rng.integers(1, 10)))) * rng.uniform(0.1, 5.0)
-        adj = boltzmann_adjacency(feats, k=float(rng.uniform(0.02, 2.0)), tau=int(rng.integers(1, 30)))
+        adj = boltzmann_adjacency(energies_of(feats), k=float(rng.uniform(0.02, 2.0)),
+                                  tau=int(rng.integers(1, 30)))
         np.testing.assert_allclose(adj.sum(axis=1), 1.0, atol=1e-9)
         assert (adj >= 0).all()
 
@@ -112,7 +114,7 @@ def test_prenormalization_kernel_is_symmetric():
 def test_diagonal_is_row_maximum_before_sparsify():
     rng = np.random.default_rng(4)
     feats = rng.standard_normal((8, 6))
-    adj = boltzmann_adjacency(feats, k=0.4, tau=7)
+    adj = boltzmann_adjacency(energies_of(feats), k=0.4, tau=7)
     assert (np.diag(adj) >= adj.max(axis=1) - 1e-15).all()
 
 
@@ -122,7 +124,7 @@ def test_uniform_temperature_limit():
     energies = (feats ** 2).sum(axis=1)
     max_gap = np.abs(energies[:, None] - energies[None, :]).max()
     k = 1e6 * max_gap  # k*tau >= 1e6 * max|dE| with tau = 1
-    adj = boltzmann_adjacency(feats, k=k, tau=1)
+    adj = boltzmann_adjacency(energies_of(feats), k=k, tau=1)
     assert np.abs(adj - 0.2).max() < 1e-6
 
 
@@ -131,7 +133,7 @@ def test_sharp_temperature_limit_concentrates_on_diagonal():
     energies = (feats ** 2).sum(axis=1)
     gaps = np.abs(energies[:, None] - energies[None, :])
     min_gap = gaps[gaps > 0].min()
-    adj = boltzmann_adjacency(feats, k=1e-6 * min_gap, tau=1)
+    adj = boltzmann_adjacency(energies_of(feats), k=1e-6 * min_gap, tau=1)
     assert (np.diag(adj) >= 1.0 - 1e-6).all()
 
 
@@ -140,15 +142,15 @@ def test_permutation_equivariance():
     feats = rng.standard_normal((6, 5))
     perm = rng.permutation(6)
     p = np.eye(6)[perm]
-    a = boltzmann_adjacency(feats, k=0.5, tau=10)
-    a_perm = boltzmann_adjacency(p @ feats, k=0.5, tau=10)
+    a = boltzmann_adjacency(energies_of(feats), k=0.5, tau=10)
+    a_perm = boltzmann_adjacency(energies_of(p @ feats), k=0.5, tau=10)
     np.testing.assert_allclose(a_perm, p @ a @ p.T, atol=1e-13)
 
 
 def test_larger_gap_never_gets_larger_entry():
     rng = np.random.default_rng(7)
     feats = rng.standard_normal((9, 4))
-    adj = boltzmann_adjacency(feats, k=0.8, tau=3)
+    adj = boltzmann_adjacency(energies_of(feats), k=0.8, tau=3)
     energies = (feats ** 2).sum(axis=1)
     gaps = np.abs(energies[:, None] - energies[None, :])
     for i in range(9):
@@ -167,8 +169,8 @@ def test_zero_threshold_leaves_matrix_unchanged():
     np.testing.assert_array_equal(sparsify(adj, 0.0), adj)
     feats = rng.standard_normal((4, 3))
     with pytest.warns(eg.ThresholdRangeWarning):
-        graph = graph_of(feats, 0.5, 5, 0.0)
-    np.testing.assert_allclose(np.asarray(graph), boltzmann_adjacency(feats, 0.5, 5),
+        graph = graph_of(energies_of(feats), 0.5, 5, 0.0)
+    np.testing.assert_allclose(np.asarray(graph), boltzmann_adjacency(energies_of(feats), 0.5, 5),
                                rtol=0, atol=1e-12)
 
 
@@ -182,13 +184,13 @@ def test_saturating_threshold_zeroes_everything():
     adj = np.full((3, 3), 1.0 / 3.0)
     assert (sparsify(adj, 0.9) == 0.0).all()
     with pytest.warns(eg.ThresholdRangeWarning):
-        graph = graph_of(np.ones((3, 2)), 0.5, 5, 0.9)    # uniform rows of 1/3
+        graph = graph_of(energies_of(np.ones((3, 2))), 0.5, 5, 0.9)    # uniform rows of 1/3
     np.testing.assert_array_equal(np.asarray(graph), 0.0)
 
 
 def test_surviving_entries_are_zero_or_at_least_s():
     rng = np.random.default_rng(9)
-    adj = boltzmann_adjacency(rng.standard_normal((7, 5)), k=0.5, tau=10)
+    adj = boltzmann_adjacency(energies_of(rng.standard_normal((7, 5))), k=0.5, tau=10)
     out = sparsify(adj, 0.3)
     assert ((out == 0.0) | (out >= 0.3)).all()
 
@@ -197,12 +199,12 @@ def test_surviving_entries_are_zero_or_at_least_s():
 # boltzmann_graph: the O(N log N) builder against the dense oracle
 # ---------------------------------------------------------------------------
 
-def assert_matches_dense_oracle(features, k, tau, s):
+def assert_matches_dense_oracle(energies, k, tau, s):
     """The builder's edges are the positive entries of
     sparsify(boltzmann_adjacency(...)) plus every self-loop, row-major,
     with weights within 1e-12 (a self-loop below s carries 0.0)."""
-    graph = graph_of(features, k, tau, s)
-    dense = sparsify(boltzmann_adjacency(features, k, tau), s)
+    graph = graph_of(energies, k, tau, s)
+    dense = sparsify(boltzmann_adjacency(energies, k, tau), s)
     keep = dense > 0
     np.fill_diagonal(keep, True)
     rows, cols = np.nonzero(keep)
@@ -219,7 +221,7 @@ def test_builder_matches_dense_oracle_on_random_instances():
     for _ in range(300):
         n, tau, f = int(rng.integers(2, 60)), int(rng.integers(7, 28)), int(rng.integers(1, 6))
         feats = rng.standard_normal((n, tau * f)) * rng.uniform(0.2, 2.0, (n, 1))
-        graph = assert_matches_dense_oracle(feats, float(rng.uniform(0.02, 2.0)), tau,
+        graph = assert_matches_dense_oracle(energies_of(feats), float(rng.uniform(0.02, 2.0)), tau,
                                             float(rng.uniform(0.25, 0.85)))
         offdiag += graph.src.size - n
     # energies spaced on the kernel's own scale k * tau, where rows keep neighbours
@@ -227,7 +229,7 @@ def test_builder_matches_dense_oracle_on_random_instances():
         n, tau = int(rng.integers(2, 60)), int(rng.integers(7, 28))
         k, s = float(rng.uniform(0.02, 2.0)), float(rng.uniform(0.25, 0.85))
         energies = np.cumsum(rng.exponential(rng.uniform(0.1, 2.0), n) * k * tau)
-        graph = assert_matches_dense_oracle(np.sqrt(rng.permutation(energies))[:, None], k, tau, s)
+        graph = assert_matches_dense_oracle(rng.permutation(energies), k, tau, s)
         offdiag += graph.src.size - n
     assert offdiag > 150    # kept neighbours are exercised, not only self-loops
 
@@ -250,11 +252,11 @@ def test_rows_keep_at_most_one_over_s_edges():
         n, tau = int(rng.integers(2, 60)), int(rng.integers(7, 28))
         k, s = float(rng.uniform(0.02, 2.0)), _threshold_off_reciprocals(rng)
         if case % 2:
-            feats = rng.standard_normal((n, tau)) * rng.uniform(0.2, 2.0, (n, 1))
+            energies = energies_of(rng.standard_normal((n, tau)) * rng.uniform(0.2, 2.0, (n, 1)))
         else:   # energies spaced on the kernel's scale k * tau, where rows keep neighbours
             energies = np.cumsum(rng.exponential(rng.uniform(0.1, 2.0), n) * k * tau)
-            feats = np.sqrt(rng.permutation(energies))[:, None]
-        per_row = np.diff(graph_of(feats, k, tau, s).indptr)
+            energies = rng.permutation(energies)
+        per_row = np.diff(graph_of(energies, k, tau, s).indptr)
         assert per_row.max() <= max(1, math.floor(1.0 / s)), (case, s, per_row.max())
         if s > 0.5:
             assert (per_row == 1).all(), (case, s)
@@ -266,23 +268,23 @@ def test_builder_on_tied_energies():
     # rows 0 and 2 are permutations of each other, so their energies tie
     feats = np.array([[1.0, 2.0], [0.5, 0.5], [2.0, 1.0], [3.0, 0.0]])
     for k, s in ((0.5, 0.25), (2.0, 0.3), (0.05, 0.4)):
-        assert_matches_dense_oracle(feats, k, 1, s)
+        assert_matches_dense_oracle(energies_of(feats), k, 1, s)
 
 
 def test_builder_on_two_stocks_hand_case():
     # |E_0 - E_1| = k*tau*ln2: row 0 is [2/3, 1/3]
     k, tau = 0.5, 10
     feats = np.array([[0.0, 0.0], [math.sqrt(k * tau * math.log(2.0)), 0.0]])
-    graph = assert_matches_dense_oracle(feats, k, tau, 0.3)
+    graph = assert_matches_dense_oracle(energies_of(feats), k, tau, 0.3)
     np.testing.assert_allclose(np.asarray(graph), [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-12)
-    graph = assert_matches_dense_oracle(feats, k, tau, 0.5)
+    graph = assert_matches_dense_oracle(energies_of(feats), k, tau, 0.5)
     np.testing.assert_array_equal(graph.src, [0, 1])
 
 
 @pytest.mark.parametrize("n,s,weight", [(3, 0.25, 1.0 / 3.0), (5, 0.25, 0.0), (2, 0.4, 0.5)])
 def test_builder_on_equal_energies_keeps_uniform_rows_or_only_self_loops(n, s, weight):
     feats = np.tile(np.array([1.0, -2.0, 0.5]), (n, 1))
-    graph = assert_matches_dense_oracle(feats, 0.7, 5, s)
+    graph = assert_matches_dense_oracle(energies_of(feats), 0.7, 5, s)
     expected = np.full((n, n), weight) if weight else np.zeros((n, n))
     np.testing.assert_allclose(np.asarray(graph), expected, atol=1e-12)
     assert graph.src.size == (n * n if weight else n)
@@ -290,13 +292,13 @@ def test_builder_on_equal_energies_keeps_uniform_rows_or_only_self_loops(n, s, w
 
 def test_builder_keeps_the_dense_checks_and_warning():
     with pytest.raises(ConfigError):
-        graph_of(np.ones((1, 3)), 0.5, 5, 0.4)
+        graph_of(energies_of(np.ones((1, 3))), 0.5, 5, 0.4)
     with pytest.raises(ConfigError):
-        graph_of(np.ones((2, 3)), 0.0, 5, 0.4)
+        graph_of(energies_of(np.ones((2, 3))), 0.0, 5, 0.4)
     with pytest.raises(ConfigError):
-        graph_of(np.ones((2, 3)), 0.5, 0, 0.4)
+        graph_of(energies_of(np.ones((2, 3))), 0.5, 0, 0.4)
     with pytest.raises(NumericError, match="non-finite"):
-        graph_of(np.array([[1.0, np.nan], [0.0, 1.0]]), 0.5, 5, 0.4)
+        graph_of(energies_of(np.array([[1.0, np.nan], [0.0, 1.0]])), 0.5, 5, 0.4)
     with pytest.warns(eg.ThresholdRangeWarning):
         graph = eg.snapshot(0, np.eye(3), 0.5, 5, 0.9).adjacency
     np.testing.assert_array_equal(graph.weight, 0.0)     # nothing reaches 0.9
@@ -306,12 +308,12 @@ def test_builder_keeps_the_dense_checks_and_warning():
 # boltzmann_graph over a stack of windows: bit for bit the one-window build
 # ---------------------------------------------------------------------------
 
-def panel_windows(n, seed, k=0.5, tau=7, days=60, f=4):
-    """Every window of a random N x days x f panel, as ``md.build_windows``
-    views it, with energies on the kernel's scale k * tau.  Stock 0 is all
-    zeros (zero energy).  With N = 2, stock 1 lies near it; otherwise stock
-    2 is stock 1 negated, so their energies tie exactly, far above the
-    rest: both kinds of pair keep their edges for s <= 0.4."""
+def random_panel(n, seed, k=0.5, days=60, f=4):
+    """A random N x days x f panel whose window energies lie on the kernel's
+    scale k * tau.  Stock 0 is all zeros (zero energy).  With N = 2, stock
+    1 lies near it; otherwise stock 2 is stock 1 negated, so their energies
+    tie exactly, far above the rest: both kinds of pair keep their edges
+    for s <= 0.4."""
     rng = np.random.default_rng(seed)
     scales = np.exp(rng.uniform(-1.2, 1.2, (n, 1, 1))) * math.sqrt(k / f)
     values = rng.standard_normal((n, days, f)) * scales
@@ -321,10 +323,51 @@ def panel_windows(n, seed, k=0.5, tau=7, days=60, f=4):
     else:
         values[1] *= 30.0
         values[2] = -values[1]
-    panel = md.IndicatorPanel(tickers=[f"S{i}" for i in range(n)], dates=[""] * days,
-                              values=values, indicators=["a"] * f, close=values[:, :, 0])
-    features, _ = md.build_windows(panel, md.usable_range(days, tau, 1), tau, 1)
-    return features
+    return md.IndicatorPanel(tickers=[f"S{i}" for i in range(n)], dates=[""] * days,
+                             values=values, indicators=["a"] * f, close=values[:, :, 0])
+
+
+def panel_energies(n, seed, k=0.5, tau=7, days=60, f=4):
+    """The B x N energies of every window of a ``random_panel``."""
+    panel = random_panel(n, seed, k, days, f)
+    return eg.window_energies(panel.values, md.usable_range(days, tau, 1), tau)
+
+
+@pytest.fixture(scope="module")
+def synth_panel(tmp_path_factory):
+    """The normalized 20 x 600 ``synth`` panel of the acceptance set."""
+    manifest = synth.write_dataset(tmp_path_factory.mktemp("synth"), 20, 600, seed=0)
+    panel = md.select_indicators(md.load_panel(manifest), md.DEFAULT_INDICATORS)
+    return md.normalize(panel, md.split_periods(panel, (457, 63, 261), 14, 1))
+
+
+@pytest.mark.parametrize("tau", [1, 7, 14, 27])
+def test_window_energies_are_the_squares_of_each_window_bit_for_bit(synth_panel, tau):
+    # the reference squares every copied window and sums each contiguous
+    # row, as the graph builder did before the energies were a stage
+    panels = [random_panel(n, seed=n) for n in (2, 3, 20, 100)] + [synth_panel]
+    for panel in panels:
+        usable = md.usable_range(panel.n_days, tau, 1)
+        for ts in (usable, usable[10:30], usable[-1:]):
+            features, _ = md.build_windows(panel, ts, tau, 1)
+            want = np.multiply(features, features, order="C").sum(axis=2)
+            got = eg.window_energies(panel.values, ts, tau)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_window_energies_check_the_panel_and_the_window_ends():
+    values = random_panel(3, seed=1, days=20).values
+    assert eg.window_energies(values, range(0), 7).shape == (0, 3)
+    with pytest.raises(ConfigError, match="N x T x F panel"):
+        eg.window_energies(values[:, :, 0], range(6, 9), 7)
+    with pytest.raises(ConfigError, match="tau must be >= 1"):
+        eg.window_energies(values, range(6, 9), 0)
+    with pytest.raises(IndexError, match="t=5 out of range"):
+        eg.window_energies(values, range(5, 9), 7)
+    with pytest.raises(IndexError, match="t=20 out of range"):
+        eg.window_energies(values, range(18, 21), 7)
+    with pytest.raises(ConfigError, match="consecutive"):
+        eg.window_energies(values, [6, 8], 7)
 
 
 def assert_bit_identical(graph, reference):
@@ -339,13 +382,13 @@ def assert_bit_identical(graph, reference):
 @pytest.mark.parametrize("k,s", [(0.5, 0.4), (0.08, 0.25), (0.02, 0.1), (0.5, 0.0)])
 def test_stacked_build_is_bit_identical_to_one_window_at_a_time(n, k, s):
     tau = 7
-    features = panel_windows(n, seed=n, k=k, tau=tau)
+    energies = panel_energies(n, seed=n, k=k, tau=tau)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", eg.ThresholdRangeWarning)
-        graphs = eg.boltzmann_graph(features, k, tau, s)
-    assert len(graphs) == features.shape[0]
+        graphs = eg.boltzmann_graph(energies, k, tau, s)
+    assert len(graphs) == energies.shape[0]
     offdiag = 0
-    for window, graph in zip(features, graphs):
+    for window, graph in zip(energies, graphs):
         assert_bit_identical(graph, one_window_graph(window, k, tau, s))
         offdiag += graph.src.size - n
     assert offdiag > 0      # rows with neighbours are exercised
@@ -363,26 +406,45 @@ def test_candidate_search_matches_searchsorted_on_ties_and_non_finite_queries():
 
 @pytest.mark.parametrize("block_bytes", [1, 20_000])
 def test_blocks_do_not_change_the_graphs(monkeypatch, block_bytes):
-    features = panel_windows(20, seed=5)
-    whole = eg.boltzmann_graph(features, 0.08, 7, 0.25)
+    energies = panel_energies(20, seed=5)
+    whole = eg.boltzmann_graph(energies, 0.08, 7, 0.25)
     monkeypatch.setattr(eg, "_BLOCK_BYTES", block_bytes)
-    for graph, reference in zip(eg.boltzmann_graph(features, 0.08, 7, 0.25), whole, strict=True):
+    for graph, reference in zip(eg.boltzmann_graph(energies, 0.08, 7, 0.25), whole, strict=True):
         assert_bit_identical(graph, reference)
 
 
 def test_stacked_build_names_the_non_finite_window_and_warns_once(monkeypatch):
-    features = panel_windows(5, seed=6).copy()
-    features[3, 1, 2] = np.nan
+    panel = random_panel(5, seed=6)
+    panel.values[1, 9, 2] = np.nan        # day 9: in the windows ending at t = 9 (window 3) on
+    energies = eg.window_energies(panel.values, md.usable_range(60, 7, 1), 7)
     with pytest.raises(NumericError, match="window 3 has non-finite"):
-        eg.boltzmann_graph(features, 0.5, 7, 0.4)
+        eg.boltzmann_graph(energies, 0.5, 7, 0.4)
     monkeypatch.setattr(eg, "_BLOCK_BYTES", 1)       # one window per block
     with pytest.raises(NumericError, match="window 3 has non-finite"):
-        eg.boltzmann_graph(features, 0.5, 7, 0.4)
+        eg.boltzmann_graph(energies, 0.5, 7, 0.4)
     monkeypatch.undo()
     with pytest.warns(eg.ThresholdRangeWarning) as caught:
-        graphs = eg.boltzmann_graph(features[:3], 0.5, 7, 0.9)
+        graphs = eg.boltzmann_graph(energies[:3], 0.5, 7, 0.9)
     assert len(caught) == 1 and len(graphs) == 3
-    assert eg.boltzmann_graph(features[:0], 0.5, 7, 0.4) == []
+    assert eg.boltzmann_graph(energies[:0], 0.5, 7, 0.4) == []
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, np.nan, np.inf, -np.inf])
+def test_a_negative_or_non_finite_energy_is_a_numeric_error_naming_its_window(
+        monkeypatch, block_bytes, bad):
+    energies = panel_energies(5, seed=6).copy()
+    energies[3, 1] = energies[5, 0] = bad
+    if block_bytes is not None:
+        monkeypatch.setattr(eg, "_BLOCK_BYTES", block_bytes)
+    with pytest.raises(NumericError, match="window 3 has non-finite or negative energies"):
+        eg.boltzmann_graph(energies, 0.5, 7, 0.4)
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 1), (0, 1), (3, 5, 28)])
+def test_energies_not_b_by_n_with_two_stocks_are_a_config_error(shape):
+    with pytest.raises(ConfigError, match="need B x N energies with N >= 2 stocks"):
+        eg.boltzmann_graph(np.ones(shape), 0.5, 7, 0.4)
 
 
 def test_graph_statistics_count_neighbours_and_isolated_rows():
@@ -500,7 +562,7 @@ def test_export_identity_self_loops(tmp_path):
 
 def test_export_count_matches_independent_nonzero_count(tmp_path):
     rng = np.random.default_rng(10)
-    adj = sparsify(boltzmann_adjacency(rng.standard_normal((5, 4)), 0.5, 10), 0.3)
+    adj = sparsify(boltzmann_adjacency(energies_of(rng.standard_normal((5, 4))), 0.5, 10), 0.3)
     expected = sum(1 for i in range(5) for j in range(5) if adj[i, j] != 0.0)
     n = eg.export_edges(from_dense(adj), list("ABCDE"), tmp_path / "e.tsv")
     assert n == expected
@@ -509,7 +571,7 @@ def test_export_count_matches_independent_nonzero_count(tmp_path):
 
 def test_dense_dump_round_trips(tmp_path):
     rng = np.random.default_rng(11)
-    adj = boltzmann_adjacency(rng.standard_normal((4, 3)), 0.5, 10)
+    adj = boltzmann_adjacency(energies_of(rng.standard_normal((4, 3))), 0.5, 10)
     out = tmp_path / "adj.csv"
     eg.export_dense(from_dense(adj), list("ABCD"), out)
     lines = out.read_text().strip().split("\n")

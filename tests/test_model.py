@@ -19,7 +19,7 @@ from trendgat.errors import (ConfigError, FormatError, LabelError, NumericError,
                              TrendgatError)
 
 from gradcheck import grad_check
-from oracles import from_dense
+from oracles import energies_of, from_dense
 from test_gnn_blocks import gat_oracle, mha_oracle
 
 
@@ -34,7 +34,7 @@ def random_split(rng, n, cfg, windows=1):
     features = rng.standard_normal((windows, n, cfg.input_width))
     ups = rng.integers(0, cfg.alpha, (windows, n, cfg.phi))
     labels = np.eye(cfg.alpha, dtype=np.int64)[ups].reshape(windows, n, cfg.output_width)
-    graphs = eg.boltzmann_graph(features, cfg.k, cfg.tau, cfg.s)
+    graphs = eg.boltzmann_graph(energies_of(features), cfg.k, cfg.tau, cfg.s)
     return mt.Split(range(windows), features, labels, tuple(graphs))
 
 
@@ -345,14 +345,33 @@ def test_parameter_count_is_bounded(monkeypatch):
     small_config()                                 # exactly at the bound
     monkeypatch.setattr(mdl, "MAX_PARAMETERS", count - 1)
     with pytest.raises(ConfigError, match=rf"more than MAX_PARAMETERS = {count - 1} "
-                                          rf"learnables, passed at w_out \(6 x 2\)"):
+                                          rf"learnables: {count} \(2 blocks of "):
         small_config()
     monkeypatch.undo()
-    # a huge size stops at the first entry past the bound, before laying out the rest
-    with pytest.raises(ConfigError, match=r"passed at w_in \(56 x 100000000\)"):
+    # the total is counted in closed form, however large hidden or layers is
+    with pytest.raises(ConfigError, match=r"learnables: 340000006100000002 \(2 blocks of "
+                                          r"170000000100000001, 5900000000 outside them\)"):
         mdl.ModelConfig(hidden=10**8)
-    with pytest.raises(ConfigError, match=r"passed at block\d+\.w_qkv \(32 x 96\)"):
+    with pytest.raises(ConfigError, match=r"learnables: 436900000944 \(100000000 blocks of "
+                                          r"4369, 944 outside them\)"):
         mdl.ModelConfig(layers=10**8)
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_parameter_bound_lays_out_one_block_whatever_the_layer_count(monkeypatch, parallel):
+    calls = []
+    block_layout = gb.block_layout
+
+    def counted(*args):
+        calls.append(args)
+        return block_layout(*args)
+
+    monkeypatch.setattr(gb, "block_layout", counted)
+    with pytest.raises(ConfigError, match="more than MAX_PARAMETERS"):
+        mdl.ModelConfig(hidden=1, heads=1, layers=10**8, parallel_attention=parallel)
+    assert len(calls) == 1
+    mdl.ModelConfig(hidden=1, heads=1, layers=3, parallel_attention=parallel)
+    assert len(calls) == 2
 
 
 def test_seed_uses_its_whole_value():
@@ -663,11 +682,11 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("layers", None, "layers=None is not int"),
     ("tau", "14", "tau='14' is not int"),
     ("hidden", 10**12, r"config at offset 16: more than MAX_PARAMETERS = 16777216 "
-                       r"learnables, passed at w_in \(6 x 1000000000000\)"),
+                       r"learnables: \d+ \(2 blocks of \d+, \d+ outside them\)$"),
     ("grad_clip", "a", "grad_clip='a' is not float | None"),
     ("parallel_attention", "no", "parallel_attention='no' is not bool"),
     ("layers", 10**9, r"config at offset 16: more than MAX_PARAMETERS = 16777216 "
-                      r"learnables, passed at block\d+\."),
+                      r"learnables: \d+ \(1000000000 blocks of "),
     ("seed", -1, "config at offset 16: seed must not be negative, got -1"),
     ("heads", 10**9, r"config at offset 16: heads must be in \[1, 12\], got 1000000000"),
     ("heads", 5, "config at offset 16: heads 5 must divide the fused width 12"),
