@@ -4,9 +4,10 @@ Every tracked quantity is a :class:`Value` wrapping a ``(rows, cols)``
 ndarray.  Operations executed while a :class:`Tape` is active record a
 backward closure on it; ``Tape.backward`` sweeps the closures in reverse
 recording order, which is a valid reverse topological order because
-operands always exist before their result.  Accumulation order is fixed,
-so two backward passes over identical recordings produce bit-identical
-gradients.
+operands always exist before their result.  There is one gradient rule:
+every closure accumulates into every operand, inputs included.
+Accumulation order is fixed, so two backward passes over identical
+recordings produce bit-identical gradients.
 """
 
 from __future__ import annotations
@@ -33,25 +34,20 @@ SCORE_LIMIT = 300.0
 class Value:
     """A dense matrix with a lazily allocated same-shape gradient buffer."""
 
-    __slots__ = ("data", "_grad", "requires_grad")
+    __slots__ = ("data", "_grad")
 
-    def __init__(self, data, requires_grad: bool = True):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"Value requires a 2-D matrix, got shape {arr.shape}")
         self.data = arr
         self._grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
 
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
             self._grad = np.zeros_like(self.data)
         return self._grad
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
 
     def zero_grad(self) -> None:
         if self._grad is not None:
@@ -66,12 +62,13 @@ class Value:
             self._grad += g
 
     def __repr__(self) -> str:
-        return f"Value(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Value(shape={self.data.shape})"
 
 
 def const(data) -> Value:
-    """Leaf Value that never receives a gradient (inputs, masks)."""
-    return Value(data, requires_grad=False)
+    """Leaf Value for an input: a tape differentiates it like any other
+    Value, and nothing reads its gradient."""
+    return Value(data)
 
 
 class Tape:
@@ -106,9 +103,10 @@ class Tape:
         self._spent = True
 
 
-def _make(data: np.ndarray, *parents: Value) -> tuple[Value, Tape | None]:
-    out = Value(data, requires_grad=any(p.requires_grad for p in parents))
-    return out, (_ACTIVE_TAPES[-1] if out.requires_grad and _ACTIVE_TAPES else None)
+def _make(data: np.ndarray) -> tuple[Value, Tape | None]:
+    """The result Value and the tape to record its backward on, if one is
+    active."""
+    return Value(data), (_ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None)
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +116,12 @@ def _make(data: np.ndarray, *parents: Value) -> tuple[Value, Tape | None]:
 def matmul(a: Value, b: Value) -> Value:
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
-    out, t = _make(a.data @ b.data, a, b)
+    out, t = _make(a.data @ b.data)
     if t is not None:
         def bwd():
             g = out.grad
-            if a.requires_grad:
-                a._acc(g @ b.data.T)
-            if b.requires_grad:
-                b._acc(a.data.T @ g)
+            a._acc(g @ b.data.T)
+            b._acc(a.data.T @ g)
         t._record(bwd)
     return out
 
@@ -133,14 +129,12 @@ def matmul(a: Value, b: Value) -> Value:
 def add(a: Value, b: Value) -> Value:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shapes differ, {a.data.shape} vs {b.data.shape}")
-    out, t = _make(a.data + b.data, a, b)
+    out, t = _make(a.data + b.data)
     if t is not None:
         def bwd():
             g = out.grad
-            if a.requires_grad:
-                a._acc(g)
-            if b.requires_grad:
-                b._acc(g)
+            a._acc(g)
+            b._acc(g)
         t._record(bwd)
     return out
 
@@ -149,36 +143,27 @@ def mul(a: Value, b: Value) -> Value:
     """Elementwise product of two same-shape matrices."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: shapes differ, {a.data.shape} vs {b.data.shape}")
-    out, t = _make(a.data * b.data, a, b)
+    out, t = _make(a.data * b.data)
     if t is not None:
         def bwd():
             g = out.grad
-            if a.requires_grad:
-                a._acc(g * b.data)
-            if b.requires_grad:
-                b._acc(g * a.data)
+            a._acc(g * b.data)
+            b._acc(g * a.data)
         t._record(bwd)
     return out
 
 
-def concat_cols(*vs: Value) -> Value:
-    if len(vs) < 2:
-        raise ShapeError("concat_cols: needs at least two operands")
-    rows = vs[0].data.shape[0]
-    for v in vs:
-        if v.data.shape[0] != rows:
-            raise ShapeError(
-                f"concat_cols: row counts differ, {vs[0].data.shape} vs {v.data.shape}")
-    out, t = _make(np.concatenate([v.data for v in vs], axis=1), *vs)
+def concat_cols(a: Value, b: Value) -> Value:
+    """``a`` and ``b`` side by side."""
+    if a.data.shape[0] != b.data.shape[0]:
+        raise ShapeError(f"concat_cols: row counts differ, {a.data.shape} vs {b.data.shape}")
+    out, t = _make(np.concatenate((a.data, b.data), axis=1))
     if t is not None:
-        widths = [v.data.shape[1] for v in vs]
+        split = a.data.shape[1]
         def bwd():
             g = out.grad
-            lo = 0
-            for v, w in zip(vs, widths):
-                if v.requires_grad:
-                    v._acc(g[:, lo:lo + w])
-                lo += w
+            a._acc(g[:, :split])
+            b._acc(g[:, split:])
         t._record(bwd)
     return out
 
@@ -201,7 +186,7 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
     O(R * d + E' * d).  The index arrays come from ``graph.structure``,
     built once per graph, which also checks the graph (see
     ``energy_graph.edge_structure``); the backward into ``right`` also
-    reads ``graph.by_source``, likewise built once, on first need.
+    reads ``graph.by_source``, likewise built once, on the first backward.
     """
     rows, d = left.data.shape
     if right.data.shape != (rows, d) or attn.data.shape != (d, 1) or edge_bias.data.shape != (1, 1):
@@ -227,34 +212,28 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
         e = np.exp(logits - np.maximum.reduceat(logits, m.starts)[m.seg])
         alpha = e / np.add.reduceat(e, m.starts)[m.seg]             # E'
         result[m.rows] = np.add.reduceat(alpha[:, None] * nbr, m.starts, axis=0)
-    out, t = _make(result, left, right, attn, edge_bias)
+    out, t = _make(result)
     if t is not None:
         def bwd():
             g_out = out.grad
-            if right.requires_grad:
-                o = graph.by_source
-                g_edges = g_out[o.dst_by_src]                       # E x d, by source
+            o = graph.by_source
+            g_edges = g_out[o.dst_by_src]                           # E x d, by source
             if m is not None:
                 g = g_out[m.dst]                                    # E' x d
                 g_alpha = (g * nbr).sum(axis=1)
                 g_logit = alpha * (g_alpha - np.add.reduceat(alpha * g_alpha, m.starts)[m.seg])
-                if attn.requires_grad:
-                    attn._acc(act.T @ g_logit[:, None])
-                if edge_bias.requires_grad:
-                    edge_bias._acc(np.array([[g_logit @ m.weight]]))
+                attn._acc(act.T @ g_logit[:, None])
+                edge_bias._acc(np.array([[g_logit @ m.weight]]))
                 g_pre = g_logit[:, None] * attn.data[:, 0] * np.where(pos, 1.0, slope)
-                if left.requires_grad:
-                    g_left = np.zeros_like(left.data)
-                    g_left[m.rows] = np.add.reduceat(g_pre, m.starts, axis=0)
-                    left._acc(g_left)
-                if right.requires_grad:
-                    g_edges[o.multi_at] = alpha[:, None] * g + g_pre
-            if right.requires_grad:
-                # one sum per source over all its edges; a node that is no
-                # edge's source keeps a zero row
-                g_right = np.zeros_like(right.data)
-                g_right[o.src_nodes] = np.add.reduceat(g_edges, o.src_starts, axis=0)
-                right._acc(g_right)
+                g_left = np.zeros_like(left.data)
+                g_left[m.rows] = np.add.reduceat(g_pre, m.starts, axis=0)
+                left._acc(g_left)
+                g_edges[o.multi_at] = alpha[:, None] * g + g_pre
+            # one sum per source over all its edges; a node that is no
+            # edge's source keeps a zero row
+            g_right = np.zeros_like(right.data)
+            g_right[o.src_nodes] = np.add.reduceat(g_edges, o.src_starts, axis=0)
+            right._acc(g_right)
         t._record(bwd)
     return out
 
@@ -303,12 +282,11 @@ def multi_head_attention(m: Value, w_qkv: Value, w_merge: Value, heads: int,
     o = e @ v
     o /= norm
     merged = o.transpose(0, 2, 1, 3).reshape(rows, heads * d_head)
-    out, t = _make(merged @ w_merge.data, m, w_qkv, w_merge)
+    out, t = _make(merged @ w_merge.data)
     if t is not None:
         def bwd():
             g = out.grad
-            if w_merge.requires_grad:
-                w_merge._acc(merged.T @ g)
+            w_merge._acc(merged.T @ g)
             g_o = (g @ w_merge.data.T).reshape(groups, n, heads, d_head).transpose(0, 2, 1, 3)
             # p = e / norm row by row, so dividing the N x d_head g_o by norm
             # stands in for every division by it of an N x N product
@@ -327,10 +305,8 @@ def multi_head_attention(m: Value, w_qkv: Value, w_merge: Value, heads: int,
             g_q *= scale
             np.matmul(g_s.swapaxes(-1, -2), q_scaled, out=g_k)
             g_qkv = g_qkv.reshape(rows, -1)
-            if w_qkv.requires_grad:
-                w_qkv._acc(m.data.T @ g_qkv)
-            if m.requires_grad:
-                m._acc(g_qkv @ w_qkv.data.T)
+            w_qkv._acc(m.data.T @ g_qkv)
+            m._acc(g_qkv @ w_qkv.data.T)
         t._record(bwd)
     return out
 
@@ -341,20 +317,18 @@ def prelu(a: Value, slopes: Value) -> Value:
         raise ShapeError(
             f"prelu: slopes {slopes.data.shape} vs input {a.data.shape} (want 1x{a.data.shape[1]})")
     pos = a.data > 0
-    out, t = _make(np.where(pos, a.data, a.data * slopes.data), a, slopes)
+    out, t = _make(np.where(pos, a.data, a.data * slopes.data))
     if t is not None:
         def bwd():
             g = out.grad
-            if a.requires_grad:
-                a._acc(np.where(pos, 1.0, slopes.data) * g)
-            if slopes.requires_grad:
-                slopes._acc(np.where(pos, 0.0, a.data * g).sum(axis=0, keepdims=True))
+            a._acc(np.where(pos, 1.0, slopes.data) * g)
+            slopes._acc(np.where(pos, 0.0, a.data * g).sum(axis=0, keepdims=True))
         t._record(bwd)
     return out
 
 
 def reduce_sum(a: Value) -> Value:
-    out, t = _make(np.array([[a.data.sum()]]), a)
+    out, t = _make(np.array([[a.data.sum()]]))
     if t is not None:
         def bwd():
             a._acc(np.full_like(a.data, out.grad[0, 0]))
@@ -393,7 +367,7 @@ def cross_entropy_with_logits(logits: Value, targets: np.ndarray, alpha: int) ->
     for b in range(y.shape[1]):
         total += float((lse[:, b] - (y[:, b] * x[:, b]).sum(axis=1)).sum())
     scale = 1.0 / rows
-    out, t = _make(np.array([[total * scale]]), logits)
+    out, t = _make(np.array([[total * scale]]))
     if t is not None:
         def bwd():
             logits._acc(((e / norm - y) * (out.grad[0, 0] * scale)).reshape(rows, width))

@@ -41,13 +41,17 @@ FORMAT_VERSION = 2
 DEFAULT_RATIOS = (457, 63, 261)
 
 MAX_PARAMETERS = 2 ** 24   # learnables of one model: 128 MiB per float64 vector
+# layout entries of one model: ModelParams keeps a Value and two views per
+# entry and init_model draws each, about 40 us and 700 B an entry
+MAX_ENTRIES = 2 ** 12
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters of one model.  Construction checks every structural
     rule (field types, finite floats, positive sizes, the heads rule, at most
-    ``MAX_PARAMETERS`` learnables), so a ModelConfig that exists is one that
-    ``layout`` can lay out; the search ranges are ``cli.check_ranges``."""
+    ``MAX_PARAMETERS`` learnables in at most ``MAX_ENTRIES`` layout entries),
+    so a ModelConfig that exists is one that ``layout`` can lay out; the
+    search ranges are ``cli.check_ranges``."""
 
     tau: int = 14
     k: float = 0.5
@@ -90,15 +94,18 @@ class ModelConfig:
                 raise ConfigError(f"heads must be in [1, {d_cat}], got {self.heads}")
             if d_cat % self.heads != 0:
                 raise ConfigError(f"heads {self.heads} must divide the fused width {d_cat}")
-        # the blocks are alike, so one block's size times layers: a huge
-        # hidden or layers is answered at once
-        outside = sum(rows * cols for _, rows, cols in layout(self, layers=0))
-        block = sum(rows * cols for _, rows, cols
-                    in gb.block_layout(self.hidden, "block", self.parallel_attention))
-        total = outside + self.layers * block
-        if total > MAX_PARAMETERS:
-            raise ConfigError(f"more than MAX_PARAMETERS = {MAX_PARAMETERS} learnables: "
-                              f"{total} ({self.layers} blocks of {block}, {outside} outside them)")
+        # the blocks are alike, so one block's size and entries times
+        # layers: a huge hidden or layers is answered at once
+        outside = list(layout(self, layers=0))
+        block = list(gb.block_layout(self.hidden, "block", self.parallel_attention))
+        size = lambda entries: sum(rows * cols for _, rows, cols in entries)
+        for name, bound, what, count in (
+                ("MAX_PARAMETERS", MAX_PARAMETERS, "learnables", size),
+                ("MAX_ENTRIES", MAX_ENTRIES, "layout entries", len)):
+            total = count(outside) + self.layers * count(block)
+            if total > bound:
+                raise ConfigError(f"more than {name} = {bound} {what}: {total} ({self.layers} "
+                                  f"blocks of {count(block)}, {count(outside)} outside them)")
 
     @property
     def input_width(self) -> int:

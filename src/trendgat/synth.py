@@ -72,6 +72,9 @@ def group_volatilities(n_groups: int, spec: RuleSpec) -> np.ndarray:
 # days, MAX_DAYS.  tests/test_synth.py checks both at 600 days.
 LADDER_HEADROOM = 2.0 ** 16
 MAX_DAYS = 10 ** 5
+# stocks x days of one dataset: generate's peak is about fourteen float64
+# arrays of this many entries, 8 MB each at the bound
+MAX_STOCK_DAYS = 10 ** 6
 
 
 def max_stocks(spec: RuleSpec) -> int:
@@ -133,6 +136,9 @@ def generate(n_stocks: int, n_days: int, seed: int,
             f"got {n_stocks}")
     if not spec.warmup + 12 <= n_days <= MAX_DAYS:
         raise ConfigError(f"need {spec.warmup + 12} to {MAX_DAYS} days, got {n_days}")
+    if n_stocks * n_days > MAX_STOCK_DAYS:
+        raise ConfigError(f"at most MAX_STOCK_DAYS = {MAX_STOCK_DAYS} stock-days, got "
+                          f"{n_stocks} stocks x {n_days} days = {n_stocks * n_days}")
     if seed < 0:
         raise ConfigError(f"seed must not be negative, got {seed}")
 

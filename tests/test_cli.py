@@ -587,11 +587,14 @@ def test_usage_error_exits_one():
                                 "340000003300000002 (2 blocks of 170000000100000001, "
                                 "3100000000 outside them)"),
     (("--no-range-check", "--layers", "100000000"), "more than MAX_PARAMETERS = 16777216"),
+    (("--no-range-check", "--hidden", "1", "--heads", "1", "--layers", "800000"),
+     "more than MAX_ENTRIES = 4096 layout entries: 5600003"),
 ], ids=["grad_clip_negative", "grad_clip_zero", "grad_clip_nan", "grad_clip_inf",
         "no_indicators", "k_nan_unchecked", "k_inf_unchecked", "s_nan_unchecked",
         "lr_nan_unchecked", "wd_inf_unchecked", "heads_not_dividing",
         "heads_above_fused_width_unchecked", "tau_zero_unchecked", "layers_negative_unchecked",
-        "seed_negative", "hidden_past_parameter_bound", "layers_past_parameter_bound_unchecked"])
+        "seed_negative", "hidden_past_parameter_bound", "layers_past_parameter_bound_unchecked",
+        "layers_past_entry_bound_unchecked"])
 def test_setting_no_model_trains_with_exits_one(small_dataset, tmp_path, capsys, flags, message):
     out = tmp_path / "o"
     assert run_cli("train", *fast_flags(small_dataset, out), *flags) == 1

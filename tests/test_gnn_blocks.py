@@ -210,7 +210,7 @@ def test_gat_on_self_loop_graph_is_the_right_projection(graph):
     with ad.Tape() as tape:
         out = gb.gatv2_layer(h, graph, params.gat)
         recorded = len(tape)
-        tape.backward(ad.reduce_sum(ad.mul(out, ad.const(rng.standard_normal(out.shape)))))
+        tape.backward(ad.reduce_sum(ad.mul(out, ad.const(rng.standard_normal(out.data.shape)))))
     assert graph.structure.self_loops_only and recorded == 1
     np.testing.assert_array_equal(out.data, h.data @ params.gat.w_right.data)
     for value in (params.gat.w_left, params.gat.attn, params.gat.edge_bias):

@@ -374,6 +374,25 @@ def test_parameter_bound_lays_out_one_block_whatever_the_layer_count(monkeypatch
     assert len(calls) == 2
 
 
+def test_layout_entry_count_is_bounded(monkeypatch):
+    # the count is taken in closed form, so a config past the bound fails
+    # before any parameter exists
+    def refused(config):
+        raise AssertionError("init_model was called")
+
+    monkeypatch.setattr(mdl, "init_model", refused)
+    with pytest.raises(ConfigError, match=r"^more than MAX_ENTRIES = 4096 layout entries: "
+                                          r"5600003 \(800000 blocks of 7, 3 outside them\)$"):
+        mdl.ModelConfig(hidden=1, heads=1, layers=800_000)   # 15,200,059 learnables
+    mdl.ModelConfig(hidden=1, heads=1, layers=584)           # 4,091 entries
+    with pytest.raises(ConfigError, match=r"4098 \(819 blocks of 5, 3 outside them\)"):
+        mdl.ModelConfig(hidden=1, layers=819, parallel_attention=False)
+    monkeypatch.setattr(mdl, "MAX_ENTRIES", 17)
+    small_config()                                 # 2 blocks of 7 and 3 outside: at the bound
+    with pytest.raises(ConfigError, match="more than MAX_ENTRIES = 17 layout entries: 24"):
+        small_config(layers=3)
+
+
 def test_seed_uses_its_whole_value():
     with pytest.raises(ConfigError, match="seed must not be negative, got -1"):
         small_config(seed=-1)
@@ -687,6 +706,8 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("parallel_attention", "no", "parallel_attention='no' is not bool"),
     ("layers", 10**9, r"config at offset 16: more than MAX_PARAMETERS = 16777216 "
                       r"learnables: \d+ \(1000000000 blocks of "),
+    ("layers", 5000, r"config at offset 16: more than MAX_ENTRIES = 4096 layout entries: "
+                     r"35003 \(5000 blocks of 7, 3 outside them\)$"),
     ("seed", -1, "config at offset 16: seed must not be negative, got -1"),
     ("heads", 10**9, r"config at offset 16: heads must be in \[1, 12\], got 1000000000"),
     ("heads", 5, "config at offset 16: heads 5 must divide the fused width 12"),
@@ -702,9 +723,10 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("alpha", 3, "config at offset 16: alpha=3, but a model has 2 classes per step"),
     ("alpha", 2.0, "config at offset 16: alpha=2.0, but a model has 2 classes per step"),
 ], ids=["hidden_str", "layers_null", "tau_str", "hidden_huge", "grad_clip_str",
-        "parallel_str", "layers_huge", "seed_negative", "heads_huge", "heads_not_dividing",
-        "epochs_zero", "tau_zero", "layers_negative", "k_nan", "s_inf", "grad_clip_neg_inf",
-        "grad_clip_negative", "k_past_float", "grad_clip_past_float", "alpha_3", "alpha_float"])
+        "parallel_str", "layers_huge", "layers_past_entry_bound", "seed_negative", "heads_huge",
+        "heads_not_dividing", "epochs_zero", "tau_zero", "layers_negative", "k_nan", "s_inf",
+        "grad_clip_neg_inf", "grad_clip_negative", "k_past_float", "grad_clip_past_float",
+        "alpha_3", "alpha_float"])
 def test_mistyped_or_missized_config_is_format_error(tmp_path, capsys, key, value, match):
     from trendgat import cli
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -91,11 +93,28 @@ def test_seed_uses_its_whole_value():
         synth.generate(4, 40, seed=-1)
 
 
+def test_stock_days_are_bounded(monkeypatch):
+    # refused at once, before any path is simulated
+    largest = synth.max_stocks(synth.RuleSpec())
+    started = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"^at most MAX_STOCK_DAYS = 1000000 stock-days, got "
+                                          r"753 stocks x 100000 days = 75300000$"):
+        synth.generate(largest, synth.MAX_DAYS, seed=0)
+    assert time.perf_counter() - started < 1.0
+    assert largest * 600 <= synth.MAX_STOCK_DAYS          # the CI set
+    monkeypatch.setattr(synth, "MAX_STOCK_DAYS", 4 * 40)
+    synth.generate(4, 40, seed=0)                         # at the bound
+    for n, days in ((4, 41), (5, 40)):
+        with pytest.raises(ConfigError, match=f"got {n} stocks x {days} days"):
+            synth.generate(n, days, seed=0)
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--days", "100000000000"], "need 22 to 100000 days, got 100000000000"),
     (["--days", str(synth.MAX_DAYS + 1)], f"need 22 to 100000 days, got {synth.MAX_DAYS + 1}"),
     (["--seed", "-1"], "seed must not be negative, got -1"),
-], ids=["days_huge", "days_past_headroom", "seed_negative"])
+    (["--n", "753", "--days", "100000"], "at most MAX_STOCK_DAYS = 1000000 stock-days"),
+], ids=["days_huge", "days_past_headroom", "seed_negative", "stock_days_past_bound"])
 def test_cli_synth_bad_days_or_seed_exits_one(tmp_path, capsys, argv, message):
     from trendgat import cli
 
