@@ -178,15 +178,16 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
     is the softmax over them of attn . leaky_relu(left[r] + right[src[e]])
     + edge_bias * weight[e].
 
-    A softmax over one position is 1, so a row with a single edge is
-    ``right`` at its source, and its gradient reaches ``right`` alone.
-    The logits, softmax and weighted sums run only over the E' edges of
-    rows with more than one edge, each row's edges contiguous so that
-    every per-row reduction is one ``reduceat``: time and memory are
-    O(R * d + E' * d).  The index arrays come from ``graph.structure``,
-    built once per graph, which also checks the graph (see
-    ``energy_graph.edge_structure``); the backward into ``right`` also
-    reads ``graph.by_source``, likewise built once, on the first backward.
+    Every row holds its self-loop, so a row with a single edge has a
+    softmax over that one position: it is ``right`` at its own row, and
+    its gradient reaches ``right`` alone.  The logits, softmax and
+    weighted sums run only over the E' edges of rows with more than one
+    edge, each row's edges contiguous so that every per-row reduction is
+    one ``reduceat``: time and memory are O(R * d + E' * d).  The index
+    arrays come from ``graph.structure``, built once per graph, which also
+    checks the graph (see ``energy_graph.edge_structure``); it is None
+    when every row is its self-loop alone, and the result is then
+    ``right``.
     """
     rows, d = left.data.shape
     if right.data.shape != (rows, d) or attn.data.shape != (d, 1) or edge_bias.data.shape != (1, 1):
@@ -197,11 +198,10 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
     if graph.rows != rows:
         raise ShapeError(f"gat_attention: indptr {graph.indptr.shape} for {rows} node rows "
                          f"(want R + 1 offsets)")
-    s = graph.structure
-    m = s.multi
+    m = graph.structure
     slope = float(slope)
 
-    result = right.data[s.first_src]                                # R x d
+    result = right.data.copy()                                      # R x d
     if m is not None:
         nbr = right.data[m.src]                                     # E' x d
         pre = left.data[m.dst] + nbr
@@ -216,24 +216,23 @@ def gat_attention(left: Value, right: Value, attn: Value, edge_bias: Value,
     if t is not None:
         def bwd():
             g_out = out.grad
-            o = graph.by_source
-            g_edges = g_out[o.dst_by_src]                           # E x d, by source
-            if m is not None:
-                g = g_out[m.dst]                                    # E' x d
-                g_alpha = (g * nbr).sum(axis=1)
-                g_logit = alpha * (g_alpha - np.add.reduceat(alpha * g_alpha, m.starts)[m.seg])
-                attn._acc(act.T @ g_logit[:, None])
-                edge_bias._acc(np.array([[g_logit @ m.weight]]))
-                g_pre = g_logit[:, None] * attn.data[:, 0] * np.where(pos, 1.0, slope)
-                g_left = np.zeros_like(left.data)
-                g_left[m.rows] = np.add.reduceat(g_pre, m.starts, axis=0)
-                left._acc(g_left)
-                g_edges[o.multi_at] = alpha[:, None] * g + g_pre
-            # one sum per source over all its edges; a node that is no
-            # edge's source keeps a zero row
-            g_right = np.zeros_like(right.data)
-            g_right[o.src_nodes] = np.add.reduceat(g_edges, o.src_starts, axis=0)
-            right._acc(g_right)
+            if m is None:
+                right._acc(g_out)
+                return
+            g = g_out[m.dst]                                        # E' x d
+            g_alpha = (g * nbr).sum(axis=1)
+            g_logit = alpha * (g_alpha - np.add.reduceat(alpha * g_alpha, m.starts)[m.seg])
+            attn._acc(act.T @ g_logit[:, None])
+            edge_bias._acc(np.array([[g_logit @ m.weight]]))
+            g_pre = g_logit[:, None] * attn.data[:, 0] * np.where(pos, 1.0, slope)
+            g_left = np.zeros_like(left.data)
+            g_left[m.rows] = np.add.reduceat(g_pre, m.starts, axis=0)
+            left._acc(g_left)
+            g_edges = g_out[m.dst_by_src]                           # E x d, by source
+            g_edges[m.multi_at] = alpha[:, None] * g + g_pre
+            # one sum per source over all its edges: every node is the
+            # source of its own self-loop
+            right._acc(np.add.reduceat(g_edges, m.src_starts, axis=0))
         t._record(bwd)
     return out
 

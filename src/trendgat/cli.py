@@ -46,7 +46,6 @@ KEYS = {
     "train.wd": ("float", None),
     "train.epochs": ("int", None),
     "train.seeds": ("intlist", "comma-separated seed list"),
-    "train.grad_clip": ("float", None),
 }
 
 

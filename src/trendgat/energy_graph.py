@@ -65,12 +65,13 @@ class CsrGraph:
     are their source nodes (indices into all R nodes, ascending) and
     ``weight`` the matching adjacency entries.  Every row holds its
     self-loop, with the thresholded diagonal weight (0.0 when that entry
-    fell below the threshold), so no attention row is empty.
+    fell below the threshold), so no attention row is empty and every node
+    is some edge's source; ``edge_structure`` checks it.
     ``np.asarray(graph)`` is the dense R x R matrix, block-diagonal for a
     stack; ``shape`` is its shape.
 
-    The arrays are read-only, so ``structure``, which is built from them
-    on first use and kept, cannot go stale.
+    The arrays are read-only, so ``structure``, the one ``NeighbourRows``
+    (or None) built from them on first use and kept, cannot go stale.
     """
 
     indptr: np.ndarray   # R + 1 edge offsets, indptr[0] = 0
@@ -99,15 +100,9 @@ class CsrGraph:
         return np.repeat(np.arange(self.rows), np.diff(self.indptr))
 
     @cached_property
-    def structure(self) -> "EdgeStructure":
-        """The graph's ``edge_structure``, built on first use."""
+    def structure(self) -> "NeighbourRows | None":
+        """The graph's ``edge_structure``, built and checked on first use."""
         return edge_structure(self)
-
-    @cached_property
-    def by_source(self) -> "SourceOrder":
-        """The graph's ``source_order``, built on first use: only a backward
-        pass into ``right`` of ``autodiff.gat_attention`` reads it."""
-        return source_order(self)
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
@@ -140,57 +135,32 @@ def _windows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class NeighbourRows:
-    """The M rows that have more than one edge, and their E' edges row by
-    row: per row its index into all rows and its first edge; per edge its
-    row's position in 0..M-1, its index into all E edges, and its source,
-    row and weight."""
+    """The index arrays ``autodiff.gat_attention`` reads from a graph in
+    which some row has more than one edge.  The forward reads the M such
+    rows (index, first edge) and their E' edges row by row (row position
+    in 0..M-1, source, row, weight).  The backward reads all E edges in
+    stable source order: ``dst_by_src`` their rows, ``src_starts`` each
+    node's first place (every node is the source of its self-loop) and
+    ``multi_at`` the place of each of the E' edges."""
 
-    rows: np.ndarray      # M
-    starts: np.ndarray    # M
-    seg: np.ndarray       # E'
-    edges: np.ndarray     # E'
-    src: np.ndarray       # E'
-    dst: np.ndarray       # E'
-    weight: np.ndarray    # E'
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class EdgeStructure:
-    """The index arrays ``autodiff.gat_attention``'s forward reads from a
-    graph.
-
-    A row with one edge has a softmax over one position, so it needs only
-    its source: ``first_src`` holds each row's first.  ``multi`` holds the
-    rows with more than one edge, or is None when there are none; then
-    ``self_loops_only`` tells whether every row's one edge is its own
-    self-loop, which makes the attention the identity on ``right`` (so
-    ``gnn_blocks.gatv2_layer`` is the plain projection W_right h).
-    """
-
-    first_src: np.ndarray     # R
-    multi: NeighbourRows | None
-    self_loops_only: bool     # no multi, and first_src[r] == r for every row r
+    rows: np.ndarray        # M
+    starts: np.ndarray      # M
+    seg: np.ndarray         # E'
+    src: np.ndarray         # E'
+    dst: np.ndarray         # E'
+    weight: np.ndarray      # E'
+    dst_by_src: np.ndarray  # E
+    src_starts: np.ndarray  # R
+    multi_at: np.ndarray    # E'
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class SourceOrder:
-    """The graph's E edges in stable source order, in which the backward
-    of ``autodiff.gat_attention`` sums the right gradient: ``dst_by_src``
-    is their rows, ``src_nodes`` and ``src_starts`` each source node and
-    its first place in that order, and ``multi_at`` the place of each edge
-    of ``EdgeStructure.multi`` (None when that is None)."""
-
-    dst_by_src: np.ndarray    # E
-    src_nodes: np.ndarray     # nodes that are the source of some edge, ascending
-    src_starts: np.ndarray    # one per src_nodes
-    multi_at: np.ndarray | None   # E'
-
-
-def edge_structure(graph: CsrGraph) -> EdgeStructure:
-    """Check ``graph`` and build its ``EdgeStructure``.  ``indptr`` not
-    R + 1 non-decreasing integer offsets from 0 to E, a source outside
-    [0, R) or ``weight`` not E long is a ``ShapeError``; a row without
-    edges a ``DegenerateRowError``."""
+def edge_structure(graph: CsrGraph) -> NeighbourRows | None:
+    """Check ``graph`` and build its ``NeighbourRows``, or None when no row
+    has more than one edge: every row is then its self-loop alone.
+    ``indptr`` not R + 1 non-decreasing integer offsets from 0 to E, a
+    source outside [0, R) or ``weight`` not E long is a ``ShapeError``; a
+    row without edges a ``DegenerateRowError``; a row without its
+    self-loop a ``ShapeError``."""
     indptr, src, weight, rows = graph.indptr, graph.src, graph.weight, graph.rows
     if (indptr.ndim != 1 or not indptr.size or src.ndim != 1 or weight.shape != src.shape
             or indptr.dtype.kind not in "iu" or src.dtype.kind not in "iu"
@@ -198,43 +168,34 @@ def edge_structure(graph: CsrGraph) -> EdgeStructure:
         raise ShapeError(
             f"CsrGraph: indptr {indptr.shape}, src {src.shape}, weight {weight.shape} "
             f"(want R + 1 integer offsets from 0 to E, E integer sources and E weights)")
+    if not rows:
+        return None
     counts = np.diff(indptr)
-    if rows and counts.min() <= 0:
+    if counts.min() <= 0:
         row = int(np.argmin(counts))
         if counts[row] < 0:
             raise ShapeError(f"CsrGraph: indptr decreases at row {row}")
         raise DegenerateRowError(f"CsrGraph: row {row} has no edge")
-    if src.size and (src.min() < 0 or src.max() >= rows):
+    if src.min() < 0 or src.max() >= rows:
         raise ShapeError(f"CsrGraph: sources span [{src.min()}, {src.max()}], "
                          f"outside [0, {rows})")
+    dst = graph.dst
+    looped = np.logical_or.reduceat(src == dst, indptr[:-1])
+    if not looped.all():
+        raise ShapeError(f"CsrGraph: row {int(np.argmin(looped))} has no self-loop")
     multi_rows = np.flatnonzero(counts > 1)
-    multi = None
-    if multi_rows.size:
-        multi_counts = counts[multi_rows]
-        seg, edges = _windows(indptr[multi_rows], indptr[multi_rows + 1])
-        multi = NeighbourRows(rows=multi_rows, starts=multi_counts.cumsum() - multi_counts,
-                              seg=seg, edges=edges, src=src[edges], dst=multi_rows[seg],
-                              weight=weight[edges])
-    first_src = src[indptr[:-1]]
-    self_loops_only = multi is None and np.array_equal(first_src, np.arange(rows))
-    return EdgeStructure(first_src=first_src, multi=multi, self_loops_only=self_loops_only)
-
-
-def source_order(graph: CsrGraph) -> SourceOrder:
-    """Build ``graph``'s ``SourceOrder``, after ``graph.structure`` has
-    checked it."""
-    multi = graph.structure.multi
-    by_src = np.argsort(graph.src, kind="stable")
-    src_counts = np.bincount(graph.src, minlength=graph.rows)
-    src_nodes = np.flatnonzero(src_counts)
-    multi_at = None
-    if multi is not None:
-        place = np.empty_like(by_src)
-        place[by_src] = np.arange(by_src.size)
-        multi_at = place[multi.edges]
-    return SourceOrder(dst_by_src=graph.dst[by_src], src_nodes=src_nodes,
-                       src_starts=(src_counts.cumsum() - src_counts)[src_nodes],
-                       multi_at=multi_at)
+    if not multi_rows.size:
+        return None
+    multi_counts = counts[multi_rows]
+    seg, edges = _windows(indptr[multi_rows], indptr[multi_rows + 1])
+    by_src = np.argsort(src, kind="stable")
+    place = np.empty_like(by_src)
+    place[by_src] = np.arange(by_src.size)
+    src_counts = np.bincount(src, minlength=rows)
+    return NeighbourRows(rows=multi_rows, starts=multi_counts.cumsum() - multi_counts,
+                         seg=seg, src=src[edges], dst=multi_rows[seg], weight=weight[edges],
+                         dst_by_src=dst[by_src], src_starts=src_counts.cumsum() - src_counts,
+                         multi_at=place[edges])
 
 
 def window_energies(values: np.ndarray, ts, tau: int) -> np.ndarray:

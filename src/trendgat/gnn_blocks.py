@@ -7,15 +7,15 @@ representation and re-compresses the result to the hidden width through
 multi-head attention.  The propagation stream never reads the parallel
 stream, so per-depth representations survive later propagation.
 
-The attention layer reads only the graph's edges, self-loops included.
-A row whose one edge is its self-loop is the plain projection W_right h_i,
-and a thresholded row keeps at most 1/s entries, so for s > 0.5 every row
-is one.  The softmax runs over the E' edges of rows that have
-neighbours: with width d the layer costs O(N * d + E' * d) time and
-memory on top of its projections.  A graph of self-loops alone is
-h @ W_right itself, one product and one tape op, with no W_left product.
-The layer reads the ``energy_graph.CsrGraph`` edges as they are stored,
-and each graph's index arrays are built once (``CsrGraph.structure``).
+The attention layer reads only the graph's edges; every row holds its
+self-loop (checked).  A row whose one edge is its self-loop is the plain
+projection W_right h_i, and a thresholded row keeps at most 1/s entries,
+so for s > 0.5 every row is one.  The softmax runs over the E' edges of
+rows that have neighbours: with width d the layer costs O(N * d + E' * d)
+time and memory on top of its projections.  A graph of self-loops alone
+is h @ W_right itself, one product and one tape op, with no W_left
+product.  Each graph's one index structure, or None for self-loops
+alone, is built once (``CsrGraph.structure``).
 The multi-head attention is dense over the N nodes: one primitive
 projects all H heads with the block's one ``w_qkv`` and costs O(H * N^2)
 time and memory.
@@ -100,11 +100,11 @@ def gatv2_layer(h: ad.Value, adjacency: CsrGraph, params: GatLayerParams) -> ad.
     ((B * N) x d) pair with their ``energy_graph.stack``; each snapshot
     then attends only within itself, exactly as if it were run alone.
 
-    Only rows with more than one edge read W_left h.  When every row's
-    one edge is its self-loop (``EdgeStructure.self_loops_only``: every
-    neighbour-free energy or sector graph, or a stack of them), the layer
+    Only rows with more than one edge read W_left h.  When no row has
+    more than one edge (``structure`` is None: every neighbour-free energy
+    graph, or a stack of them), every row is its self-loop and the layer
     is W_right h itself, one tape op with no W_left product.  The graph's
-    checks run first in every case.
+    checks, the self-loop rule among them, run first in every case.
     """
     rows, d_in = h.data.shape
     d_out = params.w_right.data.shape[1]
@@ -120,9 +120,7 @@ def gatv2_layer(h: ad.Value, adjacency: CsrGraph, params: GatLayerParams) -> ad.
     if adjacency.rows != rows or adjacency.n < 1 or rows % adjacency.n:
         raise ShapeError(f"gatv2_layer: adjacency of {adjacency.rows} nodes, {adjacency.n} "
                          f"per graph, for {rows} rows (want {rows} nodes, n dividing them)")
-    structure = adjacency.structure        # checks the graph before any product
-
-    if structure.self_loops_only:
+    if adjacency.structure is None:        # checks the graph before any product
         return ad.matmul(h, params.w_right)
 
     # left before right: the tape order fixes how h.grad accumulates

@@ -44,6 +44,7 @@ MAX_PARAMETERS = 2 ** 24   # learnables of one model: 128 MiB per float64 vector
 # layout entries of one model: ModelParams keeps a Value and two views per
 # entry and init_model draws each, about 40 us and 700 B an entry
 MAX_ENTRIES = 2 ** 12
+MAX_SCORES = 2 ** 26       # dense attention scores of one forward: 512 MiB of float64
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -66,7 +67,6 @@ class ModelConfig:
     epochs: int = 800
     seed: int = 0
     parallel_attention: bool = True
-    grad_clip: float | None = None
     alpha: ClassVar[int] = md.CLASSES  # classes per forecast step, not a setting
 
     def __post_init__(self) -> None:
@@ -86,8 +86,6 @@ class ModelConfig:
         for key in ("k", "s", "lr", "wd"):
             if not _finite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.grad_clip is not None and not (_finite(self.grad_clip) and self.grad_clip > 0):
-            raise ConfigError(f"grad_clip must be a finite positive number, got {self.grad_clip}")
         if self.parallel_attention:  # the heads split the fused width 2 * hidden
             d_cat = 2 * self.hidden
             if not 1 <= self.heads <= d_cat:
@@ -189,11 +187,18 @@ def init_model(config: ModelConfig) -> ModelParams:
 
 
 def forward(params: ModelParams, snapshot: eg.GraphSnapshot) -> ad.Value:
-    """Logits, one (phi*alpha)-wide row per stock."""
+    """Logits, one (phi*alpha)-wide row per stock.  A parallel stream of
+    more than ``MAX_SCORES`` scores is a ``ConfigError`` before any product."""
     cfg = params.config
     if snapshot.features.shape[1] != cfg.input_width:
         raise ConfigError(
             f"forward: features width {snapshot.features.shape[1]} != tau*f = {cfg.input_width}")
+    graph = snapshot.adjacency
+    scores = graph.rows * cfg.heads * graph.n      # groups x heads x N x N, groups = rows / N
+    if cfg.parallel_attention and cfg.layers and scores > MAX_SCORES:
+        raise ConfigError(f"forward: {graph.rows // graph.n} graph(s) of N = {graph.n} nodes with "
+                          f"{cfg.heads} heads hold {scores} attention scores, more than "
+                          f"MAX_SCORES = {MAX_SCORES}")
     x = ad.const(snapshot.features)
     h0 = ad.prelu(ad.matmul(x, params.w_in), params.prelu_in)
     state = gb.BlockState(h=h0, hp=h0)
@@ -320,8 +325,6 @@ def train(train_split: mt.Split, val_split: mt.Split, config: ModelConfig,
             if not np.isfinite(total):
                 raise TrainingDivergedError(
                     f"training loss became non-finite at epoch {epoch}", history=history)
-            if config.grad_clip is not None:
-                np.clip(params.grad, -config.grad_clip, config.grad_clip, out=params.grad)
             adamw_step(params, opt, config.lr, config.wd)
         train_loss = total * scale
 
@@ -383,6 +386,11 @@ def _read_config(values, offset: int) -> ModelConfig:
     if type(alpha) is not int or alpha != ModelConfig.alpha:
         raise FormatError(f"config at offset {offset}: alpha={alpha!r}, but a model has "
                           f"{ModelConfig.alpha} classes per step")
+    # headers written while gradient clipping was a setting store grad_clip
+    clip = values.pop("grad_clip", None)
+    if clip is not None and not (_has_kind(clip, "float") and _finite(clip) and clip > 0):
+        raise FormatError(f"config at offset {offset}: grad_clip={clip!r} is not null or a "
+                          f"finite positive number")
     unknown = set(values) - {f.name for f in fields(ModelConfig)}
     if unknown:
         raise FormatError(f"config at offset {offset} has unknown keys {sorted(unknown)}")
@@ -401,15 +409,15 @@ def _finite(value: int | float) -> bool:
 
 
 def _has_kind(value, kind: str) -> bool:
-    # kind is a ModelConfig field annotation: "int", "float", "bool" or
-    # "float | None"; bool is a subclass of int but never a number here
+    # kind is a ModelConfig field annotation: "int", "float" or "bool";
+    # bool is a subclass of int but never a number here
     if kind == "bool":
         return isinstance(value, bool)
     if isinstance(value, bool):
         return False
     if kind == "int":
         return isinstance(value, int)
-    return isinstance(value, (int, float)) or (kind == "float | None" and value is None)
+    return isinstance(value, (int, float))
 
 
 def load_model(path) -> ModelParams:

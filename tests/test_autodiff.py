@@ -48,23 +48,6 @@ def test_gat_attention_empty_mask_row_raises():
                          eg.CsrGraph(indptr, src, np.ones(2), n=3), 0.2)
 
 
-def test_gat_attention_node_that_is_no_source_gets_zero_right_gradient():
-    # column 2 of the mask is empty: node 2 is attended by no row
-    rng = np.random.default_rng(11)
-    left, right = (ad.Value(rng.standard_normal((4, 3))) for _ in range(2))
-    attn, edge_bias = ad.Value(rng.standard_normal((3, 1))), ad.Value(np.ones((1, 1)))
-    mask = np.array([[1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 0, 1]], dtype=bool)
-    weights, w = rng.random((4, 4)), ad.const(rng.standard_normal((4, 3)))
-    dst, src = np.nonzero(mask)
-    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
-    graph = eg.CsrGraph(indptr, src, weights[dst, src], n=4)
-    f = lambda: ad.reduce_sum(ad.mul(
-        ad.gat_attention(left, right, attn, edge_bias, graph, 0.2), w))
-    report = grad_check(f, [left, right, attn, edge_bias], step=1e-5, tol=1e-4)
-    assert report.passed, report
-    assert (right.grad[2] == 0.0).all() and (right.grad[[0, 1, 3]] != 0.0).any()
-
-
 def test_gat_attention_rows_do_not_depend_on_the_other_rows():
     # every edge and row is scored on its own, so a row's output and its
     # left and right gradients are bit-identical wherever the row sits: in
@@ -380,8 +363,7 @@ def test_primitive_gradients_against_finite_differences(name, monkeypatch):
                 left, right, attn, edge_bias, graph, 0.2), w))
             params = [left, right, attn, edge_bias]
         elif name == "gat_attention_mixed_rows":
-            # rows with one edge (a self-loop, or an edge from another node)
-            # next to rows with several
+            # rows of the self-loop alone next to rows with neighbours
             left, right = _off_kink_pair(rng, r, c)
             attn, edge_bias = rand(rng, c, 1), ad.Value(rng.uniform(0.5, 2.0, (1, 1)))
             graph = mixed_graph(rng, r)

@@ -103,7 +103,6 @@ KEY_SAMPLES = {
     "train.wd": "0.0002",
     "train.epochs": "5",
     "train.seeds": "1,2",
-    "train.grad_clip": "0.5",
 }
 
 
@@ -128,7 +127,7 @@ def test_file_line_and_flag_set_a_key_alike(tmp_path, key):
 COMMON_FLAGS = {
     "--config", "--manifest", "--out", "--indicators", "--ratios", "--tau", "--k", "--s",
     "--hidden", "--heads", "--layers", "--phi", "--lr", "--wd", "--epochs", "--seeds",
-    "--grad-clip", "--no-range-check",
+    "--no-range-check",
 }
 
 
@@ -140,7 +139,7 @@ def test_each_subcommand_accepts_exactly_its_flags():
                if opt.startswith("--") and opt != "--help"}
         for mode, sub in subparsers.choices.items()
     }
-    assert len(COMMON_FLAGS) == 18
+    assert len(COMMON_FLAGS) == 17
     assert accepted == {
         "train": COMMON_FLAGS,
         "eval": COMMON_FLAGS | {"--model"},
@@ -568,10 +567,8 @@ def test_usage_error_exits_one():
 
 
 @pytest.mark.parametrize("flags,message", [
-    (("--grad-clip", "-1"), "grad_clip must be a finite positive number"),
-    (("--grad-clip", "0"), "grad_clip must be a finite positive number"),
-    (("--grad-clip", "nan"), "grad_clip must be a finite positive number"),
-    (("--grad-clip", "inf"), "grad_clip must be a finite positive number"),
+    # gradient clipping is no longer a setting
+    (("--grad-clip", "0.5"), "unrecognized arguments: --grad-clip 0.5"),
     (("--indicators", ","), "f must be positive"),
     (("--no-range-check", "--k", "nan"), "k must be finite, got nan"),
     (("--no-range-check", "--k", "inf"), "k must be finite, got inf"),
@@ -589,9 +586,8 @@ def test_usage_error_exits_one():
     (("--no-range-check", "--layers", "100000000"), "more than MAX_PARAMETERS = 16777216"),
     (("--no-range-check", "--hidden", "1", "--heads", "1", "--layers", "800000"),
      "more than MAX_ENTRIES = 4096 layout entries: 5600003"),
-], ids=["grad_clip_negative", "grad_clip_zero", "grad_clip_nan", "grad_clip_inf",
-        "no_indicators", "k_nan_unchecked", "k_inf_unchecked", "s_nan_unchecked",
-        "lr_nan_unchecked", "wd_inf_unchecked", "heads_not_dividing",
+], ids=["grad_clip_retired", "no_indicators", "k_nan_unchecked", "k_inf_unchecked",
+        "s_nan_unchecked", "lr_nan_unchecked", "wd_inf_unchecked", "heads_not_dividing",
         "heads_above_fused_width_unchecked", "tau_zero_unchecked", "layers_negative_unchecked",
         "seed_negative", "hidden_past_parameter_bound", "layers_past_parameter_bound_unchecked",
         "layers_past_entry_bound_unchecked"])

@@ -69,16 +69,16 @@ def random_adjacency(rng, n, density=0.5):
 
 def mixed_graph(rng, n):
     """A graph of n nodes mixing three kinds of row in shuffled order, about
-    n / 3 of each: the self-loop alone, one edge from another node (no
-    self-loop), and two or more edges.  Random weights."""
+    n / 3 of each: the self-loop alone, the self-loop plus one other node,
+    and the self-loop among two or more edges.  Random weights."""
     indptr, src = [0], []
     for i, kind in enumerate(rng.permutation(np.resize([0, 1, 2], n)) if n > 1 else [0]):
         if kind == 0:
             row = [i]
         elif kind == 1:
-            row = [int(rng.choice(np.delete(np.arange(n), i)))]
+            row = sorted([i, int(rng.choice(np.delete(np.arange(n), i)))])
         else:
-            row = sorted(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+            row = sorted({i, *rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)})
         src += row
         indptr.append(len(src))
     return eg.CsrGraph(indptr=np.array(indptr), src=np.array(src, dtype=np.int64),
@@ -211,23 +211,11 @@ def test_gat_on_self_loop_graph_is_the_right_projection(graph):
         out = gb.gatv2_layer(h, graph, params.gat)
         recorded = len(tape)
         tape.backward(ad.reduce_sum(ad.mul(out, ad.const(rng.standard_normal(out.data.shape)))))
-    assert graph.structure.self_loops_only and recorded == 1
+    assert graph.structure is None and recorded == 1
     np.testing.assert_array_equal(out.data, h.data @ params.gat.w_right.data)
     for value in (params.gat.w_left, params.gat.attn, params.gat.edge_bias):
         assert not value.grad.any()
     assert params.gat.w_right.grad.any()
-
-
-def test_gat_on_one_edge_rows_from_other_nodes_gathers_the_right_projection():
-    # no row has neighbours, but no edge is a self-loop: the layer is not W_right h
-    rng = np.random.default_rng(39)
-    params = init_block(d=4, h=2, seed=40)
-    src = np.roll(np.arange(6), 1)
-    graph = eg.CsrGraph(indptr=np.arange(7), src=src, weight=rng.random(6), n=6)
-    h = ad.Value(rng.standard_normal((6, 4)))
-    out = gb.gatv2_layer(h, graph, params.gat)
-    assert graph.structure.multi is None and not graph.structure.self_loops_only
-    np.testing.assert_array_equal(out.data, (h.data @ params.gat.w_right.data)[src])
 
 
 def test_gat_attention_rows_are_convex_combinations():
@@ -341,6 +329,13 @@ def _layer_on(adjacency):
      DegenerateRowError, "row 1"),
     (_layer_on(_csr(SELF_LOOPS, indptr=[0, 1, 1, 2], src=[0, 2], weight=[0.5, 1.0])),
      DegenerateRowError, "row 1"),
+    # every row must hold its self-loop, a row with neighbours or one edge alike
+    (_attention_on(src=[0, 0, 2, 2]), ShapeError, "CsrGraph: row 1 has no self-loop"),
+    (_layer_on(_csr(MIXED_ROWS, src=[0, 0, 2, 2])), ShapeError,
+     "CsrGraph: row 1 has no self-loop"),
+    (_attention_on(SELF_LOOPS, src=[0, 2, 1]), ShapeError, "CsrGraph: row 1 has no self-loop"),
+    (_layer_on(_csr(SELF_LOOPS, src=[0, 2, 1])), ShapeError,
+     "CsrGraph: row 1 has no self-loop"),
 ], ids=["well_formed", "indptr_length", "indptr_decreasing", "indptr_not_ending_at_edges",
         "indptr_not_starting_at_zero", "source_negative", "source_past_last_row",
         "source_not_integer", "weight_length", "row_without_edge", "layer_dense_matrix",
@@ -348,7 +343,9 @@ def _layer_on(adjacency):
         "layer_self_loops_source_past_last_row", "self_loops_indptr_not_ending_at_edges",
         "layer_self_loops_indptr_not_ending_at_edges", "self_loops_weight_length",
         "layer_self_loops_weight_length", "self_loops_row_without_edge",
-        "layer_self_loops_row_without_edge"])
+        "layer_self_loops_row_without_edge", "row_without_self_loop",
+        "layer_row_without_self_loop", "one_edge_row_without_self_loop",
+        "layer_one_edge_row_without_self_loop"])
 def test_malformed_graph_is_a_documented_error(call, error, match):
     if error is None:
         assert call().data.shape == (3, 2)

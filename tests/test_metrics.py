@@ -214,27 +214,27 @@ def test_evaluating_an_empty_split_is_value_error():
         mt.evaluate(mdl.init_model(cfg), empty)
 
 
-def test_evaluation_and_self_loop_stacks_build_no_source_order(monkeypatch):
-    from trendgat import autodiff as ad
+def test_training_and_evaluation_build_each_graph_structure_once(monkeypatch):
     from trendgat import energy_graph as eg
     from trendgat import model as mdl
     built = []
-    order = eg.source_order
-    monkeypatch.setattr(eg, "source_order", lambda graph: built.append(graph) or order(graph))
+    build = eg.edge_structure
+    monkeypatch.setattr(eg, "edge_structure", lambda graph: built.append(graph) or build(graph))
     self_loops = eg.stack([from_dense(np.eye(5))] * 3)
-    assert self_loops.structure.self_loops_only
+    for _ in range(2):
+        assert self_loops.structure is None
+    assert built == [self_loops]              # None is kept like a structure
 
     rng = np.random.default_rng(8)
-    cfg = mdl.ModelConfig(tau=3, k=0.5, s=0.25, f=2, hidden=4, heads=2, layers=2, seed=4)
-    params = mdl.init_model(cfg)
-    split = random_split(rng, 30, cfg, windows=3)
-    mt.evaluate(params, split)
-    assert all(graph.structure.multi is not None for _, graph in split.chunks)
-    assert built == []
-
-    # the backward into the graph layer's right projection builds it, once
-    sample = next(s for s in split if s.snapshot.adjacency.structure.multi is not None)
+    cfg = mdl.ModelConfig(tau=3, k=0.5, s=0.25, f=2, hidden=4, heads=2, layers=2, epochs=2,
+                          seed=4)
+    train, val, test = (random_split(rng, 30, cfg, windows=3) for _ in range(3))
+    # every training window runs forward and backward in each epoch, and
+    # the validation chunks are scored in each epoch
+    result = mdl.train(train, val, cfg)
     for _ in range(2):
-        with ad.Tape() as tape:
-            tape.backward(mdl.loss(mdl.forward(params, sample.snapshot), sample.labels))
-    assert built == [sample.snapshot.adjacency]
+        mt.evaluate(result.params, test)
+    graphs = [*train.graphs, *(graph for split in (val, test) for _, graph in split.chunks)]
+    assert any(graph.structure is not None for graph in train.graphs)
+    assert len(built) == 1 + len(graphs)
+    assert all(sum(graph is b for b in built) == 1 for graph in graphs)

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -357,6 +358,53 @@ def test_parameter_count_is_bounded(monkeypatch):
         mdl.ModelConfig(layers=10**8)
 
 
+def _self_loop_snapshot(n, width, groups=1):
+    """A snapshot of ``groups`` stacked self-loop graphs of n nodes and zero
+    features."""
+    graph = eg.stack([eg.CsrGraph(indptr=np.arange(n + 1), src=np.arange(n),
+                                  weight=np.ones(n), n=n)] * groups)
+    return eg.GraphSnapshot(0, np.zeros((groups * n, width)), graph)
+
+
+def test_attention_scores_past_the_bound_are_refused_before_any_product():
+    # 8193^2 scores are one more than MAX_SCORES at one head: a forward
+    # would allocate 512 MiB, so the refusal must come first
+    params = mdl.init_model(mdl.ModelConfig(tau=1, f=1, hidden=1, heads=1, layers=1))
+    snapshot = _self_loop_snapshot(8193, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"N = 8193 nodes with 1 heads hold 67125249 "
+                                              r"attention scores, more than MAX_SCORES = "
+                                              r"67108864$"):
+            mdl.forward(params, snapshot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_attention_score_bound_counts_groups_and_heads(monkeypatch):
+    params = mdl.init_model(small_config(heads=3))
+    snapshot = _self_loop_snapshot(5, params.config.input_width, groups=4)
+    monkeypatch.setattr(mdl, "MAX_SCORES", 4 * 3 * 5 * 5)
+    assert mdl.forward(params, snapshot).data.shape == (20, params.config.output_width)
+    monkeypatch.setattr(mdl, "MAX_SCORES", 4 * 3 * 5 * 5 - 1)
+    with pytest.raises(ConfigError, match="4 graph"):
+        mdl.forward(params, snapshot)
+    # without the parallel stream there are no scores to bound
+    plain = mdl.init_model(small_config(parallel_attention=False))
+    assert mdl.forward(plain, snapshot).data.shape == (20, plain.config.output_width)
+
+
+def test_largest_synthetic_panel_is_within_the_score_bound():
+    # at this N an evaluation chunk is one window, so it passes too
+    params = mdl.init_model(mdl.ModelConfig())
+    n = synth.max_stocks(synth.RuleSpec())
+    assert n > mt.CHUNK_ROWS
+    out = mdl.forward(params, _self_loop_snapshot(n, params.config.input_width))
+    assert out.data.shape == (n, params.config.output_width)
+
+
 @pytest.mark.parametrize("parallel", [False, True])
 def test_parameter_bound_lays_out_one_block_whatever_the_layer_count(monkeypatch, parallel):
     calls = []
@@ -475,8 +523,7 @@ def test_training_matches_the_full_graph_layer_bit_for_bit(small_synth_panel, mo
     sector = eg.sector_adjacency(panel.sectors, panel.tickers) if source == "sector" else None
     datasets = mdl.build_datasets(panel, cfg, adjacency=sector)
     # the energy snapshots mix both kinds of graph; the sector graph has neighbour rows
-    kinds = {sample.snapshot.adjacency.structure.self_loops_only
-             for sample in datasets["train"]}
+    kinds = {sample.snapshot.adjacency.structure is None for sample in datasets["train"]}
     assert kinds == ({False} if sector else {False, True})
 
     def run():
@@ -702,7 +749,7 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("tau", "14", "tau='14' is not int"),
     ("hidden", 10**12, r"config at offset 16: more than MAX_PARAMETERS = 16777216 "
                        r"learnables: \d+ \(2 blocks of \d+, \d+ outside them\)$"),
-    ("grad_clip", "a", "grad_clip='a' is not float | None"),
+    ("grad_clip", "a", "config at offset 16: grad_clip='a' is not null or a finite positive"),
     ("parallel_attention", "no", "parallel_attention='no' is not bool"),
     ("layers", 10**9, r"config at offset 16: more than MAX_PARAMETERS = 16777216 "
                       r"learnables: \d+ \(1000000000 blocks of "),
@@ -716,10 +763,10 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("layers", -1, "config at offset 16: layers must not be negative, got -1"),
     ("k", math.nan, "config at offset 16: k must be finite, got nan"),
     ("s", math.inf, "config at offset 16: s must be finite, got inf"),
-    ("grad_clip", -math.inf, "grad_clip must be a finite positive number, got -inf"),
-    ("grad_clip", -1, "config at offset 16: grad_clip must be a finite positive number, got -1"),
+    ("grad_clip", -math.inf, "config at offset 16: grad_clip=-inf is not null or a finite"),
+    ("grad_clip", -1, "config at offset 16: grad_clip=-1 is not null or a finite positive"),
     ("k", 10**400, "config at offset 16: k must be finite, got 10{400}$"),
-    ("grad_clip", 10**400, "config at offset 16: grad_clip must be a finite positive number"),
+    ("grad_clip", 10**400, "config at offset 16: grad_clip=10{400} is not null or a finite"),
     ("alpha", 3, "config at offset 16: alpha=3, but a model has 2 classes per step"),
     ("alpha", 2.0, "config at offset 16: alpha=2.0, but a model has 2 classes per step"),
 ], ids=["hidden_str", "layers_null", "tau_str", "hidden_huge", "grad_clip_str",
@@ -760,10 +807,10 @@ def test_config_is_frozen_and_checked_when_made():
     assert mdl.init_model(mdl.ModelConfig(tau=1, layers=0)).parameter_count() > 0
 
 
-@pytest.mark.parametrize("key", ["k", "s", "lr", "wd", "grad_clip"])
+@pytest.mark.parametrize("key", ["k", "s", "lr", "wd"])
 def test_config_rejects_an_int_too_large_for_a_float(key):
     # math.isfinite raises OverflowError on such an int; the config says why instead
-    with pytest.raises(ConfigError, match=f"^{key} must be (finite|a finite positive number)"):
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
         mdl.ModelConfig(**{key: 10**400})
 
 
@@ -780,6 +827,22 @@ def test_header_holding_the_retired_alpha_field_loads(tmp_path):
     loaded = mdl.load_model(path)
     assert loaded.config == params.config
     np.testing.assert_array_equal(loaded.flat, params.flat)
+
+
+@pytest.mark.parametrize("value", [None, 0.5], ids=["null", "set"])
+def test_header_holding_the_retired_grad_clip_setting_loads(tmp_path, value):
+    # checkpoints written while gradient clipping was a setting store grad_clip
+    path = tmp_path / "model.bin"
+    params = mdl.init_model(small_config())
+    mdl.save_model(params, path)
+    blob = path.read_bytes()
+    assert b"grad_clip" not in _split(blob)[0]
+    cfg = json.loads(_config_block(blob))
+    path.write_bytes(_with_config_block(blob, json.dumps({**cfg, "grad_clip": value},
+                                                         sort_keys=True).encode()))
+    loaded = mdl.load_model(path)
+    assert loaded.config == params.config
+    assert loaded.flat.tobytes() == params.flat.tobytes()
 
 
 def test_header_listing_per_head_matrices_is_format_error(tmp_path, capsys):
@@ -805,11 +868,11 @@ def test_header_listing_per_head_matrices_is_format_error(tmp_path, capsys):
 
 
 def test_config_field_kinds_accept_what_save_writes(tmp_path):
-    # an int where a float is declared, and a set grad_clip, still load
+    # an int where a float is declared still loads
     path = tmp_path / "model.bin"
-    mdl.save_model(mdl.init_model(small_config(k=1, grad_clip=0.5)), path)
+    mdl.save_model(mdl.init_model(small_config(k=1)), path)
     loaded = mdl.load_model(path)
-    assert loaded.config.k == 1 and loaded.config.grad_clip == 0.5
+    assert loaded.config.k == 1
 
 
 def test_non_utf8_parameter_name_is_format_error(tmp_path):
@@ -883,7 +946,7 @@ def test_corrupted_or_truncated_checkpoint_is_trendgat_error_or_loads(tmp_path):
     # every byte after the prefix, so a checkpoint that loads must save back
     # to the original bytes
     path, resaved = tmp_path / "model.bin", tmp_path / "resaved.bin"
-    mdl.save_model(mdl.init_model(small_config(grad_clip=0.5)), path)
+    mdl.save_model(mdl.init_model(small_config()), path)
     blob = path.read_bytes()
     rng = np.random.default_rng(2024)
     outcomes = {"identical": 0, "error": 0}
