@@ -567,8 +567,11 @@ def test_usage_error_exits_one():
 
 
 @pytest.mark.parametrize("flags,message", [
-    # gradient clipping is no longer a setting
-    (("--grad-clip", "0.5"), "unrecognized arguments: --grad-clip 0.5"),
+    # gradient clipping is no longer a setting: every value of the retired flag is refused
+    (("--grad-clip", "-1"), "unrecognized arguments: --grad-clip -1"),
+    (("--grad-clip", "0"), "unrecognized arguments: --grad-clip 0"),
+    (("--grad-clip", "nan"), "unrecognized arguments: --grad-clip nan"),
+    (("--grad-clip", "inf"), "unrecognized arguments: --grad-clip inf"),
     (("--indicators", ","), "f must be positive"),
     (("--no-range-check", "--k", "nan"), "k must be finite, got nan"),
     (("--no-range-check", "--k", "inf"), "k must be finite, got inf"),
@@ -586,7 +589,8 @@ def test_usage_error_exits_one():
     (("--no-range-check", "--layers", "100000000"), "more than MAX_PARAMETERS = 16777216"),
     (("--no-range-check", "--hidden", "1", "--heads", "1", "--layers", "800000"),
      "more than MAX_ENTRIES = 4096 layout entries: 5600003"),
-], ids=["grad_clip_retired", "no_indicators", "k_nan_unchecked", "k_inf_unchecked",
+], ids=["grad_clip_negative", "grad_clip_zero", "grad_clip_nan", "grad_clip_inf",
+        "no_indicators", "k_nan_unchecked", "k_inf_unchecked",
         "s_nan_unchecked", "lr_nan_unchecked", "wd_inf_unchecked", "heads_not_dividing",
         "heads_above_fused_width_unchecked", "tau_zero_unchecked", "layers_negative_unchecked",
         "seed_negative", "hidden_past_parameter_bound", "layers_past_parameter_bound_unchecked",
