@@ -238,10 +238,10 @@ def run_variants(spec: ExperimentSpec, variants) -> list[dict]:
     (one energy graph per window) or "sector" (the fixed same-sector graph).
 
     An output directory that already holds per-seed metrics is refused, and
-    every config, graph source and data split is checked before the first
-    model trains.  The panel is loaded once, and consecutive variants that
-    share tau, phi, k, s and graph source share one set of datasets; at
-    most one set is alive at a time."""
+    every config and its largest forward, graph source and data split is
+    checked before anything is written.  The panel is loaded once, and
+    consecutive variants that share tau, phi, k, s and graph source share
+    one set of datasets; at most one set is alive at a time."""
     out_dir = output_dir(spec.out_dir)
     # report reads every metrics file under the directory, so one from an
     # earlier run would be pooled with this run's
@@ -253,10 +253,11 @@ def run_variants(spec: ExperimentSpec, variants) -> list[dict]:
         for config in configs:
             check_ranges(config)
     panel = _load_panel(spec, configs)
+    for config in configs:       # an evaluation chunk is the largest forward
+        mdl.check_scores(config, mt.chunk_windows(panel.n_stocks), panel.n_stocks)
+        md.split_periods(panel, spec.ratios, config.tau, config.phi)
     graphs = {source: None if source == "energy" else eg.sector_adjacency(panel.sectors, panel.tickers)
               for _, _, source in variants}
-    for config in configs:
-        md.split_periods(panel, spec.ratios, config.tau, config.phi)
     write_resolved_spec(spec, out_dir)
     records: list[dict] = []
     built, datasets = None, None

@@ -11,8 +11,8 @@ is provided for ablation runs.
 Every graph the model reads is a ``CsrGraph``: per node, the sources of
 its incoming edges and their weights.  A thresholded row keeps at most
 1/s entries, so a snapshot takes O(N / s) memory, and ``boltzmann_graph``
-builds it in O(N log N) without an N x N intermediate, for every window
-of a split in one call.
+builds it in O(N log N + N / s) without an N x N intermediate, for every
+window of a split in one call.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ from . import market_data as md
 from .errors import ConfigError, DegenerateRowError, NumericError, ShapeError
 
 THRESHOLD_RANGE = (0.25, 0.85)
-
-# each row's candidate window is widened by _WINDOW_MARGIN * (1 + max x),
-# x = E / (k * tau): far above the rounding of x and of log Z, far below
-# any gap that changes which entries reach s
-_WINDOW_MARGIN = 1e-9
 
 # boltzmann_graph builds blocks of windows whose candidate pairs take about
 # this many bytes.  Each pair's temporaries (indices, weights, masks) take
@@ -224,15 +219,21 @@ def boltzmann_graph(energies: np.ndarray, k: float, tau: int, s: float) -> list[
     B x N energies (``window_energies``): entry (i, j) is
     exp(-|E_i - E_j| / (k * tau)) normalized over j, and is kept when it
     is at least s (positive, for s <= 0); every self-loop is kept too.
-    O(N log N) time and O(N / s) memory per window.
+    O(N log N + N / s) time and O(N / s) memory per window.
 
     With the energies sorted and x = E / (k * tau), row i's normalizer
     sum_j exp(-|x_i - x_j|) is Z_i = L_i + R_i - 1, where
     L_i = sum_{j <= i} exp(x_j - x_i) comes from one
-    ``np.logaddexp.accumulate`` and R_i mirrors it from the right.  Entry
-    (i, j) reaches s exactly when |x_i - x_j| <= -ln(s * Z_i): a window of
-    the sorted energies, widened by a rounding margin.  Each candidate's
-    weight is then computed and kept by the rule above.
+    ``np.logaddexp.accumulate`` and R_i mirrors it from the right.  Row
+    i's candidates, each kept by the rule above, are the sorted places
+    within floor(1 / s) of i (all of them for s <= 1 / N).  They hold every
+    kept entry: (1) the own weight 1 / Z_i is the row's largest; (2) the
+    computed weight exp(-|e_i - e_j| / (k * tau)) / Z_i is a chain of
+    monotone rounded steps, so on each side of i it does not rise with
+    distance and the kept entries form a run next to i; (3) a computed row
+    summing to 1 + delta has at most floor((1 + delta) / s) entries that
+    reach s, its own among them, so for delta < s each run is at most
+    floor(1 / s) long.
 
     Every step runs on whole blocks of windows at once (``_block_graphs``),
     sized so that their candidate pairs take about ``_BLOCK_BYTES``; the
@@ -240,9 +241,9 @@ def boltzmann_graph(energies: np.ndarray, k: float, tau: int, s: float) -> list[
 
     Energies that are not B x N with N >= 2 stocks, a k that is not
     positive and finite, an s that is not finite or a tau below 1 is a
-    ``ConfigError``; a negative or non-finite energy a ``NumericError``
-    naming the window.  A finite threshold outside ``THRESHOLD_RANGE``
-    warns, once per call.
+    ``ConfigError``; a negative energy, or one whose E / (k * tau) is not
+    finite, a ``NumericError`` naming the window.  A finite threshold
+    outside ``THRESHOLD_RANGE`` warns, once per call.
     """
     energies = np.asarray(energies, dtype=np.float64)
     if energies.ndim != 2 or energies.shape[1] < 2:
@@ -254,46 +255,32 @@ def boltzmann_graph(energies: np.ndarray, k: float, tau: int, s: float) -> list[
         raise ConfigError(f"boltzmann_graph: s must be finite, got {s}")
     if tau < 1:
         raise ConfigError(f"boltzmann_graph: tau must be >= 1, got {tau}")
-    # a NaN fails both comparisons
-    valid = ((energies >= 0) & (energies < math.inf)).all(axis=1)
+    scale = k * tau
+    with np.errstate(over="ignore"):     # a NaN fails both comparisons
+        valid = ((energies >= 0) & (energies / scale < math.inf)).all(axis=1)
     if not valid.all():
         raise NumericError(f"boltzmann_graph: window {int(np.argmin(valid))} has non-finite "
-                           f"or negative energies (a non-finite feature, or squares that "
-                           f"overflow)")
+                           f"or negative energies (a non-finite feature, squares that "
+                           f"overflow, or E / (k * tau) that overflows at k * tau = {scale:g})")
     lo, hi = THRESHOLD_RANGE
     if not lo <= s <= hi:
         warnings.warn(f"threshold {s} outside the usual range [{lo}, {hi}]",
                       ThresholdRangeWarning, stacklevel=2)
     b, n = energies.shape
-    # candidates per row: at most about 1/s entries of a row reach s
-    per_row = n if s <= 1.0 / n else min(n, int(1.0 / s) + 2)
-    step = max(1, _BLOCK_BYTES // (8 * n * per_row))
+    band = n if s <= 1.0 / n else min(n, int(1.0 / s))
+    step = max(1, _BLOCK_BYTES // (8 * n * min(n, 2 * band + 1)))
     graphs: list[CsrGraph] = []
     for start in range(0, b, step):
-        graphs += _block_graphs(energies[start:start + step], k * tau, s)
+        graphs += _block_graphs(energies[start:start + step], scale, s, band)
     return graphs
 
 
-def _count_below(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(x[b], q[b])`` for every row b at once: how many
-    entries of the ascending row x[b] sort before each q[b, m] (a NaN after
-    every number).  One stable sort of each row's queries followed by its
-    entries puts every query before the entries equal to it, so the entries
-    ahead of a query are exactly those that compare less."""
-    rows, m = q.shape
-    merged = np.concatenate((q, x), axis=1).argsort(axis=1, kind="stable")
-    ahead = (merged >= m).cumsum(axis=1)
-    count = np.empty(merged.shape, dtype=np.intp)
-    count[np.arange(rows)[:, None], merged] = ahead
-    return count[:, :m]
-
-
-def _block_graphs(energies: np.ndarray, scale: float, s: float) -> list[CsrGraph]:
+def _block_graphs(energies: np.ndarray, scale: float, s: float, band: int) -> list[CsrGraph]:
     """``boltzmann_graph`` of one block of B windows' checked energies.
-    Sorted position i of window b is flat row b * N + i; each row's
-    candidates are a run of flat columns of its own window, and one
-    argsort of (window, dst, src) keys puts the kept edges in CSR order
-    for all windows together."""
+    Sorted position i of window b is flat row b * N + i; its candidates
+    are the flat columns of its own window within ``band`` places of it,
+    and one argsort of (window, dst, src) keys puts the kept edges in CSR
+    order for all windows together."""
     b, n = energies.shape
     order = energies.argsort(axis=1, kind="stable")
     e = np.take_along_axis(energies, order, axis=1)
@@ -301,15 +288,10 @@ def _block_graphs(energies: np.ndarray, scale: float, s: float) -> list[CsrGraph
     log_left = np.logaddexp.accumulate(x, axis=1) - x
     log_right = np.logaddexp.accumulate(-x[:, ::-1], axis=1)[:, ::-1] + x
     z = np.exp(log_left) + np.exp(log_right) - 1.0
-    margin = _WINDOW_MARGIN * (1.0 + x[:, -1:])       # energies are >= 0
-    reach = margin - np.log(s * z) if s > 0 else np.full(x.shape, np.inf)
-    bounds = _count_below(x, np.concatenate((x - reach, x + reach), axis=1))
-    # every window holds its own row: one whose own entry misses s keeps
-    # only its self-loop
     at = np.arange(n)
     base = np.arange(0, b * n, n)[:, None]
-    lo = np.minimum(bounds[:, :n], at) + base
-    hi = np.maximum(bounds[:, n:], at + 1) + base
+    lo = np.maximum(at - band, 0) + base
+    hi = np.minimum(at + band + 1, n) + base
     row, col = _windows(lo.ravel(), hi.ravel())
     e, z = e.ravel(), z.ravel()
     w = np.exp(np.abs(e[row] - e[col]) / -scale) / z[row]

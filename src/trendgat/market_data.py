@@ -219,10 +219,13 @@ def load_panel(manifest, min_days: int = 2) -> IndicatorPanel:
 
 
 def select_indicators(panel: IndicatorPanel, names: list[str]) -> IndicatorPanel:
-    """Restrict the panel to the given channels in the given order."""
+    """Restrict the panel to the given channels, each named once, in order."""
     unknown = [n for n in names if n not in panel.indicators]
     if unknown:
         raise ConfigError(f"unknown indicator(s) {unknown}; available: {panel.indicators}")
+    repeated = sorted({n for i, n in enumerate(names) if n in names[:i]})
+    if repeated:
+        raise ConfigError(f"indicator(s) {repeated} named more than once")
     idx = [panel.indicators.index(n) for n in names]
     return IndicatorPanel(tickers=panel.tickers, dates=panel.dates,
                           values=np.take(panel.values, idx, axis=2),

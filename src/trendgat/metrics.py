@@ -25,6 +25,11 @@ from . import market_data as md
 CHUNK_ROWS = 400
 
 
+def chunk_windows(n: int) -> int:
+    """Windows of N stocks per ``evaluate`` forward: at least one."""
+    return max(1, CHUNK_ROWS // n)
+
+
 @dataclass
 class ConfusionCounts:
     """Binary confusion counts with class 1 (upward) as positive."""
@@ -143,7 +148,7 @@ class Split:
     @cached_property
     def chunks(self) -> tuple[tuple[slice, eg.CsrGraph], ...]:
         """(window slice, their stacked graph) per chunk, in window order."""
-        size = max(1, CHUNK_ROWS // self.features.shape[1])
+        size = chunk_windows(self.features.shape[1])
         slices = (slice(start, start + size) for start in range(0, len(self), size))
         return tuple((chunk, eg.stack(self.graphs[chunk])) for chunk in slices)
 

@@ -49,10 +49,10 @@ MAX_SCORES = 2 ** 26       # dense attention scores of one forward: 512 MiB of f
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters of one model.  Construction checks every structural
-    rule (field types, finite floats, positive sizes, the heads rule, at most
-    ``MAX_PARAMETERS`` learnables in at most ``MAX_ENTRIES`` layout entries),
-    so a ModelConfig that exists is one that ``layout`` can lay out; the
-    search ranges are ``cli.check_ranges``."""
+    rule (field types, finite floats, positive sizes and lr, wd >= 0, the
+    heads rule, at most ``MAX_PARAMETERS`` learnables in at most
+    ``MAX_ENTRIES`` layout entries), so a ModelConfig that exists is one
+    that ``layout`` can lay out; the search ranges are ``cli.check_ranges``."""
 
     tau: int = 14
     k: float = 0.5
@@ -86,6 +86,8 @@ class ModelConfig:
         for key in ("k", "s", "lr", "wd"):
             if not _finite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if not (self.lr > 0 and self.wd >= 0):
+            raise ConfigError(f"lr must be positive and wd not negative, got {self.lr}, {self.wd}")
         if self.parallel_attention:  # the heads split the fused width 2 * hidden
             d_cat = 2 * self.hidden
             if not 1 <= self.heads <= d_cat:
@@ -186,19 +188,25 @@ def init_model(config: ModelConfig) -> ModelParams:
     return ModelParams(config, flat)
 
 
+def check_scores(config: ModelConfig, windows: int, n: int) -> None:
+    """Refuse a forward over ``windows`` stacked graphs of ``n`` nodes
+    whose parallel stream would hold more than ``MAX_SCORES`` dense
+    attention scores (windows x heads x N x N): a ``ConfigError``."""
+    scores = windows * config.heads * n * n
+    if config.parallel_attention and config.layers and scores > MAX_SCORES:
+        raise ConfigError(f"{windows} graph(s) of N = {n} nodes with {config.heads} heads hold "
+                          f"{scores} attention scores, more than MAX_SCORES = {MAX_SCORES}")
+
+
 def forward(params: ModelParams, snapshot: eg.GraphSnapshot) -> ad.Value:
-    """Logits, one (phi*alpha)-wide row per stock.  A parallel stream of
-    more than ``MAX_SCORES`` scores is a ``ConfigError`` before any product."""
+    """Logits, one (phi*alpha)-wide row per stock.  ``check_scores`` runs
+    before any product."""
     cfg = params.config
     if snapshot.features.shape[1] != cfg.input_width:
         raise ConfigError(
             f"forward: features width {snapshot.features.shape[1]} != tau*f = {cfg.input_width}")
     graph = snapshot.adjacency
-    scores = graph.rows * cfg.heads * graph.n      # groups x heads x N x N, groups = rows / N
-    if cfg.parallel_attention and cfg.layers and scores > MAX_SCORES:
-        raise ConfigError(f"forward: {graph.rows // graph.n} graph(s) of N = {graph.n} nodes with "
-                          f"{cfg.heads} heads hold {scores} attention scores, more than "
-                          f"MAX_SCORES = {MAX_SCORES}")
+    check_scores(cfg, graph.rows // graph.n, graph.n)
     x = ad.const(snapshot.features)
     h0 = ad.prelu(ad.matmul(x, params.w_in), params.prelu_in)
     state = gb.BlockState(h=h0, hp=h0)

@@ -13,8 +13,13 @@ import numpy as np
 from trendgat import autodiff as ad
 from trendgat import energy_graph as eg
 from trendgat import gnn_blocks as gb
-from trendgat.energy_graph import _WINDOW_MARGIN, CsrGraph, _windows
+from trendgat.energy_graph import CsrGraph, _windows
 from trendgat.errors import ShapeError
+
+# one_window_graph widens each row's candidate window by
+# _WINDOW_MARGIN * (1 + max x), x = E / (k * tau): far above the rounding
+# of x and of log Z, far below any gap that changes which entries reach s
+_WINDOW_MARGIN = 1e-9
 
 
 def energies_of(windows):
@@ -46,12 +51,14 @@ def boltzmann_adjacency(energies, k, tau):
 
 
 def one_window_graph(energies, k, tau, s) -> CsrGraph:
-    """The thresholded Boltzmann graph of one window's N energies, built
-    the way ``boltzmann_graph`` built it window by window: sort them,
-    take each row's normalizer Z from two ``logaddexp.accumulate`` passes,
-    ``searchsorted`` each row's candidate window |x_i - x_j| <= -ln(s * Z_i)
-    (widened by the rounding margin), then keep each candidate that reaches
-    s, and every self-loop."""
+    """The thresholded Boltzmann graph of one window's N energies, whose
+    candidates come by a route of their own, not ``boltzmann_graph``'s
+    band: sort the energies, take each row's normalizer Z from two
+    ``logaddexp.accumulate`` passes, ``searchsorted`` each row's candidate
+    window |x_i - x_j| <= -ln(s * Z_i) (widened by ``_WINDOW_MARGIN``),
+    then keep each candidate that reaches s, and every self-loop.  Each
+    weight is computed as the builder computes it, so the two agree bit
+    for bit."""
     energies = np.asarray(energies, dtype=np.float64)
     n = energies.size
     scale = k * tau

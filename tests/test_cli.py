@@ -589,17 +589,36 @@ def test_usage_error_exits_one():
     (("--no-range-check", "--layers", "100000000"), "more than MAX_PARAMETERS = 16777216"),
     (("--no-range-check", "--hidden", "1", "--heads", "1", "--layers", "800000"),
      "more than MAX_ENTRIES = 4096 layout entries: 5600003"),
+    (("--no-range-check", "--lr", "-1"), "lr must be positive and wd not negative, got -1.0, "),
+    (("--no-range-check", "--lr", "0"), "lr must be positive and wd not negative, got 0.0, "),
+    (("--no-range-check", "--wd", "-5"), "wd not negative, got 0.001, -5.0"),
+    (("--indicators", "open,high,open"), "indicator(s) ['open'] named more than once"),
 ], ids=["grad_clip_negative", "grad_clip_zero", "grad_clip_nan", "grad_clip_inf",
         "no_indicators", "k_nan_unchecked", "k_inf_unchecked",
         "s_nan_unchecked", "lr_nan_unchecked", "wd_inf_unchecked", "heads_not_dividing",
         "heads_above_fused_width_unchecked", "tau_zero_unchecked", "layers_negative_unchecked",
         "seed_negative", "hidden_past_parameter_bound", "layers_past_parameter_bound_unchecked",
-        "layers_past_entry_bound_unchecked"])
+        "layers_past_entry_bound_unchecked", "lr_negative_unchecked", "lr_zero_unchecked",
+        "wd_negative_unchecked", "indicator_repeated"])
 def test_setting_no_model_trains_with_exits_one(small_dataset, tmp_path, capsys, flags, message):
     out = tmp_path / "o"
     assert run_cli("train", *fast_flags(small_dataset, out), *flags) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_attention_scores_past_the_bound_exit_one_before_anything_is_written(
+        small_dataset, tmp_path, capsys, monkeypatch):
+    # 6 stocks: an evaluation chunk stacks 66 windows of 2 heads x 6 x 6 scores
+    loaded = count_calls(monkeypatch, md, "load_panel")
+    monkeypatch.setattr(mdl, "MAX_SCORES", 66 * 2 * 6 * 6 - 1)
+    out = tmp_path / "o"
+    assert run_cli("train", *fast_flags(small_dataset, out)) == 1
+    assert ("66 graph(s) of N = 6 nodes with 2 heads hold 4752 attention scores, more than "
+            "MAX_SCORES = 4751") in capsys.readouterr().err
+    assert len(loaded) == 1 and not out.exists()
+    monkeypatch.setattr(mdl, "MAX_SCORES", 66 * 2 * 6 * 6)
+    assert run_cli("train", *fast_flags(small_dataset, out, epochs="1")) == 0
 
 
 def test_seeds_past_32_bits_train_different_models(small_dataset, tmp_path):
@@ -676,6 +695,17 @@ def test_overflowing_channel_exits_three(tmp_path, capsys):
     path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
     assert run_cli("train", *fast_flags(manifest, tmp_path / "o")) == 3
     assert "adj_close of stock SYN03" in capsys.readouterr().err
+
+
+def test_energy_scale_past_the_largest_float_exits_three(small_dataset, tmp_path, capsys):
+    # E / (k * tau) overflows: the graph would hold NaN self-loop weights
+    out = tmp_path / "o"
+    assert run_cli("train", *fast_flags(small_dataset, out), "--no-range-check",
+                   "--k", "1e-320") == 3
+    err = capsys.readouterr().err
+    assert "window 0 has non-finite or negative energies" in err
+    assert "E / (k * tau) that overflows at k * tau = 6.99992e-320" in err
+    assert not list(out.glob("model_*"))
 
 
 def test_numeric_failure_exits_three(small_dataset, tmp_path, monkeypatch):

@@ -394,14 +394,70 @@ def test_stacked_build_is_bit_identical_to_one_window_at_a_time(n, k, s):
     assert offdiag > 0      # rows with neighbours are exercised
 
 
-def test_candidate_search_matches_searchsorted_on_ties_and_non_finite_queries():
-    rng = np.random.default_rng(7)
-    x = np.sort(rng.integers(0, 6, (50, 9)).astype(float), axis=1)     # repeated entries
-    x[:5, -2:] = np.inf
-    q = np.concatenate((x, x + 0.5, -x, rng.uniform(-1, 7, (50, 6))), axis=1)
-    q[::7, 0], q[1::7, 1], q[2::7, 2] = np.nan, np.inf, -np.inf
-    np.testing.assert_array_equal(eg._count_below(x, q),
-                                  [np.searchsorted(row, queries) for row, queries in zip(x, q)])
+def assert_near_dense_oracle(graph, energies, k, tau, s):
+    """``graph`` against sparsify(boltzmann_adjacency(...)) where entries
+    may sit within rounding of s: an entry the dense matrix puts more than
+    1e-12 above s is kept, one more than 1e-12 below it is not, and a kept
+    entry is within 1e-12 of the dense one."""
+    dense, built = boltzmann_adjacency(energies, k, tau), np.asarray(graph)
+    kept = built != 0                                  # s > 0: a kept entry is >= s
+    clear = np.abs(dense - s) > 1e-12
+    np.testing.assert_array_equal(kept[clear], dense[clear] >= s)
+    np.testing.assert_allclose(built[kept], dense[kept], rtol=0, atol=1e-12)
+
+
+def band_energies(kind, n, scale, rng):
+    """Three windows of N energies: all ``zero``; ``tied`` in groups a
+    fifth of the kernel's scale k * tau apart; or ``near_tied``, groups
+    a kernel scale apart, each spread by at most 1e-12."""
+    groups = rng.integers(0, 3, (3, n)).astype(float)
+    if kind == "zero":
+        return np.zeros((3, n))
+    if kind == "tied":
+        return groups * (0.2 * scale)
+    return groups * scale + rng.uniform(0, 1e-12, (3, n))
+
+
+@pytest.mark.parametrize("k,tau", [(1e-6, 1), (1e-3, 7), (0.5, 14)])
+@pytest.mark.parametrize("kind", ["zero", "tied", "near_tied"])
+def test_the_band_holds_every_kept_entry(kind, k, tau):
+    # each row's candidates are the floor(1/s) places on either side of its
+    # own: test thresholds where m entries of 1/m sit at the bound, against
+    # the searchsorted candidates of one_window_graph and the dense oracle
+    rng = np.random.default_rng([len(kind), tau])
+    offdiag, widest = 0, -1
+    for m in range(1, 14):
+        for s in (np.nextafter(1.0 / m, 0.0), 1.0 / m, np.nextafter(1.0 / m, 1.0)):
+            for n in (2, 3, 5, 9, 14, 30):
+                energies = band_energies(kind, n, k * tau, rng)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", eg.ThresholdRangeWarning)
+                    graphs = eg.boltzmann_graph(energies, k, tau, float(s))
+                for window, graph in zip(energies, graphs, strict=True):
+                    assert_bit_identical(graph, one_window_graph(window, k, tau, s))
+                    assert_near_dense_oracle(graph, window, k, tau, s)
+                    place = np.empty(n, dtype=np.intp)
+                    place[window.argsort(kind="stable")] = np.arange(n)
+                    kept = graph.weight > 0
+                    reach = np.abs(place[graph.dst[kept]] - place[graph.src[kept]])
+                    offdiag += int(np.count_nonzero(reach))
+                    widest = max(widest, int(reach.max(initial=0)) - math.floor(1.0 / s))
+    assert offdiag > 1000      # kept neighbours are exercised, not only self-loops
+    # for some m, m equal energies at s one float above 1/m round to weights
+    # at or above s: a run of m - 1 = floor(1/s) places, the band's edge
+    assert widest == 0 if kind == "zero" else widest <= 0
+
+
+def test_an_energy_scale_past_the_largest_float_is_a_numeric_error():
+    energies = np.array([[0.0, 1.0], [0.0, 1e300], [0.0, 0.0]])
+    graphs = eg.boltzmann_graph(energies[[0, 2]], 1e-300, 1, 0.4)
+    assert [graph.src.size for graph in graphs] == [2, 4]
+    with pytest.raises(NumericError, match=r"window 1 has non-finite or negative energies \(.*, "
+                                           r"or E / \(k \* tau\) that overflows at "
+                                           r"k \* tau = 1e-300\)$"):
+        eg.boltzmann_graph(energies, 1e-300, 1, 0.4)
+    with pytest.raises(NumericError, match="window 0 has non-finite or negative energies"):
+        eg.boltzmann_graph(energies[:1], 1e-320, 1, 0.4)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 20_000])

@@ -324,6 +324,12 @@ def test_unknown_indicator_rejected(tmp_path):
         md.select_indicators(panel, ["open", "vwap"])
 
 
+def test_repeated_indicator_rejected(tmp_path):
+    panel = make_panel(tmp_path)
+    with pytest.raises(ConfigError, match=r"indicator\(s\) \['low', 'open'\] named more than once"):
+        md.select_indicators(panel, ["open", "low", "high", "low", "open", "open"])
+
+
 # ---------------------------------------------------------------------------
 # normalize
 # ---------------------------------------------------------------------------

@@ -763,6 +763,8 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("layers", -1, "config at offset 16: layers must not be negative, got -1"),
     ("k", math.nan, "config at offset 16: k must be finite, got nan"),
     ("s", math.inf, "config at offset 16: s must be finite, got inf"),
+    ("lr", -1.0, "config at offset 16: lr must be positive and wd not negative, got -1.0, "),
+    ("wd", -5.0, "config at offset 16: lr must be positive and wd not negative, got .*, -5.0$"),
     ("grad_clip", -math.inf, "config at offset 16: grad_clip=-inf is not null or a finite"),
     ("grad_clip", -1, "config at offset 16: grad_clip=-1 is not null or a finite positive"),
     ("k", 10**400, "config at offset 16: k must be finite, got 10{400}$"),
@@ -771,7 +773,7 @@ def test_corrupt_config_block_is_format_error(tmp_path, edit, match):
     ("alpha", 2.0, "config at offset 16: alpha=2.0, but a model has 2 classes per step"),
 ], ids=["hidden_str", "layers_null", "tau_str", "hidden_huge", "grad_clip_str",
         "parallel_str", "layers_huge", "layers_past_entry_bound", "seed_negative", "heads_huge",
-        "heads_not_dividing", "epochs_zero", "tau_zero", "layers_negative", "k_nan", "s_inf",
+        "heads_not_dividing", "epochs_zero", "tau_zero", "layers_negative", "k_nan", "s_inf", "lr_negative", "wd_negative",
         "grad_clip_neg_inf", "grad_clip_negative", "k_past_float", "grad_clip_past_float",
         "alpha_3", "alpha_float"])
 def test_mistyped_or_missized_config_is_format_error(tmp_path, capsys, key, value, match):
