@@ -35,6 +35,10 @@ THRESHOLD_RANGE = (0.25, 0.85)
 # load_panel + build_datasets of a 200 x 300 panel, 64 KiB blocks peak at
 # 3.8 panels, 256 KiB at 4.2 and 1 MiB at 5.6
 _BLOCK_BYTES = 1 << 16
+# candidate edges of one boltzmann_graph call: at s <= 1 / N it keeps every
+# candidate, at about 15 bytes of graph each, so this bound holds the
+# graphs near 1 GB; sized like model.MAX_SCORES
+MAX_EDGES = 2 ** 26
 
 
 class ThresholdRangeWarning(UserWarning):
@@ -240,8 +244,9 @@ def boltzmann_graph(energies: np.ndarray, k: float, tau: int, s: float) -> list[
     returned graphs view the block's arrays.
 
     Energies that are not B x N with N >= 2 stocks, a k that is not
-    positive and finite, an s that is not finite or a tau below 1 is a
-    ``ConfigError``; a negative energy, or one whose E / (k * tau) is not
+    positive and finite, an s that is not finite, a tau below 1 or more
+    candidate edges than ``MAX_EDGES`` (``check_edges``, before any block)
+    is a ``ConfigError``; a negative energy, or one whose E / (k * tau) is not
     finite, a ``NumericError`` naming the window.  A finite threshold
     outside ``THRESHOLD_RANGE`` warns, once per call.
     """
@@ -267,12 +272,26 @@ def boltzmann_graph(energies: np.ndarray, k: float, tau: int, s: float) -> list[
         warnings.warn(f"threshold {s} outside the usual range [{lo}, {hi}]",
                       ThresholdRangeWarning, stacklevel=2)
     b, n = energies.shape
-    band = n if s <= 1.0 / n else min(n, int(1.0 / s))
+    band = check_edges(b, n, s)
     step = max(1, _BLOCK_BYTES // (8 * n * min(n, 2 * band + 1)))
     graphs: list[CsrGraph] = []
     for start in range(0, b, step):
         graphs += _block_graphs(energies[start:start + step], scale, s, band)
     return graphs
+
+
+def check_edges(windows: int, n: int, s: float) -> int:
+    """The band of sorted places on either side of a row that
+    ``boltzmann_graph`` takes as candidates at threshold s: N for
+    s <= 1 / N, else min(N, floor(1 / s)).  Refuses, as a ``ConfigError``,
+    ``windows`` graphs of N nodes whose candidate edges,
+    windows x N x min(N, 2 * band + 1), exceed ``MAX_EDGES``."""
+    band = n if s <= 1.0 / n else min(n, int(1.0 / s))
+    edges = windows * n * min(n, 2 * band + 1)
+    if edges > MAX_EDGES:
+        raise ConfigError(f"{windows} energy graph(s) of N = {n} nodes at s = {s} have {edges} "
+                          f"candidate edges, more than MAX_EDGES = {MAX_EDGES}")
+    return band
 
 
 def _block_graphs(energies: np.ndarray, scale: float, s: float, band: int) -> list[CsrGraph]:

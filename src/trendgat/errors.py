@@ -27,9 +27,9 @@ class InsufficientDataError(DataError):
 
 class FormatError(DataError):
     """Unreadable, corrupt, truncated or unsupported model checkpoint.  For a
-    bad magic, a format version other than 2, a CRC32 mismatch, or a header
-    that is not UTF-8 JSON or disagrees with the payload, the message
-    includes a byte offset."""
+    bad magic, a format version other than 2, a CRC32 mismatch, a header
+    that is not UTF-8 JSON or disagrees with the payload, or a payload value
+    that is not finite, the message includes a byte offset."""
 
 
 class NumericError(TrendgatError):

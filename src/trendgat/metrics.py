@@ -18,6 +18,7 @@ import numpy as np
 
 from . import energy_graph as eg
 from . import market_data as md
+from .errors import NumericError
 
 # rows (stocks x snapshots) that evaluate stacks into one forward pass; at
 # N = 100 that is 4 snapshots, and larger chunks gain little speed while the
@@ -170,7 +171,9 @@ def evaluate(params, split: Split) -> dict:
     ``model.predict``.  Every snapshot still attends only within itself,
     so the predictions are those of one ``predict`` call per window, but
     each primitive runs once per chunk.  The dense attention keeps
-    B x H x N x N scores per chunk.
+    B x H x N x N scores per chunk.  A chunk whose logits are not all
+    finite, as finite weights large enough to overflow give, is a
+    ``NumericError`` naming its windows.
     """
     from . import model  # deferred: model depends on this module too
     if not split:
@@ -178,6 +181,11 @@ def evaluate(params, split: Split) -> dict:
     preds = []
     for chunk, graph in split.chunks:
         features = split.features[chunk].reshape(-1, split.features.shape[2])
-        logits = model.forward(params, eg.GraphSnapshot(split.ts[chunk.start], features, graph))
-        preds.append(logits.data.reshape(-1, md.CLASSES).argmax(axis=1))
+        snapshot = eg.GraphSnapshot(split.ts[chunk.start], features, graph)
+        logits = model.forward(params, snapshot).data
+        if not np.isfinite(logits).all():
+            last = min(chunk.stop, len(split)) - 1
+            raise NumericError(f"evaluate: the logits of windows {chunk.start}..{last} (days "
+                               f"{split.ts[chunk.start]}..{split.ts[last]}) are not all finite")
+        preds.append(logits.reshape(-1, md.CLASSES).argmax(axis=1))
     return metrics_record(confusion(split.classes, np.concatenate(preds)))

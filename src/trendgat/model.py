@@ -480,4 +480,15 @@ def load_model(path) -> ModelParams:
                               f"has {stored or 'nothing'}, the configuration lays out "
                               f"{expected or 'nothing'}")
     # astype copies the read-only buffer into a writable native-order vector
-    return ModelParams(cfg, np.frombuffer(blob, dtype="<f8", offset=end).astype(np.float64))
+    flat = np.frombuffer(blob, dtype="<f8", offset=end).astype(np.float64)
+    finite = np.isfinite(flat)
+    if not finite.all():     # else every logit it reaches is NaN, and NaN argmaxes to class 0
+        first = int(np.argmin(finite))
+        at = first
+        for name, rows, cols in listing:
+            if at < rows * cols:
+                break
+            at -= rows * cols
+        raise FormatError(f"payload at offset {end + 8 * first}: parameter {name}"
+                          f"[{at // cols}, {at % cols}] is {float(flat[first])}, not finite")
+    return ModelParams(cfg, flat)

@@ -99,7 +99,8 @@ def rule_directions(closes: np.ndarray, scales: np.ndarray, spec: RuleSpec,
     Momentum of stock x is (close(t) - close(t - momentum_window)) /
     scale_x; the window energy is the sum of squared close returns over
     the last energy_window days; neighbors are the two stocks with the
-    nearest log-energy (ties to the lower index); the score is
+    nearest log-energy, two argmins over one N x N gap buffer (ties to the
+    lower index; with two stocks the second is the stock itself); the score is
     -own_weight * mu_i + n1_weight * mu_n1 + n2_weight * mu_n2
     and the direction is +1 when the score is >= 0.
     """
@@ -108,16 +109,15 @@ def rule_directions(closes: np.ndarray, scales: np.ndarray, spec: RuleSpec,
     momentum = (closes[:, t] - closes[:, t - spec.momentum_window]) / scales
     returns = np.diff(closes[:, t - spec.energy_window:t + 1], axis=1)
     energy = np.log((returns ** 2).sum(axis=1))
-    n = closes.shape[0]
-    scores = np.empty(n)
-    for i in range(n):
-        gaps = np.abs(energy - energy[i])
-        gaps[i] = np.inf
-        order = np.lexsort((np.arange(n), gaps))       # stable: ties to lower index
-        n1, n2 = int(order[0]), int(order[1])
-        scores[i] = (-spec.own_weight * momentum[i]
-                     + spec.n1_weight * momentum[n1]
-                     + spec.n2_weight * momentum[n2])
+    rows = np.arange(closes.shape[0])
+    gaps = np.subtract.outer(energy, energy)
+    np.abs(gaps, out=gaps)
+    gaps[rows, rows] = np.inf
+    n1 = gaps.argmin(axis=1)
+    gaps[rows, n1] = np.inf
+    n2 = np.where(np.isinf(gaps.min(axis=1)), rows, gaps.argmin(axis=1))
+    scores = (-spec.own_weight * momentum + spec.n1_weight * momentum[n1]
+              + spec.n2_weight * momentum[n2])
     return np.where(scores >= 0.0, 1.0, -1.0)
 
 

@@ -6,13 +6,15 @@ time.  All three take the window's energies, as the builder does
 (``energies_of`` gives them for windows that are not days of a panel),
 and skip the input checks, which the builder owns.  ``from_dense`` turns
 a dense matrix into a ``CsrGraph`` and ``init_block`` builds a standalone
-block."""
+block.  ``rule_directions_by_stock`` is the reference for
+``synth.rule_directions``: the planted rule, one stock at a time."""
 
 import numpy as np
 
 from trendgat import autodiff as ad
 from trendgat import energy_graph as eg
 from trendgat import gnn_blocks as gb
+from trendgat import synth
 from trendgat.energy_graph import CsrGraph, _windows
 from trendgat.errors import ShapeError
 
@@ -120,3 +122,23 @@ def init_block(d: int, h: int, seed: int, name: str = "block0",
     values = (ad.Value(gb.initial_value(seed, *entry, h))
               for entry in gb.block_layout(d, name, parallel))
     return gb.assemble_block(values, h, parallel)
+
+
+def rule_directions_by_stock(closes, scales, spec: synth.RuleSpec, t: int) -> np.ndarray:
+    """``synth.rule_directions`` with each stock's neighbours found on their
+    own: sort its |log-energy gaps| to every stock (its own set to inf) by
+    gap, then by index, and take the first two places."""
+    momentum = (closes[:, t] - closes[:, t - spec.momentum_window]) / scales
+    returns = np.diff(closes[:, t - spec.energy_window:t + 1], axis=1)
+    energy = np.log((returns ** 2).sum(axis=1))
+    n = closes.shape[0]
+    scores = np.empty(n)
+    for i in range(n):
+        gaps = np.abs(energy - energy[i])
+        gaps[i] = np.inf
+        order = np.lexsort((np.arange(n), gaps))       # stable: ties to lower index
+        n1, n2 = int(order[0]), int(order[1])
+        scores[i] = (-spec.own_weight * momentum[i]
+                     + spec.n1_weight * momentum[n1]
+                     + spec.n2_weight * momentum[n2])
+    return np.where(scores >= 0.0, 1.0, -1.0)

@@ -708,6 +708,37 @@ def test_energy_scale_past_the_largest_float_exits_three(small_dataset, tmp_path
     assert not list(out.glob("model_*"))
 
 
+@pytest.mark.parametrize("value,code,message", [
+    (float("nan"), 2, "parameter w_in[0, 0] is nan, not finite"),
+    (1e300, 3, "evaluate: the logits of windows 0..23 (days 55..78) are not all finite"),
+], ids=["nan", "huge"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # the overflow itself
+def test_checkpoint_with_a_nan_or_huge_weight_exits_two_or_three(small_dataset, tmp_path, capsys,
+                                                                 value, code, message):
+    # a finite 1e300 loads, but its logits overflow: neither may score as a model
+    params = mdl.init_model(mdl.ModelConfig(tau=7))
+    params.flat[0] = value
+    mdl.save_model(params, tmp_path / "model.bin")
+    assert run_cli("eval", "--manifest", str(small_dataset), "--out", str(tmp_path / "o"),
+                   "--model", str(tmp_path / "model.bin")) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metrics_eval.json").exists()
+
+
+def test_energy_graphs_past_the_edge_bound_exit_one_before_anything_is_written(
+        small_dataset, tmp_path, capsys, monkeypatch):
+    # s = 0 keeps every pair: the 43 training windows of 6 stocks have 43 x 6 x 6 candidates
+    monkeypatch.setattr(eg, "MAX_EDGES", 43 * 6 * 6 - 1)
+    out = tmp_path / "o"
+    assert run_cli("train", *fast_flags(small_dataset, out), "--no-range-check", "--s", "0") == 1
+    assert ("43 energy graph(s) of N = 6 nodes at s = 0.0 have 1548 candidate edges, more than "
+            "MAX_EDGES = 1547") in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr(eg, "MAX_EDGES", 43 * 6 * 6)
+    assert run_cli("train", *fast_flags(small_dataset, out, epochs="1"), "--no-range-check",
+                   "--s", "0") == 0
+
+
 def test_numeric_failure_exits_three(small_dataset, tmp_path, monkeypatch):
     from trendgat.errors import TrainingDivergedError
 

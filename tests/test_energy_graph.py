@@ -460,6 +460,24 @@ def test_an_energy_scale_past_the_largest_float_is_a_numeric_error():
         eg.boltzmann_graph(energies[:1], 1e-320, 1, 0.4)
 
 
+def test_candidate_edges_past_the_bound_are_a_config_error(monkeypatch):
+    # the band is N at s <= 1/N, else floor(1/s) places a side, at most N
+    assert [eg.check_edges(3, 10, s) for s in (0.0, -1.0, 0.1, 0.25, 0.4, 0.85)] == [10, 10, 10,
+                                                                                       4, 2, 1]
+    # paper scale: 1737 stocks, about 720 training windows of 1245 days, s = 0.25
+    assert eg.check_edges(720, 1737, 0.25) == 4
+    with pytest.raises(ConfigError, match=r"^343 energy graph\(s\) of N = 753 nodes at s = 0.0 "
+                                          r"have 194484087 candidate edges, more than "
+                                          r"MAX_EDGES = 67108864$"):
+        eg.check_edges(343, 753, 0.0)
+    energies = panel_energies(6, seed=2)[:4]       # 4 windows x 6 x min(6, 2 * 2 + 1) at s = 0.4
+    monkeypatch.setattr(eg, "MAX_EDGES", 4 * 6 * 5 - 1)
+    with pytest.raises(ConfigError, match="have 120 candidate edges, more than MAX_EDGES = 119"):
+        eg.boltzmann_graph(energies, 0.5, 7, 0.4)
+    monkeypatch.setattr(eg, "MAX_EDGES", 4 * 6 * 5)
+    assert len(eg.boltzmann_graph(energies, 0.5, 7, 0.4)) == 4
+
+
 @pytest.mark.parametrize("block_bytes", [1, 20_000])
 def test_blocks_do_not_change_the_graphs(monkeypatch, block_bytes):
     energies = panel_energies(20, seed=5)

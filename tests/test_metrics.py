@@ -183,6 +183,28 @@ def test_evaluate_scores_a_sample_larger_than_a_chunk_alone(monkeypatch):
     assert [snap.adjacency.shape for snap in calls] == [(mt.CHUNK_ROWS + 1,) * 2] * 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_chunk_with_non_finite_logits_is_a_numeric_error_naming_its_windows(monkeypatch, bad):
+    # NaN logits would argmax to class 0 and score as a model that always says down
+    from trendgat import model as mdl
+    from trendgat.errors import NumericError
+    cfg = mdl.ModelConfig(tau=3, k=0.5, s=0.25, f=2, hidden=4, heads=2, layers=2, seed=3)
+    params = mdl.init_model(cfg)
+    split = random_split(np.random.default_rng(7), 30, cfg, windows=40)   # chunks of 13
+    forward = mdl.forward
+
+    def spoiled(p, snap):
+        logits = forward(p, snap)
+        if snap.t == 13:
+            logits.data[5, 0] = bad
+        return logits
+
+    monkeypatch.setattr(mdl, "forward", spoiled)
+    with pytest.raises(NumericError, match=r"^evaluate: the logits of windows 13\.\.25 "
+                                           r"\(days 13\.\.25\) are not all finite$"):
+        mt.evaluate(params, split)
+
+
 # ---------------------------------------------------------------------------
 # Split: each split stacks its chunks and pools its classes once
 # ---------------------------------------------------------------------------

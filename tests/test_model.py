@@ -869,6 +869,23 @@ def test_header_listing_per_head_matrices_is_format_error(tmp_path, capsys):
     assert re.search(match, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+def test_a_non_finite_weight_is_a_format_error_naming_it(tmp_path, value, at):
+    # save_model seals the file, so only the value itself is wrong
+    params = mdl.init_model(small_config())
+    params.flat[at] = value
+    path = tmp_path / "model.bin"
+    mdl.save_model(params, path)
+    *_, (name, rows, cols) = mdl.layout(params.config)
+    where = "w_in[0, 0]" if at == 0 else f"{name}[{rows - 1}, {cols - 1}]"
+    header, _ = _split(path.read_bytes())
+    offset = 16 + len(header) + 8 * (at % params.flat.size)
+    with pytest.raises(FormatError, match=re.escape(f"payload at offset {offset}: parameter "
+                                                    f"{where} is {value}, not finite")):
+        mdl.load_model(path)
+
+
 def test_config_field_kinds_accept_what_save_writes(tmp_path):
     # an int where a float is declared still loads
     path = tmp_path / "model.bin"

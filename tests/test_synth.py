@@ -7,6 +7,8 @@ from trendgat import market_data as md
 from trendgat import synth
 from trendgat.errors import ConfigError
 
+from oracles import rule_directions_by_stock
+
 
 def read_bytes_tree(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
@@ -84,6 +86,67 @@ def test_rule_needs_warmup():
     closes = np.cumsum(np.ones((4, 30)), axis=1)
     with pytest.raises(ConfigError):
         synth.rule_directions(closes, synth.stock_scales(4, spec), spec, t=spec.warmup - 1)
+
+
+ENERGY_KINDS = ("tied", "near_tied", "random")
+
+
+def rising_closes(kind, n, rng):
+    """N x 11 closes that rise every day, so the rule reads day t = 10.
+    Tied and near-tied ones rise by integers, so every return, square and
+    sum is exact: "tied" repeats a few return profiles, one of them for at
+    least four stocks (when N >= 4); "near_tied" shares nine large returns
+    and varies a small one, so the energies lie a few ulps apart or tie."""
+    if kind == "tied":
+        profile = rng.integers(0, max(1, n // 5), n)
+        profile[rng.permutation(n)[:4]] = 0
+        returns = rng.integers(1, 100, (max(1, n // 5), 10))[profile]
+    elif kind == "near_tied":
+        returns = np.tile(rng.integers(3 * 10**6, 10**7, 10), (n, 1))
+        returns[:, 0] = rng.integers(1, 6, n)
+    else:
+        returns = rng.random((n, 10)) + 0.1
+    start = rng.integers(1000, 2000, (n, 1))
+    return np.concatenate((start, returns), axis=1).cumsum(axis=1, dtype=np.float64)
+
+
+def picked_neighbours(rule, closes, t):
+    """The (n1, n2) that ``rule`` picks for every stock, read off its
+    directions: with only that neighbour weighted and every momentum zero
+    (scale inf) but stock j's, made negative by scale -1, exactly the
+    stocks whose neighbour is j step down."""
+    n = closes.shape[0]
+    picks = []
+    for n1_weight, n2_weight in ((1.0, 0.0), (0.0, 1.0)):
+        spec = synth.RuleSpec(own_weight=0.0, n1_weight=n1_weight, n2_weight=n2_weight)
+        down = np.array([rule(closes, np.where(np.arange(n) == j, -1.0, np.inf), spec, t) < 0
+                         for j in range(n)])
+        assert (down.sum(axis=0) == 1).all()
+        picks.append(down.argmax(axis=0))
+    return np.array(picks)
+
+
+@pytest.mark.parametrize("kind", ENERGY_KINDS)
+@pytest.mark.parametrize("n", range(2, 31))
+def test_neighbours_match_the_per_stock_rule(n, kind):
+    rng = np.random.default_rng([n, ENERGY_KINDS.index(kind)])
+    closes = rising_closes(kind, n, rng)
+    t = closes.shape[1] - 1
+    picks = picked_neighbours(synth.rule_directions, closes, t)
+    np.testing.assert_array_equal(picks, picked_neighbours(rule_directions_by_stock, closes, t))
+    if n == 2:                                 # the second neighbour is the stock itself
+        np.testing.assert_array_equal(picks, [[1, 0], [0, 1]])
+    spec, scales = synth.RuleSpec(), rng.normal(size=n)   # momenta of both signs
+    np.testing.assert_array_equal(synth.rule_directions(closes, scales, spec, t),
+                                  rule_directions_by_stock(closes, scales, spec, t))
+
+
+@pytest.mark.parametrize("n,days", [(2, 120), (3, 120), (20, 600), (100, 120)])
+def test_files_match_the_per_stock_rule(tmp_path, monkeypatch, n, days):
+    synth.write_dataset(tmp_path / "rule", n, days, seed=0)
+    monkeypatch.setattr(synth, "rule_directions", rule_directions_by_stock)
+    synth.write_dataset(tmp_path / "by_stock", n, days, seed=0)
+    assert read_bytes_tree(tmp_path / "rule") == read_bytes_tree(tmp_path / "by_stock")
 
 
 def test_seed_uses_its_whole_value():
