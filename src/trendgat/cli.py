@@ -317,10 +317,13 @@ def cmd_train(spec: ExperimentSpec) -> int:
 def cmd_eval(spec: ExperimentSpec, model_path: str) -> int:
     out_dir = output_dir(spec.out_dir)
     params = mdl.load_model(model_path)
+    if len(spec.indicators) != params.config.f:
+        raise ConfigError(f"{model_path} was trained on {params.config.f} indicator(s), but "
+                          f"--indicators names {len(spec.indicators)}: {','.join(spec.indicators)}")
     eval_spec = dataclasses.replace(spec, config=params.config)
-    write_resolved_spec(eval_spec, out_dir)
     panel = _load_panel(eval_spec, [params.config])
     test = mdl.build_datasets(panel, params.config, spec.ratios, names=("test",))["test"]
+    write_resolved_spec(eval_spec, out_dir)
     record = mt.evaluate(params, test)
     (out_dir / "metrics_eval.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -363,7 +366,6 @@ def cmd_graphgen(spec: ExperimentSpec, t: int | None) -> int:
     """Build every window's graph, print each split's ``eg.graph_statistics``
     and export the graph of day t (default: the last training day)."""
     out_dir = output_dir(spec.out_dir)
-    write_resolved_spec(spec, out_dir)
     panel = _load_panel(spec, [spec.config])
     cfg = spec.config
     usable = md.usable_range(panel.n_days, cfg.tau, cfg.phi)
@@ -371,6 +373,7 @@ def cmd_graphgen(spec: ExperimentSpec, t: int | None) -> int:
         raise ConfigError(f"--t {t} outside the usable range [{usable.start}, {usable.stop - 1}] "
                           f"for tau={cfg.tau}, phi={cfg.phi} and {panel.n_days} days")
     datasets = mdl.build_datasets(panel, cfg, spec.ratios)
+    write_resolved_spec(spec, out_dir)
     for name, split in datasets.items():
         stats = eg.graph_statistics(split.graphs)
         print(f"{name}: {stats['windows']} windows, {stats['offdiag_edges_mean']:.4f} "

@@ -113,14 +113,13 @@ class CsrGraph:
 
 @dataclass
 class GraphSnapshot:
-    """One time step's model input: lag-window features plus the graph
-    built from them.  ``metrics.evaluate`` also builds one from B
-    snapshots: features stacked row-wise to (B * N) x (tau*F) and their
-    graphs joined by ``stack``, so row b * N + i is stock i of snapshot b."""
+    """One window's lag-window features plus the graph built from them, as
+    ``snapshot`` and ``metrics.Split`` hand them out for ``model.predict``.
+    Training and evaluation pass the two arrays to ``model.forward``."""
 
     t: int
-    features: np.ndarray   # N x (tau*F), or (B * N) x (tau*F) stacked
-    adjacency: CsrGraph    # the sparsified graph, or B of them stacked
+    features: np.ndarray   # N x (tau*F)
+    adjacency: CsrGraph    # the sparsified graph
 
 
 def _windows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -112,7 +112,7 @@ def metrics_record(c: ConfusionCounts) -> dict:
 
 @dataclass
 class Sample:
-    """One window of a split: its graph snapshot plus its labels."""
+    """One window as ``split[b]`` hands it out: its snapshot and labels."""
 
     snapshot: eg.GraphSnapshot
     labels: np.ndarray
@@ -122,8 +122,8 @@ class Sample:
 class Split:
     """One split's B windows, in time order, in the arrays they are built
     in: window b ends on day ``ts[b]`` and has features ``features[b]``,
-    labels ``labels[b]`` and graph ``graphs[b]``; ``split[b]`` makes it a
-    ``Sample`` on demand.
+    labels ``labels[b]`` and graph ``graphs[b]``, the arrays that
+    ``model.train`` and ``evaluate`` read; ``split[b]`` makes a ``Sample``.
 
     On first evaluation the split cuts its windows into chunks of at most
     ``CHUNK_ROWS`` rows (a larger window stands alone), stacks each chunk's
@@ -164,16 +164,16 @@ def evaluate(params, split: Split) -> dict:
     """Pool predictions of every window of ``split`` into one confusion
     matrix and score it.
 
-    Each chunk of the split is scored by one ``model.forward`` call, its
-    features stacked row-wise to (B * N) x tau*F and its graphs by
-    ``energy_graph.stack`` (see ``gnn_blocks``); each ``md.CLASSES``-wide
-    logit block's first maximum is its class, so ties go to class 0 as in
-    ``model.predict``.  Every snapshot still attends only within itself,
-    so the predictions are those of one ``predict`` call per window, but
-    each primitive runs once per chunk.  The dense attention keeps
-    B x H x N x N scores per chunk.  A chunk whose logits are not all
-    finite, as finite weights large enough to overflow give, is a
-    ``NumericError`` naming its windows.
+    Each chunk of the split is scored by one ``model.forward`` call on
+    its features, stacked row-wise to (B * N) x tau*F, and its graphs,
+    joined by ``energy_graph.stack`` (see ``gnn_blocks``); each
+    ``md.CLASSES``-wide logit block's first maximum is its class, so ties
+    go to class 0 as in ``model.predict``.  Every window still attends
+    only within itself, so the predictions are those of one ``predict``
+    call per window, but each primitive runs once per chunk.  The dense
+    attention keeps B x H x N x N scores per chunk.  A chunk whose logits
+    are not all finite, as finite weights large enough to overflow give,
+    is a ``NumericError`` naming its windows.
     """
     from . import model  # deferred: model depends on this module too
     if not split:
@@ -181,8 +181,7 @@ def evaluate(params, split: Split) -> dict:
     preds = []
     for chunk, graph in split.chunks:
         features = split.features[chunk].reshape(-1, split.features.shape[2])
-        snapshot = eg.GraphSnapshot(split.ts[chunk.start], features, graph)
-        logits = model.forward(params, snapshot).data
+        logits = model.forward(params, features, graph).data
         if not np.isfinite(logits).all():
             last = min(chunk.stop, len(split)) - 1
             raise NumericError(f"evaluate: the logits of windows {chunk.start}..{last} (days "

@@ -2,10 +2,10 @@
 
 The forward pass projects each stock's lag window to the hidden width,
 applies a learnable per-channel rectifier, runs the stacked dual-stream
-blocks over the snapshot's graph and maps the parallel stream to one
+blocks over the window's graph and maps the parallel stream to one
 logit pair per forecast step.  Each optimizer step uses the full stock
-set of one time step (no node sampling); an epoch sweeps all training
-time steps in chronological order.
+set of one window (no node sampling); an epoch sweeps all training
+windows in chronological order.
 """
 
 from __future__ import annotations
@@ -198,23 +198,24 @@ def check_scores(config: ModelConfig, windows: int, n: int) -> None:
                           f"{scores} attention scores, more than MAX_SCORES = {MAX_SCORES}")
 
 
-def forward(params: ModelParams, snapshot: eg.GraphSnapshot) -> ad.Value:
-    """Logits, one (phi*alpha)-wide row per stock.  ``check_scores`` runs
-    before any product."""
+def forward(params: ModelParams, features: np.ndarray, graph: eg.CsrGraph) -> ad.Value:
+    """Logits, one (phi*alpha)-wide row per stock, of a window's N x tau*F
+    ``features`` and its ``graph``, or of B windows stacked (row b * N + i
+    is stock i of window b; ``eg.stack`` joins the graphs).  ``check_scores``
+    runs before any product."""
     cfg = params.config
-    if snapshot.features.shape[1] != cfg.input_width:
+    if features.shape[1] != cfg.input_width:
         raise ConfigError(
-            f"forward: features width {snapshot.features.shape[1]} != tau*f = {cfg.input_width}")
-    graph = snapshot.adjacency
+            f"forward: features width {features.shape[1]} != tau*f = {cfg.input_width}")
     check_scores(cfg, graph.rows // graph.n, graph.n)
-    x = ad.const(snapshot.features)
+    x = ad.const(features)
     h0 = ad.prelu(ad.matmul(x, params.w_in), params.prelu_in)
     state = gb.BlockState(h=h0, hp=h0)
     for block in params.blocks:
         if cfg.parallel_attention:
-            state = gb.parallel_block(state, snapshot.adjacency, block)
+            state = gb.parallel_block(state, graph, block)
         else:
-            state = gb.plain_block(state, snapshot.adjacency, block)
+            state = gb.plain_block(state, graph, block)
     return ad.matmul(state.hp, params.w_out)
 
 
@@ -265,8 +266,10 @@ def adamw_step(params: ModelParams, opt: OptimizerState, lr: float, wd: float,
 
 @dataclass
 class TrainResult:
-    params: ModelParams          # best-validation checkpoint
-    final_params: ModelParams    # parameters after the last epoch
+    """The parameters of the first best validation-accuracy epoch, that
+    epoch and its accuracy, and one history record per epoch run."""
+
+    params: ModelParams
     history: list[dict]
     best_epoch: int
     best_val_acc: float
@@ -302,62 +305,55 @@ def build_datasets(panel: md.IndicatorPanel, config: ModelConfig,
 
 def train(train_split: mt.Split, val_split: mt.Split, config: ModelConfig,
           stop_at_val_acc: float | None = None) -> TrainResult:
-    """Train with one optimizer step per time step (all stocks at once),
-    sweeping the training split's windows chronologically each epoch;
-    keeps the parameters of the best validation-accuracy epoch.  The
-    validation split stacks its evaluation chunks once, in the first
-    epoch.
+    """Train with one optimizer step per window (all stocks at once),
+    sweeping the training split's features, graphs and labels
+    chronologically each epoch, then score the validation split; keeps
+    the parameters of the best validation-accuracy epoch.  Either split
+    empty is a ``ConfigError``.
 
     ``stop_at_val_acc`` ends the run early once the best validation
     accuracy reaches the target (used by budgeted acceptance runs).
     """
-    if not train_split:
-        raise ConfigError("train: need at least one training sample")
+    if not (train_split and val_split):
+        raise ConfigError("train: need at least one training and one validation window")
     params = init_model(config)
     opt = OptimizerState()
     history: list[dict] = []
-    best = -1.0
-    best_epoch = -1
+    best, best_epoch = -1.0, -1
     best_flat = params.flat.copy()
     scale = 1.0 / len(train_split)
+    windows = train_split.features, train_split.graphs, train_split.labels
 
     for epoch in range(1, config.epochs + 1):
         total = 0.0
-        for sample in train_split:
+        for features, graph, labels in zip(*windows):
             params.grad.fill(0.0)
             with ad.Tape() as tape:
-                out = forward(params, sample.snapshot)
-                sample_loss = loss(out, sample.labels)
-                tape.backward(sample_loss)
-            total += sample_loss.data[0, 0]
+                window_loss = loss(forward(params, features, graph), labels)
+                tape.backward(window_loss)
+            total += window_loss.data[0, 0]
             if not np.isfinite(total):
                 raise TrainingDivergedError(
                     f"training loss became non-finite at epoch {epoch}", history=history)
             adamw_step(params, opt, config.lr, config.wd)
-        train_loss = total * scale
 
-        record: dict = {"epoch": epoch, "train_loss": train_loss}
-        if val_split:
-            val = mt.evaluate(params, val_split)
-            record.update(val_acc=val["acc"], val_mcc=val["mcc"], val_f1=val["f1"])
-            if val["acc"] > best:
-                best = val["acc"]
-                best_epoch = epoch
-                best_flat[...] = params.flat
-        history.append(record)
+        val = mt.evaluate(params, val_split)
+        history.append({"epoch": epoch, "train_loss": total * scale, "val_acc": val["acc"],
+                        "val_mcc": val["mcc"], "val_f1": val["f1"]})
+        if val["acc"] > best:
+            best, best_epoch = val["acc"], epoch
+            best_flat[...] = params.flat
         if stop_at_val_acc is not None and best >= stop_at_val_acc:
             break
 
-    if not val_split:
-        best_flat, best_epoch, best = params.flat, config.epochs, float("nan")
-    return TrainResult(params=ModelParams(params.config, best_flat.copy()), final_params=params,
-                       history=history, best_epoch=best_epoch, best_val_acc=best)
+    return TrainResult(params=ModelParams(params.config, best_flat), history=history,
+                       best_epoch=best_epoch, best_val_acc=best)
 
 
 def predict(params: ModelParams, snapshot: eg.GraphSnapshot) -> tuple[np.ndarray, np.ndarray]:
     """Class index per (stock, step) plus per-block probabilities.  Argmax
     ties resolve to class 0."""
-    logits = forward(params, snapshot).data
+    logits = forward(params, snapshot.features, snapshot.adjacency).data
     blocks = logits.reshape(logits.shape[0], params.config.phi, md.CLASSES)
     e = np.exp(blocks - blocks.max(axis=2, keepdims=True))
     probs = (e / e.sum(axis=2, keepdims=True)).reshape(logits.shape)

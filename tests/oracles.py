@@ -4,7 +4,8 @@ adjacency as an N x N matrix and the entrywise threshold.
 ``one_window_graph`` is its bit-exact sparse reference, one window at a
 time.  All three take the window's energies, as the builder does
 (``energies_of`` gives them for windows that are not days of a panel),
-and skip the input checks, which the builder owns.  ``from_dense`` turns
+and skip the input checks, which the builder owns; ``window_graph`` is
+the builder's graph of one window.  ``from_dense`` turns
 a dense matrix into a ``CsrGraph`` and ``init_block`` builds a standalone
 block.  ``rule_directions_by_stock`` is the reference for
 ``synth.rule_directions``: the planted rule, one stock at a time."""
@@ -32,6 +33,12 @@ def energies_of(windows):
     if windows.ndim == 2:
         return energies_of(windows[None])[0]
     return eg.window_energies(windows.swapaxes(0, 1), range(len(windows)), 1)
+
+
+def window_graph(features, k, tau, s) -> CsrGraph:
+    """``eg.boltzmann_graph`` of one N x (tau*F) window, the graph
+    ``model.forward`` takes beside its features."""
+    return eg.boltzmann_graph(energies_of(features)[None], k, tau, s)[0]
 
 
 def boltzmann_adjacency(energies, k, tau):

@@ -17,7 +17,7 @@ from trendgat import model as mdl
 from trendgat import synth
 
 from gradcheck import grad_check
-from oracles import boltzmann_adjacency, energies_of, sparsify
+from oracles import boltzmann_adjacency, energies_of, sparsify, window_graph
 from test_energy_graph import assert_matches_dense_oracle, brute_force_adjacency
 from test_metrics import oracle_metrics
 
@@ -67,12 +67,12 @@ def test_graph_oracle_equivalence():
 def test_graph_builder_matches_dense_oracle_on_acceptance_set(synthetic_dataset):
     _, panel = synthetic_dataset
     cfg = acceptance_config()
-    samples = [sample for split in mdl.build_datasets(panel, cfg).values() for sample in split]
-    edges = sum(assert_matches_dense_oracle(energies_of(sample.snapshot.features),
-                                            cfg.k, cfg.tau, cfg.s).src.size
-                for sample in samples)
+    windows = [features for split in mdl.build_datasets(panel, cfg).values()
+               for features in split.features]
+    edges = sum(assert_matches_dense_oracle(energies_of(features), cfg.k, cfg.tau, cfg.s).src.size
+                for features in windows)
     report("sparse graph builder equals the dense oracle on every snapshot (edges exact, 1e-12)",
-           True, f"{len(samples)} snapshots, {edges} edges with self-loops")
+           True, f"{len(windows)} snapshots, {edges} edges with self-loops")
 
 
 def test_row_stochasticity():
@@ -124,8 +124,8 @@ def test_permutation_equivariance():
         adj = boltzmann_adjacency(energies_of(feats), cfg.k, cfg.tau)
         adj_perm = boltzmann_adjacency(energies_of(p @ feats), cfg.k, cfg.tau)
         worst_adj = max(worst_adj, float(np.abs(adj_perm - p @ adj @ p.T).max()))
-        base = mdl.forward(params, eg.snapshot(0, feats, cfg.k, cfg.tau, cfg.s)).data
-        permuted = mdl.forward(params, eg.snapshot(0, p @ feats, cfg.k, cfg.tau, cfg.s)).data
+        base, permuted = (mdl.forward(params, x, window_graph(x, cfg.k, cfg.tau, cfg.s)).data
+                          for x in (feats, p @ feats))
         worst_fwd = max(worst_fwd, float(np.abs(permuted - p @ base).max()))
     report("permutation equivariance (adjacency exact, forward 1e-10)",
            worst_adj <= 1e-12 and worst_fwd <= 1e-10,
@@ -172,9 +172,9 @@ def test_gradient_suite():
         feats = srng.standard_normal((5, cfg.input_width))
         labels = np.zeros((5, 2), dtype=np.int64)
         labels[np.arange(5), srng.integers(0, 2, 5)] = 1
-        snap = eg.snapshot(0, feats, cfg.k, cfg.tau, cfg.s)
+        graph = window_graph(feats, cfg.k, cfg.tau, cfg.s)
         values = [v for _, v in params.named()]
-        rep = grad_check(lambda: mdl.loss(mdl.forward(params, snap), labels),
+        rep = grad_check(lambda: mdl.loss(mdl.forward(params, feats, graph), labels),
                             values, step=1e-5, tol=1e-4)
         worst = max(worst, rep.max_rel_err)
         ok = ok and rep.passed
@@ -196,6 +196,12 @@ def test_synthetic_learnability(synthetic_dataset):
            f"val ACC {result.best_val_acc:.4f} at epoch {result.best_epoch}, {elapsed:.0f}s")
 
 
+# The bound holds on the parallel attention stream alone: on this set the
+# energy graph leaves about 99% of training nodes isolated, and a graph of
+# self-loops only with attention scores the same (best validation ACC 0.901
+# against 0.895 for the energy graph, 3 seeds at 50 epochs; ROADMAP.md,
+# Measurements).  So a pass does not show that the energy graph carries
+# cross-stock signal.
 @pytest.mark.slow
 def test_ablation_separation(synthetic_dataset):
     manifest, panel = synthetic_dataset
@@ -248,9 +254,9 @@ def test_determinism_and_persistence(tmp_path):
 
     mdl.save_model(run_a.params, tmp_path / "model.bin")
     loaded = mdl.load_model(tmp_path / "model.bin")
-    snap = datasets["test"][0].snapshot
-    logits_match = (mdl.forward(run_a.params, snap).data
-                    == mdl.forward(loaded, snap).data).all()
+    window = datasets["test"].features[0], datasets["test"].graphs[0]
+    logits_match = (mdl.forward(run_a.params, *window).data
+                    == mdl.forward(loaded, *window).data).all()
     report("determinism and persistence (bit-identical history, identical logits)",
            histories_identical and bool(logits_match))
 

@@ -559,6 +559,26 @@ def test_graphgen_index_outside_usable_range_exits_one(small_dataset, tmp_path, 
     assert run_cli("graphgen", "--manifest", str(small_dataset), "--out", str(tmp_path / "gg"),
                    "--tau", "7", "--t", t) == 1
     assert "usable range [6, 78]" in capsys.readouterr().err
+    assert not (tmp_path / "gg").exists()
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["graphgen", "--no-range-check", "--tau", "200"], 2, "80 shared trading days, need at least 201"),
+    (["eval", "--tau", "7", "--indicators", "open,high", "--ratios", "1:1:1000"], 2,
+     "cannot fill three non-empty blocks"),
+    (["eval", "--tau", "7"], 1, "model.bin was trained on 2 indicator(s), but --indicators "
+                                "names 4: open,high,low,adj_close"),
+], ids=["graphgen_tau_past_the_days", "eval_ratios_leaving_no_training_day",
+        "eval_indicator_count_not_the_models"])
+def test_refused_graphgen_or_eval_writes_nothing(small_dataset, tmp_path, capsys, argv, code,
+                                                 message):
+    # the model takes two indicators: it was trained with --indicators open,high
+    mdl.save_model(mdl.init_model(mdl.ModelConfig(tau=7, f=2)), tmp_path / "model.bin")
+    model = ["--model", str(tmp_path / "model.bin")] if argv[0] == "eval" else []
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--manifest", str(small_dataset), "--out", str(out), *model) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exits_one():

@@ -162,12 +162,13 @@ def test_chunked_evaluate_equals_per_sample_predictions(monkeypatch):
 
     calls = []
     forward = mdl.forward
-    monkeypatch.setattr(mdl, "forward", lambda p, snap: calls.append(snap) or forward(p, snap))
+    monkeypatch.setattr(mdl, "forward", lambda p, x, graph: calls.append((x, graph))
+                        or forward(p, x, graph))
     for (split, rows), reference in zip(cases, references):
         calls.clear()
         assert mt.evaluate(params, split) == reference
-        assert [snap.features.shape[0] for snap in calls] == rows
-        assert [snap.adjacency.shape[0] for snap in calls] == rows
+        assert [x.shape[0] for x, _ in calls] == rows
+        assert [graph.shape[0] for _, graph in calls] == rows
 
 
 def test_evaluate_scores_a_sample_larger_than_a_chunk_alone(monkeypatch):
@@ -178,9 +179,10 @@ def test_evaluate_scores_a_sample_larger_than_a_chunk_alone(monkeypatch):
     split = random_split(rng, mt.CHUNK_ROWS + 1, cfg, windows=2)
     calls = []
     forward = mdl.forward
-    monkeypatch.setattr(mdl, "forward", lambda p, snap: calls.append(snap) or forward(p, snap))
+    monkeypatch.setattr(mdl, "forward", lambda p, x, graph: calls.append(graph)
+                        or forward(p, x, graph))
     assert mt.evaluate(params, split)["n"] == 2 * (mt.CHUNK_ROWS + 1)
-    assert [snap.adjacency.shape for snap in calls] == [(mt.CHUNK_ROWS + 1,) * 2] * 2
+    assert [graph.shape for graph in calls] == [(mt.CHUNK_ROWS + 1,) * 2] * 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -192,10 +194,12 @@ def test_a_chunk_with_non_finite_logits_is_a_numeric_error_naming_its_windows(mo
     params = mdl.init_model(cfg)
     split = random_split(np.random.default_rng(7), 30, cfg, windows=40)   # chunks of 13
     forward = mdl.forward
+    calls = []
 
-    def spoiled(p, snap):
-        logits = forward(p, snap)
-        if snap.t == 13:
+    def spoiled(p, x, graph):
+        logits = forward(p, x, graph)
+        calls.append(x)
+        if len(calls) == 2:                   # the chunk of windows 13..25
             logits.data[5, 0] = bad
         return logits
 

@@ -20,7 +20,7 @@ from trendgat.errors import (ConfigError, FormatError, LabelError, NumericError,
                              TrendgatError)
 
 from gradcheck import grad_check
-from oracles import energies_of, from_dense
+from oracles import energies_of, from_dense, window_graph
 from test_gnn_blocks import gat_oracle, mha_oracle
 
 
@@ -39,14 +39,14 @@ def random_split(rng, n, cfg, windows=1):
     return mt.Split(range(windows), features, labels, tuple(graphs))
 
 
-def forward_oracle(params, snapshot):
+def forward_oracle(params, features, graph):
     """Straight-line numpy re-implementation, no tape machinery."""
     cfg = params.config
-    h = snapshot.features @ params.w_in.data
+    h = features @ params.w_in.data
     h = np.where(h > 0, h, h * params.prelu_in.data)
     hp = h
     for block in params.blocks:
-        prop = gat_oracle(h, snapshot.adjacency, block.gat)
+        prop = gat_oracle(h, graph, block.gat)
         if cfg.parallel_attention:
             fused = np.concatenate([hp, prop + h @ block.w_skip.data], axis=1)
             hp = mha_oracle(fused, block)
@@ -75,8 +75,8 @@ def loss_oracle(logits, labels, alpha=2):
 def test_forward_output_shape():
     cfg = small_config()
     params = mdl.init_model(cfg)
-    sample = random_split(np.random.default_rng(0), 5, cfg)[0]
-    out = mdl.forward(params, sample.snapshot)
+    split = random_split(np.random.default_rng(0), 5, cfg)
+    out = mdl.forward(params, split.features[0], split.graphs[0])
     assert out.data.shape == (5, 2)
 
 
@@ -85,10 +85,10 @@ def test_forward_matches_straight_line_oracle():
     for parallel in (True, False):
         cfg = small_config(parallel_attention=parallel)
         params = mdl.init_model(cfg)
-        sample = random_split(rng, 6, cfg)[0]
-        out = mdl.forward(params, sample.snapshot)
-        np.testing.assert_allclose(out.data, forward_oracle(params, sample.snapshot),
-                                   atol=1e-12)
+        split = random_split(rng, 6, cfg)
+        window = split.features[0], split.graphs[0]
+        out = mdl.forward(params, *window)
+        np.testing.assert_allclose(out.data, forward_oracle(params, *window), atol=1e-12)
 
 
 def test_forward_is_permutation_equivariant():
@@ -98,17 +98,17 @@ def test_forward_is_permutation_equivariant():
     feats = rng.standard_normal((7, cfg.input_width))
     perm = rng.permutation(7)
     p = np.eye(7)[perm]
-    base = mdl.forward(params, eg.snapshot(0, feats, cfg.k, cfg.tau, cfg.s)).data
-    permuted = mdl.forward(params, eg.snapshot(0, p @ feats, cfg.k, cfg.tau, cfg.s)).data
+    base, permuted = (mdl.forward(params, x, window_graph(x, cfg.k, cfg.tau, cfg.s)).data
+                      for x in (feats, p @ feats))
     np.testing.assert_allclose(permuted, p @ base, atol=1e-10)
 
 
 def test_forward_rejects_wrong_width():
     cfg = small_config()
     params = mdl.init_model(cfg)
-    bad = eg.snapshot(0, np.random.default_rng(3).standard_normal((4, 5)), cfg.k, cfg.tau, cfg.s)
-    with pytest.raises(ConfigError):
-        mdl.forward(params, bad)
+    bad = np.random.default_rng(3).standard_normal((4, 5))
+    with pytest.raises(ConfigError, match="features width 5 != tau\\*f = 6"):
+        mdl.forward(params, bad, window_graph(bad, cfg.k, cfg.tau, cfg.s))
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +148,13 @@ def test_loss_multi_step_blocks():
 
 def _training_step(dense):
     """The tape and parameters of one training step (hidden 16, 2 layers,
-    2 heads) on a snapshot of len(dense) stocks whose graph is ``dense``."""
+    2 heads) on a window of len(dense) stocks whose graph is ``dense``."""
     cfg = small_config(hidden=16, layers=2, heads=2)
-    sample = random_split(np.random.default_rng(6), len(dense), cfg)[0]
-    snapshot = eg.GraphSnapshot(0, sample.snapshot.features, from_dense(dense))
+    split = random_split(np.random.default_rng(6), len(dense), cfg)
     params = mdl.init_model(cfg)
     with ad.Tape() as tape:
-        tape.backward(mdl.loss(mdl.forward(params, snapshot), sample.labels))
+        logits = mdl.forward(params, split.features[0], from_dense(dense))
+        tape.backward(mdl.loss(logits, split.labels[0]))
     return tape, params
 
 
@@ -358,25 +358,25 @@ def test_parameter_count_is_bounded(monkeypatch):
         mdl.ModelConfig(layers=10**8)
 
 
-def _self_loop_snapshot(n, width, groups=1):
-    """A snapshot of ``groups`` stacked self-loop graphs of n nodes and zero
-    features."""
+def _self_loop_window(n, width, groups=1):
+    """Zero features and ``groups`` stacked self-loop graphs of n nodes: the
+    two arrays of a forward."""
     graph = eg.stack([eg.CsrGraph(indptr=np.arange(n + 1), src=np.arange(n),
                                   weight=np.ones(n), n=n)] * groups)
-    return eg.GraphSnapshot(0, np.zeros((groups * n, width)), graph)
+    return np.zeros((groups * n, width)), graph
 
 
 def test_attention_scores_past_the_bound_are_refused_before_any_product():
     # 8193^2 scores are one more than MAX_SCORES at one head: a forward
     # would allocate 512 MiB, so the refusal must come first
     params = mdl.init_model(mdl.ModelConfig(tau=1, f=1, hidden=1, heads=1, layers=1))
-    snapshot = _self_loop_snapshot(8193, 1)
+    window = _self_loop_window(8193, 1)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match=r"N = 8193 nodes with 1 heads hold 67125249 "
                                               r"attention scores, more than MAX_SCORES = "
                                               r"67108864$"):
-            mdl.forward(params, snapshot)
+            mdl.forward(params, *window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -385,15 +385,15 @@ def test_attention_scores_past_the_bound_are_refused_before_any_product():
 
 def test_attention_score_bound_counts_groups_and_heads(monkeypatch):
     params = mdl.init_model(small_config(heads=3))
-    snapshot = _self_loop_snapshot(5, params.config.input_width, groups=4)
+    window = _self_loop_window(5, params.config.input_width, groups=4)
     monkeypatch.setattr(mdl, "MAX_SCORES", 4 * 3 * 5 * 5)
-    assert mdl.forward(params, snapshot).data.shape == (20, params.config.output_width)
+    assert mdl.forward(params, *window).data.shape == (20, params.config.output_width)
     monkeypatch.setattr(mdl, "MAX_SCORES", 4 * 3 * 5 * 5 - 1)
     with pytest.raises(ConfigError, match="4 graph"):
-        mdl.forward(params, snapshot)
+        mdl.forward(params, *window)
     # without the parallel stream there are no scores to bound
     plain = mdl.init_model(small_config(parallel_attention=False))
-    assert mdl.forward(plain, snapshot).data.shape == (20, plain.config.output_width)
+    assert mdl.forward(plain, *window).data.shape == (20, plain.config.output_width)
 
 
 def test_largest_synthetic_panel_is_within_the_score_bound():
@@ -401,7 +401,7 @@ def test_largest_synthetic_panel_is_within_the_score_bound():
     params = mdl.init_model(mdl.ModelConfig())
     n = synth.max_stocks(synth.RuleSpec())
     assert n > mt.CHUNK_ROWS
-    out = mdl.forward(params, _self_loop_snapshot(n, params.config.input_width))
+    out = mdl.forward(params, *_self_loop_window(n, params.config.input_width))
     assert out.data.shape == (n, params.config.output_width)
 
 
@@ -462,7 +462,7 @@ def test_seed_uses_its_whole_value():
 def test_single_sample_capacity():
     rng = np.random.default_rng(6)
     cfg = small_config(epochs=50)
-    result = mdl.train(random_split(rng, 4, cfg), random_split(rng, 4, cfg, windows=0), cfg)
+    result = mdl.train(random_split(rng, 4, cfg), random_split(rng, 4, cfg), cfg)
     losses = [rec["train_loss"] for rec in result.history]
     assert min(losses) < math.log(2.0)
 
@@ -470,7 +470,7 @@ def test_single_sample_capacity():
 def test_single_sample_loss_nearly_monotone():
     rng = np.random.default_rng(7)
     cfg = small_config(epochs=50)
-    result = mdl.train(random_split(rng, 4, cfg), random_split(rng, 4, cfg, windows=0), cfg)
+    result = mdl.train(random_split(rng, 4, cfg), random_split(rng, 4, cfg), cfg)
     losses = [rec["train_loss"] for rec in result.history]
     violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-12)
     assert violations <= 5
@@ -484,7 +484,8 @@ def test_training_is_deterministic():
     a = mdl.train(samples, val, cfg)
     b = mdl.train(samples, val, cfg)
     assert a.history == b.history
-    for (_, va), (_, vb) in zip(a.final_params.named(), b.final_params.named()):
+    assert (a.best_epoch, a.best_val_acc) == (b.best_epoch, b.best_val_acc)
+    for (_, va), (_, vb) in zip(a.params.named(), b.params.named()):
         np.testing.assert_array_equal(va.data, vb.data)
 
 
@@ -522,8 +523,8 @@ def test_training_matches_the_full_graph_layer_bit_for_bit(small_synth_panel, mo
                           seed=0)
     sector = eg.sector_adjacency(panel.sectors, panel.tickers) if source == "sector" else None
     datasets = mdl.build_datasets(panel, cfg, adjacency=sector)
-    # the energy snapshots mix both kinds of graph; the sector graph has neighbour rows
-    kinds = {sample.snapshot.adjacency.structure is None for sample in datasets["train"]}
+    # the energy graphs mix both kinds of graph; the sector graph has neighbour rows
+    kinds = {graph.structure is None for graph in datasets["train"].graphs}
     assert kinds == ({False} if sector else {False, True})
 
     def run():
@@ -534,8 +535,8 @@ def test_training_matches_the_full_graph_layer_bit_for_bit(small_synth_panel, mo
     monkeypatch.setattr(gb, "gatv2_layer", full_gatv2_layer)
     want, want_test = run()
     assert got.history == want.history
+    assert (got.best_epoch, got.best_val_acc) == (want.best_epoch, want.best_val_acc)
     assert got.params.flat.tobytes() == want.params.flat.tobytes()
-    assert got.final_params.flat.tobytes() == want.final_params.flat.tobytes()
     assert got_test == want_test
 
 
@@ -578,18 +579,37 @@ def test_split_labels_cannot_be_written(small_synth_panel):
     np.testing.assert_array_equal(split.classes, classes)
 
 
-@pytest.mark.parametrize("with_validation", [True, False])
-def test_best_params_are_independent_of_final_params(with_validation):
+def test_an_empty_split_is_refused_before_any_step(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("train initialised or stepped a model")
+
+    monkeypatch.setattr(mdl, "init_model", no_step)
+    monkeypatch.setattr(mdl, "forward", no_step)
     rng = np.random.default_rng(14)
     cfg = small_config(epochs=3)
     samples = random_split(rng, 4, cfg, windows=2)
-    val = random_split(rng, 4, cfg, windows=1 if with_validation else 0)
-    result = mdl.train(samples, val, cfg)
-    best = [v.data.copy() for _, v in result.params.named()]
-    for _, value in result.final_params.named():
-        value.data += 1.0
-    for kept, (_, value) in zip(best, result.params.named()):
-        np.testing.assert_array_equal(value.data, kept)
+    empty = random_split(rng, 4, cfg, windows=0)
+    for train, val in ((samples, empty), (empty, samples)):
+        with pytest.raises(ConfigError, match="^train: need at least one training and one "
+                                              "validation window$"):
+            mdl.train(train, val, cfg)
+
+
+def test_training_and_evaluation_build_no_window_objects(monkeypatch):
+    # train and evaluate hand forward a split's arrays, never a Sample or a GraphSnapshot
+    built = []
+    for cls in (mt.Sample, eg.GraphSnapshot):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init, cls=cls:
+                            built.append(cls) or init(self, *args))
+    rng = np.random.default_rng(16)
+    cfg = small_config(epochs=2, s=0.25)
+    train, val, test = (random_split(rng, 5, cfg, windows=3) for _ in range(3))
+    result = mdl.train(train, val, cfg)
+    mt.evaluate(result.params, test)
+    assert len(result.history) == 2 and built == []
+    train[0]                                  # the count sees what a split hands out
+    assert built == [eg.GraphSnapshot, mt.Sample]
 
 
 def test_best_checkpoint_tracks_validation_accuracy():
@@ -611,10 +631,10 @@ def test_end_to_end_gradient_check():
     rng = np.random.default_rng(10)
     cfg = mdl.ModelConfig(tau=7, f=4, hidden=8, heads=2, layers=2, seed=3)
     params = mdl.init_model(cfg)
-    sample = random_split(rng, 5, cfg)[0]
+    split = random_split(rng, 5, cfg)
 
     def f():
-        return mdl.loss(mdl.forward(params, sample.snapshot), sample.labels)
+        return mdl.loss(mdl.forward(params, split.features[0], split.graphs[0]), split.labels[0])
 
     values = [v for _, v in params.named()]
     report = grad_check(f, values, step=1e-5, tol=1e-4)
@@ -638,8 +658,8 @@ def test_predict_equals_the_per_step_loop(monkeypatch):
     params = mdl.init_model(small_config(phi=3))
     logits = np.random.default_rng(12).standard_normal((7, 6)) * 30
     logits[0, 2:4] = 0.5  # a tie, which goes to class 0
-    monkeypatch.setattr(mdl, "forward", lambda params, snapshot: ad.Value(logits))
-    classes, probs = mdl.predict(params, None)
+    monkeypatch.setattr(mdl, "forward", lambda params, features, graph: ad.Value(logits))
+    classes, probs = mdl.predict(params, eg.GraphSnapshot(0, None, None))
     want_classes = np.empty((7, 3), dtype=np.int64)
     want_probs = np.empty_like(logits)
     for j in range(3):
@@ -996,9 +1016,10 @@ def test_loaded_model_reproduces_logits(tmp_path):
     rng = np.random.default_rng(12)
     cfg = small_config()
     params = mdl.init_model(cfg)
-    sample = random_split(rng, 4, cfg)[0]
-    before = mdl.forward(params, sample.snapshot).data
+    split = random_split(rng, 4, cfg)
+    window = split.features[0], split.graphs[0]
+    before = mdl.forward(params, *window).data
     mdl.save_model(params, tmp_path / "m.bin")
     loaded = mdl.load_model(tmp_path / "m.bin")
-    after = mdl.forward(loaded, sample.snapshot).data
+    after = mdl.forward(loaded, *window).data
     np.testing.assert_array_equal(before, after)
