@@ -190,9 +190,13 @@ def _raise_first_bad_line(csv_path: Path, lines: list[str]) -> NoReturn:
 def load_panel(manifest, min_days: int = 2) -> IndicatorPanel:
     """Load every stock in the manifest and align on the common calendar.
 
-    Each file is checked and converted in bulk straight to arrays (see
-    ``_read_stock_csv``), so no per-row Python object outlives its file and
-    memory grows as N x T x F."""
+    The panel is allocated on the first stock's calendar and each stock's
+    rows are written into it as soon as its file is parsed (see
+    ``_read_stock_csv``), while one mask keeps the days every stock has.
+    The other days are dropped at the end, a step that copies nothing when
+    all calendars agree, or as soon as they outnumber the shared ones.
+    Loading therefore holds one N x T x 5 panel, T at most twice the shared
+    days once a second stock is written, plus one file's fields and arrays."""
     entries = read_manifest(manifest)
     if len(entries) < 2:
         raise DataError("manifest must list at least 2 stocks")
@@ -200,20 +204,27 @@ def load_panel(manifest, min_days: int = 2) -> IndicatorPanel:
     if len(set(tickers)) != len(tickers):
         raise DataError("manifest has duplicate tickers")
 
-    per_stock = [_read_stock_csv(t, p) for t, p, _ in entries]
-    common = per_stock[0][0]
-    for days, _ in per_stock[1:]:
-        common = np.intersect1d(common, days, assume_unique=True)
-    if len(common) < min_days:
+    calendar, rows = _read_stock_csv(*entries[0][:2])
+    values = np.empty((len(entries),) + rows.shape)
+    values[0] = rows
+    shared = np.ones(len(calendar), dtype=bool)
+    for i, (ticker, path, _) in enumerate(entries[1:], start=1):
+        days, rows = _read_stock_csv(ticker, path)
+        at = np.minimum(np.searchsorted(days, calendar), len(days) - 1)
+        shared &= days[at] == calendar
+        np.take(rows, at, axis=0, out=values[i])
+        # Unshared days go at the end, or once they are half the calendar,
+        # so a first stock with a long history cannot inflate the panel
+        n_shared = int(np.count_nonzero(shared))
+        if n_shared < len(calendar) and (i == len(entries) - 1 or 2 * n_shared < len(calendar)):
+            calendar, values = calendar[shared], np.compress(shared, values, axis=1)
+            shared = shared[shared]
+    if n_shared < min_days:
         raise InsufficientDataError(
-            f"only {len(common)} shared trading days, need at least {min_days}")
-
-    values = np.empty((len(tickers), len(common), len(RAW_INDICATORS)))
-    for i, (days, rows) in enumerate(per_stock):
-        values[i] = rows[np.searchsorted(days, common)]
+            f"only {n_shared} shared trading days, need at least {min_days}")
     close = values[:, :, RAW_INDICATORS.index("adj_close")].copy()
     sectors = {t: s for t, _, s in entries if s}
-    return IndicatorPanel(tickers=tickers, dates=np.datetime_as_string(common).tolist(),
+    return IndicatorPanel(tickers=tickers, dates=np.datetime_as_string(calendar).tolist(),
                           values=values, indicators=list(RAW_INDICATORS), close=close,
                           sectors=sectors)
 
@@ -236,8 +247,10 @@ def select_indicators(panel: IndicatorPanel, names: list[str]) -> IndicatorPanel
 def normalize(panel: IndicatorPanel, splits: DatasetSplits) -> IndicatorPanel:
     """Z-score each (stock, channel) series with statistics from the days
     covered by the training block only (calendar days up to the last train
-    window end); zero-variance channels keep divisor 1.  A channel whose
-    statistics overflow float64 is a NumericError."""
+    window end); zero-variance channels keep divisor 1.  The result is one
+    new panel, centred and then divided in place, so the input and the
+    output are the only full-size arrays.  A channel whose statistics
+    overflow float64 is a NumericError."""
     if not splits.train:
         raise InsufficientDataError("empty training split")
     stat_days = splits.train[-1] + 1
@@ -255,7 +268,8 @@ def normalize(panel: IndicatorPanel, splits: DatasetSplits) -> IndicatorPanel:
             f"train mean {mean[i, j]} and std {std[i, j]}; its values are too large "
             f"to z-score in float64")
     safe_std = np.where(std == 0.0, 1.0, std)
-    values = (panel.values - mean[:, None, :]) / safe_std[:, None, :]
+    values = panel.values - mean[:, None, :]
+    values /= safe_std[:, None, :]
     return IndicatorPanel(tickers=panel.tickers, dates=panel.dates, values=values,
                           indicators=panel.indicators, close=panel.close,
                           sectors=panel.sectors)
@@ -298,7 +312,7 @@ def build_windows(panel: IndicatorPanel, ts, tau: int, phi: int) -> tuple[np.nda
 
     ``features`` is the B x N x (tau*F) ``window_view`` of
     ``panel.values``.  ``labels`` is a read-only B x N x (phi*CLASSES)
-    int64 array, one CLASSES block per step: class 1 when adjusted close
+    int8 array, one CLASSES block per step: class 1 when adjusted close
     rises, class 0 otherwise (ties count as down).
     """
     if phi < 1:
@@ -308,7 +322,7 @@ def build_windows(panel: IndicatorPanel, ts, tau: int, phi: int) -> tuple[np.nda
     n = panel.n_stocks
     up = panel.close[:, 1:] > panel.close[:, :-1]         # N x (T - 1): day d to d + 1
     steps = up[:, ts[:, None] + np.arange(phi)].transpose(1, 0, 2)   # B x N x phi
-    labels = np.empty(steps.shape + (CLASSES,), dtype=np.int64)
+    labels = np.empty(steps.shape + (CLASSES,), dtype=np.int8)
     labels[..., 0] = ~steps                               # class 0: down or flat
     labels[..., 1] = steps                                # class 1: up
     labels.flags.writeable = False

@@ -238,41 +238,81 @@ def test_values_match_fixture_cell_for_cell(tmp_path):
 
 
 def test_unsorted_rows_and_ragged_calendars_align_cell_for_cell(tmp_path):
-    # A lists its rows newest first, B misses two mid-series days and runs
-    # past A's last day, C starts a day late; the panel keeps the shared
-    # days in calendar order, each cell from its own stock's row
-    dates = trading_dates(10)
+    # The panel keeps the days every stock has in calendar order, each cell
+    # from its own stock's row, whatever the first stock's calendar holds
+    days = trading_dates(16)
     cell = {(t, d): (base + j, base + j + 0.5, base + j - 0.5, base + 2 * j, 100.0 * base + j)
-            for t, base in (("A", 1.0), ("B", 20.0), ("C", 300.0))
-            for j, d in enumerate(dates + trading_dates(12)[10:])}
-    calendars = {"A": dates[::-1],
-                 "B": [d for d in trading_dates(12) if d not in (dates[4], dates[6])],
-                 "C": dates[1:]}
-    for t, days in calendars.items():
-        write_stock_csv(tmp_path / f"{t}.csv", days, [cell[t, d] for d in days])
-    write_manifest(tmp_path / "m.csv", [(t, f"{t}.csv") for t in calendars])
-    panel = md.load_panel(tmp_path / "m.csv")
-    shared = [d for d in dates if d not in (dates[0], dates[4], dates[6])]
-    assert panel.dates == shared
-    expected = np.array([[cell[t, d] for d in shared] for t in calendars])
-    np.testing.assert_array_equal(panel.values, expected)
-    np.testing.assert_array_equal(panel.close, expected[:, :, 3])
+            for t, base in (("A", 1.0), ("B", 20.0), ("C", 300.0), ("D", 4000.0))
+            for j, d in enumerate(days)}
+
+    def load(name, calendars, bad=None, min_days=2):
+        folder = tmp_path / name
+        folder.mkdir()
+        for t, held in calendars.items():
+            write_stock_csv(folder / f"{t}.csv", held, [cell[t, d] for d in held])
+        if bad is not None:
+            with open(folder / f"{bad}.csv", "a", encoding="utf-8") as fh:
+                fh.write(f"{days[15]},1,2,oops,4,5\n")
+        write_manifest(folder / "m.csv", [(t, f"{t}.csv") for t in calendars])
+        return md.load_panel(folder / "m.csv", min_days=min_days)
+
+    def assert_cells(panel, calendars, shared):
+        assert panel.dates == shared
+        expected = np.array([[cell[t, d] for d in shared] for t in calendars])
+        np.testing.assert_array_equal(panel.values, expected)
+        np.testing.assert_array_equal(panel.close, expected[:, :, 3])
+        assert panel.values.flags.c_contiguous
+
+    # A, first, lists its rows newest first and alone holds days[9]; B
+    # misses days[5] and days[9] and holds days before A's first (0, 1),
+    # between A's days (7) and after A's last (13-15); C starts a day late
+    ragged = {"A": [days[j] for j in (12, 11, 10, 9, 8, 6, 5, 4, 3, 2)],
+              "B": [d for j, d in enumerate(days) if j not in (5, 9)],
+              "C": [days[j] for j in (3, 4, 5, 6, 7, 8, 10, 11, 12)]}
+    assert_cells(load("ragged", ragged), ragged,
+                 [days[j] for j in (3, 4, 6, 8, 10, 11, 12)])
+
+    # A's history is far longer: its unshared days go as soon as they
+    # outnumber the shared ones, and C's missing day at the end
+    long = {"A": days, "B": days[10:][::-1], "C": days[10:13] + days[14:], "D": days[9:]}
+    assert_cells(load("long", long), long, days[10:13] + days[14:])
+
+    # One calendar shared by all, rows in any order: nothing is dropped
+    same = {"A": days[::-1], "B": days, "C": days[8:] + days[:8]}
+    assert_cells(load("same", same), same, days)
+
+    # A later file's ParseError comes before the shared-day count is
+    # judged, and too few shared days is an InsufficientDataError
+    apart = {"A": days[:8], "B": days[6:], "C": days}
+    with pytest.raises(ParseError, match=r"C\.csv:18"):
+        load("apart_bad", apart, bad="C", min_days=3)
+    with pytest.raises(InsufficientDataError, match="only 2 shared trading days"):
+        load("apart", apart, min_days=3)
 
 
 def test_setup_memory_is_a_small_multiple_of_the_panel(tmp_path):
-    # One panel in its raw, selected and normalized forms, the close
-    # series, labels and sparse graphs come to about 3.8 panels; per-row
-    # Python objects or copied lag windows (tau = 14 copies) would not fit
+    # In selected panels (N x T x 4 float64): load_panel holds the raw
+    # five-channel panel (1.25), its close series (0.25) and one file's
+    # arrays.  Set-up then keeps the selected panel, the close series, the
+    # normalized panel, int8 labels (0.06) and sparse graphs (0.7), about
+    # 3.1, with one split's energies and graph blocks on top at its peak.
+    # Per-row Python objects, a second copy of the raw panel or copied lag
+    # windows (tau = 14 copies) would not fit
     manifest = synth.write_dataset(tmp_path / "ds", 200, 300, seed=4)
     tracemalloc.start()
     try:
-        panel = md.select_indicators(md.load_panel(manifest), md.DEFAULT_INDICATORS)
+        raw = md.load_panel(manifest)
+        _, load_peak = tracemalloc.get_traced_memory()
+        panel = md.select_indicators(raw, md.DEFAULT_INDICATORS)
+        del raw
         datasets = mdl.build_datasets(panel, mdl.ModelConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(datasets["train"]) > 0
-    assert peak < 5 * panel.values.nbytes, f"peak {peak} B, panel {panel.values.nbytes} B"
+    selected = panel.values.nbytes
+    assert load_peak < 2 * selected, f"load_panel peak {load_peak} B, panel {selected} B"
+    assert peak < 3.6 * selected, f"peak {peak} B, panel {selected} B"
 
 
 def test_min_days_enforced(tmp_path):
@@ -437,7 +477,7 @@ def test_sample_shapes(tmp_path):
     features, labels = md.build_windows(panel, [7, 8, 9], tau=7, phi=2)
     assert features.shape == (3, 5, 28)
     assert labels.shape == (3, 5, 4)
-    assert labels.dtype == np.int64 and labels[1].flags.c_contiguous
+    assert labels.dtype == np.int8 and labels[1].flags.c_contiguous
     assert not labels.flags.writeable and not labels[1].flags.writeable
 
 
